@@ -8,10 +8,11 @@ orders together with its closed form |m| sigma_2(gcd(m,n)) / gcd(m,n)^2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "divisors",
@@ -26,30 +27,151 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+def _primes_below(n: int) -> Tuple[int, ...]:
+    """Sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p, is_prime in enumerate(sieve) if is_prime)
+
+
+# Trial division covers every prime below this bound.
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+# Miller-Rabin with these bases is exact below _MR_LIMIT (Sorenson and
+# Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+# Pollard-Brent steps allowed per factorization, over all restarts; enough
+# to split off a prime factor near 10^10 in well under a second.
+_RHO_BUDGET = 1 << 20
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n with no prime factor below _TRIAL_LIMIT.
+
+    A witness proves n composite at any size; a prime verdict is proven only
+    below _MR_LIMIT, so above it a would-be prime is refused.
+    """
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot prove {n} prime: it exceeds the "
+                         f"deterministic Miller-Rabin bound {_MR_LIMIT}")
+    return True
+
+
+def _brent_factor(n: int, budget: int) -> Tuple[int, int]:
+    """A nontrivial factor of the odd composite n by Pollard-Brent rho, and
+    the budget of steps left after finding it.
+
+    Iterates x -> x^2 + c mod n for c = 1, 2, ..., batching gcds over 128
+    steps (Brent 1980).  A round that would overrun the budget refuses the
+    factorization instead.
+    """
+    batch = 128
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if budget < 2 * r:
+                raise ValueError(f"could not factor {n} within "
+                                 f"{_RHO_BUDGET} Pollard-Brent steps")
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # The batch overshot: redo it one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
+
+
+def _factorize(n: int) -> Dict[int, int]:
+    """Prime factorization of n >= 1 as {prime: exponent}.
+
+    Trial division by the primes below _TRIAL_LIMIT, then Miller-Rabin and
+    Pollard-Brent on what is left.  Raises ValueError when a cofactor is a
+    probable prime above _MR_LIMIT or the rho budget runs out.
+    """
+    fact: Dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            fact[p] = fact.get(p, 0) + 1
+            n //= p
+    budget = _RHO_BUDGET
+    stack = [n] if n > 1 else []
+    while stack:
+        n = stack.pop()
+        # No factor of n lies below _TRIAL_LIMIT, so below its square n is prime.
+        if n < _TRIAL_LIMIT * _TRIAL_LIMIT or _is_prime(n):
+            fact[n] = fact.get(n, 0) + 1
+        else:
+            d, budget = _brent_factor(n, budget)
+            stack += [d, n // d]
+    return fact
+
+
+@lru_cache(maxsize=1024)
 def divisors(n: int) -> Tuple[int, ...]:
-    """All positive divisors of n in increasing order."""
+    """All positive divisors of n in increasing order.
+
+    Built from the prime factorization of n: trial division by the primes
+    below 1000, deterministic Miller-Rabin (exact below 3.3 * 10^24) and
+    Pollard-Brent rho under a fixed step budget.  Raises ValueError for
+    n < 1, for a prime factor above 3.3 * 10^24, and when the budget runs
+    out.
+    """
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
-    small: List[int] = []
-    large: List[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    divs = [1]
+    for p, e in _factorize(n).items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return tuple(sorted(divs))
 
 
 def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n) = sum of d**k over d | n, for k in {0,1,2}."""
+    """Divisor power sum sigma_k(n) = sum of d**k over d | n, for k in {0,1,2}.
+
+    Evaluated as a product over the prime factorization of n, with the same
+    refusals as `divisors`.
+    """
     if k not in (0, 1, 2):
         raise ValueError(f"sigma supports k in {{0, 1, 2}}, got {k}")
     if n < 1:
         raise ValueError(f"sigma requires n >= 1, got {n}")
-    return sum(d ** k for d in divisors(n))
+    out = 1
+    for p, e in _factorize(n).items():
+        out *= e + 1 if k == 0 else (p ** (k * (e + 1)) - 1) // (p ** k - 1)
+    return out
 
 
 def hnf_matrices(ell: int) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:

@@ -27,7 +27,14 @@ from .homs import (
     normalize_class,
     plucker_holds,
 )
-from .nilalg import H3Class, HomologyClass, h3_pushforward, invert_word
+from .nilalg import (
+    H3_ZERO,
+    H3Class,
+    HomologyClass,
+    Letter,
+    h3_pushforward,
+    invert_word,
+)
 
 __all__ = [
     "ModuliComponent",
@@ -39,8 +46,6 @@ __all__ = [
     "gw_closed_form",
     "gw_enumerated",
 ]
-
-_H3_ZERO = H3Class(0, 0, 0)
 
 
 def aut_size_formula(d: int, k: int, ell: int, m: int, n: int) -> int:
@@ -152,7 +157,7 @@ class GWResult:
     method: str
 
 
-def _normal_invariants(A: HomologyClass) -> Tuple[Tuple[str, ...], HomologyClass, int, int]:
+def _normal_invariants(A: HomologyClass) -> Tuple[Tuple[Letter, ...], HomologyClass, int, int]:
     word, norm = normalize_class(A)
     return word, norm, norm.a13, norm.a14
 
@@ -168,7 +173,7 @@ def gw_closed_form(A: HomologyClass) -> GWResult:
         raise ValueError("class not representable by tori (Plücker)")
     word, norm, m, n = _normal_invariants(A)
     if m == 0:
-        gw = _H3_ZERO
+        gw = H3_ZERO
     else:
         g = math.gcd(m, n)
         coeff = Fraction((m * m + n * n) * sigma(2, g), g ** 3)
@@ -187,10 +192,10 @@ def gw_enumerated(A: HomologyClass) -> GWResult:
         raise ValueError("class not representable by tori (Plücker)")
     word, norm, m, n = _normal_invariants(A)
     if m == 0:
-        gw = _H3_ZERO
+        gw = H3_ZERO
     else:
         eval_class = component_eval_class(m, n)
-        total = _H3_ZERO
+        total = H3_ZERO
         for entry in enumerate_fully_reduced(m, n):
             aut = aut_size_formula(entry.d, entry.k, entry.ell, m, n)
             total = total + eval_class.scale(Fraction(1, aut))

@@ -31,6 +31,7 @@ from .nilalg import (
     S2_INV,
     HomologyClass,
     LieAlgElem,
+    Letter,
     h2_pushforward,
 )
 
@@ -254,34 +255,42 @@ def sum_representative(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
     return _normal_form(m, n, d, k, ell)
 
 
-def _pair_word_to_diag(v1: int, v2: int) -> Tuple[Tuple[str, ...], int]:
-    """Word sending the column (v1, v2) to (g, g) with g = gcd >= 0."""
-    word: List[str] = []
+def _pair_word_to_diag(v1: int, v2: int) -> Tuple[Tuple[Letter, ...], int]:
+    """Word sending the column (v1, v2) to (g, g) with g = gcd >= 0.
+
+    Euclid with nearest-integer quotients: each step writes its quotient as
+    one shear run and at least halves |v2|, so the word has at most
+    2 * bit_length(v2) + 4 letters.  Truncated quotients would take about
+    1.44 steps per bit on consecutive Fibonacci numbers.
+    """
+    word: List[Letter] = []
     while v2 != 0:
-        q = v1 // v2
+        q, r = divmod(v1, v2)
+        if 2 * abs(r) > abs(v2):
+            q, r = q + 1, r - v2
         if q > 0:
-            word.extend([S2_INV] * q)
+            word.append((S2_INV, q))
         elif q < 0:
-            word.extend([S2] * (-q))
-        v1 -= q * v2
+            word.append((S2, -q))
         # (r, v2) -> (-v2, r)
         word.append(S1)
-        v1, v2 = -v2, v1
+        v1, v2 = -v2, r
     if v1 < 0:
-        word.extend([S1, S1])
+        word.append((S1, 2))
         v1 = -v1
     # (g, 0) -> (g, g) via the lower shear s1 . s2_inv . s1_inv.
     word.extend([S1, S2_INV, S1_INV])
     return tuple(word), v1
 
 
-def normalize_class(A: HomologyClass) -> Tuple[Tuple[str, ...], HomologyClass]:
+def normalize_class(A: HomologyClass) -> Tuple[Tuple[Letter, ...], HomologyClass]:
     """Move a torus-representable class to the diagonal shape [m, m, n, n].
 
     Returns (word, A') with A' = h2_pushforward(word, A), A'13 = A'23 =
-    gcd(A13, A23) >= 0 and A'14 = A'24.  The word is built from the
-    generator automorphisms by the Euclidean algorithm.  Classes violating
-    the minor identity a13 a24 = a14 a23 are rejected.
+    gcd(A13, A23) >= 0 and A'14 = A'24.  The word is a tuple of letters, each
+    a generator token or a (token, exponent) run, built by the Euclidean
+    algorithm; it has at most 2 * bit_length(max |A_ij|) + 4 letters.
+    Classes violating the minor identity a13 a24 = a14 a23 are rejected.
     """
     if not plucker_holds(A):
         raise ValueError("class not representable by tori (Plücker)")

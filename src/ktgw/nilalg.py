@@ -21,13 +21,20 @@ The module also hosts the two homology coefficient vectors that the lattice
 automorphisms act on: degree-two classes as integer 4-vectors in the basis
 E13, E23, E14, E24, and degree-three classes as rational coefficients of
 E134, E234, E124.
+
+Lattice automorphisms are written as words in the generators s1, s2 and
+their inverses, applied leftmost letter first.  A letter is a bare token or a
+run (token, e) with an int e >= 1, so a shear by 10^9 is one letter.  Every
+public word function reads letters through one validating normalizer and
+acts by each run's closed form, so its cost is linear in the number of
+letters, not in the exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -36,6 +43,7 @@ __all__ = [
     "GroupElem",
     "HomologyClass",
     "H3Class",
+    "H3_ZERO",
     "N1",
     "N2",
     "N3",
@@ -47,6 +55,7 @@ __all__ = [
     "S1_INV",
     "S2_INV",
     "GENERATORS",
+    "Letter",
     "AutWord",
     "bracket",
     "group_mul",
@@ -187,59 +196,77 @@ S1_INV = "s1_inv"
 S2_INV = "s2_inv"
 GENERATORS = (S1, S2, S1_INV, S2_INV)
 
-AutWord = Sequence[str]
+# A word letter is a generator token or a run (token, e) with an int e >= 1;
+# a bare token means (token, 1).
+Letter = Union[str, Tuple[str, int]]
+AutWord = Sequence[Letter]
 
 _INVERSE_TOKEN = {S1: S1_INV, S1_INV: S1, S2: S2_INV, S2_INV: S2}
 
-_SIGMA = {
-    S1: ((0, -1), (1, 0)),
-    S1_INV: ((0, 1), (-1, 0)),
-    S2: ((1, 1), (0, 1)),
-    S2_INV: ((1, -1), (0, 1)),
-}
+# Powers of the quarter turn s1, indexed by the exponent mod 4.
+_TURNS = (
+    ((1, 0), (0, 1)),
+    ((0, -1), (1, 0)),
+    ((-1, 0), (0, -1)),
+    ((0, 1), (-1, 0)),
+)
 
 
-def _check_token(token: str) -> None:
-    if token not in _SIGMA:
-        raise ValueError(f"unknown automorphism generator {token!r}")
+def _runs(word: AutWord) -> Iterator[Tuple[str, int]]:
+    """Each letter of the word as a validated (token, e) run, leftmost first."""
+    for letter in word:
+        if isinstance(letter, str):
+            token, e = letter, 1
+        elif isinstance(letter, tuple) and len(letter) == 2:
+            token, e = letter
+        else:
+            raise ValueError(f"malformed word letter {letter!r}")
+        if not isinstance(token, str) or token not in _INVERSE_TOKEN:
+            raise ValueError(f"unknown automorphism generator {token!r}")
+        if type(e) is not int or e < 1:
+            raise ValueError(f"run exponent must be an int >= 1, got {e!r}")
+        yield token, e
 
 
-def _apply_generator(token: str, g: GroupElem) -> GroupElem:
-    if token == S1:
-        return GroupElem(-g.y, g.x, g.z - g.x * g.y, g.logt)
-    if token == S1_INV:
-        return GroupElem(g.y, -g.x, g.z - g.x * g.y, g.logt)
+def _run_matrix(token: str, e: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """Closed form of token**e acting on the (x, y) plane."""
     if token == S2:
-        return GroupElem(g.x + g.y, g.y, g.z + g.y * (g.y + 1) / 2, g.logt)
+        return ((1, e), (0, 1))
     if token == S2_INV:
-        return GroupElem(g.x - g.y, g.y, g.z - g.y * (g.y + 1) / 2, g.logt)
-    raise ValueError(f"unknown automorphism generator {token!r}")
+        return ((1, -e), (0, 1))
+    return _TURNS[(e if token == S1 else -e) % 4]
+
+
+def _run_apply(token: str, e: int, g: GroupElem) -> GroupElem:
+    """Closed form of phi**e on a group element; phi1 has order 4 and phi2**e
+    shifts x by e y and z by e y (y + 1) / 2, since it leaves y fixed."""
+    if token in (S2, S2_INV):
+        s = e if token == S2 else -e
+        return GroupElem(g.x + s * g.y, g.y, g.z + s * g.y * (g.y + 1) / 2,
+                         g.logt)
+    for _ in range((e if token == S1 else -e) % 4):
+        g = GroupElem(-g.y, g.x, g.z - g.x * g.y, g.logt)
+    return g
 
 
 def aut_apply(word: AutWord, g: GroupElem) -> GroupElem:
     """Apply a word of generator automorphisms to g, leftmost letter first."""
-    for token in word:
-        g = _apply_generator(token, g)
+    for token, e in _runs(word):
+        g = _run_apply(token, e, g)
     return g
 
 
-def invert_word(word: AutWord) -> Tuple[str, ...]:
-    for token in word:
-        _check_token(token)
-    return tuple(_INVERSE_TOKEN[token] for token in reversed(word))
-
-
-def _sigma_apply(token: str, v: Tuple[int, int]) -> Tuple[int, int]:
-    (a, b), (c, d) = _SIGMA[token]
-    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+def invert_word(word: AutWord) -> Tuple[Letter, ...]:
+    """Inverse word: letters reversed, each token inverted, exponents kept."""
+    return tuple(_INVERSE_TOKEN[token] if e == 1 else (_INVERSE_TOKEN[token], e)
+                 for token, e in reversed(list(_runs(word))))
 
 
 def word_matrix(word: AutWord) -> Tuple[Tuple[int, int], Tuple[int, int]]:
     """2x2 matrix M with M v = (word applied leftmost-first) v."""
     m = ((1, 0), (0, 1))
-    for token in word:
-        _check_token(token)
-        s = _SIGMA[token]
+    for token, e in _runs(word):
+        s = _run_matrix(token, e)
         m = (
             (s[0][0] * m[0][0] + s[0][1] * m[1][0],
              s[0][0] * m[0][1] + s[0][1] * m[1][1]),
@@ -318,16 +345,12 @@ H3_ZERO = H3Class(0, 0, 0)
 def h2_pushforward(word: AutWord, A: HomologyClass) -> HomologyClass:
     """Push a degree-two class along a word of lattice automorphisms.
 
-    Each generator acts simultaneously on the column pairs (a13, a23) and
+    The word acts simultaneously on the column pairs (a13, a23) and
     (a14, a24) through its 2x2 matrix.
     """
-    u = (A.a13, A.a23)
-    v = (A.a14, A.a24)
-    for token in word:
-        _check_token(token)
-        u = _sigma_apply(token, u)
-        v = _sigma_apply(token, v)
-    return HomologyClass(u[0], u[1], v[0], v[1])
+    (a, b), (c, d) = word_matrix(word)
+    return HomologyClass(a * A.a13 + b * A.a23, c * A.a13 + d * A.a23,
+                         a * A.a14 + b * A.a24, c * A.a14 + d * A.a24)
 
 
 def h3_pushforward(word: AutWord, C: H3Class) -> H3Class:
@@ -335,9 +358,5 @@ def h3_pushforward(word: AutWord, C: H3Class) -> H3Class:
     if C.e124 != 0:
         raise ValueError("pushforward is only defined for classes with zero "
                          "E124 component")
-    u = (C.e134, C.e234)
-    for token in word:
-        _check_token(token)
-        (a, b), (c, d) = _SIGMA[token]
-        u = (a * u[0] + b * u[1], c * u[0] + d * u[1])
-    return H3Class(u[0], u[1], 0)
+    (a, b), (c, d) = word_matrix(word)
+    return H3Class(a * C.e134 + b * C.e234, c * C.e134 + d * C.e234, 0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ktgw import arith
 from ktgw.arith import (
     aut_weight_sum,
     aut_weight_sum_closed,
@@ -16,6 +17,15 @@ from ktgw.arith import (
 )
 
 
+def brute_divisors(limit):
+    """Divisor lists of 0..limit by sieving multiples."""
+    divs = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for multiple in range(d, limit + 1, d):
+            divs[multiple].append(d)
+    return divs
+
+
 class TestDivisors:
     def test_examples(self):
         assert divisors(1) == (1,)
@@ -23,10 +33,11 @@ class TestDivisors:
         assert divisors(12) == (1, 2, 3, 4, 6, 12)
 
     def test_strictly_increasing_and_complete(self):
-        for n in range(1, 300):
+        brute = brute_divisors(3000)
+        for n in range(1, 3001):
             divs = divisors(n)
             assert list(divs) == sorted(set(divs))
-            assert divs == tuple(d for d in range(1, n + 1) if n % d == 0)
+            assert divs == tuple(brute[n])
 
     @pytest.mark.parametrize("bad", [0, -1, -12])
     def test_rejects_nonpositive(self, bad):
@@ -46,6 +57,12 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma(3, 5)
 
+    def test_matches_brute_force(self):
+        brute = brute_divisors(3000)
+        for n in range(1, 3001):
+            for k in (0, 1, 2):
+                assert sigma(k, n) == sum(d ** k for d in brute[n])
+
     def test_multiplicative_on_coprime_pairs(self):
         rng = random.Random(7)
         for k in (0, 1, 2):
@@ -56,6 +73,34 @@ class TestSigma:
                     continue
                 assert sigma(k, a * b) == sigma(k, a) * sigma(k, b)
                 done += 1
+
+
+class TestFactoring:
+    @pytest.mark.parametrize("n, fact", [
+        # Strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 .. 23.
+        (3215031751, {151: 1, 751: 1, 28351: 1}),
+        (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+        ((10 ** 9 + 7) ** 2, {10 ** 9 + 7: 2}),
+        (1000003 * 1000033, {1000003: 1, 1000033: 1}),
+    ])
+    def test_hard_composites(self, n, fact):
+        expected = [1]
+        for p, e in fact.items():
+            expected = [d * p ** i for d in expected for i in range(e + 1)]
+        assert divisors(n) == tuple(sorted(expected))
+        for k in (0, 1, 2):
+            assert sigma(k, n) == sum(d ** k for d in expected)
+
+    def test_refuses_prime_above_deterministic_bound(self):
+        with pytest.raises(ValueError):
+            sigma(2, 2 ** 89 - 1)
+        with pytest.raises(ValueError):
+            divisors(2 ** 89 - 1)
+
+    def test_refuses_when_rho_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_BUDGET", 64)
+        with pytest.raises(ValueError):
+            sigma(1, 1000003 * 1000033)
 
 
 class TestSublatticeCount:

@@ -52,6 +52,14 @@ class TestGwCommand:
         assert "Plücker" in err
         assert out == ""
 
+    def test_unprovable_prime_g_exit_2(self, capsys):
+        big = str(2 ** 89 - 1)
+        code, out, err = run(capsys, "gw", big, big, "0", "0",
+                             "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "Miller-Rabin" in err
+
     def test_zero_class(self, capsys):
         code, out, _ = run(capsys, "gw", "0", "0", "0", "0",
                            "--format", "json")

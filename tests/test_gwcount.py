@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ktgw.arith import aut_weight_sum, aut_weight_sum_closed, sigma
 from ktgw.gwcount import (
@@ -178,3 +180,36 @@ class TestEquivariance:
             lhs = gw_enumerated(h2_pushforward(word, A)).gw
             rhs = h3_pushforward(word, gw_enumerated(A).gw)
             assert lhs == rhs
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+MEDIUM_PRIMES = (1000003, 1000033, 998244353, 10 ** 9 + 7)
+LARGE_PRIME = 2 ** 61 - 1
+
+
+class TestClosedFormKnownFactorization:
+    """The closed form on classes whose g is built from chosen primes, against
+    the formula evaluated from that known factorization."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from(SMALL_PRIMES), max_size=5),
+           st.lists(st.sampled_from(MEDIUM_PRIMES), max_size=2),
+           st.booleans(),
+           st.integers(-40, 40), st.integers(-40, 40),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6))
+    def test_matches_factorization_oracle(self, small, medium, large, s1, t1,
+                                          p, q):
+        assume(s1 != 0 and math.gcd(s1, t1) == 1 and math.gcd(p, q) == 1)
+        primes = small + medium + ([LARGE_PRIME] if large else [])
+        g = math.prod(primes)
+        sigma2 = 1
+        for prime in set(primes):
+            e = primes.count(prime)
+            sigma2 *= (prime ** (2 * (e + 1)) - 1) // (prime ** 2 - 1)
+        s, t = g * s1, g * t1
+        A = HomologyClass(s * p, s * q, t * p, t * q)
+        result = gw_closed_form(A)
+        assert result.m == abs(s)
+        assert abs(result.n) == abs(t)
+        coeff = Fraction((s * s + t * t) * sigma2, g ** 3)
+        assert result.gw == H3Class(coeff * A.a13, coeff * A.a23, 0)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ktgw.arith import sigma
 from ktgw.homs import (
@@ -251,3 +253,37 @@ class TestNormalizeClass:
             assert out.a13 == out.a23 == math.gcd(A.a13, A.a23)
             assert out.a14 == out.a24
             assert abs(out.a14) == math.gcd(A.a14, A.a24)
+
+
+big_st = st.integers(-10 ** 15, 10 ** 15)
+
+
+class TestNormalizeClassScale:
+    """Structural size bounds on the normalizing word; no timing."""
+
+    @staticmethod
+    def check(A):
+        word, out = normalize_class(A)
+        assert h2_pushforward(word, A) == out
+        assert out.a13 == out.a23 == math.gcd(A.a13, A.a23)
+        assert out.a14 == out.a24
+        assert abs(out.a14) == math.gcd(A.a14, A.a24)
+        bits = max(abs(a) for a in A.coords()).bit_length()
+        assert len(word) <= 2 * bits + 8
+        return word
+
+    @given(big_st, big_st, big_st, big_st)
+    def test_entries_up_to_1e30(self, s, t, p, q):
+        self.check(HomologyClass(s * p, s * q, t * p, t * q))
+
+    def test_fibonacci_columns(self):
+        # Consecutive Fibonacci numbers need the most Euclid steps per bit.
+        a, b = 1, 1
+        while b < 10 ** 30:
+            for A in (HomologyClass(b, a, 0, 0), HomologyClass(-a, b, 0, 0),
+                      HomologyClass(0, 0, a, -b)):
+                self.check(A)
+            a, b = b, a + b
+
+    def test_large_quotient_is_one_letter(self):
+        assert len(self.check(HomologyClass(1, 10 ** 9, 0, 0))) <= 10

@@ -46,6 +46,11 @@ from oracles import (
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 lie_st = st.builds(LieAlgElem, fractions_st, fractions_st, fractions_st,
                    fractions_st)
+group_st = st.builds(GroupElem, fractions_st, fractions_st, fractions_st,
+                     fractions_st)
+token_st = st.sampled_from(GENERATORS)
+letter_st = st.one_of(token_st, st.tuples(token_st, st.integers(1, 10 ** 12)))
+int_st = st.integers(-10 ** 6, 10 ** 6)
 
 
 class TestBracket:
@@ -262,3 +267,50 @@ class TestH3Pushforward:
             out = h3_pushforward(w, H3Class(e134, e234, 0))
             assert out.e134 == mat[0][0] * e134 + mat[0][1] * e234
             assert out.e234 == mat[1][0] * e134 + mat[1][1] * e234
+
+
+class TestRunLetters:
+    @given(st.lists(token_st, max_size=3), token_st, st.integers(1, 60),
+           st.lists(token_st, max_size=3), group_st,
+           st.tuples(int_st, int_st, int_st, int_st), fractions_st,
+           fractions_st)
+    def test_run_matches_bare_tokens(self, before, token, e, after, g, coords,
+                                     e134, e234):
+        run = before + [(token, e)] + after
+        bare = before + [token] * e + after
+        assert aut_apply(run, g) == aut_apply(bare, g)
+        assert word_matrix(run) == word_matrix(bare)
+        A = HomologyClass(*coords)
+        assert h2_pushforward(run, A) == h2_pushforward(bare, A)
+        C = H3Class(e134, e234, 0)
+        assert h3_pushforward(run, C) == h3_pushforward(bare, C)
+
+    @given(st.lists(letter_st, max_size=8), group_st)
+    def test_invert_word_roundtrip(self, word, g):
+        word = tuple(word)
+        inv = invert_word(word)
+        assert len(inv) == len(word)
+        identity = ((1, 0), (0, 1))
+        assert word_matrix(word + inv) == identity
+        assert word_matrix(inv + word) == identity
+        assert word_matrix(invert_word(inv)) == word_matrix(word)
+        assert aut_apply(word + inv, g) == g
+
+    def test_invert_keeps_bare_tokens_bare(self):
+        assert invert_word([S1, (S2, 5), "s2_inv"]) == (S2, ("s2_inv", 5),
+                                                        "s1_inv")
+
+    @pytest.mark.parametrize("letter", [
+        "nope", ("nope", 2), ("s1", 0), ("s2", -3), ("s2", 2.0),
+        ("s2", Fraction(2)), ("s1", True), ("s2",), ("s2", 1, 1), 5, None,
+    ])
+    @pytest.mark.parametrize("act", [
+        lambda w: aut_apply(w, IDENTITY),
+        word_matrix,
+        invert_word,
+        lambda w: h2_pushforward(w, HomologyClass(1, 0, 0, 0)),
+        lambda w: h3_pushforward(w, H3Class(1, 0, 0)),
+    ])
+    def test_rejects_malformed_letters(self, letter, act):
+        with pytest.raises(ValueError):
+            act([S1, letter])
