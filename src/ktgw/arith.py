@@ -8,7 +8,6 @@ orders together with its closed form |m| sigma_2(gcd(m,n)) / gcd(m,n)^2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -44,9 +43,6 @@ _SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
 # Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
-# Pollard-Brent steps allowed per factorization, over all restarts; enough
-# to split off a prime factor near 10^10 in well under a second.
-_RHO_BUDGET = 1 << 20
 
 
 def _is_prime(n: int) -> bool:
@@ -75,50 +71,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _brent_factor(n: int, budget: int) -> Tuple[int, int]:
-    """A nontrivial factor of the odd composite n by Pollard-Brent rho, and
-    the budget of steps left after finding it.
-
-    Iterates x -> x^2 + c mod n for c = 1, 2, ..., batching gcds over 128
-    steps (Brent 1980).  A round that would overrun the budget refuses the
-    factorization instead.
-    """
-    batch = 128
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            if budget < 2 * r:
-                raise ValueError(f"could not factor {n} within "
-                                 f"{_RHO_BUDGET} Pollard-Brent steps")
-            budget -= 2 * r
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(batch, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += batch
-            r *= 2
-        if g == n:
-            # The batch overshot: redo it one step at a time.
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g, budget
-
-
 def _factorize(n: int) -> Dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division by the primes below _TRIAL_LIMIT, then Miller-Rabin and
-    Pollard-Brent on what is left.  Raises ValueError when a cofactor is a
-    probable prime above _MR_LIMIT or the rho budget runs out.
+    Trial division by the primes below _TRIAL_LIMIT, then Miller-Rabin on
+    what is left.  A composite cofactor is split by trial division on from
+    _TRIAL_LIMIT, so its cost grows with its least prime factor.  Raises
+    ValueError when a cofactor is a probable prime above _MR_LIMIT.
     """
     fact: Dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -127,16 +86,17 @@ def _factorize(n: int) -> Dict[int, int]:
         while n % p == 0:
             fact[p] = fact.get(p, 0) + 1
             n //= p
-    budget = _RHO_BUDGET
-    stack = [n] if n > 1 else []
-    while stack:
-        n = stack.pop()
-        # No factor of n lies below _TRIAL_LIMIT, so below its square n is prime.
-        if n < _TRIAL_LIMIT * _TRIAL_LIMIT or _is_prime(n):
+    # From here on n has no prime factor below d.
+    d = _TRIAL_LIMIT + 1
+    while n > 1:
+        if n < d * d or _is_prime(n):
             fact[n] = fact.get(n, 0) + 1
-        else:
-            d, budget = _brent_factor(n, budget)
-            stack += [d, n // d]
+            break
+        while n % d:
+            d += 2
+        while n % d == 0:
+            fact[d] = fact.get(d, 0) + 1
+            n //= d
     return fact
 
 
@@ -145,10 +105,9 @@ def divisors(n: int) -> Tuple[int, ...]:
     """All positive divisors of n in increasing order.
 
     Built from the prime factorization of n: trial division by the primes
-    below 1000, deterministic Miller-Rabin (exact below 3.3 * 10^24) and
-    Pollard-Brent rho under a fixed step budget.  Raises ValueError for
-    n < 1, for a prime factor above 3.3 * 10^24, and when the budget runs
-    out.
+    below 1000, then deterministic Miller-Rabin (exact below 3.3 * 10^24),
+    with further trial division to split a composite cofactor.  Raises
+    ValueError for n < 1 and for a prime factor above 3.3 * 10^24.
     """
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")

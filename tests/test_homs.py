@@ -269,7 +269,7 @@ class TestNormalizeClassScale:
         assert out.a14 == out.a24
         assert abs(out.a14) == math.gcd(A.a14, A.a24)
         bits = max(abs(a) for a in A.coords()).bit_length()
-        assert len(word) <= 2 * bits + 8
+        assert len(word) <= 2 * bits + 4
         return word
 
     @given(big_st, big_st, big_st, big_st)
