@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -388,13 +389,12 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `ktgw` parser, built once; parsing does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="text", help="output format (default text)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallelism hint; accepted for compatibility, "
-                             "sweeps run sequentially and deterministically")
 
     parser = argparse.ArgumentParser(
         prog="ktgw",
@@ -438,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

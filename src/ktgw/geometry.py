@@ -6,10 +6,14 @@ modulus tau, the twistor rotation angle theta and the translation constant
 are forced by the Cauchy-Riemann equations, and the one-parameter central
 family D(lambda) sweeps out the rest of the moduli component.
 
+The torus map is written once, as its polynomial logarithm in (p, q); the
+group coordinates used by `curve_point` and `eval_class_integrate` derive
+from it, and `cr_residual` reads it directly.
+
 Combinatorial data stays in exact rationals; tau and theta live in quadratic
 extensions, so they are carried in double precision and every solution is
 re-validated numerically through `cr_residual`.  The evaluation-cycle class
-is obtained by pulling the three generating 3-forms back along the explicit
+is obtained by pulling the three generating 3-forms back along the
 evaluation map and integrating the resulting polynomial forms exactly.
 """
 
@@ -260,26 +264,6 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     )
 
 
-def curve_point(s: TorusSolution, lam, p, q) -> GroupElem:
-    """Point of the torus at parameters (lam, p, q).
-
-    The map is polynomial:
-
-        y = q dq_h1,
-        x = q dq_h2 + c0_2,
-        z = -lam dp_h3 + p dp_h4 + q dq_h4 + q^2 dq_h1 dq_h2 / 2,
-        log t = lam dp_h4 + p dp_h3 + q dq_h3.
-    """
-    lam, p, q = Fraction(lam), Fraction(p), Fraction(q)
-    h = s.h
-    a, b = h.dq.c1, h.dq.c2
-    y = q * a
-    x = q * b + s.c0.c2
-    z = -lam * h.dp.c3 + p * h.dp.c4 + q * h.dq.c4 + q * q * a * b / 2
-    logt = lam * h.dp.c4 + p * h.dp.c3 + q * h.dq.c3
-    return GroupElem(x, y, z, logt)
-
-
 def _log_coordinates(h: HomDerivs, c0: LieAlgElem) -> Tuple[Poly, Poly, Poly, Poly]:
     """Coordinates of log(torus) = h + C + [h, C]/2 as polynomials in (p, q)."""
     p, q = Poly.var(1), Poly.var(2)
@@ -291,6 +275,23 @@ def _log_coordinates(h: HomDerivs, c0: LieAlgElem) -> Tuple[Poly, Poly, Poly, Po
     w4 = (p.scale(h.dp.c4) + q.scale(h.dq.c4) + Poly.const(c0.c4)
           + q.scale(bracket_coeff))
     return w1, w2, w3, w4
+
+
+def _group_map(s: TorusSolution) -> Tuple[Poly, Poly, Poly, Poly]:
+    """Coordinates (x, y, z, log t) of exp(w) exp(lam (dp_h4 n3 - dp_h3 n4)).
+
+    w is `_log_coordinates`; the central family shifts only z and log t.
+    """
+    w1, w2, w3, w4 = _log_coordinates(s.h, s.c0)
+    lam = Poly.var(0)
+    z = w4 + (w1 * w2).scale(Fraction(1, 2)) - lam.scale(s.h.dp.c3)
+    return w2, w1, z, w3 + lam.scale(s.h.dp.c4)
+
+
+def curve_point(s: TorusSolution, lam, p, q) -> GroupElem:
+    """Point exp(p dp + q dq) exp(c0) exp(lam (dp_h4 n3 - dp_h3 n4)) of the torus."""
+    lam, p, q = Fraction(lam), Fraction(p), Fraction(q)
+    return GroupElem(*(f.eval(lam, p, q) for f in _group_map(s)))
 
 
 def cr_residual(s: TorusSolution, grid: int = 8) -> float:
@@ -342,19 +343,12 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     """Class of the evaluation cycle by exact pullback integration.
 
     Pulls the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy) back along
-    the polynomial evaluation map and integrates over
+    the polynomial evaluation map `_group_map` and integrates over
     [0, lambda_period] x [0, 1]^2 with the orientation d lam ^ dp ^ dq.
     Cycle coefficients carry the pairing convention under which the
     one-component class with invariants (1, 0) comes out as +E134 + E234.
     """
-    h = s.h
-    lam, p, q = Poly.var(0), Poly.var(1), Poly.var(2)
-    a, b = h.dq.c1, h.dq.c2
-    y = q.scale(a)
-    x = q.scale(b) + Poly.const(s.c0.c2)
-    z = (lam.scale(-h.dp.c3) + p.scale(h.dp.c4) + q.scale(h.dq.c4)
-         + (q * q).scale(a * b / 2))
-    t = lam.scale(h.dp.c4) + p.scale(h.dp.c3) + q.scale(h.dq.c3)
+    x, y, z, t = _group_map(s)
     dx, dy, dz, dt = (differential(f) for f in (x, y, z, t))
     gamma = form_sub(dz, form_scale(x, dy))
     raw_134 = wedge3(dy, dt, gamma).integrate_box(s.lambda_period)

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List
 
-from .arith import sigma
+from .arith import aut_weight_sum, divisors, sigma
 from .geometry import TorusSolution, solve_torus_data
 from .homs import (
     HomDerivs,
@@ -31,7 +31,6 @@ from .nilalg import (
     H3_ZERO,
     H3Class,
     HomologyClass,
-    Letter,
     h3_pushforward,
     invert_word,
 )
@@ -46,6 +45,9 @@ __all__ = [
     "gw_closed_form",
     "gw_enumerated",
 ]
+
+# Most components, |m| sigma_0(gcd(m, n)), that `gw_enumerated` sums over.
+ENUMERATION_BUDGET = 10 ** 7
 
 
 def aut_size_formula(d: int, k: int, ell: int, m: int, n: int) -> int:
@@ -157,11 +159,6 @@ class GWResult:
     method: str
 
 
-def _normal_invariants(A: HomologyClass) -> Tuple[Tuple[Letter, ...], HomologyClass, int, int]:
-    word, norm = normalize_class(A)
-    return word, norm, norm.a13, norm.a14
-
-
 def gw_closed_form(A: HomologyClass) -> GWResult:
     """Closed-form invariant (m^2+n^2) sigma_2(g)/g^3 (a13 E134 + a23 E234).
 
@@ -171,7 +168,8 @@ def gw_closed_form(A: HomologyClass) -> GWResult:
     """
     if not plucker_holds(A):
         raise ValueError("class not representable by tori (Plücker)")
-    word, norm, m, n = _normal_invariants(A)
+    word, norm = normalize_class(A)
+    m, n = norm.a13, norm.a14
     if m == 0:
         gw = H3_ZERO
     else:
@@ -184,20 +182,23 @@ def gw_closed_form(A: HomologyClass) -> GWResult:
 def gw_enumerated(A: HomologyClass) -> GWResult:
     """Invariant as the weighted sum of evaluation classes over components.
 
-    Moves A to diagonal shape, sums eval_class / aut_size over all
-    components, and pushes the total back along the inverse automorphism
-    word.  Must agree exactly with `gw_closed_form`.
+    Moves A to diagonal shape [m, m, n, n], scales the evaluation class all
+    components carry by `aut_weight_sum`, the exact sum of 1 / |Aut| over
+    the component labels, and pushes the total back along the inverse
+    automorphism word.  Refuses more than ENUMERATION_BUDGET components.
+    Must agree exactly with `gw_closed_form`.
     """
     if not plucker_holds(A):
         raise ValueError("class not representable by tori (Plücker)")
-    word, norm, m, n = _normal_invariants(A)
+    word, norm = normalize_class(A)
+    m, n = norm.a13, norm.a14
     if m == 0:
         gw = H3_ZERO
     else:
-        eval_class = component_eval_class(m, n)
-        total = H3_ZERO
-        for entry in enumerate_fully_reduced(m, n):
-            aut = aut_size_formula(entry.d, entry.k, entry.ell, m, n)
-            total = total + eval_class.scale(Fraction(1, aut))
+        components = abs(m) * len(divisors(math.gcd(m, n)))
+        if components > ENUMERATION_BUDGET:
+            raise ValueError(f"{components} moduli components exceed the "
+                             f"enumeration budget of {ENUMERATION_BUDGET}")
+        total = component_eval_class(m, n).scale(aut_weight_sum(m, n))
         gw = h3_pushforward(invert_word(word), total)
     return GWResult(A, norm, m, n, gw, "enumerated")

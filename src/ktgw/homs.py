@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
+from .arith import divisors
 from .nilalg import (
     S1,
     S1_INV,
@@ -226,8 +227,6 @@ def enumerate_fully_reduced(m: int, n: int) -> List[ReducedTorus]:
     """
     if m == 0:
         raise ValueError("m must be nonzero")
-    from .arith import divisors
-
     g = math.gcd(m, n)
     out: List[ReducedTorus] = []
     for d in divisors(g):

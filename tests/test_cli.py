@@ -88,9 +88,19 @@ class TestGwCommand:
         _, out2, _ = run(capsys, "gw", "3", "6", "2", "4", "--format", "json")
         assert out1 == out2
 
-    def test_jobs_flag_accepted(self, capsys):
-        code, _, _ = run(capsys, "gw", "1", "1", "0", "0", "--jobs", "4")
+    def test_enumeration_over_budget_exit_2(self, capsys):
+        # g = 2^61 - 1 is prime, so the class has 2 (2^61 - 1) components.
+        big = str(2 ** 61 - 1)
+        for method in ("both", "enumerate"):
+            code, out, err = run(capsys, "gw", big, big, "0", "0",
+                                 "--method", method)
+            assert code == 2
+            assert out == ""
+            assert "budget" in err
+        code, out, _ = run(capsys, "gw", big, big, "0", "0",
+                           "--method", "closed")
         assert code == 0
+        assert out
 
 
 class TestModuliCommand:

@@ -154,6 +154,26 @@ class TestCurvePoint:
                     assert curve_point(s, lam, p, q + 1) == \
                         group_mul(q_step, base)
 
+    def test_matches_group_products(self):
+        # Independent of the polynomial map: the point is the group product
+        # exp(p dp + q dq) exp(C) exp(lam (dp_h4 n3 - dp_h3 n4)), here with a
+        # constant C that has nonzero n1, n3 and n4 parts.
+        rng = random.Random(47)
+        for m, n in [(1, 0), (2, 2), (-3, 1), (4, -6)]:
+            for comp in moduli_components(m, n):
+                h = comp.solution.h
+                c0 = LieAlgElem(Fraction(2, 3), comp.solution.c0.c2,
+                                Fraction(-5, 7), Fraction(3, 4))
+                s = dataclasses.replace(comp.solution, c0=c0)
+                central = LieAlgElem(0, 0, h.dp.c4, -h.dp.c3)
+                for _ in range(5):
+                    lam, p, q = (Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                 for _ in range(3))
+                    expected = group_mul(
+                        group_mul(exp(p * h.dp + q * h.dq), exp(c0)),
+                        exp(lam * central))
+                    assert curve_point(s, lam, p, q) == expected
+
 
 class TestCrResidual:
     def test_vanishes_on_solutions(self):

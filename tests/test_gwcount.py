@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ktgw import gwcount, homs
 from ktgw.arith import aut_weight_sum, aut_weight_sum_closed, sigma
 from ktgw.gwcount import (
     aut_size_formula,
@@ -99,14 +100,17 @@ class TestModuliComponents:
     def test_weight_total_both_ways(self):
         # The labelled weights and the intrinsic lattice indices of the
         # stored representatives distribute differently over components when
-        # the dq h3 index wraps, but both total to the closed form.
-        for m, n in [(2, 2), (4, 2), (6, 4), (-6, 6), (5, 0)]:
-            comps = moduli_components(m, n)
-            labelled = sum(Fraction(1, c.aut_size) for c in comps)
-            intrinsic = sum(Fraction(1, aut_size_smith(c.hom)) for c in comps)
-            assert labelled == aut_weight_sum(m, n)
-            assert intrinsic == aut_weight_sum(m, n)
-            assert labelled == aut_weight_sum_closed(m, n)
+        # the dq h3 index wraps, but both total to the closed form.  The
+        # Smith indices check the fused sum that `gw_enumerated` scales by.
+        for m in [v for v in range(-6, 7) if v]:
+            for n in range(-6, 7):
+                comps = moduli_components(m, n)
+                labelled = sum(Fraction(1, c.aut_size) for c in comps)
+                intrinsic = sum(Fraction(1, aut_size_smith(c.hom))
+                                for c in comps)
+                assert labelled == aut_weight_sum(m, n)
+                assert intrinsic == aut_weight_sum(m, n)
+                assert labelled == aut_weight_sum_closed(m, n)
 
     def test_rejects_zero_m(self):
         with pytest.raises(ValueError):
@@ -160,6 +164,23 @@ class TestEnumerated:
     def test_rejects_plucker_violation(self):
         with pytest.raises(ValueError):
             gw_enumerated(HomologyClass(2, 0, 0, 3))
+
+    def test_builds_no_representatives(self, monkeypatch):
+        def refuse(m, n):
+            raise AssertionError("gw_enumerated must not build components")
+
+        monkeypatch.setattr(gwcount, "enumerate_fully_reduced", refuse)
+        monkeypatch.setattr(homs, "enumerate_fully_reduced", refuse)
+        assert gw_enumerated(HomologyClass(6, 6, 4, 4)).gw == \
+            gw_closed_form(HomologyClass(6, 6, 4, 4)).gw
+
+    def test_component_budget(self, monkeypatch):
+        # [2, 2, 0, 0] has 2 sigma_0(2) = 4 components, [3, 3, 0, 0] has 6.
+        monkeypatch.setattr(gwcount, "ENUMERATION_BUDGET", 4)
+        assert gw_enumerated(HomologyClass(2, 2, 0, 0)).gw == H3Class(5, 5, 0)
+        with pytest.raises(ValueError, match="budget"):
+            gw_enumerated(HomologyClass(3, 3, 0, 0))
+        assert gw_enumerated(HomologyClass(0, 0, 5, 5)).gw.is_zero()
 
 
 class TestEquivariance:
