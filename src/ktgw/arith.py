@@ -43,6 +43,10 @@ _SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
 # Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+# A composite cofactor is split by trial division up to this bound only; one
+# with no prime factor below it is refused, so a scan tries at most 5 * 10^6
+# odd candidates.
+_SPLIT_LIMIT = 10 ** 7
 
 
 def _is_prime(n: int) -> bool:
@@ -76,8 +80,9 @@ def _factorize(n: int) -> Dict[int, int]:
 
     Trial division by the primes below _TRIAL_LIMIT, then Miller-Rabin on
     what is left.  A composite cofactor is split by trial division on from
-    _TRIAL_LIMIT, so its cost grows with its least prime factor.  Raises
-    ValueError when a cofactor is a probable prime above _MR_LIMIT.
+    _TRIAL_LIMIT up to _SPLIT_LIMIT.  Raises ValueError when a cofactor is a
+    probable prime above _MR_LIMIT, or a composite with no prime factor up
+    to _SPLIT_LIMIT.
     """
     fact: Dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -92,8 +97,12 @@ def _factorize(n: int) -> Dict[int, int]:
         if n < d * d or _is_prime(n):
             fact[n] = fact.get(n, 0) + 1
             break
-        while n % d:
-            d += 2
+        for d in range(d, _SPLIT_LIMIT + 1, 2):
+            if n % d == 0:
+                break
+        else:
+            raise ValueError(f"cannot split {n}: it is composite with no "
+                             f"prime factor up to {_SPLIT_LIMIT}")
         while n % d == 0:
             fact[d] = fact.get(d, 0) + 1
             n //= d
@@ -106,8 +115,9 @@ def divisors(n: int) -> Tuple[int, ...]:
 
     Built from the prime factorization of n: trial division by the primes
     below 1000, then deterministic Miller-Rabin (exact below 3.3 * 10^24),
-    with further trial division to split a composite cofactor.  Raises
-    ValueError for n < 1 and for a prime factor above 3.3 * 10^24.
+    with further trial division up to 10^7 to split a composite cofactor.
+    Raises ValueError for n < 1, for a prime factor above 3.3 * 10^24 and
+    for a composite cofactor with no prime factor up to 10^7.
     """
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")

@@ -18,7 +18,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -34,12 +33,13 @@ from .geometry import cr_residual, eval_class_integrate, symplectic_area
 from .gwcount import (
     GWResult,
     aut_size_smith,
+    component_count,
     component_eval_class,
     gw_closed_form,
     gw_enumerated,
     moduli_components,
 )
-from .homs import homology_class, plucker_holds, sum_representative
+from .homs import homology_class, sum_representative
 from .nilalg import H3Class, HomologyClass
 
 SCHEMA_VERSION = "1"
@@ -65,10 +65,6 @@ def _frac_json(x: Fraction) -> Dict[str, str]:
 
 def _approx_json(x: float) -> Dict[str, object]:
     return {"value": x, "approx": True}
-
-
-def _frac_text(x: Fraction) -> str:
-    return str(x)
 
 
 def _h3_json(c: H3Class) -> Dict[str, Dict[str, str]]:
@@ -101,10 +97,6 @@ def _emit_json(payload: Dict[str, object]) -> None:
 
 def _cmd_gw(args: argparse.Namespace) -> int:
     A = HomologyClass(args.a13, args.a23, args.a14, args.a24)
-    if not plucker_holds(A):
-        print("error: class not representable by tori (Plücker)",
-              file=sys.stderr)
-        return 2
     results: List[GWResult] = []
     if args.method in ("closed", "both"):
         results.append(gw_closed_form(A))
@@ -131,9 +123,7 @@ def _cmd_gw(args: argparse.Namespace) -> int:
                          "e134", "e234", "e124", "agrees"])
         for r in results:
             writer.writerow(list(A.coords()) + [
-                r.method, r.m, r.n,
-                _frac_text(r.gw.e134), _frac_text(r.gw.e234),
-                _frac_text(r.gw.e124),
+                r.method, r.m, r.n, r.gw.e134, r.gw.e234, r.gw.e124,
                 "" if agrees is None else str(agrees).lower(),
             ])
     else:
@@ -142,8 +132,8 @@ def _cmd_gw(args: argparse.Namespace) -> int:
         print(f"normalized: {list(r0.normalized.coords())}   "
               f"m={r0.m} n={r0.n}")
         for r in results:
-            print(f"{r.method:>10}: e134={_frac_text(r.gw.e134)} "
-                  f"e234={_frac_text(r.gw.e234)} e124={_frac_text(r.gw.e124)}")
+            print(f"{r.method:>10}: e134={r.gw.e134} "
+                  f"e234={r.gw.e234} e124={r.gw.e124}")
         if agrees is not None:
             print(f"agrees: {str(agrees).lower()}")
     if agrees is False:
@@ -159,55 +149,34 @@ def _cmd_gw(args: argparse.Namespace) -> int:
 
 
 def _cmd_moduli(args: argparse.Namespace) -> int:
-    if args.m == 0:
-        print("error: moduli with m = 0 are obstructed and do not contribute",
-              file=sys.stderr)
-        return 2
-    comps = moduli_components(args.m, args.n)
-    records = []
-    for comp in comps:
-        sol = comp.solution
-        records.append({
-            "d": comp.d,
-            "k": comp.k,
-            "l": comp.ell,
-            "hom": comp.hom,
-            "tau1": sol.modulus.tau1,
-            "tau2": sol.modulus.tau2,
-            "theta": sol.psi.theta(),
-            "c0_n2": sol.c0.c2,
-            "aut_size": comp.aut_size,
-            "eval_class": comp.eval_class,
-            "cr_residual": cr_residual(sol),
-        })
-
+    rows = [(comp, comp.solution, cr_residual(comp.solution))
+            for comp in moduli_components(args.m, args.n)]
     if args.format == "json":
-        payload = {
+        _emit_json({
             "schema_version": SCHEMA_VERSION,
             "command": "moduli",
             "m": str(args.m),
             "n": str(args.n),
             "components": [
                 {
-                    "d": str(rec["d"]),
-                    "k": str(rec["k"]),
-                    "l": str(rec["l"]),
+                    "d": str(comp.d),
+                    "k": str(comp.k),
+                    "l": str(comp.ell),
                     "hom": {
-                        "dp": [_frac_json(v) for v in rec["hom"].dp.coords()],
-                        "dq": [_frac_json(v) for v in rec["hom"].dq.coords()],
+                        "dp": [_frac_json(v) for v in comp.hom.dp.coords()],
+                        "dq": [_frac_json(v) for v in comp.hom.dq.coords()],
                     },
-                    "tau1": _approx_json(rec["tau1"]),
-                    "tau2": _approx_json(rec["tau2"]),
-                    "theta": _approx_json(rec["theta"]),
-                    "c0_n2": _frac_json(rec["c0_n2"]),
-                    "aut_size": str(rec["aut_size"]),
-                    "eval_class": _h3_json(rec["eval_class"]),
-                    "cr_residual": _approx_json(rec["cr_residual"]),
+                    "tau1": _approx_json(sol.modulus.tau1),
+                    "tau2": _approx_json(sol.modulus.tau2),
+                    "theta": _approx_json(sol.psi.theta()),
+                    "c0_n2": _frac_json(sol.c0.c2),
+                    "aut_size": str(comp.aut_size),
+                    "eval_class": _h3_json(comp.eval_class),
+                    "cr_residual": _approx_json(res),
                 }
-                for rec in records
+                for comp, sol, res in rows
             ],
-        }
-        _emit_json(payload)
+        })
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["d", "k", "l",
@@ -215,36 +184,30 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                          "dq1", "dq2", "dq3", "dq4",
                          "tau1", "tau2", "theta", "c0_n2", "aut_size",
                          "ev_e134", "ev_e234", "ev_e124", "cr_residual"])
-        for rec in records:
-            hom = rec["hom"]
-            writer.writerow(
-                [rec["d"], rec["k"], rec["l"]]
-                + [_frac_text(v) for v in hom.dp.coords()]
-                + [_frac_text(v) for v in hom.dq.coords()]
-                + [repr(rec["tau1"]), repr(rec["tau2"]), repr(rec["theta"]),
-                   _frac_text(rec["c0_n2"]), rec["aut_size"],
-                   _frac_text(rec["eval_class"].e134),
-                   _frac_text(rec["eval_class"].e234),
-                   _frac_text(rec["eval_class"].e124),
-                   repr(rec["cr_residual"])]
-            )
+        for comp, sol, res in rows:
+            ev = comp.eval_class
+            writer.writerow([
+                comp.d, comp.k, comp.ell,
+                *comp.hom.dp.coords(), *comp.hom.dq.coords(),
+                sol.modulus.tau1, sol.modulus.tau2, sol.psi.theta(),
+                sol.c0.c2, comp.aut_size, ev.e134, ev.e234, ev.e124, res,
+            ])
     else:
         print(f"moduli components of [{args.m}, {args.m}, {args.n}, {args.n}]"
-              f" ({len(records)} components)")
+              f" ({len(rows)} components)")
         header = (f"{'d':>3} {'k':>3} {'l':>3} {'matrix (dp | dq)':<26} "
                   f"{'tau1':>9} {'tau2':>9} {'theta':>9} {'c0':>7} "
                   f"{'|Aut|':>5} {'eval':>9} {'residual':>9}")
         print(header)
-        for rec in records:
-            hom = rec["hom"]
-            mat = "[" + ",".join(_frac_text(v) for v in hom.dp.coords()) + \
-                  " | " + ",".join(_frac_text(v) for v in hom.dq.coords()) + "]"
-            ev = rec["eval_class"]
-            print(f"{rec['d']:>3} {rec['k']:>3} {rec['l']:>3} {mat:<26} "
-                  f"{rec['tau1']:>9.5f} {rec['tau2']:>9.5f} "
-                  f"{rec['theta']:>9.5f} {_frac_text(rec['c0_n2']):>7} "
-                  f"{rec['aut_size']:>5} "
-                  f"{_frac_text(ev.e134):>9} {rec['cr_residual']:>9.2e}")
+        for comp, sol, res in rows:
+            hom = comp.hom
+            mat = "[" + ",".join(map(str, hom.dp.coords())) + \
+                  " | " + ",".join(map(str, hom.dq.coords())) + "]"
+            print(f"{comp.d:>3} {comp.k:>3} {comp.ell:>3} {mat:<26} "
+                  f"{sol.modulus.tau1:>9.5f} {sol.modulus.tau2:>9.5f} "
+                  f"{sol.psi.theta():>9.5f} {str(sol.c0.c2):>7} "
+                  f"{comp.aut_size:>5} "
+                  f"{str(comp.eval_class.e134):>9} {res:>9.2e}")
     return 0
 
 
@@ -294,8 +257,7 @@ def _verify_oracle(max_n: int) -> List[_Sweep]:
             ok = gw_closed_form(A).gw == gw_enumerated(A).gw
             gw.check(ok, f"invariant mismatch at m={m} n={n}")
             comps = moduli_components(m, n)
-            expected = abs(m) * sigma(0, math.gcd(m, n))
-            counts.check(len(comps) == expected,
+            counts.check(len(comps) == component_count(m, n),
                          f"component count mismatch at m={m} n={n}")
             for comp in comps:
                 rep = sum_representative(m, n, comp.d, comp.k, comp.ell)
@@ -421,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("n", type=int)
     p_mod.set_defaults(func=_cmd_moduli)
 
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="run a verification sweep")
+    p_ver = sub.add_parser("verify", help="run a verification sweep")
     p_ver.add_argument("suite",
                        choices=("identities", "oracle", "geometry", "all"))
     p_ver.add_argument("--max", type=int, default=8,

@@ -19,14 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .arith import aut_weight_sum, divisors, sigma
+from .arith import aut_weight_sum, sigma
 from .geometry import TorusSolution, solve_torus_data
-from .homs import (
-    HomDerivs,
-    enumerate_fully_reduced,
-    normalize_class,
-    plucker_holds,
-)
+from .homs import HomDerivs, enumerate_fully_reduced, normalize_class
 from .nilalg import (
     H3_ZERO,
     H3Class,
@@ -40,14 +35,22 @@ __all__ = [
     "GWResult",
     "aut_size_formula",
     "aut_size_smith",
+    "component_count",
     "component_eval_class",
     "moduli_components",
     "gw_closed_form",
     "gw_enumerated",
 ]
 
-# Most components, |m| sigma_0(gcd(m, n)), that `gw_enumerated` sums over.
+# Most components that `gw_enumerated` sums over.
 ENUMERATION_BUDGET = 10 ** 7
+# Most components that `moduli_components` solves.
+MODULI_BUDGET = 10 ** 4
+
+
+def component_count(m: int, n: int) -> int:
+    """Number |m| sigma_0(gcd(m, n)) of moduli components of (m, n), m != 0."""
+    return abs(m) * sigma(0, math.gcd(m, n))
 
 
 def aut_size_formula(d: int, k: int, ell: int, m: int, n: int) -> int:
@@ -128,10 +131,18 @@ class ModuliComponent:
 
 
 def moduli_components(m: int, n: int) -> List[ModuliComponent]:
-    """All moduli components of the diagonal class with invariants (m, n)."""
+    """All moduli components of the diagonal class with invariants (m, n).
+
+    Refuses m = 0, whose components are obstructed, and more than
+    MODULI_BUDGET components, before solving any.
+    """
     if m == 0:
-        raise ValueError("m = 0 components are obstructed and do not "
+        raise ValueError("moduli with m = 0 are obstructed and do not "
                          "contribute")
+    components = component_count(m, n)
+    if components > MODULI_BUDGET:
+        raise ValueError(f"{components} moduli components exceed the "
+                         f"moduli budget of {MODULI_BUDGET}")
     eval_class = component_eval_class(m, n)
     out = []
     for entry in enumerate_fully_reduced(m, n):
@@ -166,8 +177,6 @@ def gw_closed_form(A: HomologyClass) -> GWResult:
     Classes with m = 0 (including A = 0) have obstructed moduli and count
     zero.
     """
-    if not plucker_holds(A):
-        raise ValueError("class not representable by tori (Plücker)")
     word, norm = normalize_class(A)
     m, n = norm.a13, norm.a14
     if m == 0:
@@ -188,14 +197,12 @@ def gw_enumerated(A: HomologyClass) -> GWResult:
     automorphism word.  Refuses more than ENUMERATION_BUDGET components.
     Must agree exactly with `gw_closed_form`.
     """
-    if not plucker_holds(A):
-        raise ValueError("class not representable by tori (Plücker)")
     word, norm = normalize_class(A)
     m, n = norm.a13, norm.a14
     if m == 0:
         gw = H3_ZERO
     else:
-        components = abs(m) * len(divisors(math.gcd(m, n)))
+        components = component_count(m, n)
         if components > ENUMERATION_BUDGET:
             raise ValueError(f"{components} moduli components exceed the "
                              f"enumeration budget of {ENUMERATION_BUDGET}")

@@ -71,10 +71,6 @@ class HomDerivs:
         dq = LieAlgElem(rows[0][1], rows[1][1], rows[2][1], rows[3][1])
         return cls(dp, dq)
 
-    def rows(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        p, q = self.dp.coords(), self.dq.coords()
-        return tuple(zip(p, q))
-
     def is_reduced(self) -> bool:
         return self.dp.c1 == 0 and self.dp.c2 == 0
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,13 @@ class TestFactoring:
         # Composite, so trial division splits it, leaving the same prime.
         with pytest.raises(ValueError):
             sigma(2, 1000003 * (2 ** 89 - 1))
+
+    def test_refuses_composite_past_split_limit(self):
+        # Both factors lie above the 10^7 trial-division limit.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=str(100000007 * 100000037)):
+            sigma(2, 100000007 * 100000037)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSublatticeCount:

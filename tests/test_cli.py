@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,15 @@ class TestGwCommand:
         _, out2, _ = run(capsys, "gw", "3", "6", "2", "4", "--format", "json")
         assert out1 == out2
 
+    def test_unsplittable_g_exit_2(self, capsys):
+        # g is a semiprime whose factors both lie above the 10^7 split limit.
+        g = str(100000007 * 100000037)
+        code, out, err = run(capsys, "gw", g, g, "0", "0",
+                             "--method", "closed")
+        assert code == 2
+        assert out == ""
+        assert "cannot split" in err
+
     def test_enumeration_over_budget_exit_2(self, capsys):
         # g = 2^61 - 1 is prime, so the class has 2 (2^61 - 1) components.
         big = str(2 ** 61 - 1)
@@ -126,6 +139,14 @@ class TestModuliCommand:
         assert code == 2
         assert "obstructed" in err
 
+    def test_over_budget_exit_2(self, capsys):
+        # 100000 sigma_0(100000) = 3.6 * 10^6 components, none solved.
+        code, out, err = run(capsys, "moduli", "100000", "0",
+                             "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "moduli budget" in err
+
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "moduli", "2", "2", "--format", "csv")
         assert code == 0
@@ -156,6 +177,18 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "identities", "--max", "0")
         assert code == 2
 
+    def test_format_flag_rejected(self, capsys):
+        # verify prints text only, so it takes no --format.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "identities", "--max", "2", "--format", "json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        for argv in (["gw", "1", "1", "0", "0"], ["moduli", "1", "0"],
+                     ["baseline", "3"]):
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["command"] == argv[0]
+
 
 class TestBaselineCommand:
     def test_single_row(self, capsys):
@@ -182,3 +215,21 @@ class TestBaselineCommand:
     def test_bad_lmax(self, capsys):
         code, _, _ = run(capsys, "baseline", "0")
         assert code == 2
+
+
+class TestEntryPoint:
+    def test_module_exit_codes(self):
+        """`python -m ktgw.cli` passes main's return value to SystemExit."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for argv, expected in ((["gw", "1", "1", "0", "0"], 0),
+                               (["gw", "1", "0", "0", "1"], 2),
+                               (["verify", "all", "--format", "json"], 2)):
+            proc = subprocess.run([sys.executable, "-m", "ktgw.cli", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert proc.returncode == expected, (argv, proc.stderr)
+            if expected == 0:
+                assert "agrees: true" in proc.stdout
+            else:
+                assert proc.stdout == ""

@@ -11,6 +11,7 @@ from ktgw.arith import aut_weight_sum, aut_weight_sum_closed, sigma
 from ktgw.gwcount import (
     aut_size_formula,
     aut_size_smith,
+    component_count,
     component_eval_class,
     gw_closed_form,
     gw_enumerated,
@@ -96,6 +97,7 @@ class TestModuliComponents:
             for n in range(-8, 9):
                 comps = moduli_components(m, n)
                 assert len(comps) == abs(m) * sigma(0, math.gcd(m, n))
+                assert component_count(m, n) == len(comps)
 
     def test_weight_total_both_ways(self):
         # The labelled weights and the intrinsic lattice indices of the
@@ -113,8 +115,22 @@ class TestModuliComponents:
                 assert labelled == aut_weight_sum_closed(m, n)
 
     def test_rejects_zero_m(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="moduli with m = 0 are "
+                                             "obstructed"):
             moduli_components(0, 1)
+
+    def test_moduli_budget(self, monkeypatch):
+        # [2, 2, 0, 0] has 4 components, [3, 3, 0, 0] has 6; the refusal
+        # comes before any torus is solved.
+        monkeypatch.setattr(gwcount, "MODULI_BUDGET", 4)
+        assert len(moduli_components(2, 0)) == 4
+
+        def refuse(h):
+            raise AssertionError("over-budget moduli must solve nothing")
+
+        monkeypatch.setattr(gwcount, "solve_torus_data", refuse)
+        with pytest.raises(ValueError, match="moduli budget"):
+            moduli_components(3, 0)
 
 
 class TestClosedForm:
