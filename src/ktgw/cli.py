@@ -31,6 +31,7 @@ from .arith import (
 )
 from .geometry import cr_residual, eval_class_integrate, symplectic_area
 from .gwcount import (
+    MODULI_BUDGET,
     GWResult,
     aut_size_smith,
     component_count,
@@ -43,6 +44,12 @@ from .homs import homology_class, sum_representative
 from .nilalg import H3Class, HomologyClass
 
 SCHEMA_VERSION = "1"
+# Largest `verify identities --max` and `baseline LMAX`.  Both costs grow
+# about quadratically, to about 8 s and 4 s at these limits (Intel Xeon,
+# Python 3.11).  `verify oracle|geometry|all` are bounded instead by the
+# moduli budget on the components they sweep.
+IDENTITIES_MAX = 400
+BASELINE_LMAX = 5000
 
 _CSV_DOC = """\
 CSV column layouts (fixed):
@@ -287,10 +294,32 @@ def _verify_geometry(max_n: int) -> List[_Sweep]:
     return [residual, area, cycle]
 
 
+def _check_sweep_budget(max_n: int) -> None:
+    """Refuse a sweep over more than MODULI_BUDGET moduli components.
+
+    Each (m, n) has at least |m| components, so K (K + 1) (2K + 1) bounds
+    the total from below and refuses a large K before the exact count.
+    """
+    total = max_n * (max_n + 1) * (2 * max_n + 1)
+    if total <= MODULI_BUDGET:
+        total = sum(component_count(m, n)
+                    for m in range(-max_n, max_n + 1) if m != 0
+                    for n in range(-max_n, max_n + 1))
+    if total > MODULI_BUDGET:
+        raise ValueError(f"verify --max {max_n} sweeps at least {total} "
+                         f"moduli components, over the moduli budget of "
+                         f"{MODULI_BUDGET}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max < 1:
         print("error: --max must be at least 1", file=sys.stderr)
         return 2
+    if args.suite in ("identities", "all") and args.max > IDENTITIES_MAX:
+        raise ValueError(f"verify identities --max {args.max} exceeds "
+                         f"the limit of {IDENTITIES_MAX}")
+    if args.suite in ("oracle", "geometry", "all"):
+        _check_sweep_budget(args.max)
     sweeps: List[_Sweep] = []
     if args.suite in ("identities", "all"):
         sweeps.extend(_verify_identities(args.max))
@@ -319,6 +348,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     if args.lmax < 1:
         print("error: lmax must be at least 1", file=sys.stderr)
         return 2
+    if args.lmax > BASELINE_LMAX:
+        raise ValueError(f"lmax {args.lmax} exceeds the baseline limit of "
+                         f"{BASELINE_LMAX}")
     rows = []
     for ell in range(1, args.lmax + 1):
         count = count_sublattices_hnf(ell)

@@ -6,9 +6,12 @@ modulus tau, the twistor rotation angle theta and the translation constant
 are forced by the Cauchy-Riemann equations, and the one-parameter central
 family D(lambda) sweeps out the rest of the moduli component.
 
-The torus map is written once, as its polynomial logarithm in (p, q); the
-group coordinates used by `curve_point` and `eval_class_integrate` derive
-from it, and `cr_residual` reads it directly.
+The torus map is written once, as its logarithm, which is affine in (p, q);
+the polynomial group coordinates used by `curve_point` and
+`eval_class_integrate` derive from it, and `cr_residual` reads its exact
+coefficients directly.  The Cauchy-Riemann defect of an affine map with
+dp h1 = dp h2 = 0 depends on q alone, so the residual costs one row of
+floating evaluations per grid value of q and no polynomial evaluation.
 
 Combinatorial data stays in exact rationals; tau and theta live in quadratic
 extensions, so they are carried in double precision and every solution is
@@ -264,17 +267,24 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     )
 
 
-def _log_coordinates(h: HomDerivs, c0: LieAlgElem) -> Tuple[Poly, Poly, Poly, Poly]:
-    """Coordinates of log(torus) = h + C + [h, C]/2 as polynomials in (p, q)."""
-    p, q = Poly.var(1), Poly.var(2)
+Affine = Tuple[Fraction, Fraction, Fraction]
+
+
+def _log_coordinates(h: HomDerivs, c0: LieAlgElem) -> Tuple[Affine, Affine, Affine, Affine]:
+    """log(torus) = h + C + [h, C]/2 as exact (const, p, q) coefficients.
+
+    The map is affine in (p, q).  h is reduced (dp h1 = dp h2 = 0), so w1
+    and w2 have no p term, and [h, C] is q (dq h2 C1 - dq h1 C2) n4.
+    """
     a, b = h.dq.c1, h.dq.c2
-    w1 = q.scale(a) + Poly.const(c0.c1)
-    w2 = q.scale(b) + Poly.const(c0.c2)
-    w3 = p.scale(h.dp.c3) + q.scale(h.dq.c3) + Poly.const(c0.c3)
     bracket_coeff = (b * c0.c1 - a * c0.c2) / 2
-    w4 = (p.scale(h.dp.c4) + q.scale(h.dq.c4) + Poly.const(c0.c4)
-          + q.scale(bracket_coeff))
-    return w1, w2, w3, w4
+    zero = Fraction(0)
+    return (
+        (c0.c1, zero, a),
+        (c0.c2, zero, b),
+        (c0.c3, h.dp.c3, h.dq.c3),
+        (c0.c4, h.dp.c4, h.dq.c4 + bracket_coeff),
+    )
 
 
 def _group_map(s: TorusSolution) -> Tuple[Poly, Poly, Poly, Poly]:
@@ -282,7 +292,8 @@ def _group_map(s: TorusSolution) -> Tuple[Poly, Poly, Poly, Poly]:
 
     w is `_log_coordinates`; the central family shifts only z and log t.
     """
-    w1, w2, w3, w4 = _log_coordinates(s.h, s.c0)
+    w1, w2, w3, w4 = (Poly({(0, 1, 0): dp, (0, 0, 1): dq, (0, 0, 0): const})
+                      for const, dp, dq in _log_coordinates(s.h, s.c0))
     lam = Poly.var(0)
     z = w4 + (w1 * w2).scale(Fraction(1, 2)) - lam.scale(s.h.dp.c3)
     return w2, w1, z, w3 + lam.scale(s.h.dp.c4)
@@ -294,6 +305,14 @@ def curve_point(s: TorusSolution, lam, p, q) -> GroupElem:
     return GroupElem(*(f.eval(lam, p, q) for f in _group_map(s)))
 
 
+def _affine_float(const: Fraction, slope: Fraction, q: float) -> float:
+    """float(const + slope q), correctly rounded, by one integer division."""
+    num, den = q.as_integer_ratio()
+    return ((const.numerator * slope.denominator * den
+             + slope.numerator * const.denominator * num)
+            / (const.denominator * slope.denominator * den))
+
+
 def cr_residual(s: TorusSolution, grid: int = 8) -> float:
     """Max norm of the Cauchy-Riemann defect over a grid on the unit square.
 
@@ -301,30 +320,32 @@ def cr_residual(s: TorusSolution, grid: int = 8) -> float:
     where w is the logarithm of the torus, du_a = dw/dp and
     du_b = (dw/dq - tau1 dw/dp) / tau2.  Coefficients of w are exact; the
     evaluation mixes in the floating tau and theta.
+
+    w is affine, so du_a and du_b are constant.  [w, X] = (w2 X1 - X2 w1) n4
+    reads only w1 and w2, which have no p term, and du_a has no n1 or n2
+    part, so [w, du_a] = 0.  The defect is therefore a function of q alone,
+    and its maximum over the grid x grid points is the maximum over the grid
+    values of q.  w1 and w2 are rounded from their exact values, as
+    float(Fraction) would round them.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
     w = _log_coordinates(s.h, s.c0)
-    wp = [poly.diff(1) for poly in w]
-    wq = [poly.diff(2) for poly in w]
     tau1, tau2 = s.modulus.tau1, s.modulus.tau2
+    du_a = [float(dp) for _, dp, _ in w]
+    du_b = [(float(dq) - tau1 * dpv) / tau2
+            for (_, _, dq), dpv in zip(w, du_a)]
+    pu = s.psi.apply(tuple(du_a))
+    # The first three defect components are the same in every row.
+    fixed = [(pu[k] - du_b[k]) ** 2 for k in range(3)]
+    (c1, _, a), (c2, _, b) = w[0], w[1]
     worst = 0.0
-    for i in range(grid):
-        p = i / (grid - 1)
-        for j in range(grid):
-            q = j / (grid - 1)
-            wv = [float(poly.eval(0, Fraction(p), Fraction(q))) for poly in w]
-            dpv = [float(poly.eval(0, Fraction(p), Fraction(q))) for poly in wp]
-            dqv = [float(poly.eval(0, Fraction(p), Fraction(q))) for poly in wq]
-            dbv = [(dqv[k] - tau1 * dpv[k]) / tau2 for k in range(4)]
-            # [w, X] has only an n4 component: w2 X1 - X2 w1.
-            u = (dpv[0], dpv[1], dpv[2],
-                 dpv[3] - (wv[1] * dpv[0] - dpv[1] * wv[0]) / 2)
-            v = (dbv[0], dbv[1], dbv[2],
-                 dbv[3] - (wv[1] * dbv[0] - dbv[1] * wv[0]) / 2)
-            pu = s.psi.apply(u)
-            defect = math.sqrt(sum((pu[k] - v[k]) ** 2 for k in range(4)))
-            worst = max(worst, defect)
+    for j in range(grid):
+        q = j / (grid - 1)
+        w1, w2 = _affine_float(c1, a, q), _affine_float(c2, b, q)
+        v4 = du_b[3] - (w2 * du_b[0] - du_b[1] * w1) / 2
+        defect = math.sqrt(sum((*fixed, (pu[3] - v4) ** 2)))
+        worst = max(worst, defect)
     return worst
 
 

@@ -207,6 +207,49 @@ def smith_matrix_rows(h: HomDerivs) -> List[List[int]]:
 
 
 # ---------------------------------------------------------------------------
+# Cauchy-Riemann residual on the full grid
+# ---------------------------------------------------------------------------
+
+
+def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
+    """Cauchy-Riemann residual over every point of a grid x grid square.
+
+    The reference for `geometry.cr_residual`.  The torus logarithm is
+    w = C + X + [X, C]/2 with X = p dp + q dq; its derivatives
+    dp + [dp, C]/2 and dq + [dq, C]/2 come from the matrix commutator, so no
+    coefficient of `geometry._log_coordinates` is used.  w is evaluated
+    exactly at each grid point and rounded once, and the defect
+    psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2 is formed in floats as
+    `cr_residual` specifies it.
+    """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    h, c0 = s.h, s.c0
+    dw_dp = h.dp + Fraction(1, 2) * commutator_oracle(h.dp, c0)
+    dw_dq = h.dq + Fraction(1, 2) * commutator_oracle(h.dq, c0)
+    # (const, p, q) coefficients of w1 and w2, the only parts the defect reads.
+    w12 = list(zip(c0.coords(), dw_dp.coords(), dw_dq.coords()))[:2]
+    tau1, tau2 = s.modulus.tau1, s.modulus.tau2
+    dpv = [float(c) for c in dw_dp.coords()]
+    dqv = [float(c) for c in dw_dq.coords()]
+    dbv = [(dqv[k] - tau1 * dpv[k]) / tau2 for k in range(4)]
+    worst = 0.0
+    for i in range(grid):
+        p = Fraction(i / (grid - 1))
+        for j in range(grid):
+            q = Fraction(j / (grid - 1))
+            wv = [float(c + p * x + q * y) for c, x, y in w12]
+            u = (dpv[0], dpv[1], dpv[2],
+                 dpv[3] - (wv[1] * dpv[0] - dpv[1] * wv[0]) / 2)
+            v = (dbv[0], dbv[1], dbv[2],
+                 dbv[3] - (wv[1] * dbv[0] - dbv[1] * wv[0]) / 2)
+            pu = s.psi.apply(u)
+            defect = math.sqrt(sum((pu[k] - v[k]) ** 2 for k in range(4)))
+            worst = max(worst, defect)
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # Symplectic area by pullback integration
 # ---------------------------------------------------------------------------
 

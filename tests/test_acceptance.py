@@ -20,6 +20,7 @@ from ktgw.arith import (
 )
 from ktgw.geometry import (
     TorusModulus,
+    TwistorStructure,
     cr_residual,
     eval_class_integrate,
     symplectic_area,
@@ -163,7 +164,7 @@ def test_ac06_cauchy_riemann_validation():
             for comp in moduli_components(m, n):
                 where = f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell})"
                 sol = comp.solution
-                checked += 3
+                checked += 5
                 res = cr_residual(sol, grid=8)
                 if not res < 1e-9:
                     failures.append(f"{where}: residual {res:g}")
@@ -176,6 +177,16 @@ def test_ac06_cauchy_riemann_validation():
                                               sol.modulus.tau2))
                 if not cr_residual(bad_tau, grid=8) > 1e-3:
                     failures.append(f"{where}: tau1 perturbation undetected")
+                bad_tau2 = dataclasses.replace(
+                    sol, modulus=TorusModulus(sol.modulus.tau1,
+                                              sol.modulus.tau2 + 0.1))
+                if not cr_residual(bad_tau2, grid=8) > 1e-3:
+                    failures.append(f"{where}: tau2 perturbation undetected")
+                theta = sol.psi.theta() + 0.1
+                bad_psi = dataclasses.replace(
+                    sol, psi=TwistorStructure(math.cos(theta), math.sin(theta)))
+                if not cr_residual(bad_psi, grid=8) > 1e-3:
+                    failures.append(f"{where}: psi rotation undetected")
     report("AC6 Cauchy-Riemann residuals (|m|,|n| <= 4)", failures, checked,
            started)
 

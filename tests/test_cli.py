@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ktgw.cli import main
+from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
+from ktgw.cli import _check_sweep_budget as check_sweep_budget
 from ktgw.gwcount import gw_closed_form
 from ktgw.nilalg import HomologyClass
 
@@ -177,6 +178,23 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "identities", "--max", "0")
         assert code == 2
 
+    def test_sweep_over_budget_exit_2(self, capsys):
+        # --max 15 sweeps 11808 components; --max 14 stays inside the budget.
+        check_sweep_budget(14)
+        for suite, bound in [("oracle", "15"), ("geometry", "15"),
+                             ("all", "15"), ("geometry", str(10 ** 12))]:
+            code, out, err = run(capsys, "verify", suite, "--max", bound)
+            assert code == 2
+            assert out == ""
+            assert "moduli budget" in err
+
+    def test_identities_over_limit_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "identities", "--max",
+                             str(IDENTITIES_MAX + 1))
+        assert code == 2
+        assert out == ""
+        assert f"limit of {IDENTITIES_MAX}" in err
+
     def test_format_flag_rejected(self, capsys):
         # verify prints text only, so it takes no --format.
         with pytest.raises(SystemExit) as exc:
@@ -215,6 +233,13 @@ class TestBaselineCommand:
     def test_bad_lmax(self, capsys):
         code, _, _ = run(capsys, "baseline", "0")
         assert code == 2
+
+    def test_over_limit_exit_2(self, capsys):
+        code, out, err = run(capsys, "baseline", str(BASELINE_LMAX + 1),
+                             "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert f"baseline limit of {BASELINE_LMAX}" in err
 
 
 class TestEntryPoint:

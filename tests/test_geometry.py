@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ktgw.arith import divisors
 from ktgw.geometry import (
     Poly,
     TorusModulus,
@@ -16,7 +17,7 @@ from ktgw.geometry import (
     symplectic_area,
 )
 from ktgw.gwcount import component_eval_class, moduli_components
-from ktgw.homs import HomDerivs, homology_class
+from ktgw.homs import HomDerivs, homology_class, sum_representative
 from ktgw.nilalg import (
     GroupElem,
     H3Class,
@@ -26,7 +27,7 @@ from ktgw.nilalg import (
     exp,
     group_mul,
 )
-from oracles import area_pullback
+from oracles import area_pullback, cr_residual_grid
 
 
 def rows(*entries):
@@ -193,6 +194,38 @@ class TestCrResidual:
                 s, modulus=TorusModulus(s.modulus.tau1 + 0.1,
                                         s.modulus.tau2))
             assert cr_residual(bad) > 1e-3
+
+    def test_tau2_perturbation_detected(self):
+        for m, n in [(1, 0), (2, 2)]:
+            s = first_solution(m, n)
+            bad = dataclasses.replace(
+                s, modulus=TorusModulus(s.modulus.tau1,
+                                        s.modulus.tau2 + 0.1))
+            assert cr_residual(bad) > 1e-3
+
+    def test_psi_rotation_detected(self):
+        for m, n in [(1, 0), (2, 2)]:
+            s = first_solution(m, n)
+            theta = s.psi.theta() + 0.1
+            bad = dataclasses.replace(
+                s, psi=TwistorStructure(math.cos(theta), math.sin(theta)))
+            assert cr_residual(bad) > 1e-3
+
+    def test_matches_grid_reference(self):
+        # Float equality, no tolerance: one row per grid q rounds exactly as
+        # the full grid x grid evaluation does.
+        sols = [comp.solution for _, _, comp in small_sweep(4)]
+        rng = random.Random(29)
+        for m, n in [(5000, 3000), (50000, 30000), (10 ** 7, 3 * 10 ** 6)]:
+            ds = divisors(math.gcd(m, n))
+            for _ in range(12):
+                d = rng.choice(ds)
+                rep = sum_representative(m, n, d, rng.randint(1, d),
+                                         rng.randint(1, m // d))
+                sols.append(solve_torus_data(rep))
+        for s in sols:
+            for grid in (2, 3, 8):
+                assert cr_residual(s, grid) == cr_residual_grid(s, grid)
 
     def test_grid_validation(self):
         s = first_solution(1, 0)
