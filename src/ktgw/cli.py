@@ -29,7 +29,12 @@ from .arith import (
     count_sublattices_hnf,
     sigma,
 )
-from .geometry import cr_residual, eval_class_integrate, symplectic_area
+from .geometry import (
+    cr_residual,
+    eval_class_integrate,
+    solve_torus_data,
+    symplectic_area,
+)
 from .gwcount import (
     MODULI_BUDGET,
     GWResult,
@@ -156,8 +161,10 @@ def _cmd_gw(args: argparse.Namespace) -> int:
 
 
 def _cmd_moduli(args: argparse.Namespace) -> int:
-    rows = [(comp, comp.solution, cr_residual(comp.solution))
-            for comp in moduli_components(args.m, args.n)]
+    rows = []
+    for comp in moduli_components(args.m, args.n):
+        sol = solve_torus_data(comp.hom)
+        rows.append((comp, sol, cr_residual(sol)))
     if args.format == "json":
         _emit_json({
             "schema_version": SCHEMA_VERSION,
@@ -284,12 +291,13 @@ def _verify_geometry(max_n: int) -> List[_Sweep]:
             for comp in moduli_components(m, n):
                 where = (f"m={m} n={n} "
                          f"(d,k,l)=({comp.d},{comp.k},{comp.ell})")
-                res = cr_residual(comp.solution)
+                sol = solve_torus_data(comp.hom)
+                res = cr_residual(sol)
                 residual.check(res < 1e-9, f"residual {res:g} at {where}")
                 cls = homology_class(comp.hom)
-                ar = symplectic_area(cls, comp.solution.psi.theta())
+                ar = symplectic_area(cls, sol.psi.theta())
                 area.check(ar > 0, f"area {ar:g} at {where}")
-                cycle.check(eval_class_integrate(comp.solution) == expected,
+                cycle.check(eval_class_integrate(sol) == expected,
                             f"cycle class mismatch at {where}")
     return [residual, area, cycle]
 
@@ -313,8 +321,7 @@ def _check_sweep_budget(max_n: int) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max < 1:
-        print("error: --max must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--max must be at least 1")
     if args.suite in ("identities", "all") and args.max > IDENTITIES_MAX:
         raise ValueError(f"verify identities --max {args.max} exceeds "
                          f"the limit of {IDENTITIES_MAX}")
@@ -346,8 +353,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     if args.lmax < 1:
-        print("error: lmax must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("lmax must be at least 1")
     if args.lmax > BASELINE_LMAX:
         raise ValueError(f"lmax {args.lmax} exceeds the baseline limit of "
                          f"{BASELINE_LMAX}")

@@ -6,18 +6,19 @@ modulus tau, the twistor rotation angle theta and the translation constant
 are forced by the Cauchy-Riemann equations, and the one-parameter central
 family D(lambda) sweeps out the rest of the moduli component.
 
-The torus map is written once, as its logarithm, which is affine in (p, q);
-the polynomial group coordinates used by `curve_point` and
-`eval_class_integrate` derive from it, and `cr_residual` reads its exact
-coefficients directly.  The Cauchy-Riemann defect of an affine map with
+The torus map is written once, as its logarithm, which is affine in (p, q),
+and `curve_point`, `cr_residual` and `eval_class_integrate` all read its
+exact coefficients.  The Cauchy-Riemann defect of an affine map with
 dp h1 = dp h2 = 0 depends on q alone, so the residual costs one row of
-floating evaluations per grid value of q and no polynomial evaluation.
+floating evaluations per grid value of q.
 
 Combinatorial data stays in exact rationals; tau and theta live in quadratic
 extensions, so they are carried in double precision and every solution is
 re-validated numerically through `cr_residual`.  The evaluation-cycle class
 is obtained by pulling the three generating 3-forms back along the
-evaluation map and integrating the resulting polynomial forms exactly.
+evaluation map.  On a reduced torus every pulled-back 1-form has constant
+coefficients, so each integral is an exact 3x3 determinant times the
+period of the central family.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .homs import HomDerivs, validate
 from .nilalg import GroupElem, H3Class, HomologyClass, LieAlgElem
@@ -39,127 +40,7 @@ __all__ = [
     "cr_residual",
     "symplectic_area",
     "eval_class_integrate",
-    "Poly",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Exact polynomials in (lam, p, q) and their differential forms
-# ---------------------------------------------------------------------------
-
-Monomial = Tuple[int, int, int]
-
-
-class Poly:
-    """Polynomial in the variables (lam, p, q) with Fraction coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Monomial, Fraction] | None = None) -> None:
-        clean: Dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
-
-    @classmethod
-    def const(cls, value) -> "Poly":
-        return cls({(0, 0, 0): Fraction(value)})
-
-    @classmethod
-    def var(cls, index: int) -> "Poly":
-        mono = [0, 0, 0]
-        mono[index] = 1
-        return cls({tuple(mono): Fraction(1)})
-
-    def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return Poly(terms)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) - coeff
-        return Poly(terms)
-
-    def __neg__(self) -> "Poly":
-        return Poly({mono: -coeff for mono, coeff in self.terms.items()})
-
-    def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        terms: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Poly(terms)
-
-    def scale(self, value) -> "Poly":
-        value = Fraction(value)
-        return Poly({m: value * c for m, c in self.terms.items()})
-
-    def diff(self, index: int) -> "Poly":
-        terms: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[index]
-            if e:
-                lowered = list(mono)
-                lowered[index] = e - 1
-                terms[tuple(lowered)] = coeff * e
-        return Poly(terms)
-
-    def integrate_box(self, lam_hi: Fraction) -> Fraction:
-        """Integral over [0, lam_hi] x [0, 1] x [0, 1]."""
-        total = Fraction(0)
-        for (i, j, k), coeff in self.terms.items():
-            total += coeff * lam_hi ** (i + 1) / ((i + 1) * (j + 1) * (k + 1))
-        return total
-
-    def eval(self, lam, p, q):
-        total = 0
-        for (i, j, k), coeff in self.terms.items():
-            total += coeff * lam ** i * p ** j * q ** k
-        return total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"Poly({self.terms!r})"
-
-
-OneForm = Tuple[Poly, Poly, Poly]
-
-
-def differential(f: Poly) -> OneForm:
-    return (f.diff(0), f.diff(1), f.diff(2))
-
-
-def form_sub(a: OneForm, b: OneForm) -> OneForm:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def form_scale(f: Poly, a: OneForm) -> OneForm:
-    return (f * a[0], f * a[1], f * a[2])
-
-
-def wedge3(a: OneForm, b: OneForm, c: OneForm) -> Poly:
-    """Coefficient of d lam ^ dp ^ dq in a ^ b ^ c."""
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-
-
-# ---------------------------------------------------------------------------
-# Torus data
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -287,22 +168,17 @@ def _log_coordinates(h: HomDerivs, c0: LieAlgElem) -> Tuple[Affine, Affine, Affi
     )
 
 
-def _group_map(s: TorusSolution) -> Tuple[Poly, Poly, Poly, Poly]:
-    """Coordinates (x, y, z, log t) of exp(w) exp(lam (dp_h4 n3 - dp_h3 n4)).
-
-    w is `_log_coordinates`; the central family shifts only z and log t.
-    """
-    w1, w2, w3, w4 = (Poly({(0, 1, 0): dp, (0, 0, 1): dq, (0, 0, 0): const})
-                      for const, dp, dq in _log_coordinates(s.h, s.c0))
-    lam = Poly.var(0)
-    z = w4 + (w1 * w2).scale(Fraction(1, 2)) - lam.scale(s.h.dp.c3)
-    return w2, w1, z, w3 + lam.scale(s.h.dp.c4)
-
-
 def curve_point(s: TorusSolution, lam, p, q) -> GroupElem:
-    """Point exp(p dp + q dq) exp(c0) exp(lam (dp_h4 n3 - dp_h3 n4)) of the torus."""
+    """Point exp(p dp + q dq) exp(c0) exp(lam (dp_h4 n3 - dp_h3 n4)) of the torus.
+
+    That is exp(w) for w = `_log_coordinates` at (p, q); the central family
+    shifts only z and log t.
+    """
     lam, p, q = Fraction(lam), Fraction(p), Fraction(q)
-    return GroupElem(*(f.eval(lam, p, q) for f in _group_map(s)))
+    w1, w2, w3, w4 = (const + dp * p + dq * q
+                      for const, dp, dq in _log_coordinates(s.h, s.c0))
+    return GroupElem(w2, w1, w4 + w1 * w2 / 2 - lam * s.h.dp.c3,
+                     w3 + lam * s.h.dp.c4)
 
 
 def _affine_float(const: Fraction, slope: Fraction, q: float) -> float:
@@ -360,19 +236,39 @@ def symplectic_area(A: HomologyClass, theta: float) -> float:
              + math.sin(theta) * (A.a13 - A.a24))
 
 
+def _det3(r0: Tuple[Fraction, ...], r1: Tuple[Fraction, ...],
+          r2: Tuple[Fraction, ...]) -> Fraction:
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
 def eval_class_integrate(s: TorusSolution) -> H3Class:
     """Class of the evaluation cycle by exact pullback integration.
 
     Pulls the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy) back along
-    the polynomial evaluation map `_group_map` and integrates over
+    the evaluation map (lam, p, q) -> `curve_point` and integrates over
     [0, lambda_period] x [0, 1]^2 with the orientation d lam ^ dp ^ dq.
+    Every pulled-back 1-form has constant coefficients.  In the
+    (d lam, dp, dq) basis, with a, b = dq h1, dq h2 and w the
+    `_log_coordinates`:
+    - dx = (0, 0, b) and dy = (0, 0, a);
+    - dt = (dp h4, dp h3, dq h3);
+    - the q^2 terms of g cancel, so g = (-dp h3, dp h4,
+      dq w4 + (b C1 - a C2)/2).
+    Each integrand is therefore a 3x3 determinant times the box volume.
+    Since dx and dy are multiples of dq, the dq part of g never reaches the
+    result; it is kept so that each row is the whole pulled-back form.
     Cycle coefficients carry the pairing convention under which the
     one-component class with invariants (1, 0) comes out as +E134 + E234.
     """
-    x, y, z, t = _group_map(s)
-    dx, dy, dz, dt = (differential(f) for f in (x, y, z, t))
-    gamma = form_sub(dz, form_scale(x, dy))
-    raw_134 = wedge3(dy, dt, gamma).integrate_box(s.lambda_period)
-    raw_234 = wedge3(dx, dt, gamma).integrate_box(s.lambda_period)
-    raw_124 = wedge3(dy, dx, gamma).integrate_box(s.lambda_period)
-    return H3Class(-raw_134, -raw_234, -raw_124)
+    (c1, _, a), (c2, _, b), (_, dp3, dq3), (_, dp4, dq4) = \
+        _log_coordinates(s.h, s.c0)
+    zero = Fraction(0)
+    dx, dy = (zero, zero, b), (zero, zero, a)
+    dt = (dp4, dp3, dq3)
+    gamma = (-dp3, dp4, dq4 + (b * c1 - a * c2) / 2)
+    period = s.lambda_period
+    return H3Class(-period * _det3(dy, dt, gamma),
+                   -period * _det3(dx, dt, gamma),
+                   -period * _det3(dy, dx, gamma))

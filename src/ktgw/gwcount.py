@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import List
 
 from .arith import aut_weight_sum, sigma
-from .geometry import TorusSolution, solve_torus_data
 from .homs import HomDerivs, enumerate_fully_reduced, normalize_class
 from .nilalg import (
     H3_ZERO,
@@ -44,7 +43,7 @@ __all__ = [
 
 # Most components that `gw_enumerated` sums over.
 ENUMERATION_BUDGET = 10 ** 7
-# Most components that `moduli_components` solves.
+# Most components that `moduli_components` lists.
 MODULI_BUDGET = 10 ** 4
 
 
@@ -119,13 +118,15 @@ def component_eval_class(m: int, n: int) -> H3Class:
 
 @dataclass(frozen=True)
 class ModuliComponent:
-    """One connected moduli component with its geometric and counting data."""
+    """One connected moduli component with its counting data.
+
+    Its torus geometry is `geometry.solve_torus_data(hom)`.
+    """
 
     d: int
     k: int
     ell: int
     hom: HomDerivs
-    solution: TorusSolution
     aut_size: int
     eval_class: H3Class
 
@@ -134,7 +135,7 @@ def moduli_components(m: int, n: int) -> List[ModuliComponent]:
     """All moduli components of the diagonal class with invariants (m, n).
 
     Refuses m = 0, whose components are obstructed, and more than
-    MODULI_BUDGET components, before solving any.
+    MODULI_BUDGET components, before listing any.
     """
     if m == 0:
         raise ValueError("moduli with m = 0 are obstructed and do not "
@@ -151,7 +152,6 @@ def moduli_components(m: int, n: int) -> List[ModuliComponent]:
             k=entry.k,
             ell=entry.ell,
             hom=entry.hom,
-            solution=solve_torus_data(entry.hom),
             aut_size=aut_size_formula(entry.d, entry.k, entry.ell, m, n),
             eval_class=eval_class,
         ))

@@ -2,7 +2,9 @@
 
 The matrix oracles work directly on the 3x3 Heisenberg block (with the
 multiplicative factor carried additively as log t), so they never touch the
-coordinate formulas they are checking.
+coordinate formulas they are checking.  The pullback oracles integrate
+general polynomial forms in (lam, p, q) with `Poly`, where the library
+integrates constant forms in closed form.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ktgw.geometry import Poly, TorusSolution, differential, form_scale, form_sub
+from ktgw.geometry import TorusSolution
 from ktgw.homs import HomDerivs
 from ktgw.nilalg import (
     GENERATORS,
     GroupElem,
+    H3Class,
     HomologyClass,
     LieAlgElem,
 )
@@ -88,6 +91,120 @@ def group_mul_oracle(a: GroupElem, b: GroupElem) -> GroupElem:
 def exp_oracle(X: LieAlgElem) -> GroupElem:
     m = mat3_exp(lie_to_mat3(X))
     return GroupElem(m[0][1], m[1][2], m[0][2], X.c3)
+
+
+# ---------------------------------------------------------------------------
+# Exact polynomials in (lam, p, q) and their differential forms
+# ---------------------------------------------------------------------------
+
+Monomial = Tuple[int, int, int]
+
+
+class Poly:
+    """Polynomial in the variables (lam, p, q) with Fraction coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[Monomial, Fraction] | None = None) -> None:
+        clean: Dict[Monomial, Fraction] = {}
+        if terms:
+            for mono, coeff in terms.items():
+                coeff = Fraction(coeff)
+                if coeff:
+                    clean[mono] = coeff
+        self.terms = clean
+
+    @classmethod
+    def const(cls, value) -> "Poly":
+        return cls({(0, 0, 0): Fraction(value)})
+
+    @classmethod
+    def var(cls, index: int) -> "Poly":
+        mono = [0, 0, 0]
+        mono[index] = 1
+        return cls({tuple(mono): Fraction(1)})
+
+    def __add__(self, other: "Poly") -> "Poly":
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        return Poly(terms)
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            terms[mono] = terms.get(mono, Fraction(0)) - coeff
+        return Poly(terms)
+
+    def __neg__(self) -> "Poly":
+        return Poly({mono: -coeff for mono, coeff in self.terms.items()})
+
+    def __mul__(self, other) -> "Poly":
+        if not isinstance(other, Poly):
+            return self.scale(other)
+        terms: Dict[Monomial, Fraction] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+        return Poly(terms)
+
+    def scale(self, value) -> "Poly":
+        value = Fraction(value)
+        return Poly({m: value * c for m, c in self.terms.items()})
+
+    def diff(self, index: int) -> "Poly":
+        terms: Dict[Monomial, Fraction] = {}
+        for mono, coeff in self.terms.items():
+            e = mono[index]
+            if e:
+                lowered = list(mono)
+                lowered[index] = e - 1
+                terms[tuple(lowered)] = coeff * e
+        return Poly(terms)
+
+    def integrate_box(self, lam_hi: Fraction) -> Fraction:
+        """Integral over [0, lam_hi] x [0, 1] x [0, 1]."""
+        total = Fraction(0)
+        for (i, j, k), coeff in self.terms.items():
+            total += coeff * lam_hi ** (i + 1) / ((i + 1) * (j + 1) * (k + 1))
+        return total
+
+    def eval(self, lam, p, q):
+        total = 0
+        for (i, j, k), coeff in self.terms.items():
+            total += coeff * lam ** i * p ** j * q ** k
+        return total
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"Poly({self.terms!r})"
+
+
+OneForm = Tuple[Poly, Poly, Poly]
+
+
+def differential(f: Poly) -> OneForm:
+    return (f.diff(0), f.diff(1), f.diff(2))
+
+
+def form_sub(a: OneForm, b: OneForm) -> OneForm:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def form_scale(f: Poly, a: OneForm) -> OneForm:
+    return (f * a[0], f * a[1], f * a[2])
+
+
+def wedge3(a: OneForm, b: OneForm, c: OneForm) -> Poly:
+    """Coefficient of d lam ^ dp ^ dq in a ^ b ^ c."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +405,39 @@ def area_pullback(s: TorusSolution) -> float:
     i_g_dy = integrate_slice(wedge_pq(gamma, dy))
     c, si = s.psi.cos_theta, s.psi.sin_theta
     return c * float(i_t_dx + i_g_dy) + si * float(i_t_dy - i_g_dx)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation-cycle class by polynomial pullback
+# ---------------------------------------------------------------------------
+
+
+def eval_class_pullback(s: TorusSolution) -> H3Class:
+    """Class of the evaluation cycle by general polynomial pullback.
+
+    The reference for `geometry.eval_class_integrate`.  The torus logarithm
+    is w = C + X + [X, C]/2 with X = p dp + q dq, its derivatives taken from
+    the matrix commutator as in `cr_residual_grid`.  The evaluation map
+    exp(w) exp(lam (dp_h4 n3 - dp_h3 n4)) has coordinates x = w2, y = w1,
+    z = w4 + w1 w2 / 2 - lam dp_h3 and log t = w3 + lam dp_h4 as polynomials
+    in (lam, p, q); the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy)
+    are wedged as polynomials and integrated monomial by monomial over
+    [0, lambda_period] x [0, 1]^2, assuming nothing about which terms vanish.
+    """
+    h, c0 = s.h, s.c0
+    dw_dp = h.dp + Fraction(1, 2) * commutator_oracle(h.dp, c0)
+    dw_dq = h.dq + Fraction(1, 2) * commutator_oracle(h.dq, c0)
+    lam, p, q = Poly.var(0), Poly.var(1), Poly.var(2)
+    w1, w2, w3, w4 = (Poly.const(c) + p.scale(x) + q.scale(y)
+                      for c, x, y in zip(c0.coords(), dw_dp.coords(),
+                                         dw_dq.coords()))
+    x, y = w2, w1
+    z = w4 + (w1 * w2).scale(Fraction(1, 2)) - lam.scale(h.dp.c3)
+    t = w3 + lam.scale(h.dp.c4)
+    dx, dy, dz, dt = (differential(f) for f in (x, y, z, t))
+    gamma = form_sub(dz, form_scale(x, dy))
+    period = s.lambda_period
+    raw_134 = wedge3(dy, dt, gamma).integrate_box(period)
+    raw_234 = wedge3(dx, dt, gamma).integrate_box(period)
+    raw_124 = wedge3(dy, dx, gamma).integrate_box(period)
+    return H3Class(-raw_134, -raw_234, -raw_124)

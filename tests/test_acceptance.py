@@ -23,6 +23,7 @@ from ktgw.geometry import (
     TwistorStructure,
     cr_residual,
     eval_class_integrate,
+    solve_torus_data,
     symplectic_area,
 )
 from ktgw.gwcount import (
@@ -163,7 +164,7 @@ def test_ac06_cauchy_riemann_validation():
         for n in range(-4, 5):
             for comp in moduli_components(m, n):
                 where = f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell})"
-                sol = comp.solution
+                sol = solve_torus_data(comp.hom)
                 checked += 5
                 res = cr_residual(sol, grid=8)
                 if not res < 1e-9:
@@ -199,7 +200,7 @@ def test_ac07_evaluation_cycle_oracle():
             expected = component_eval_class(m, n)
             for comp in moduli_components(m, n):
                 checked += 1
-                got = eval_class_integrate(comp.solution)
+                got = eval_class_integrate(solve_torus_data(comp.hom))
                 if got != expected or got.e124 != 0:
                     failures.append(
                         f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell}):"
@@ -230,7 +231,7 @@ def test_ac09_area_positivity():
             for comp in moduli_components(m, n):
                 checked += 1
                 area = symplectic_area(homology_class(comp.hom),
-                                       comp.solution.psi.theta())
+                                       solve_torus_data(comp.hom).psi.theta())
                 if not area > 0:
                     failures.append(
                         f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell}):"

@@ -49,6 +49,12 @@ def golden_argvs():
     for suite in ("identities", "oracle", "geometry", "all"):
         yield ["verify", suite, "--max", "2"]
     yield ["verify", "identities", "--max", "0"]
+    # Wider geometry paths: the eval-cycle integral, the residual and the
+    # component listing on about 2000 components.
+    yield ["verify", "geometry", "--max", "8"]
+    yield ["verify", "oracle", "--max", "8"]
+    yield ["moduli", "120", "0", "--format", "json"]
+    yield ["moduli", "-36", "24", "--format", "text"]
     for fmt in FORMATS:
         yield ["baseline", "30", *fmt]
     yield ["baseline", "0"]
@@ -446,6 +452,14 @@ GOLDEN = {
         "d5500fb3227083c3320691e97180e29a6335484e0daf8b40633cacced36a1514",
     "verify identities --max 0":
         "24bc1c0439d467dcbdc2c11ca52963533d37da7f236e589d003d77bf9e1001d3",
+    "verify geometry --max 8":
+        "2128da3433cd57a2652de6528db04550f468c7cb9074be2f640017e4853d113b",
+    "verify oracle --max 8":
+        "a2d8376542a75a55c1e34230ffc22537286a488050f05b2fcf6873e1f0ffc4f2",
+    "moduli 120 0 --format json":
+        "641cd79670b6f9d3b5fa9c755d35bb204c26a8fd0f86f2a0df58f72e26a24d14",
+    "moduli -36 24 --format text":
+        "5d2d992a3177aa8a216f45d06ee71e333608100665089133d2a4c3c9cb24f60b",
     "baseline 30":
         "a7a032224f82338823fbf48d57610b47e07d86caaf591cd44688ab5d5b400d32",
     "baseline 30 --format text":

@@ -7,7 +7,6 @@ import pytest
 
 from ktgw.arith import divisors
 from ktgw.geometry import (
-    Poly,
     TorusModulus,
     TwistorStructure,
     cr_residual,
@@ -27,7 +26,13 @@ from ktgw.nilalg import (
     exp,
     group_mul,
 )
-from oracles import area_pullback, cr_residual_grid
+from oracles import (
+    Poly,
+    area_pullback,
+    cr_residual_grid,
+    eval_class_pullback,
+    random_fraction,
+)
 
 
 def rows(*entries):
@@ -35,7 +40,7 @@ def rows(*entries):
 
 
 def first_solution(m, n):
-    return moduli_components(m, n)[0].solution
+    return solve_torus_data(moduli_components(m, n)[0].hom)
 
 
 def small_sweep(bound=2):
@@ -43,6 +48,10 @@ def small_sweep(bound=2):
         for n in range(-bound, bound + 1):
             for comp in moduli_components(m, n):
                 yield m, n, comp
+
+
+def solutions(m, n):
+    return [solve_torus_data(comp.hom) for comp in moduli_components(m, n)]
 
 
 class TestPoly:
@@ -73,7 +82,7 @@ class TestSolve:
 
     def test_rotation_condition(self):
         for _, _, comp in small_sweep(3):
-            s = comp.solution
+            s = solve_torus_data(comp.hom)
             h = s.h
             c, d = float(h.dp.c3), float(h.dp.c4)
             a, b = float(h.dq.c1), float(h.dq.c2)
@@ -84,7 +93,7 @@ class TestSolve:
 
     def test_tau2_positive(self):
         for _, _, comp in small_sweep(3):
-            assert comp.solution.modulus.tau2 > 0
+            assert solve_torus_data(comp.hom).modulus.tau2 > 0
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -110,7 +119,7 @@ class TestTwistor:
 
     def test_square_is_minus_identity_and_orthogonal(self):
         for _, _, comp in small_sweep(2):
-            psi = comp.solution.psi
+            psi = solve_torus_data(comp.hom).psi
             mat = psi.matrix()
             for i in range(4):
                 basis = [0.0] * 4
@@ -141,8 +150,7 @@ class TestCurvePoint:
     def test_lattice_equivariance(self):
         rng = random.Random(31)
         for m, n in [(1, 0), (2, 2), (-3, 1)]:
-            for comp in moduli_components(m, n):
-                s = comp.solution
+            for s in solutions(m, n):
                 for _ in range(10):
                     lam = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                     p = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
@@ -161,11 +169,11 @@ class TestCurvePoint:
         # constant C that has nonzero n1, n3 and n4 parts.
         rng = random.Random(47)
         for m, n in [(1, 0), (2, 2), (-3, 1), (4, -6)]:
-            for comp in moduli_components(m, n):
-                h = comp.solution.h
-                c0 = LieAlgElem(Fraction(2, 3), comp.solution.c0.c2,
+            for sol in solutions(m, n):
+                h = sol.h
+                c0 = LieAlgElem(Fraction(2, 3), sol.c0.c2,
                                 Fraction(-5, 7), Fraction(3, 4))
-                s = dataclasses.replace(comp.solution, c0=c0)
+                s = dataclasses.replace(sol, c0=c0)
                 central = LieAlgElem(0, 0, h.dp.c4, -h.dp.c3)
                 for _ in range(5):
                     lam, p, q = (Fraction(rng.randint(-9, 9), rng.randint(1, 6))
@@ -179,7 +187,7 @@ class TestCurvePoint:
 class TestCrResidual:
     def test_vanishes_on_solutions(self):
         for _, _, comp in small_sweep(2):
-            assert cr_residual(comp.solution) < 1e-9
+            assert cr_residual(solve_torus_data(comp.hom)) < 1e-9
 
     def test_c0_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
@@ -214,7 +222,7 @@ class TestCrResidual:
     def test_matches_grid_reference(self):
         # Float equality, no tolerance: one row per grid q rounds exactly as
         # the full grid x grid evaluation does.
-        sols = [comp.solution for _, _, comp in small_sweep(4)]
+        sols = [solve_torus_data(comp.hom) for _, _, comp in small_sweep(4)]
         rng = random.Random(29)
         for m, n in [(5000, 3000), (50000, 30000), (10 ** 7, 3 * 10 ** 6)]:
             ds = divisors(math.gcd(m, n))
@@ -245,15 +253,15 @@ class TestSymplecticArea:
     def test_positive_on_solved_components(self):
         for _, _, comp in small_sweep(2):
             A = homology_class(comp.hom)
-            theta = comp.solution.psi.theta()
+            theta = solve_torus_data(comp.hom).psi.theta()
             assert symplectic_area(A, theta) > 0
 
     def test_matches_pullback_integration(self):
         for _, _, comp in small_sweep(2):
             A = homology_class(comp.hom)
-            theta = comp.solution.psi.theta()
-            assert symplectic_area(A, theta) == \
-                pytest.approx(area_pullback(comp.solution), rel=1e-12, abs=1e-12)
+            s = solve_torus_data(comp.hom)
+            assert symplectic_area(A, s.psi.theta()) == \
+                pytest.approx(area_pullback(s), rel=1e-12, abs=1e-12)
 
 
 class TestEvalClass:
@@ -262,11 +270,31 @@ class TestEvalClass:
         assert eval_class_integrate(s) == H3Class(1, 1, 0)
 
     def test_two_two_components(self):
-        for comp in moduli_components(2, 0):
-            assert eval_class_integrate(comp.solution) == H3Class(2, 2, 0)
+        for s in solutions(2, 0):
+            assert eval_class_integrate(s) == H3Class(2, 2, 0)
 
     def test_matches_closed_class(self):
         for m, n, comp in small_sweep(3):
-            got = eval_class_integrate(comp.solution)
+            got = eval_class_integrate(solve_torus_data(comp.hom))
             assert got == component_eval_class(m, n)
             assert got.e124 == 0
+
+    def test_matches_polynomial_pullback(self):
+        # Exact equality with the general polynomial pullback: on solved
+        # components, with a constant C that has nonzero n1, n3 and n4 parts,
+        # and on reduced rational maps with dq h1 != dq h2, which no solved
+        # component of a diagonal class has.
+        rng = random.Random(53)
+        for _, _, comp in small_sweep(4):
+            s = solve_torus_data(comp.hom)
+            assert eval_class_integrate(s) == eval_class_pullback(s)
+            c1, c2, c3, c4 = (random_fraction(rng, 9, 7) for _ in range(4))
+            c0 = LieAlgElem(c1 or 1, c2, c3 or 1, c4 or 1)
+            bent = dataclasses.replace(s, c0=c0)
+            assert eval_class_integrate(bent) == eval_class_pullback(bent)
+            dp = LieAlgElem(0, 0, *(random_fraction(rng, 9, 5) for _ in range(2)))
+            dq = LieAlgElem(*(random_fraction(rng, 9, 5) for _ in range(4)))
+            if dq.c1 == dq.c2:
+                dq = dq + N2
+            bent = dataclasses.replace(bent, h=HomDerivs(dp, dq))
+            assert eval_class_integrate(bent) == eval_class_pullback(bent)

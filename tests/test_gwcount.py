@@ -121,14 +121,14 @@ class TestModuliComponents:
 
     def test_moduli_budget(self, monkeypatch):
         # [2, 2, 0, 0] has 4 components, [3, 3, 0, 0] has 6; the refusal
-        # comes before any torus is solved.
+        # comes before any component is enumerated.
         monkeypatch.setattr(gwcount, "MODULI_BUDGET", 4)
         assert len(moduli_components(2, 0)) == 4
 
-        def refuse(h):
-            raise AssertionError("over-budget moduli must solve nothing")
+        def refuse(m, n):
+            raise AssertionError("over-budget moduli must enumerate nothing")
 
-        monkeypatch.setattr(gwcount, "solve_torus_data", refuse)
+        monkeypatch.setattr(gwcount, "enumerate_fully_reduced", refuse)
         with pytest.raises(ValueError, match="moduli budget"):
             moduli_components(3, 0)
 
