@@ -5,72 +5,3 @@ of symplectic structures on the Kodaira-Thurston manifold twice over: by the
 closed divisor-sum formula and by brute-force enumeration of the moduli
 components of holomorphic tori, cross-checking every ingredient exactly.
 """
-
-from .arith import (
-    CesaroCheck,
-    aut_weight_sum,
-    aut_weight_sum_closed,
-    cesaro_check,
-    class_divisibility,
-    count_sublattices_hnf,
-    divisors,
-    hnf_matrices,
-    sigma,
-)
-from .geometry import (
-    TorusModulus,
-    TorusSolution,
-    TwistorStructure,
-    cr_residual,
-    curve_point,
-    eval_class_integrate,
-    solve_torus_data,
-    symplectic_area,
-)
-from .gwcount import (
-    GWResult,
-    ModuliComponent,
-    aut_size_formula,
-    aut_size_smith,
-    component_eval_class,
-    gw_closed_form,
-    gw_enumerated,
-    moduli_components,
-)
-from .homs import (
-    HomDerivs,
-    ReducedTorus,
-    enumerate_fully_reduced,
-    fully_reduce,
-    homology_class,
-    normalize_class,
-    plucker_holds,
-    sl2z_act,
-    sum_representative,
-    validate,
-)
-from .nilalg import (
-    GENERATORS,
-    H3Class,
-    HomologyClass,
-    GroupElem,
-    LieAlgElem,
-    S1,
-    S1_INV,
-    S2,
-    S2_INV,
-    aut_apply,
-    bch_mul,
-    bracket,
-    exp,
-    group_inv,
-    group_mul,
-    h2_pushforward,
-    h3_pushforward,
-    in_lattice,
-    invert_word,
-    log,
-    word_matrix,
-)
-
-__version__ = "0.1.0"

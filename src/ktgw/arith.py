@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Tuple
 
 __all__ = [
     "divisors",
     "sigma",
     "hnf_matrices",
     "count_sublattices_hnf",
-    "class_divisibility",
     "aut_weight_sum",
     "aut_weight_sum_closed",
     "CesaroCheck",
@@ -160,25 +159,6 @@ def hnf_matrices(ell: int) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:
 def count_sublattices_hnf(ell: int) -> int:
     """Number of index-ell sublattices of Z^2; equals sigma(1, ell)."""
     return sum(1 for _ in hnf_matrices(ell))
-
-
-def class_divisibility(rows: Sequence[Sequence[int]]) -> int:
-    """Divisibility of the class of a homomorphism Z^2 -> Z^(2n).
-
-    `rows` is the matrix of the homomorphism, one (p, q)-derivative pair per
-    row.  Returns the gcd of all 2x2 minors, or 0 if every minor vanishes.
-    """
-    if len(rows) < 2:
-        raise ValueError("need at least two rows")
-    mat = [tuple(row) for row in rows]
-    if any(len(row) != 2 for row in mat):
-        raise ValueError("rows must have exactly two entries")
-    g = 0
-    for i in range(len(mat)):
-        for j in range(i + 1, len(mat)):
-            minor = mat[i][0] * mat[j][1] - mat[i][1] * mat[j][0]
-            g = math.gcd(g, minor)
-    return g
 
 
 def aut_weight_sum(m: int, n: int) -> Fraction:

@@ -45,7 +45,7 @@ from .gwcount import (
     gw_enumerated,
     moduli_components,
 )
-from .homs import homology_class, sum_representative
+from .homs import homology_class
 from .nilalg import H3Class, HomologyClass
 
 SCHEMA_VERSION = "1"
@@ -165,6 +165,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
     for comp in moduli_components(args.m, args.n):
         sol = solve_torus_data(comp.hom)
         rows.append((comp, sol, cr_residual(sol)))
+    ev = component_eval_class(args.m, args.n)
     if args.format == "json":
         _emit_json({
             "schema_version": SCHEMA_VERSION,
@@ -185,7 +186,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                     "theta": _approx_json(sol.psi.theta()),
                     "c0_n2": _frac_json(sol.c0.c2),
                     "aut_size": str(comp.aut_size),
-                    "eval_class": _h3_json(comp.eval_class),
+                    "eval_class": _h3_json(ev),
                     "cr_residual": _approx_json(res),
                 }
                 for comp, sol, res in rows
@@ -199,7 +200,6 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                          "tau1", "tau2", "theta", "c0_n2", "aut_size",
                          "ev_e134", "ev_e234", "ev_e124", "cr_residual"])
         for comp, sol, res in rows:
-            ev = comp.eval_class
             writer.writerow([
                 comp.d, comp.k, comp.ell,
                 *comp.hom.dp.coords(), *comp.hom.dq.coords(),
@@ -221,7 +221,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                   f"{sol.modulus.tau1:>9.5f} {sol.modulus.tau2:>9.5f} "
                   f"{sol.psi.theta():>9.5f} {str(sol.c0.c2):>7} "
                   f"{comp.aut_size:>5} "
-                  f"{str(comp.eval_class.e134):>9} {res:>9.2e}")
+                  f"{str(ev.e134):>9} {res:>9.2e}")
     return 0
 
 
@@ -274,8 +274,7 @@ def _verify_oracle(max_n: int) -> List[_Sweep]:
             counts.check(len(comps) == component_count(m, n),
                          f"component count mismatch at m={m} n={n}")
             for comp in comps:
-                rep = sum_representative(m, n, comp.d, comp.k, comp.ell)
-                ok = comp.aut_size == aut_size_smith(rep)
+                ok = comp.aut_size == aut_size_smith(comp.hom)
                 auts.check(ok, f"aut mismatch at m={m} n={n} "
                                f"(d,k,l)=({comp.d},{comp.k},{comp.ell})")
     return [gw, auts, counts]

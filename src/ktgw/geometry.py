@@ -7,10 +7,10 @@ are forced by the Cauchy-Riemann equations, and the one-parameter central
 family D(lambda) sweeps out the rest of the moduli component.
 
 The torus map is written once, as its logarithm, which is affine in (p, q),
-and `curve_point`, `cr_residual` and `eval_class_integrate` all read its
-exact coefficients.  The Cauchy-Riemann defect of an affine map with
-dp h1 = dp h2 = 0 depends on q alone, so the residual costs one row of
-floating evaluations per grid value of q.
+and `curve_point` and `cr_residual` both read its exact coefficients.  The
+Cauchy-Riemann defect of an affine map with dp h1 = dp h2 = 0 depends on q
+alone, so the residual costs one row of floating evaluations per grid value
+of q.
 
 Combinatorial data stays in exact rationals; tau and theta live in quadratic
 extensions, so they are carried in double precision and every solution is
@@ -18,7 +18,7 @@ re-validated numerically through `cr_residual`.  The evaluation-cycle class
 is obtained by pulling the three generating 3-forms back along the
 evaluation map.  On a reduced torus every pulled-back 1-form has constant
 coefficients, so each integral is an exact 3x3 determinant times the
-period of the central family.
+period of the central family, and the determinants have a closed form.
 """
 
 from __future__ import annotations
@@ -70,15 +70,6 @@ class TwistorStructure:
             s * v[2] + c * v[3],
             -c * v[0] - s * v[1],
             s * v[0] - c * v[1],
-        )
-
-    def matrix(self) -> Tuple[Tuple[float, ...], ...]:
-        c, s = self.cos_theta, self.sin_theta
-        return (
-            (0.0, 0.0, c, -s),
-            (0.0, 0.0, s, c),
-            (-c, -s, 0.0, 0.0),
-            (s, -c, 0.0, 0.0),
         )
 
 
@@ -236,13 +227,6 @@ def symplectic_area(A: HomologyClass, theta: float) -> float:
              + math.sin(theta) * (A.a13 - A.a24))
 
 
-def _det3(r0: Tuple[Fraction, ...], r1: Tuple[Fraction, ...],
-          r2: Tuple[Fraction, ...]) -> Fraction:
-    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
-
-
 def eval_class_integrate(s: TorusSolution) -> H3Class:
     """Class of the evaluation cycle by exact pullback integration.
 
@@ -250,25 +234,22 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     the evaluation map (lam, p, q) -> `curve_point` and integrates over
     [0, lambda_period] x [0, 1]^2 with the orientation d lam ^ dp ^ dq.
     Every pulled-back 1-form has constant coefficients.  In the
-    (d lam, dp, dq) basis, with a, b = dq h1, dq h2 and w the
-    `_log_coordinates`:
+    (d lam, dp, dq) basis, with a, b = dq h1, dq h2:
     - dx = (0, 0, b) and dy = (0, 0, a);
     - dt = (dp h4, dp h3, dq h3);
-    - the q^2 terms of g cancel, so g = (-dp h3, dp h4,
-      dq w4 + (b C1 - a C2)/2).
+    - the q^2 terms of g cancel, so g = (-dp h3, dp h4, g_q) with a
+      constant g_q that depends on the translation constant.
     Each integrand is therefore a 3x3 determinant times the box volume.
-    Since dx and dy are multiples of dq, the dq part of g never reaches the
-    result; it is kept so that each row is the whole pulled-back form.
-    Cycle coefficients carry the pairing convention under which the
-    one-component class with invariants (1, 0) comes out as +E134 + E234.
+    dx and dy are multiples of dq, so the dq parts of dt and g never reach
+    the result, dy^dx^g vanishes, and the other two determinants are
+    a (dp h3^2 + dp h4^2) and b (dp h3^2 + dp h4^2).  The class is
+
+        -lambda_period (dp h3^2 + dp h4^2) (a E134 + b E234),
+
+    independent of the translation constant.  Cycle coefficients carry the
+    pairing convention under which the one-component class with invariants
+    (1, 0) comes out as +E134 + E234.
     """
-    (c1, _, a), (c2, _, b), (_, dp3, dq3), (_, dp4, dq4) = \
-        _log_coordinates(s.h, s.c0)
-    zero = Fraction(0)
-    dx, dy = (zero, zero, b), (zero, zero, a)
-    dt = (dp4, dp3, dq3)
-    gamma = (-dp3, dp4, dq4 + (b * c1 - a * c2) / 2)
-    period = s.lambda_period
-    return H3Class(-period * _det3(dy, dt, gamma),
-                   -period * _det3(dx, dt, gamma),
-                   -period * _det3(dy, dx, gamma))
+    h = s.h
+    scale = -s.lambda_period * (h.dp.c3 ** 2 + h.dp.c4 ** 2)
+    return H3Class(scale * h.dq.c1, scale * h.dq.c2, 0)

@@ -120,7 +120,10 @@ def component_eval_class(m: int, n: int) -> H3Class:
 class ModuliComponent:
     """One connected moduli component with its counting data.
 
-    Its torus geometry is `geometry.solve_torus_data(hom)`.
+    hom is `homs.component_hom` at the labels (d, k, ell), and aut_size is
+    its lattice index.  Its torus geometry is `geometry.solve_torus_data(hom)`,
+    and its evaluation-cycle class, the same for every component of the
+    class, is `component_eval_class(m, n)`.
     """
 
     d: int
@@ -128,7 +131,6 @@ class ModuliComponent:
     ell: int
     hom: HomDerivs
     aut_size: int
-    eval_class: H3Class
 
 
 def moduli_components(m: int, n: int) -> List[ModuliComponent]:
@@ -144,7 +146,6 @@ def moduli_components(m: int, n: int) -> List[ModuliComponent]:
     if components > MODULI_BUDGET:
         raise ValueError(f"{components} moduli components exceed the "
                          f"moduli budget of {MODULI_BUDGET}")
-    eval_class = component_eval_class(m, n)
     out = []
     for entry in enumerate_fully_reduced(m, n):
         out.append(ModuliComponent(
@@ -153,7 +154,6 @@ def moduli_components(m: int, n: int) -> List[ModuliComponent]:
             ell=entry.ell,
             hom=entry.hom,
             aut_size=aut_size_formula(entry.d, entry.k, entry.ell, m, n),
-            eval_class=eval_class,
         ))
     return out
 

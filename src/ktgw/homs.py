@@ -14,7 +14,10 @@ unique fully reduced representative
 
     dp h1 = dp h2 = 0,  dp h3 > 0,  0 <= dq h3 < dp h3.
 
-This module enumerates those representatives, class by class.
+This module enumerates those representatives, class by class.  Each moduli
+component label (d, k, l) has exactly one, `component_hom`: the fully reduced
+form of the torus whose lattice index the automorphism-order formula at
+(d, k, l) gives.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ __all__ = [
     "sl2z_act",
     "fully_reduce",
     "ReducedTorus",
+    "component_hom",
     "enumerate_fully_reduced",
-    "sum_representative",
     "normalize_class",
 ]
 
@@ -198,14 +201,37 @@ class ReducedTorus(NamedTuple):
     hom: HomDerivs
 
 
-def _normal_form(m: int, n: int, d: int, k: int, dq3: int) -> HomDerivs:
-    sgn = 1 if m > 0 else -1
+def component_hom(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
+    """Fully reduced homomorphism of the component (d, k, l) of class (m, n).
+
+    Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d.  The
+    label (d, k, l) names the torus
+
+        dq h1 = dq h2 = -sgn(m) d,   dp h3 = |m|/d,   dp h4 = -n / (sgn(m) d),
+        dq h3 = l,                   dq h4 = k - d/2,
+
+    whose lattice index is the automorphism order gcd(gcd(m, n),
+    (m k + n l)/d).  For l < |m|/d that torus is already fully reduced.  For
+    l = |m|/d the reparametrisation q -> q - p takes dq h3 to 0 and dq h4 to
+    k - d/2 - dp h4, and conjugation by a lattice element adds multiples of
+    dq h1 = -sgn(m) d to dq h4, so dq h4 only matters mod d.  The result is
+    then dq h3 = 0, dq h4 = k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.
+    """
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    if d < 1 or math.gcd(m, n) % d != 0:
+        raise ValueError(f"{d} does not divide gcd({m}, {n})")
     span = abs(m) // d
-    dp4, rem = divmod(-n, sgn * d)
-    if rem != 0:
-        raise ValueError(f"{d} does not divide {n}")
+    if not 1 <= k <= d:
+        raise ValueError(f"k = {k} is outside 1..{d}")
+    if not 1 <= ell <= span:
+        raise ValueError(f"l = {ell} is outside 1..{span}")
+    sgn = 1 if m > 0 else -1
+    dp4 = -n // (sgn * d)
+    if ell == span:
+        ell, k = 0, (k - dp4 - 1) % d + 1
     dp = LieAlgElem(0, 0, span, dp4)
-    dq = LieAlgElem(-sgn * d, -sgn * d, dq3, Fraction(2 * k - d, 2))
+    dq = LieAlgElem(-sgn * d, -sgn * d, ell, Fraction(2 * k - d, 2))
     return HomDerivs(dp, dq)
 
 
@@ -213,41 +239,17 @@ def enumerate_fully_reduced(m: int, n: int) -> List[ReducedTorus]:
     """All fully reduced homomorphisms for the class with invariants (m, n).
 
     For each positive divisor d of gcd(m, n) (with gcd(m, 0) = |m|), each
-    l = 1..|m|/d and each k = 1..d, emits the representative with
-
-        dq h1 = dq h2 = -sgn(m) d,   dp h3 = |m|/d,   dp h4 = -n / (sgn(m) d),
-        dq h3 = l mod (|m|/d),       dq h4 = k - d/2.
+    l = 1..|m|/d and each k = 1..d, emits `component_hom(m, n, d, k, l)`.
 
     The list has length |m| sigma_0(gcd(m, n)), in lexicographic (d, l, k)
     order, and no two entries define the same torus.
     """
     if m == 0:
         raise ValueError("m must be nonzero")
-    g = math.gcd(m, n)
-    out: List[ReducedTorus] = []
-    for d in divisors(g):
-        span = abs(m) // d
-        for ell in range(1, span + 1):
-            for k in range(1, d + 1):
-                hom = _normal_form(m, n, d, k, ell % span)
-                out.append(ReducedTorus(d, k, ell, hom))
-    return out
-
-
-def sum_representative(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
-    """Reduced representative with dq h3 equal to the raw summation index l.
-
-    Differs from the fully reduced entry only when l = |m|/d, where the fully
-    reduced coordinate wraps to 0.  The automorphism-order formula evaluated
-    at the labels (d, k, l) is the lattice index of exactly this
-    representative.
-    """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    g = math.gcd(m, n)
-    if g % d != 0:
-        raise ValueError(f"{d} does not divide gcd({m}, {n})")
-    return _normal_form(m, n, d, k, ell)
+    return [ReducedTorus(d, k, ell, component_hom(m, n, d, k, ell))
+            for d in divisors(math.gcd(m, n))
+            for ell in range(1, abs(m) // d + 1)
+            for k in range(1, d + 1)]
 
 
 def _pair_word_to_diag(v1: int, v2: int) -> Tuple[Tuple[Letter, ...], int]:

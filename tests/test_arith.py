@@ -9,7 +9,6 @@ from ktgw.arith import (
     aut_weight_sum,
     aut_weight_sum_closed,
     cesaro_check,
-    class_divisibility,
     count_sublattices_hnf,
     divisors,
     hnf_matrices,
@@ -130,28 +129,6 @@ class TestSublatticeCount:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             count_sublattices_hnf(0)
-
-
-class TestClassDivisibility:
-    def test_unimodular_block(self):
-        assert class_divisibility([[1, 0], [0, 1], [0, 0], [0, 0]]) == 1
-
-    def test_single_minor(self):
-        assert class_divisibility([[2, 0], [0, 2], [0, 0], [0, 0]]) == 4
-
-    def test_gcd_of_six_minors(self):
-        # Minors: 6, 0, 12, -12, 0, 24 with gcd 6.
-        assert class_divisibility([[2, 0], [0, 3], [4, 0], [0, 6]]) == 6
-
-    def test_all_minors_vanish(self):
-        assert class_divisibility([[1, 2], [2, 4], [3, 6]]) == 0
-        assert class_divisibility([[0, 0], [0, 0]]) == 0
-
-    def test_shape_checks(self):
-        with pytest.raises(ValueError):
-            class_divisibility([[1, 0]])
-        with pytest.raises(ValueError):
-            class_divisibility([[1, 0, 0], [0, 1, 0]])
 
 
 def _naive_weight_sum(m: int, n: int) -> Fraction:

@@ -55,6 +55,8 @@ def golden_argvs():
     yield ["verify", "oracle", "--max", "8"]
     yield ["moduli", "120", "0", "--format", "json"]
     yield ["moduli", "-36", "24", "--format", "text"]
+    # Many rows at l = |m|/d, where the listed hom is reparametrised.
+    yield ["moduli", "-8", "-8", "--format", "csv"]
     for fmt in FORMATS:
         yield ["baseline", "30", *fmt]
     yield ["baseline", "0"]
@@ -393,7 +395,7 @@ GOLDEN = {
     "gw 618970019642690137449562111 618970019642690137449562111 0 0 --method both --format csv":
         "ee951be4261a8414cc69391c223886e1d8404dfa540a4645b8bc940933275c89",
     "moduli -2 -2 --format text":
-        "c63a74759c54e20099499b13401bb518abc93fffd0f1d43be643b66e67415a8e",
+        "75fc947ecaee42d59f5a7c6288d639231f244739727e8704aab3ce2caf60d65c",
     "moduli -2 -1 --format json":
         "7187d8029820b0c8a80433baa4252db79baebaf2ce356dc4fd400d14921cb07a",
     "moduli -2 0 --format csv":
@@ -401,7 +403,7 @@ GOLDEN = {
     "moduli -2 1 --format text":
         "c39a89ccf5155b28543002fb627d7ca03db8983128935fbe89c6c1ea3f5ad086",
     "moduli -2 2 --format json":
-        "249d55b3848ee5d38845a6f31a7b73d6dd7505f1522d7d7e70d2283a59001a63",
+        "48072246217d9e00ddd799cc2586cde4ac7c386ad61b3f29cc13f8554c28f625",
     "moduli -1 -2 --format csv":
         "a5ada7a983f4584b1c20dec1dca3fb7e399c872b145b7dc37ebd85a7b4631a18",
     "moduli -1 -1 --format text":
@@ -433,7 +435,7 @@ GOLDEN = {
     "moduli 1 2 --format json":
         "20afcab55c6417f02d5d5a8cffdfb12810a42425020b7ccf68d6208df6b1d394",
     "moduli 2 -2 --format csv":
-        "1c727d0b9e8592df5499b06906c337647e03a96bd46f2853edd18b78808cd021",
+        "74ad5ac96a349c4f27faa39e660ad7fc5fe37d95bed7d141faf0e6e8dc5bc8c6",
     "moduli 2 -1 --format text":
         "c8d64acb8306988411313e459e0dac7462ea467dae5230f3695bed441f5c6e06",
     "moduli 2 0 --format json":
@@ -441,7 +443,7 @@ GOLDEN = {
     "moduli 2 1 --format csv":
         "aed4e9241913c447978f3acf2125a55e11a14cf734a448099d6e4145e0e7d243",
     "moduli 2 2 --format text":
-        "563fd8c288a986c719187246205877c839ca3135c5119e374996b70b864602dd",
+        "18edf7f86bd866bd925cfae3f8bb8563c728df0f4cfbaceaac4c0763e64ca49c",
     "verify identities --max 2":
         "d9a27b389e1a866e610754bdbe18faecfc15de88743402dc1e1e543b71932770",
     "verify oracle --max 2":
@@ -459,7 +461,9 @@ GOLDEN = {
     "moduli 120 0 --format json":
         "641cd79670b6f9d3b5fa9c755d35bb204c26a8fd0f86f2a0df58f72e26a24d14",
     "moduli -36 24 --format text":
-        "5d2d992a3177aa8a216f45d06ee71e333608100665089133d2a4c3c9cb24f60b",
+        "1855f12c3f020c37b8bb0ddcbf0fb91fe367ebdc0b4c22429de12a24ed280509",
+    "moduli -8 -8 --format csv":
+        "b6de099276050ccdd0922a25adf30defff6ca5605d09d1a3ad15794e47783fa4",
     "baseline 30":
         "a7a032224f82338823fbf48d57610b47e07d86caaf591cd44688ab5d5b400d32",
     "baseline 30 --format text":

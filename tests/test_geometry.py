@@ -16,7 +16,7 @@ from ktgw.geometry import (
     symplectic_area,
 )
 from ktgw.gwcount import component_eval_class, moduli_components
-from ktgw.homs import HomDerivs, homology_class, sum_representative
+from ktgw.homs import HomDerivs, component_hom, homology_class
 from ktgw.nilalg import (
     GroupElem,
     H3Class,
@@ -120,17 +120,16 @@ class TestTwistor:
     def test_square_is_minus_identity_and_orthogonal(self):
         for _, _, comp in small_sweep(2):
             psi = solve_torus_data(comp.hom).psi
-            mat = psi.matrix()
+            basis = [tuple(float(i == j) for j in range(4)) for i in range(4)]
+            cols = [psi.apply(v) for v in basis]
             for i in range(4):
-                basis = [0.0] * 4
-                basis[i] = 1.0
-                twice = psi.apply(psi.apply(tuple(basis)))
+                twice = psi.apply(cols[i])
                 for j in range(4):
                     expect = -1.0 if i == j else 0.0
                     assert abs(twice[j] - expect) < 1e-12
             for i in range(4):
                 for j in range(4):
-                    dot = sum(mat[k][i] * mat[k][j] for k in range(4))
+                    dot = sum(cols[i][k] * cols[j][k] for k in range(4))
                     expect = 1.0 if i == j else 0.0
                     assert abs(dot - expect) < 1e-12
 
@@ -228,8 +227,8 @@ class TestCrResidual:
             ds = divisors(math.gcd(m, n))
             for _ in range(12):
                 d = rng.choice(ds)
-                rep = sum_representative(m, n, d, rng.randint(1, d),
-                                         rng.randint(1, m // d))
+                rep = component_hom(m, n, d, rng.randint(1, d),
+                                    rng.randint(1, m // d))
                 sols.append(solve_torus_data(rep))
         for s in sols:
             for grid in (2, 3, 8):

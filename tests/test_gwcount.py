@@ -17,7 +17,7 @@ from ktgw.gwcount import (
     gw_enumerated,
     moduli_components,
 )
-from ktgw.homs import HomDerivs, enumerate_fully_reduced, sum_representative
+from ktgw.homs import HomDerivs, enumerate_fully_reduced
 from ktgw.nilalg import H3Class, HomologyClass, h2_pushforward, h3_pushforward
 from oracles import random_plucker_class, random_word, smith_diagonal, smith_matrix_rows
 
@@ -58,8 +58,7 @@ class TestAutSizeSmith:
         for m in [v for v in range(-6, 7) if v]:
             for n in range(-6, 7):
                 for entry in enumerate_fully_reduced(m, n):
-                    rep = sum_representative(m, n, entry.d, entry.k, entry.ell)
-                    assert aut_size_smith(rep) == \
+                    assert aut_size_smith(entry.hom) == \
                         aut_size_formula(entry.d, entry.k, entry.ell, m, n)
 
     def test_matches_elementary_divisor_product(self):
@@ -99,11 +98,16 @@ class TestModuliComponents:
                 assert len(comps) == abs(m) * sigma(0, math.gcd(m, n))
                 assert component_count(m, n) == len(comps)
 
+    def test_aut_size_is_lattice_index_of_listed_hom(self):
+        for m in [v for v in range(-8, 9) if v]:
+            for n in range(-8, 9):
+                for comp in moduli_components(m, n):
+                    assert comp.aut_size == aut_size_smith(comp.hom), \
+                        (m, n, comp.d, comp.k, comp.ell)
+
     def test_weight_total_both_ways(self):
-        # The labelled weights and the intrinsic lattice indices of the
-        # stored representatives distribute differently over components when
-        # the dq h3 index wraps, but both total to the closed form.  The
-        # Smith indices check the fused sum that `gw_enumerated` scales by.
+        # The Smith indices check the fused sum that `gw_enumerated` scales
+        # by.
         for m in [v for v in range(-6, 7) if v]:
             for n in range(-6, 7):
                 comps = moduli_components(m, n)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from ktgw.arith import sigma
 from ktgw.homs import (
     HomDerivs,
+    component_hom,
     enumerate_fully_reduced,
     fully_reduce,
     homology_class,
     normalize_class,
     plucker_holds,
     sl2z_act,
-    sum_representative,
     validate,
 )
 from ktgw.nilalg import HomologyClass, h2_pushforward
@@ -198,20 +198,61 @@ class TestEnumerate:
             enumerate_fully_reduced(0, 5)
 
 
+def raw_representative(m, n, d, k, ell):
+    """The torus the label (d, k, l) counts, with dq h3 = l unreduced."""
+    sgn = 1 if m > 0 else -1
+    return rows((0, -sgn * d), (0, -sgn * d), (abs(m) // d, ell),
+                (Fraction(-n, sgn * d), Fraction(2 * k - d, 2)))
+
+
 class TestSumRepresentative:
+    """`component_hom`, the one representative of each summand label."""
+
     def test_matches_enumerated_away_from_wrap(self):
-        for m, n in [(4, 2), (6, 4)]:
+        for m, n in [(4, 2), (6, 4), (-6, 4)]:
             for entry in enumerate_fully_reduced(m, n):
-                rep = sum_representative(m, n, entry.d, entry.k, entry.ell)
+                hom = component_hom(m, n, entry.d, entry.k, entry.ell)
+                assert hom == entry.hom
                 if entry.ell < abs(m) // entry.d:
-                    assert rep == entry.hom
+                    assert hom == raw_representative(
+                        m, n, entry.d, entry.k, entry.ell)
                 else:
-                    assert rep.dq.c3 == entry.ell
-                    assert entry.hom.dq.c3 == 0
+                    assert hom.dq.c3 == 0
+
+    def test_wrap_is_fully_reduced_raw_representative(self):
+        # At l = |m|/d the listed hom is the fully reduced form of the raw
+        # torus, up to the lattice conjugation that moves dq h4 by d.
+        wrapped = shifted = 0
+        for m in [v for v in range(-8, 9) if v]:
+            for n in range(-8, 9):
+                for entry in enumerate_fully_reduced(m, n):
+                    if entry.ell != abs(m) // entry.d:
+                        continue
+                    raw = raw_representative(m, n, entry.d, entry.k,
+                                             entry.ell)
+                    _, red = fully_reduce(raw)
+                    assert red.dp == entry.hom.dp
+                    assert red.dq.c1 == entry.hom.dq.c1
+                    assert red.dq.c2 == entry.hom.dq.c2
+                    assert red.dq.c3 == entry.hom.dq.c3 == 0
+                    assert (red.dq.c4 - entry.hom.dq.c4) % entry.d == 0
+                    wrapped += 1
+                    shifted += red.dq.c4 != entry.hom.dq.c4
+        assert wrapped > 0 and shifted > 0
 
     def test_rejects_bad_divisor(self):
         with pytest.raises(ValueError):
-            sum_representative(4, 2, 3, 1, 1)
+            component_hom(4, 2, 3, 1, 1)
+        with pytest.raises(ValueError):
+            component_hom(4, 2, 0, 1, 1)
+        with pytest.raises(ValueError):
+            component_hom(0, 2, 1, 1, 1)
+
+    def test_rejects_labels_out_of_range(self):
+        for k, ell in [(0, 1), (3, 1), (1, 0), (1, 3), (2, -1)]:
+            with pytest.raises(ValueError):
+                component_hom(4, 2, 2, k, ell)
+        assert component_hom(4, 2, 2, 2, 2).dq.c3 == 0
 
 
 class TestNormalizeClass:
