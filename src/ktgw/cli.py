@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arith import (
     aut_weight_sum,
@@ -261,22 +261,30 @@ def _verify_identities(max_n: int) -> List[_Sweep]:
     return [weight, hnf, ces]
 
 
+def _sweep_classes(max_n: int) -> Iterator[Tuple[int, int]]:
+    """Invariants (m, n) of the classes [m, m, n, n] a verify sweep covers.
+
+    Yields m != 0 and |m|, |n| <= max_n in lexicographic order.
+    """
+    span = range(-max_n, max_n + 1)
+    return ((m, n) for m in span if m != 0 for n in span)
+
+
 def _verify_oracle(max_n: int) -> List[_Sweep]:
     gw = _Sweep("oracle/closed-vs-enumerated")
     auts = _Sweep("oracle/aut-formula-vs-smith")
     counts = _Sweep("oracle/component-count")
-    for m in [v for v in range(-max_n, max_n + 1) if v != 0]:
-        for n in range(-max_n, max_n + 1):
-            A = HomologyClass(m, m, n, n)
-            ok = gw_closed_form(A).gw == gw_enumerated(A).gw
-            gw.check(ok, f"invariant mismatch at m={m} n={n}")
-            comps = moduli_components(m, n)
-            counts.check(len(comps) == component_count(m, n),
-                         f"component count mismatch at m={m} n={n}")
-            for comp in comps:
-                ok = comp.aut_size == aut_size_smith(comp.hom)
-                auts.check(ok, f"aut mismatch at m={m} n={n} "
-                               f"(d,k,l)=({comp.d},{comp.k},{comp.ell})")
+    for m, n in _sweep_classes(max_n):
+        A = HomologyClass(m, m, n, n)
+        ok = gw_closed_form(A).gw == gw_enumerated(A).gw
+        gw.check(ok, f"invariant mismatch at m={m} n={n}")
+        comps = moduli_components(m, n)
+        counts.check(len(comps) == component_count(m, n),
+                     f"component count mismatch at m={m} n={n}")
+        for comp in comps:
+            ok = comp.aut_size == aut_size_smith(comp.hom)
+            auts.check(ok, f"aut mismatch at m={m} n={n} "
+                           f"(d,k,l)=({comp.d},{comp.k},{comp.ell})")
     return [gw, auts, counts]
 
 
@@ -284,20 +292,19 @@ def _verify_geometry(max_n: int) -> List[_Sweep]:
     residual = _Sweep("geometry/cr-residual")
     area = _Sweep("geometry/area-positivity")
     cycle = _Sweep("geometry/eval-cycle")
-    for m in [v for v in range(-max_n, max_n + 1) if v != 0]:
-        for n in range(-max_n, max_n + 1):
-            expected = component_eval_class(m, n)
-            for comp in moduli_components(m, n):
-                where = (f"m={m} n={n} "
-                         f"(d,k,l)=({comp.d},{comp.k},{comp.ell})")
-                sol = solve_torus_data(comp.hom)
-                res = cr_residual(sol)
-                residual.check(res < 1e-9, f"residual {res:g} at {where}")
-                cls = homology_class(comp.hom)
-                ar = symplectic_area(cls, sol.psi.theta())
-                area.check(ar > 0, f"area {ar:g} at {where}")
-                cycle.check(eval_class_integrate(sol) == expected,
-                            f"cycle class mismatch at {where}")
+    for m, n in _sweep_classes(max_n):
+        expected = component_eval_class(m, n)
+        for comp in moduli_components(m, n):
+            where = (f"m={m} n={n} "
+                     f"(d,k,l)=({comp.d},{comp.k},{comp.ell})")
+            sol = solve_torus_data(comp.hom)
+            res = cr_residual(sol)
+            residual.check(res < 1e-9, f"residual {res:g} at {where}")
+            cls = homology_class(comp.hom)
+            ar = symplectic_area(cls, sol.psi.theta())
+            area.check(ar > 0, f"area {ar:g} at {where}")
+            cycle.check(eval_class_integrate(sol) == expected,
+                        f"cycle class mismatch at {where}")
     return [residual, area, cycle]
 
 
@@ -309,9 +316,7 @@ def _check_sweep_budget(max_n: int) -> None:
     """
     total = max_n * (max_n + 1) * (2 * max_n + 1)
     if total <= MODULI_BUDGET:
-        total = sum(component_count(m, n)
-                    for m in range(-max_n, max_n + 1) if m != 0
-                    for n in range(-max_n, max_n + 1))
+        total = sum(component_count(m, n) for m, n in _sweep_classes(max_n))
     if total > MODULI_BUDGET:
         raise ValueError(f"verify --max {max_n} sweeps at least {total} "
                          f"moduli components, over the moduli budget of "

@@ -20,14 +20,13 @@ from fractions import Fraction
 from typing import List
 
 from .arith import aut_weight_sum, sigma
-from .homs import HomDerivs, enumerate_fully_reduced, normalize_class
-from .nilalg import (
-    H3_ZERO,
-    H3Class,
-    HomologyClass,
-    h3_pushforward,
-    invert_word,
+from .homs import (
+    HomDerivs,
+    check_component_label,
+    enumerate_fully_reduced,
+    normalize_class,
 )
+from .nilalg import H3_ZERO, H3Class, HomologyClass, h3_pushforward
 
 __all__ = [
     "ModuliComponent",
@@ -56,14 +55,11 @@ def aut_size_formula(d: int, k: int, ell: int, m: int, n: int) -> int:
     """Automorphism order gcd(gcd(m, n), (m k + n l) / d) of component (d, k, l).
 
     Conventions: gcd(x, 0) = |x| and the second argument is taken in
-    absolute value.  Expects d | gcd(m, n), 1 <= k <= d, 1 <= l <= |m|/d.
+    absolute value.  Refuses labels outside d | gcd(m, n), 1 <= k <= d,
+    1 <= l <= |m|/d with `homs.check_component_label`.
     """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    g = math.gcd(m, n)
-    if g % d != 0:
-        raise ValueError(f"{d} does not divide gcd({m}, {n})")
-    return math.gcd(g, (m * k + n * ell) // d)
+    check_component_label(m, n, d, k, ell)
+    return math.gcd(m, n, (m * k + n * ell) // d)
 
 
 def aut_size_smith(h: HomDerivs) -> int:
@@ -177,7 +173,7 @@ def gw_closed_form(A: HomologyClass) -> GWResult:
     Classes with m = 0 (including A = 0) have obstructed moduli and count
     zero.
     """
-    word, norm = normalize_class(A)
+    _, norm = normalize_class(A)
     m, n = norm.a13, norm.a14
     if m == 0:
         gw = H3_ZERO
@@ -193,11 +189,11 @@ def gw_enumerated(A: HomologyClass) -> GWResult:
 
     Moves A to diagonal shape [m, m, n, n], scales the evaluation class all
     components carry by `aut_weight_sum`, the exact sum of 1 / |Aut| over
-    the component labels, and pushes the total back along the inverse
-    automorphism word.  Refuses more than ENUMERATION_BUDGET components.
-    Must agree exactly with `gw_closed_form`.
+    the component labels, and pushes the total back along the inverse of the
+    normalizing matrix, its adjugate.  Refuses more than ENUMERATION_BUDGET
+    components.  Must agree exactly with `gw_closed_form`.
     """
-    word, norm = normalize_class(A)
+    M, norm = normalize_class(A)
     m, n = norm.a13, norm.a14
     if m == 0:
         gw = H3_ZERO
@@ -207,5 +203,6 @@ def gw_enumerated(A: HomologyClass) -> GWResult:
             raise ValueError(f"{components} moduli components exceed the "
                              f"enumeration budget of {ENUMERATION_BUDGET}")
         total = component_eval_class(m, n).scale(aut_weight_sum(m, n))
-        gw = h3_pushforward(invert_word(word), total)
+        (a, b), (c, d) = M
+        gw = h3_pushforward(((d, -b), (-c, a)), total)
     return GWResult(A, norm, m, n, gw, "enumerated")

@@ -29,14 +29,11 @@ from typing import List, NamedTuple, Tuple
 
 from .arith import divisors
 from .nilalg import (
-    S1,
-    S1_INV,
-    S2,
-    S2_INV,
     HomologyClass,
     LieAlgElem,
-    Letter,
+    Sl2zMatrix,
     h2_pushforward,
+    sl2z_entries,
 )
 
 __all__ = [
@@ -48,12 +45,11 @@ __all__ = [
     "sl2z_act",
     "fully_reduce",
     "ReducedTorus",
+    "check_component_label",
     "component_hom",
     "enumerate_fully_reduced",
     "normalize_class",
 ]
-
-Sl2zMatrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
 IDENTITY_2X2: Sl2zMatrix = ((1, 0), (0, 1))
 
@@ -121,12 +117,7 @@ def plucker_holds(A: HomologyClass) -> bool:
 
 def sl2z_act(h: HomDerivs, phi: Sl2zMatrix) -> HomDerivs:
     """Right multiplication of the derivative matrix by phi in SL(2,Z)."""
-    (a, b), (c, d) = phi
-    for entry in (a, b, c, d):
-        if not isinstance(entry, int):
-            raise ValueError("phi must have integer entries")
-    if a * d - b * c != 1:
-        raise ValueError("phi must have determinant 1")
+    a, b, c, d = sl2z_entries(phi)
     dp = h.dp.scale(a) + h.dq.scale(c)
     dq = h.dp.scale(b) + h.dq.scale(d)
     return HomDerivs(dp, dq)
@@ -201,6 +192,24 @@ class ReducedTorus(NamedTuple):
     hom: HomDerivs
 
 
+def check_component_label(m: int, n: int, d: int, k: int, ell: int) -> int:
+    """Refuse a label (d, k, l) that names no component of the class (m, n).
+
+    Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d, and
+    raises ValueError otherwise.  Returns |m|/d.
+    """
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    if d < 1 or math.gcd(m, n) % d != 0:
+        raise ValueError(f"{d} does not divide gcd({m}, {n})")
+    span = abs(m) // d
+    if not 1 <= k <= d:
+        raise ValueError(f"k = {k} is outside 1..{d}")
+    if not 1 <= ell <= span:
+        raise ValueError(f"l = {ell} is outside 1..{span}")
+    return span
+
+
 def component_hom(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
     """Fully reduced homomorphism of the component (d, k, l) of class (m, n).
 
@@ -217,15 +226,7 @@ def component_hom(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
     dq h1 = -sgn(m) d to dq h4, so dq h4 only matters mod d.  The result is
     then dq h3 = 0, dq h4 = k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.
     """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if d < 1 or math.gcd(m, n) % d != 0:
-        raise ValueError(f"{d} does not divide gcd({m}, {n})")
-    span = abs(m) // d
-    if not 1 <= k <= d:
-        raise ValueError(f"k = {k} is outside 1..{d}")
-    if not 1 <= ell <= span:
-        raise ValueError(f"l = {ell} is outside 1..{span}")
+    span = check_component_label(m, n, d, k, ell)
     sgn = 1 if m > 0 else -1
     dp4 = -n // (sgn * d)
     if ell == span:
@@ -252,55 +253,24 @@ def enumerate_fully_reduced(m: int, n: int) -> List[ReducedTorus]:
             for k in range(1, d + 1)]
 
 
-def _pair_word_to_diag(v1: int, v2: int) -> Tuple[Tuple[Letter, ...], int]:
-    """Word sending the column (v1, v2) to (g, g) with g = gcd >= 0.
-
-    Euclid with nearest-integer quotients: each step writes its quotient as
-    one shear run and at least halves |v2|, so the word has at most
-    2 * bit_length(v2) + 4 letters.  Truncated quotients would take about
-    1.44 steps per bit on consecutive Fibonacci numbers.
-    """
-    word: List[Letter] = []
-    while v2 != 0:
-        q, r = divmod(v1, v2)
-        if 2 * abs(r) > abs(v2):
-            q, r = q + 1, r - v2
-        if q > 0:
-            word.append((S2_INV, q))
-        elif q < 0:
-            word.append((S2, -q))
-        # (r, v2) -> (-v2, r)
-        word.append(S1)
-        v1, v2 = -v2, r
-    if v1 < 0:
-        word.append((S1, 2))
-        v1 = -v1
-    # (g, 0) -> (g, g) via the lower shear s1 . s2_inv . s1_inv.
-    word.extend([S1, S2_INV, S1_INV])
-    return tuple(word), v1
-
-
-def normalize_class(A: HomologyClass) -> Tuple[Tuple[Letter, ...], HomologyClass]:
+def normalize_class(A: HomologyClass) -> Tuple[Sl2zMatrix, HomologyClass]:
     """Move a torus-representable class to the diagonal shape [m, m, n, n].
 
-    Returns (word, A') with A' = h2_pushforward(word, A), A'13 = A'23 =
-    gcd(A13, A23) >= 0 and A'14 = A'24.  The word is a tuple of letters, each
-    a generator token or a (token, exponent) run, built by the Euclidean
-    algorithm; it has at most 2 * bit_length(max |A_ij|) + 4 letters.
-    Classes violating the minor identity a13 a24 = a14 a23 are rejected.
+    Returns (M, A') with A' = h2_pushforward(M, A), A'13 = A'23 =
+    gcd(A13, A23) >= 0 and A'14 = A'24.  Let (u, v) = (A13, A23), or
+    (A14, A24) when that pair is zero, and u s + v t = g = gcd(u, v) by
+    extended Euclid.  Then M = ((s, t), (s - v/g, t + u/g)) has determinant 1
+    and sends (u, v) to (g, g), and M is the identity when g = 0.  Its
+    entries are at most 2 max(|u|, |v|) / g in absolute value.  The minor
+    identity a13 a24 = a14 a23 makes the other pair proportional to (u, v),
+    so M moves it to the diagonal too; classes violating it are rejected.
     """
     if not plucker_holds(A):
         raise ValueError("class not representable by tori (Plücker)")
-    if A.is_zero():
-        return (), A
-    already_diagonal = A.a13 == A.a23 and A.a14 == A.a24
-    if already_diagonal and (A.a13 > 0 or (A.a13 == 0 and A.a14 >= 0)):
-        return (), A
-    if (A.a13, A.a23) != (0, 0):
-        word, _ = _pair_word_to_diag(A.a13, A.a23)
-    else:
-        word, _ = _pair_word_to_diag(A.a14, A.a24)
-    out = h2_pushforward(word, A)
+    u, v = (A.a13, A.a23) if (A.a13, A.a23) != (0, 0) else (A.a14, A.a24)
+    g, s, t = _xgcd(u, v)
+    M = ((s, t), (s - v // g, t + u // g)) if g else IDENTITY_2X2
+    out = h2_pushforward(M, A)
     if out.a13 != out.a23 or out.a14 != out.a24:
         raise AssertionError(f"normalization failed: {A} -> {out}")
-    return word, out
+    return M, out

@@ -22,19 +22,17 @@ automorphisms act on: degree-two classes as integer 4-vectors in the basis
 E13, E23, E14, E24, and degree-three classes as rational coefficients of
 E134, E234, E124.
 
-Lattice automorphisms are written as words in the generators s1, s2 and
-their inverses, applied leftmost letter first.  A letter is a bare token or a
-run (token, e) with an int e >= 1, so a shear by 10^9 is one letter.  Every
-public word function reads letters through one validating normalizer and
-acts by each run's closed form, so its cost is linear in the number of
-letters, not in the exponents.
+A lattice automorphism acts on both coefficient vectors through one matrix
+((a, b), (c, d)) in SL(2, Z), an `Sl2zMatrix`, which moves the column pairs
+(a13, a23) and (a14, a24) and the pair (e134, e234) as column vectors.
+`sl2z_entries` is the one check that such a matrix is well formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -50,13 +48,7 @@ __all__ = [
     "N4",
     "ZERO",
     "IDENTITY",
-    "S1",
-    "S2",
-    "S1_INV",
-    "S2_INV",
-    "GENERATORS",
-    "Letter",
-    "AutWord",
+    "Sl2zMatrix",
     "bracket",
     "group_mul",
     "group_inv",
@@ -64,9 +56,7 @@ __all__ = [
     "log",
     "bch_mul",
     "in_lattice",
-    "aut_apply",
-    "invert_word",
-    "word_matrix",
+    "sl2z_entries",
     "h2_pushforward",
     "h3_pushforward",
 ]
@@ -181,104 +171,27 @@ def in_lattice(g: GroupElem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Lattice automorphisms
-#
-# Two automorphisms of Gamma (extended to N) generate an SL(2,Z) worth of
-# symmetries covering the standard action on the (x, y) plane:
-#
-#   phi1: (x, y, z, t) -> (-y, x, z - x y, t)        covers s1 = [[0,-1],[1,0]]
-#   phi2: (x, y, z, t) -> (x + y, y, z + y(y+1)/2, t) covers s2 = [[1,1],[0,1]]
-# ---------------------------------------------------------------------------
-
-S1 = "s1"
-S2 = "s2"
-S1_INV = "s1_inv"
-S2_INV = "s2_inv"
-GENERATORS = (S1, S2, S1_INV, S2_INV)
-
-# A word letter is a generator token or a run (token, e) with an int e >= 1;
-# a bare token means (token, 1).
-Letter = Union[str, Tuple[str, int]]
-AutWord = Sequence[Letter]
-
-_INVERSE_TOKEN = {S1: S1_INV, S1_INV: S1, S2: S2_INV, S2_INV: S2}
-
-# Powers of the quarter turn s1, indexed by the exponent mod 4.
-_TURNS = (
-    ((1, 0), (0, 1)),
-    ((0, -1), (1, 0)),
-    ((-1, 0), (0, -1)),
-    ((0, 1), (-1, 0)),
-)
-
-
-def _runs(word: AutWord) -> Iterator[Tuple[str, int]]:
-    """Each letter of the word as a validated (token, e) run, leftmost first."""
-    for letter in word:
-        if isinstance(letter, str):
-            token, e = letter, 1
-        elif isinstance(letter, tuple) and len(letter) == 2:
-            token, e = letter
-        else:
-            raise ValueError(f"malformed word letter {letter!r}")
-        if not isinstance(token, str) or token not in _INVERSE_TOKEN:
-            raise ValueError(f"unknown automorphism generator {token!r}")
-        if type(e) is not int or e < 1:
-            raise ValueError(f"run exponent must be an int >= 1, got {e!r}")
-        yield token, e
-
-
-def _run_matrix(token: str, e: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """Closed form of token**e acting on the (x, y) plane."""
-    if token == S2:
-        return ((1, e), (0, 1))
-    if token == S2_INV:
-        return ((1, -e), (0, 1))
-    return _TURNS[(e if token == S1 else -e) % 4]
-
-
-def _run_apply(token: str, e: int, g: GroupElem) -> GroupElem:
-    """Closed form of phi**e on a group element; phi1 has order 4 and phi2**e
-    shifts x by e y and z by e y (y + 1) / 2, since it leaves y fixed."""
-    if token in (S2, S2_INV):
-        s = e if token == S2 else -e
-        return GroupElem(g.x + s * g.y, g.y, g.z + s * g.y * (g.y + 1) / 2,
-                         g.logt)
-    for _ in range((e if token == S1 else -e) % 4):
-        g = GroupElem(-g.y, g.x, g.z - g.x * g.y, g.logt)
-    return g
-
-
-def aut_apply(word: AutWord, g: GroupElem) -> GroupElem:
-    """Apply a word of generator automorphisms to g, leftmost letter first."""
-    for token, e in _runs(word):
-        g = _run_apply(token, e, g)
-    return g
-
-
-def invert_word(word: AutWord) -> Tuple[Letter, ...]:
-    """Inverse word: letters reversed, each token inverted, exponents kept."""
-    return tuple(_INVERSE_TOKEN[token] if e == 1 else (_INVERSE_TOKEN[token], e)
-                 for token, e in reversed(list(_runs(word))))
-
-
-def word_matrix(word: AutWord) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """2x2 matrix M with M v = (word applied leftmost-first) v."""
-    m = ((1, 0), (0, 1))
-    for token, e in _runs(word):
-        s = _run_matrix(token, e)
-        m = (
-            (s[0][0] * m[0][0] + s[0][1] * m[1][0],
-             s[0][0] * m[0][1] + s[0][1] * m[1][1]),
-            (s[1][0] * m[0][0] + s[1][1] * m[1][0],
-             s[1][0] * m[0][1] + s[1][1] * m[1][1]),
-        )
-    return m
-
-
-# ---------------------------------------------------------------------------
 # Homology coefficient vectors
 # ---------------------------------------------------------------------------
+
+# A lattice automorphism on homology: the matrix ((a, b), (c, d)).
+Sl2zMatrix = Tuple[Tuple[int, int], Tuple[int, int]]
+
+
+def sl2z_entries(M: Sl2zMatrix) -> Tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of M = ((a, b), (c, d)), checked to lie in SL(2, Z).
+
+    Raises ValueError unless M is a pair of pairs of ints with a d - b c = 1.
+    """
+    try:
+        (a, b), (c, d) = M
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a 2x2 matrix, got {M!r}") from None
+    if not all(type(e) is int for e in (a, b, c, d)):
+        raise ValueError(f"matrix entries must be ints, got {M!r}")
+    if a * d - b * c != 1:
+        raise ValueError(f"matrix must have determinant 1, got {M!r}")
+    return a, b, c, d
 
 
 def _int(value) -> int:
@@ -342,21 +255,20 @@ class H3Class:
 H3_ZERO = H3Class(0, 0, 0)
 
 
-def h2_pushforward(word: AutWord, A: HomologyClass) -> HomologyClass:
-    """Push a degree-two class along a word of lattice automorphisms.
+def h2_pushforward(M: Sl2zMatrix, A: HomologyClass) -> HomologyClass:
+    """Push a degree-two class along a lattice automorphism.
 
-    The word acts simultaneously on the column pairs (a13, a23) and
-    (a14, a24) through its 2x2 matrix.
+    M acts simultaneously on the column pairs (a13, a23) and (a14, a24).
     """
-    (a, b), (c, d) = word_matrix(word)
+    a, b, c, d = sl2z_entries(M)
     return HomologyClass(a * A.a13 + b * A.a23, c * A.a13 + d * A.a23,
                          a * A.a14 + b * A.a24, c * A.a14 + d * A.a24)
 
 
-def h3_pushforward(word: AutWord, C: H3Class) -> H3Class:
-    """Push a degree-three class with no E124 part along an automorphism word."""
+def h3_pushforward(M: Sl2zMatrix, C: H3Class) -> H3Class:
+    """Push a degree-three class with no E124 part along a lattice automorphism."""
     if C.e124 != 0:
         raise ValueError("pushforward is only defined for classes with zero "
                          "E124 component")
-    (a, b), (c, d) = word_matrix(word)
+    a, b, c, d = sl2z_entries(M)
     return H3Class(a * C.e134 + b * C.e234, c * C.e134 + d * C.e234, 0)

@@ -17,7 +17,6 @@ from typing import Dict, List, Sequence, Tuple
 from ktgw.geometry import TorusSolution
 from ktgw.homs import HomDerivs
 from ktgw.nilalg import (
-    GENERATORS,
     GroupElem,
     H3Class,
     HomologyClass,
@@ -25,6 +24,7 @@ from ktgw.nilalg import (
 )
 
 Mat3 = Tuple[Tuple[Fraction, ...], ...]
+Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
 def lie_to_mat3(X: LieAlgElem) -> Mat3:
@@ -91,6 +91,76 @@ def group_mul_oracle(a: GroupElem, b: GroupElem) -> GroupElem:
 def exp_oracle(X: LieAlgElem) -> GroupElem:
     m = mat3_exp(lie_to_mat3(X))
     return GroupElem(m[0][1], m[1][2], m[0][2], X.c3)
+
+
+# ---------------------------------------------------------------------------
+# Lattice automorphisms as words in generators
+#
+# Two automorphisms of Gamma (extended to N) generate an SL(2,Z) worth of
+# symmetries covering the standard action on the (x, y) plane:
+#
+#   phi1: (x, y, z, t) -> (-y, x, z - x y, t)        covers s1 = [[0,-1],[1,0]]
+#   phi2: (x, y, z, t) -> (x + y, y, z + y(y+1)/2, t) covers s2 = [[1,1],[0,1]]
+#
+# A word is a sequence of generator tokens, applied leftmost first.
+# ---------------------------------------------------------------------------
+
+_LIFTS = {
+    "s1": lambda g: GroupElem(-g.y, g.x, g.z - g.x * g.y, g.logt),
+    "s2": lambda g: GroupElem(g.x + g.y, g.y, g.z + g.y * (g.y + 1) / 2,
+                              g.logt),
+    "s1_inv": lambda g: GroupElem(g.y, -g.x, g.z - g.x * g.y, g.logt),
+    "s2_inv": lambda g: GroupElem(g.x - g.y, g.y, g.z - g.y * (g.y + 1) / 2,
+                                  g.logt),
+}
+_MATRICES = {
+    "s1": ((0, -1), (1, 0)),
+    "s2": ((1, 1), (0, 1)),
+    "s1_inv": ((0, 1), (-1, 0)),
+    "s2_inv": ((1, -1), (0, 1)),
+}
+INVERSE = {"s1": "s1_inv", "s2": "s2_inv", "s1_inv": "s1", "s2_inv": "s2"}
+GENERATORS = tuple(_LIFTS)
+
+
+def _token(token: str) -> str:
+    if token not in _LIFTS:
+        raise ValueError(f"unknown automorphism generator {token!r}")
+    return token
+
+
+def aut_apply(word: Sequence[str], g: GroupElem) -> GroupElem:
+    """Apply a word of generator automorphisms to g, leftmost token first."""
+    for token in word:
+        g = _LIFTS[_token(token)](g)
+    return g
+
+
+def invert_word(word: Sequence[str]) -> Tuple[str, ...]:
+    return tuple(INVERSE[_token(token)] for token in reversed(word))
+
+
+def mat2_mul(m: Mat2, s: Mat2) -> Mat2:
+    return (
+        (m[0][0] * s[0][0] + m[0][1] * s[1][0],
+         m[0][0] * s[0][1] + m[0][1] * s[1][1]),
+        (m[1][0] * s[0][0] + m[1][1] * s[1][0],
+         m[1][0] * s[0][1] + m[1][1] * s[1][1]),
+    )
+
+
+def word_matrix(word: Sequence[str]) -> Mat2:
+    """2x2 matrix M with M v = (word applied leftmost-first) v."""
+    m = ((1, 0), (0, 1))
+    for token in word:
+        m = mat2_mul(_MATRICES[_token(token)], m)
+    return m
+
+
+def adjugate(M: Mat2) -> Mat2:
+    """Inverse of a determinant-one 2x2 matrix."""
+    (a, b), (c, d) = M
+    return ((d, -b), (-c, a))
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +302,11 @@ def random_word(rng: random.Random, max_len: int = 6) -> Tuple[str, ...]:
     return tuple(rng.choice(GENERATORS) for _ in range(rng.randint(0, max_len)))
 
 
-def random_sl2z(rng: random.Random, steps: int = 5) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+def random_sl2z(rng: random.Random, steps: int = 5) -> Mat2:
     gens = [((0, -1), (1, 0)), ((0, 1), (-1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1))]
     m = ((1, 0), (0, 1))
     for _ in range(rng.randint(1, steps)):
-        s = rng.choice(gens)
-        m = (
-            (m[0][0] * s[0][0] + m[0][1] * s[1][0],
-             m[0][0] * s[0][1] + m[0][1] * s[1][1]),
-            (m[1][0] * s[0][0] + m[1][1] * s[1][0],
-             m[1][0] * s[0][1] + m[1][1] * s[1][1]),
-        )
+        m = mat2_mul(m, rng.choice(gens))
     return m
 
 

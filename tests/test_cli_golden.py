@@ -34,6 +34,12 @@ GW_CLASSES = (
     (0, 0, 3, 0),
     (1, 0, 0, 1),
     (2 ** 89 - 1, 2 ** 89 - 1, 0, 0),
+    # Normalization: a negative diagonal, a class with only the second pair,
+    # and 6 and -35 times consecutive Fibonacci numbers near 3e14.
+    (-3, -3, 2, 2),
+    (0, 0, -4, -6),
+    (1848369127020774, 1142354944254810, -10782153240954515,
+     -6663737174819725),
 )
 
 
@@ -394,6 +400,102 @@ GOLDEN = {
         "ee951be4261a8414cc69391c223886e1d8404dfa540a4645b8bc940933275c89",
     "gw 618970019642690137449562111 618970019642690137449562111 0 0 --method both --format csv":
         "ee951be4261a8414cc69391c223886e1d8404dfa540a4645b8bc940933275c89",
+    "gw -3 -3 2 2":
+        "fbc2d8e8d8930a463d94a0c44faa4439b22f14c30932b5adb1a7f1ffe72b60d7",
+    "gw -3 -3 2 2 --format text":
+        "fbc2d8e8d8930a463d94a0c44faa4439b22f14c30932b5adb1a7f1ffe72b60d7",
+    "gw -3 -3 2 2 --format json":
+        "51e0dc548879362f1302374c02d020fef5e0ecf7b00aedf1e09737d39dac413e",
+    "gw -3 -3 2 2 --format csv":
+        "706c0f20dd5e7aaca604d36bc8f8dfe736cf9ace3ab018f07878ef124faacaab",
+    "gw -3 -3 2 2 --method closed":
+        "a29323d4fbb227e6de7d1f05a83e924a6c15b40b88fdaa8ec88819439939c18a",
+    "gw -3 -3 2 2 --method closed --format text":
+        "a29323d4fbb227e6de7d1f05a83e924a6c15b40b88fdaa8ec88819439939c18a",
+    "gw -3 -3 2 2 --method closed --format json":
+        "087ebe383a6819044a8bad9fb909f8bebae7665cc64f2e01827d9126935e97a7",
+    "gw -3 -3 2 2 --method closed --format csv":
+        "0819620b828d0210fbcf37b172bb2721eccafc8670ab8036cd8d0414a748bc40",
+    "gw -3 -3 2 2 --method enumerate":
+        "4653ab8e77b4c754850d50fa2f889af8b8a927f4df54df643592fb92cc23b061",
+    "gw -3 -3 2 2 --method enumerate --format text":
+        "4653ab8e77b4c754850d50fa2f889af8b8a927f4df54df643592fb92cc23b061",
+    "gw -3 -3 2 2 --method enumerate --format json":
+        "b9a4937b4a26e6999764c3b8ec6a094f49ac312167c25f3c786629c4fe1b0362",
+    "gw -3 -3 2 2 --method enumerate --format csv":
+        "b1d899ed2139c4d2eb34a58265cc29a4f35a9d2992801da03050ea74f1983c01",
+    "gw -3 -3 2 2 --method both":
+        "fbc2d8e8d8930a463d94a0c44faa4439b22f14c30932b5adb1a7f1ffe72b60d7",
+    "gw -3 -3 2 2 --method both --format text":
+        "fbc2d8e8d8930a463d94a0c44faa4439b22f14c30932b5adb1a7f1ffe72b60d7",
+    "gw -3 -3 2 2 --method both --format json":
+        "51e0dc548879362f1302374c02d020fef5e0ecf7b00aedf1e09737d39dac413e",
+    "gw -3 -3 2 2 --method both --format csv":
+        "706c0f20dd5e7aaca604d36bc8f8dfe736cf9ace3ab018f07878ef124faacaab",
+    "gw 0 0 -4 -6":
+        "2e185b1efae4d3a9925f97fa1002e8c4444b6169769468d211542917680411ee",
+    "gw 0 0 -4 -6 --format text":
+        "2e185b1efae4d3a9925f97fa1002e8c4444b6169769468d211542917680411ee",
+    "gw 0 0 -4 -6 --format json":
+        "aa2aee8f119708b5fc1d8a1a6c99f9c287b47a96ad6beb2bc2d88ae6289a4092",
+    "gw 0 0 -4 -6 --format csv":
+        "aa4c72d3386ddc944df3394d678e2ed7fd0dfd32f15f957cb27091ff0690e0a5",
+    "gw 0 0 -4 -6 --method closed":
+        "1cfc4b16e83de3c848e1d843bd2a283b05bc5539683dac791038a1007cf097a0",
+    "gw 0 0 -4 -6 --method closed --format text":
+        "1cfc4b16e83de3c848e1d843bd2a283b05bc5539683dac791038a1007cf097a0",
+    "gw 0 0 -4 -6 --method closed --format json":
+        "2397e493efc45d2b1206f9fa3e3ed79028ab636a8b7e2e01f40a43e8b737d920",
+    "gw 0 0 -4 -6 --method closed --format csv":
+        "418141a2c64d0672b5a7e81cd42aabfa440e2d006b76897e2584572acde72609",
+    "gw 0 0 -4 -6 --method enumerate":
+        "8400406c3ae27bad6fdd24c002b0fff2ac7044529c1be012e82dca3640fa5e5c",
+    "gw 0 0 -4 -6 --method enumerate --format text":
+        "8400406c3ae27bad6fdd24c002b0fff2ac7044529c1be012e82dca3640fa5e5c",
+    "gw 0 0 -4 -6 --method enumerate --format json":
+        "88352582b9d045622b4070c5e9b960b225064dd578293b15889709c4557a6766",
+    "gw 0 0 -4 -6 --method enumerate --format csv":
+        "461acb626497c1bf0c6bef33f937210ae6f89d75d4e998b04a36fe45bb5db990",
+    "gw 0 0 -4 -6 --method both":
+        "2e185b1efae4d3a9925f97fa1002e8c4444b6169769468d211542917680411ee",
+    "gw 0 0 -4 -6 --method both --format text":
+        "2e185b1efae4d3a9925f97fa1002e8c4444b6169769468d211542917680411ee",
+    "gw 0 0 -4 -6 --method both --format json":
+        "aa2aee8f119708b5fc1d8a1a6c99f9c287b47a96ad6beb2bc2d88ae6289a4092",
+    "gw 0 0 -4 -6 --method both --format csv":
+        "aa4c72d3386ddc944df3394d678e2ed7fd0dfd32f15f957cb27091ff0690e0a5",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725":
+        "e015b6929a3551531cf90b3d8fba3c271989b8fdfd0a0c726b7d8a1f939c6e56",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --format text":
+        "e015b6929a3551531cf90b3d8fba3c271989b8fdfd0a0c726b7d8a1f939c6e56",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --format json":
+        "2c4c5a440035de754863f7e960ae9527a106dc5be7233ba540e21d11b6371a93",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --format csv":
+        "dd0060f40e060231db3b7a58b7d13a6390a37502e19820abd69b587bf943c7d6",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method closed":
+        "d893c1c527cc444173dd1b527233a55e693e2dda14b7420a68fda22f3f887a55",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method closed --format text":
+        "d893c1c527cc444173dd1b527233a55e693e2dda14b7420a68fda22f3f887a55",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method closed --format json":
+        "9f8d78c64aeed848a7fc701e0910cbce53f3e7b5d02c769b784d7bdad978d398",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method closed --format csv":
+        "e157f1f462143cae3560f183530b9cef1047c313aab6f3afb25ef205904f2dcd",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method enumerate":
+        "69f0a46c39dd0e726ff38d0686a9f3dfde3986d4ba3924ba93ef7f558c236d03",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method enumerate --format text":
+        "69f0a46c39dd0e726ff38d0686a9f3dfde3986d4ba3924ba93ef7f558c236d03",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method enumerate --format json":
+        "f52695388e12d67fe6b04c4e53c2aa641049ed78fdc2e3d1c20fba453028f00a",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method enumerate --format csv":
+        "706b9f0b189994b261085ebe3be9cbf7be05d92c2e38da3e809129c85fa3227e",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method both":
+        "e015b6929a3551531cf90b3d8fba3c271989b8fdfd0a0c726b7d8a1f939c6e56",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method both --format text":
+        "e015b6929a3551531cf90b3d8fba3c271989b8fdfd0a0c726b7d8a1f939c6e56",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method both --format json":
+        "2c4c5a440035de754863f7e960ae9527a106dc5be7233ba540e21d11b6371a93",
+    "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method both --format csv":
+        "dd0060f40e060231db3b7a58b7d13a6390a37502e19820abd69b587bf943c7d6",
     "moduli -2 -2 --format text":
         "75fc947ecaee42d59f5a7c6288d639231f244739727e8704aab3ce2caf60d65c",
     "moduli -2 -1 --format json":

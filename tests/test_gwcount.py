@@ -19,7 +19,13 @@ from ktgw.gwcount import (
 )
 from ktgw.homs import HomDerivs, enumerate_fully_reduced
 from ktgw.nilalg import H3Class, HomologyClass, h2_pushforward, h3_pushforward
-from oracles import random_plucker_class, random_word, smith_diagonal, smith_matrix_rows
+from oracles import (
+    random_plucker_class,
+    random_word,
+    smith_diagonal,
+    smith_matrix_rows,
+    word_matrix,
+)
 
 
 class TestAutSizeFormula:
@@ -208,18 +214,18 @@ class TestEquivariance:
         rng = random.Random(44)
         for _ in range(100):
             A = random_plucker_class(rng)
-            word = random_word(rng)
-            lhs = gw_closed_form(h2_pushforward(word, A)).gw
-            rhs = h3_pushforward(word, gw_closed_form(A).gw)
+            M = word_matrix(random_word(rng))
+            lhs = gw_closed_form(h2_pushforward(M, A)).gw
+            rhs = h3_pushforward(M, gw_closed_form(A).gw)
             assert lhs == rhs
 
     def test_enumerated_commutes_with_pushforward(self):
         rng = random.Random(45)
         for _ in range(40):
             A = random_plucker_class(rng)
-            word = random_word(rng)
-            lhs = gw_enumerated(h2_pushforward(word, A)).gw
-            rhs = h3_pushforward(word, gw_enumerated(A).gw)
+            M = word_matrix(random_word(rng))
+            lhs = gw_enumerated(h2_pushforward(M, A)).gw
+            rhs = h3_pushforward(M, gw_enumerated(A).gw)
             assert lhs == rhs
 
 

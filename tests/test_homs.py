@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ktgw.arith import sigma
+from ktgw.gwcount import aut_size_formula
 from ktgw.homs import (
     HomDerivs,
     component_hom,
@@ -249,36 +250,57 @@ class TestSumRepresentative:
             component_hom(0, 2, 1, 1, 1)
 
     def test_rejects_labels_out_of_range(self):
-        for k, ell in [(0, 1), (3, 1), (1, 0), (1, 3), (2, -1)]:
-            with pytest.raises(ValueError):
-                component_hom(4, 2, 2, k, ell)
+        # aut_size_formula refuses the same labels with the same message.
+        for d, k, ell in [(2, 0, 1), (2, 3, 1), (2, 1, 0), (2, 1, 3),
+                          (2, 2, -1), (0, 1, 1), (-2, 1, 1), (1, 5, 99)]:
+            with pytest.raises(ValueError) as hom_error:
+                component_hom(4, 2, d, k, ell)
+            with pytest.raises(ValueError) as aut_error:
+                aut_size_formula(d, k, ell, 4, 2)
+            assert str(aut_error.value) == str(hom_error.value)
         assert component_hom(4, 2, 2, 2, 2).dq.c3 == 0
+        assert aut_size_formula(2, 2, 2, 4, 2) == 2
+
+
+def normalized(A):
+    """normalize_class(A), checked: M has determinant 1 and entries within
+    2 max(|u|, |v|) / g, and moves A to the diagonal of its gcds."""
+    M, out = normalize_class(A)
+    (a, b), (c, d) = M
+    assert a * d - b * c == 1
+    assert h2_pushforward(M, A) == out
+    assert out.a13 == out.a23 == math.gcd(A.a13, A.a23)
+    assert out.a14 == out.a24
+    assert abs(out.a14) == math.gcd(A.a14, A.a24)
+    u, v = (A.a13, A.a23) if (A.a13, A.a23) != (0, 0) else (A.a14, A.a24)
+    g = math.gcd(u, v)
+    if g:
+        assert max(abs(e) for e in (a, b, c, d)) <= 2 * max(abs(u), abs(v)) // g
+    else:
+        assert M == IDENTITY
+    return M, out
 
 
 class TestNormalizeClass:
     def test_already_normal(self):
         A = HomologyClass(1, 1, 0, 0)
-        word, out = normalize_class(A)
-        assert word == ()
-        assert out == A
+        assert normalized(A)[1] == A
 
     def test_example_2412(self):
-        A = HomologyClass(2, 4, 1, 2)
-        word, out = normalize_class(A)
+        _, out = normalized(HomologyClass(2, 4, 1, 2))
         assert out == HomologyClass(2, 2, 1, 1)
-        assert h2_pushforward(word, A) == out
 
     def test_example_0100(self):
-        word, out = normalize_class(HomologyClass(0, 1, 0, 0))
+        _, out = normalized(HomologyClass(0, 1, 0, 0))
         assert out == HomologyClass(1, 1, 0, 0)
 
     def test_zero_class(self):
-        word, out = normalize_class(HomologyClass(0, 0, 0, 0))
-        assert word == ()
+        M, out = normalized(HomologyClass(0, 0, 0, 0))
+        assert M == IDENTITY
         assert out.is_zero()
 
     def test_pure_second_pair(self):
-        word, out = normalize_class(HomologyClass(0, 0, 2, 4))
+        _, out = normalized(HomologyClass(0, 0, 2, 4))
         assert out == HomologyClass(0, 0, 2, 2)
 
     def test_rejects_plucker_violation(self):
@@ -288,34 +310,18 @@ class TestNormalizeClass:
     def test_random_roundtrip(self):
         rng = random.Random(26)
         for _ in range(300):
-            A = random_plucker_class(rng)
-            word, out = normalize_class(A)
-            assert h2_pushforward(word, A) == out
-            assert out.a13 == out.a23 == math.gcd(A.a13, A.a23)
-            assert out.a14 == out.a24
-            assert abs(out.a14) == math.gcd(A.a14, A.a24)
+            normalized(random_plucker_class(rng))
 
 
 big_st = st.integers(-10 ** 15, 10 ** 15)
 
 
 class TestNormalizeClassScale:
-    """Structural size bounds on the normalizing word; no timing."""
-
-    @staticmethod
-    def check(A):
-        word, out = normalize_class(A)
-        assert h2_pushforward(word, A) == out
-        assert out.a13 == out.a23 == math.gcd(A.a13, A.a23)
-        assert out.a14 == out.a24
-        assert abs(out.a14) == math.gcd(A.a14, A.a24)
-        bits = max(abs(a) for a in A.coords()).bit_length()
-        assert len(word) <= 2 * bits + 4
-        return word
+    """Structural size bounds on the normalizing matrix; no timing."""
 
     @given(big_st, big_st, big_st, big_st)
     def test_entries_up_to_1e30(self, s, t, p, q):
-        self.check(HomologyClass(s * p, s * q, t * p, t * q))
+        normalized(HomologyClass(s * p, s * q, t * p, t * q))
 
     def test_fibonacci_columns(self):
         # Consecutive Fibonacci numbers need the most Euclid steps per bit.
@@ -323,8 +329,9 @@ class TestNormalizeClassScale:
         while b < 10 ** 30:
             for A in (HomologyClass(b, a, 0, 0), HomologyClass(-a, b, 0, 0),
                       HomologyClass(0, 0, a, -b)):
-                self.check(A)
+                normalized(A)
             a, b = b, a + b
 
-    def test_large_quotient_is_one_letter(self):
-        assert len(self.check(HomologyClass(1, 10 ** 9, 0, 0))) <= 10
+    def test_large_quotient(self):
+        M, _ = normalized(HomologyClass(1, 10 ** 9, 0, 0))
+        assert M == ((1, 0), (1 - 10 ** 9, 1))

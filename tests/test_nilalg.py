@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ktgw.homs import HomDerivs, sl2z_act
 from ktgw.nilalg import (
-    GENERATORS,
     H3Class,
     HomologyClass,
     GroupElem,
@@ -16,10 +16,7 @@ from ktgw.nilalg import (
     N2,
     N3,
     N4,
-    S1,
-    S2,
     ZERO,
-    aut_apply,
     bch_mul,
     bracket,
     exp,
@@ -28,29 +25,34 @@ from ktgw.nilalg import (
     h2_pushforward,
     h3_pushforward,
     in_lattice,
-    invert_word,
     log,
-    word_matrix,
 )
 from oracles import (
+    GENERATORS,
+    adjugate,
+    aut_apply,
     commutator_oracle,
     exp_oracle,
     group_mul_oracle,
+    invert_word,
     random_group,
     random_lattice_group,
     random_lie,
     random_plucker_class,
+    random_sl2z,
     random_word,
+    word_matrix,
 )
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 lie_st = st.builds(LieAlgElem, fractions_st, fractions_st, fractions_st,
                    fractions_st)
-group_st = st.builds(GroupElem, fractions_st, fractions_st, fractions_st,
-                     fractions_st)
-token_st = st.sampled_from(GENERATORS)
-letter_st = st.one_of(token_st, st.tuples(token_st, st.integers(1, 10 ** 12)))
-int_st = st.integers(-10 ** 6, 10 ** 6)
+
+S1 = ((0, -1), (1, 0))
+S2 = ((1, 1), (0, 1))
+IDENTITY_2X2 = ((1, 0), (0, 1))
+REDUCED_110 = HomDerivs.from_rows(
+    ((0, -1), (0, -1), (1, 0), (0, Fraction(1, 2))))
 
 
 class TestBracket:
@@ -169,8 +171,8 @@ class TestLattice:
 
 class TestAutomorphisms:
     def test_examples(self):
-        assert aut_apply([S1], GroupElem(1, 0, 0, 0)) == GroupElem(0, 1, 0, 0)
-        assert aut_apply([S2], GroupElem(0, 1, 0, 0)) == GroupElem(1, 1, 1, 0)
+        assert aut_apply(["s1"], GroupElem(1, 0, 0, 0)) == GroupElem(0, 1, 0, 0)
+        assert aut_apply(["s2"], GroupElem(0, 1, 0, 0)) == GroupElem(1, 1, 1, 0)
         rng = random.Random(11)
         for _ in range(20):
             g = random_group(rng)
@@ -215,6 +217,12 @@ class TestAutomorphisms:
             out = aut_apply(w, g)
             assert out.x == mat[0][0] * g.x + mat[0][1] * g.y
             assert out.y == mat[1][0] * g.x + mat[1][1] * g.y
+            A = random_plucker_class(rng)
+            B = h2_pushforward(mat, A)
+            assert (B.a13, B.a23) == (mat[0][0] * A.a13 + mat[0][1] * A.a23,
+                                      mat[1][0] * A.a13 + mat[1][1] * A.a23)
+            assert (B.a14, B.a24) == (mat[0][0] * A.a14 + mat[0][1] * A.a24,
+                                      mat[1][0] * A.a14 + mat[1][1] * A.a24)
 
     def test_rejects_unknown_token(self):
         with pytest.raises(ValueError):
@@ -223,94 +231,78 @@ class TestAutomorphisms:
 
 class TestH2Pushforward:
     def test_examples(self):
-        assert h2_pushforward([S1], HomologyClass(1, 0, 0, 0)) == \
+        assert h2_pushforward(S1, HomologyClass(1, 0, 0, 0)) == \
             HomologyClass(0, 1, 0, 0)
-        assert h2_pushforward([S2], HomologyClass(0, 1, 0, 1)) == \
+        assert h2_pushforward(S2, HomologyClass(0, 1, 0, 1)) == \
             HomologyClass(1, 1, 1, 1)
         A = HomologyClass(3, -2, 6, -4)
-        assert h2_pushforward([], A) == A
+        assert h2_pushforward(IDENTITY_2X2, A) == A
 
     def test_preserves_plucker(self):
         rng = random.Random(17)
         for _ in range(300):
             A = random_plucker_class(rng)
-            w = random_word(rng)
-            B = h2_pushforward(w, A)
+            B = h2_pushforward(word_matrix(random_word(rng)), A)
             assert B.a13 * B.a24 == B.a14 * B.a23
 
     def test_word_inverse(self):
         rng = random.Random(18)
         for _ in range(200):
             A = random_plucker_class(rng)
-            w = random_word(rng)
-            assert h2_pushforward(invert_word(w), h2_pushforward(w, A)) == A
+            M = random_sl2z(rng)
+            assert h2_pushforward(adjugate(M), h2_pushforward(M, A)) == A
 
 
 class TestH3Pushforward:
     def test_examples(self):
-        assert h3_pushforward([S1], H3Class(1, 0, 0)) == H3Class(0, 1, 0)
+        assert h3_pushforward(S1, H3Class(1, 0, 0)) == H3Class(0, 1, 0)
         C = H3Class(5, -7, 0)
-        assert h3_pushforward([], C) == C
-        assert h3_pushforward([S2], H3Class(1, 1, 0)) == H3Class(2, 1, 0)
+        assert h3_pushforward(IDENTITY_2X2, C) == C
+        assert h3_pushforward(S2, H3Class(1, 1, 0)) == H3Class(2, 1, 0)
 
     def test_rejects_nonzero_e124(self):
         with pytest.raises(ValueError):
-            h3_pushforward([S1], H3Class(1, 0, 1))
+            h3_pushforward(S1, H3Class(1, 0, 1))
 
     def test_matches_h2_matrix_action(self):
         rng = random.Random(19)
         for _ in range(200):
-            w = random_word(rng)
-            mat = word_matrix(w)
+            mat = word_matrix(random_word(rng))
             e134 = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
             e234 = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
-            out = h3_pushforward(w, H3Class(e134, e234, 0))
+            out = h3_pushforward(mat, H3Class(e134, e234, 0))
             assert out.e134 == mat[0][0] * e134 + mat[0][1] * e234
             assert out.e234 == mat[1][0] * e134 + mat[1][1] * e234
 
 
-class TestRunLetters:
-    @given(st.lists(token_st, max_size=3), token_st, st.integers(1, 60),
-           st.lists(token_st, max_size=3), group_st,
-           st.tuples(int_st, int_st, int_st, int_st), fractions_st,
-           fractions_st)
-    def test_run_matches_bare_tokens(self, before, token, e, after, g, coords,
-                                     e134, e234):
-        run = before + [(token, e)] + after
-        bare = before + [token] * e + after
-        assert aut_apply(run, g) == aut_apply(bare, g)
-        assert word_matrix(run) == word_matrix(bare)
-        A = HomologyClass(*coords)
-        assert h2_pushforward(run, A) == h2_pushforward(bare, A)
-        C = H3Class(e134, e234, 0)
-        assert h3_pushforward(run, C) == h3_pushforward(bare, C)
+MALFORMED_MATRICES = {
+    "float-entry": ((1, 0), (0, 1.0)),
+    "fraction-entry": ((1, Fraction(0)), (0, 1)),
+    "bool-entry": ((True, 0), (0, 1)),
+    "str-entry": (("1", 0), (0, 1)),
+    "none-entry": ((1, 0), (0, None)),
+    "det-minus-1": ((1, 0), (0, -1)),
+    "det-2": ((2, 0), (0, 1)),
+    "det-0": ((0, 0), (0, 0)),
+    "long-row": ((1, 0, 0), (0, 1)),
+    "three-rows": ((1, 0), (0, 1), (0, 0)),
+    "flat": (1, 0, 0, 1),
+    "one-row": ((1, 0),),
+    "string": "s1",
+    "word": ["s1", ("s2", 5)],
+    "int": 5,
+    "none": None,
+}
 
-    @given(st.lists(letter_st, max_size=8), group_st)
-    def test_invert_word_roundtrip(self, word, g):
-        word = tuple(word)
-        inv = invert_word(word)
-        assert len(inv) == len(word)
-        identity = ((1, 0), (0, 1))
-        assert word_matrix(word + inv) == identity
-        assert word_matrix(inv + word) == identity
-        assert word_matrix(invert_word(inv)) == word_matrix(word)
-        assert aut_apply(word + inv, g) == g
 
-    def test_invert_keeps_bare_tokens_bare(self):
-        assert invert_word([S1, (S2, 5), "s2_inv"]) == (S2, ("s2_inv", 5),
-                                                        "s1_inv")
-
-    @pytest.mark.parametrize("letter", [
-        "nope", ("nope", 2), ("s1", 0), ("s2", -3), ("s2", 2.0),
-        ("s2", Fraction(2)), ("s1", True), ("s2",), ("s2", 1, 1), 5, None,
-    ])
+class TestMatrixCheck:
+    @pytest.mark.parametrize("M", MALFORMED_MATRICES.values(),
+                             ids=MALFORMED_MATRICES.keys())
     @pytest.mark.parametrize("act", [
-        lambda w: aut_apply(w, IDENTITY),
-        word_matrix,
-        invert_word,
-        lambda w: h2_pushforward(w, HomologyClass(1, 0, 0, 0)),
-        lambda w: h3_pushforward(w, H3Class(1, 0, 0)),
-    ])
-    def test_rejects_malformed_letters(self, letter, act):
+        lambda M: h2_pushforward(M, HomologyClass(1, 0, 0, 0)),
+        lambda M: h3_pushforward(M, H3Class(1, 0, 0)),
+        lambda M: sl2z_act(REDUCED_110, M),
+    ], ids=["h2_pushforward", "h3_pushforward", "sl2z_act"])
+    def test_rejects_malformed_matrices(self, M, act):
         with pytest.raises(ValueError):
-            act([S1, letter])
+            act(M)
