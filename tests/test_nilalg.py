@@ -47,6 +47,10 @@ from oracles import (
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 lie_st = st.builds(LieAlgElem, fractions_st, fractions_st, fractions_st,
                    fractions_st)
+group_st = st.builds(GroupElem, fractions_st, fractions_st, fractions_st,
+                     fractions_st)
+token_st = st.sampled_from(GENERATORS)
+int_st = st.integers(-10 ** 6, 10 ** 6)
 
 S1 = ((0, -1), (1, 0))
 S2 = ((1, 1), (0, 1))
@@ -275,34 +279,56 @@ class TestH3Pushforward:
             assert out.e234 == mat[1][0] * e134 + mat[1][1] * e234
 
 
-MALFORMED_MATRICES = {
-    "float-entry": ((1, 0), (0, 1.0)),
-    "fraction-entry": ((1, Fraction(0)), (0, 1)),
-    "bool-entry": ((True, 0), (0, 1)),
-    "str-entry": (("1", 0), (0, 1)),
-    "none-entry": ((1, 0), (0, None)),
-    "det-minus-1": ((1, 0), (0, -1)),
-    "det-2": ((2, 0), (0, 1)),
-    "det-0": ((0, 0), (0, 0)),
-    "long-row": ((1, 0, 0), (0, 1)),
-    "three-rows": ((1, 0), (0, 1), (0, 0)),
-    "flat": (1, 0, 0, 1),
-    "one-row": ((1, 0),),
-    "string": "s1",
-    "word": ["s1", ("s2", 5)],
-    "int": 5,
-    "none": None,
-}
+class TestRunLetters:
+    """A word of generator letters reaches the library as its SL(2, Z) matrix.
 
+    A run of repeated letters pushed forward as one matrix must match the
+    letters pushed forward one at a time, and every library entry point that
+    takes an automorphism refuses a malformed matrix with ValueError.
+    """
 
-class TestMatrixCheck:
-    @pytest.mark.parametrize("M", MALFORMED_MATRICES.values(),
-                             ids=MALFORMED_MATRICES.keys())
+    @given(st.lists(token_st, max_size=3), token_st, st.integers(1, 60),
+           st.lists(token_st, max_size=3), group_st,
+           st.tuples(int_st, int_st, int_st, int_st), fractions_st,
+           fractions_st)
+    def test_run_matches_bare_tokens(self, before, token, e, after, g, coords,
+                                     e134, e234):
+        bare = before + [token] * e + after
+        run = word_matrix(bare)
+        A = step_A = HomologyClass(*coords)
+        C = step_C = H3Class(e134, e234, 0)
+        for letter in bare:
+            step_A = h2_pushforward(word_matrix([letter]), step_A)
+            step_C = h3_pushforward(word_matrix([letter]), step_C)
+        assert h2_pushforward(run, A) == step_A
+        assert h3_pushforward(run, C) == step_C
+        out = aut_apply(bare, g)
+        assert out.x == run[0][0] * g.x + run[0][1] * g.y
+        assert out.y == run[1][0] * g.x + run[1][1] * g.y
+
+    @given(st.lists(token_st, max_size=8), group_st)
+    def test_invert_word_roundtrip(self, word, g):
+        word = tuple(word)
+        inv = invert_word(word)
+        assert len(inv) == len(word)
+        assert word_matrix(word + inv) == IDENTITY_2X2
+        assert word_matrix(inv + word) == IDENTITY_2X2
+        assert word_matrix(invert_word(inv)) == word_matrix(word)
+        assert word_matrix(inv) == adjugate(word_matrix(word))
+        assert aut_apply(word + inv, g) == g
+
+    @pytest.mark.parametrize("letter", [
+        "nope", ["s1", ("s2", 5)], ((0, 0), (0, 0)), ((1, 0), (0, -1)),
+        ((1, 0), (0, 1.0)), ((1, Fraction(0)), (0, 1)), ((True, 0), (0, 1)),
+        ((1, 0),), ((1, 0, 0), (0, 1)), 5, None, (("1", 0), (0, 1)),
+        ((1, 0), (0, None)), ((2, 0), (0, 1)), ((1, 0), (0, 1), (0, 0)),
+        (1, 0, 0, 1),
+    ])
     @pytest.mark.parametrize("act", [
+        lambda M: sl2z_act(REDUCED_110, M),
         lambda M: h2_pushforward(M, HomologyClass(1, 0, 0, 0)),
         lambda M: h3_pushforward(M, H3Class(1, 0, 0)),
-        lambda M: sl2z_act(REDUCED_110, M),
-    ], ids=["h2_pushforward", "h3_pushforward", "sl2z_act"])
-    def test_rejects_malformed_matrices(self, M, act):
+    ])
+    def test_rejects_malformed_letters(self, letter, act):
         with pytest.raises(ValueError):
-            act(M)
+            act(letter)
