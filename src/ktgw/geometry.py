@@ -114,18 +114,24 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     tau2 is the norm ratio |(dq h1, dq h2)| / |(dp h3, dp h4)|, tau1 is
     dq h3 / dp h3, the rotation is the unique one carrying (dp h3, dp h4)
     to (dq h1, dq h2) / tau2, and the translation constant points along n2
-    with coefficient (dq h4 - tau1 dp h4) / dq h1.
+    with coefficient (dq h4 - tau1 dp h4) / dq h1.  Raises ValueError when
+    the squared norm of (dq h1, dq h2) or (dp h3, dp h4) passes the largest
+    float, as it does once |dp h4| exceeds about 1.34e154.
     """
     _require_solvable(h)
     a, b = h.dq.c1, h.dq.c2
     c, dd = h.dp.c3, h.dp.c4
-    norm_a_sq = a * a + b * b
-    norm_z_sq = c * c + dd * dd
-    tau2 = math.sqrt(float(norm_a_sq)) / math.sqrt(float(norm_z_sq))
+    try:
+        norm_a = math.sqrt(float(a * a + b * b))
+        norm_z = math.sqrt(float(c * c + dd * dd))
+    except OverflowError:
+        raise ValueError("a column of the homomorphism is too long for "
+                         "a floating tau and theta") from None
+    tau2 = norm_a / norm_z
     tau1_exact = h.dq.c3 / c
     # Rotation taking u = (c, dd) to w / tau2 with w = (a, b); both have the
     # same norm, so cos and sin come from the dot and cross products.
-    den = math.sqrt(float(norm_a_sq)) * math.sqrt(float(norm_z_sq))
+    den = norm_a * norm_z
     cos_theta = float(c * a + dd * b) / den
     sin_theta = float(c * b - dd * a) / den
     c0_coeff = (h.dq.c4 - tau1_exact * dd) / a

@@ -3,9 +3,13 @@
 A torus-representable degree-two class is moved to diagonal shape
 [m, m, n, n] by a lattice automorphism.  For m = 0 the moduli components are
 obstructed and contribute nothing.  For m != 0 the components are labelled
-by (d, k, l) with d | gcd(m, n), k = 1..d, l = 1..|m|/d; each carries the
-evaluation-cycle class sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234) with
-weight 1 / |Aut|, and the weighted total collapses to the closed form
+by (d, k, l) with d | gcd(m, n), k = 1..d, l = 1..|m|/d.  This module owns
+the label rules: `check_component_label` refuses labels outside that range,
+`component_hom` gives each label its one fully reduced homomorphism,
+`aut_size_formula` its automorphism order, and `moduli_components` lists
+them all once.  Each component carries the evaluation-cycle class
+sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234) with weight 1 / |Aut|, and the
+weighted total collapses to the closed form
 
     (m^2 + n^2) sigma_2(gcd(m, n)) / gcd(m, n)^3 (a13 E134 + a23 E234).
 
@@ -19,18 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .arith import aut_weight_sum, sigma
-from .homs import (
-    HomDerivs,
-    check_component_label,
-    enumerate_fully_reduced,
-    normalize_class,
-)
-from .nilalg import H3_ZERO, H3Class, HomologyClass, h3_pushforward
+from .arith import aut_weight_sum, divisors, sigma
+from .homs import HomDerivs, normalize_class
+from .nilalg import H3_ZERO, H3Class, HomologyClass, LieAlgElem, h3_pushforward
 
 __all__ = [
     "ModuliComponent",
     "GWResult",
+    "check_component_label",
+    "component_hom",
     "aut_size_formula",
     "aut_size_smith",
     "component_count",
@@ -51,12 +52,56 @@ def component_count(m: int, n: int) -> int:
     return abs(m) * sigma(0, math.gcd(m, n))
 
 
-def aut_size_formula(d: int, k: int, ell: int, m: int, n: int) -> int:
+def check_component_label(m: int, n: int, d: int, k: int, ell: int) -> int:
+    """Refuse a label (d, k, l) that names no component of the class (m, n).
+
+    Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d, and
+    raises ValueError otherwise.  Returns |m|/d.
+    """
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    if d < 1 or math.gcd(m, n) % d != 0:
+        raise ValueError(f"{d} does not divide gcd({m}, {n})")
+    span = abs(m) // d
+    if not 1 <= k <= d:
+        raise ValueError(f"k = {k} is outside 1..{d}")
+    if not 1 <= ell <= span:
+        raise ValueError(f"l = {ell} is outside 1..{span}")
+    return span
+
+
+def component_hom(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
+    """Fully reduced homomorphism of the component (d, k, l) of class (m, n).
+
+    Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d.  The
+    label (d, k, l) names the torus
+
+        dq h1 = dq h2 = -sgn(m) d,   dp h3 = |m|/d,   dp h4 = -n / (sgn(m) d),
+        dq h3 = l,                   dq h4 = k - d/2,
+
+    whose lattice index is the automorphism order gcd(gcd(m, n),
+    (m k + n l)/d).  For l < |m|/d that torus is already fully reduced.  For
+    l = |m|/d the reparametrisation q -> q - p takes dq h3 to 0 and dq h4 to
+    k - d/2 - dp h4, and conjugation by a lattice element adds multiples of
+    dq h1 = -sgn(m) d to dq h4, so dq h4 only matters mod d.  The result is
+    then dq h3 = 0, dq h4 = k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.
+    """
+    span = check_component_label(m, n, d, k, ell)
+    sgn = 1 if m > 0 else -1
+    dp4 = -n // (sgn * d)
+    if ell == span:
+        ell, k = 0, (k - dp4 - 1) % d + 1
+    dp = LieAlgElem(0, 0, span, dp4)
+    dq = LieAlgElem(-sgn * d, -sgn * d, ell, Fraction(2 * k - d, 2))
+    return HomDerivs(dp, dq)
+
+
+def aut_size_formula(m: int, n: int, d: int, k: int, ell: int) -> int:
     """Automorphism order gcd(gcd(m, n), (m k + n l) / d) of component (d, k, l).
 
     Conventions: gcd(x, 0) = |x| and the second argument is taken in
     absolute value.  Refuses labels outside d | gcd(m, n), 1 <= k <= d,
-    1 <= l <= |m|/d with `homs.check_component_label`.
+    1 <= l <= |m|/d with `check_component_label`.
     """
     check_component_label(m, n, d, k, ell)
     return math.gcd(m, n, (m * k + n * ell) // d)
@@ -116,8 +161,8 @@ def component_eval_class(m: int, n: int) -> H3Class:
 class ModuliComponent:
     """One connected moduli component with its counting data.
 
-    hom is `homs.component_hom` at the labels (d, k, ell), and aut_size is
-    its lattice index.  Its torus geometry is `geometry.solve_torus_data(hom)`,
+    hom is `component_hom` at the labels (d, k, ell), and aut_size is its
+    lattice index.  Its torus geometry is `geometry.solve_torus_data(hom)`,
     and its evaluation-cycle class, the same for every component of the
     class, is `component_eval_class(m, n)`.
     """
@@ -132,8 +177,10 @@ class ModuliComponent:
 def moduli_components(m: int, n: int) -> List[ModuliComponent]:
     """All moduli components of the diagonal class with invariants (m, n).
 
-    Refuses m = 0, whose components are obstructed, and more than
-    MODULI_BUDGET components, before listing any.
+    One per label (d, k, l), in lexicographic (d, l, k) order, |m|
+    sigma_0(gcd(m, n)) in all.  Refuses m = 0, whose components are
+    obstructed, and more than MODULI_BUDGET components, before building
+    any homomorphism.
     """
     if m == 0:
         raise ValueError("moduli with m = 0 are obstructed and do not "
@@ -142,16 +189,11 @@ def moduli_components(m: int, n: int) -> List[ModuliComponent]:
     if components > MODULI_BUDGET:
         raise ValueError(f"{components} moduli components exceed the "
                          f"moduli budget of {MODULI_BUDGET}")
-    out = []
-    for entry in enumerate_fully_reduced(m, n):
-        out.append(ModuliComponent(
-            d=entry.d,
-            k=entry.k,
-            ell=entry.ell,
-            hom=entry.hom,
-            aut_size=aut_size_formula(entry.d, entry.k, entry.ell, m, n),
-        ))
-    return out
+    return [ModuliComponent(d, k, ell, component_hom(m, n, d, k, ell),
+                            aut_size_formula(m, n, d, k, ell))
+            for d in divisors(math.gcd(m, n))
+            for ell in range(1, abs(m) // d + 1)
+            for k in range(1, d + 1)]
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,18 @@ derivative matrix.  Right multiplication by SL(2,Z) reparametrises the torus
 without moving the class, and every orbit with nonzero first invariant has a
 unique fully reduced representative
 
-    dp h1 = dp h2 = 0,  dp h3 > 0,  0 <= dq h3 < dp h3.
+    dp h1 = dp h2 = 0,  dp h3 > 0,  0 <= dq h3 < dp h3,
 
-This module enumerates those representatives, class by class.  Each moduli
-component label (d, k, l) has exactly one, `component_hom`: the fully reduced
-form of the torus whose lattice index the automorphism-order formula at
-(d, k, l) gives.
+which `fully_reduce` computes.  The moduli component labels, and the one
+fully reduced homomorphism of each, live in `gwcount`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Tuple
+from typing import Tuple
 
-from .arith import divisors
 from .nilalg import (
     HomologyClass,
     LieAlgElem,
@@ -44,10 +40,6 @@ __all__ = [
     "plucker_holds",
     "sl2z_act",
     "fully_reduce",
-    "ReducedTorus",
-    "check_component_label",
-    "component_hom",
-    "enumerate_fully_reduced",
     "normalize_class",
 ]
 
@@ -181,76 +173,6 @@ def fully_reduce(h: HomDerivs) -> Tuple[Sl2zMatrix, HomDerivs]:
         phi = _mat_mul(phi, step)
         cur = sl2z_act(cur, step)
     return phi, cur
-
-
-class ReducedTorus(NamedTuple):
-    """One fully reduced representative, tagged by its component labels."""
-
-    d: int
-    k: int
-    ell: int
-    hom: HomDerivs
-
-
-def check_component_label(m: int, n: int, d: int, k: int, ell: int) -> int:
-    """Refuse a label (d, k, l) that names no component of the class (m, n).
-
-    Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d, and
-    raises ValueError otherwise.  Returns |m|/d.
-    """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if d < 1 or math.gcd(m, n) % d != 0:
-        raise ValueError(f"{d} does not divide gcd({m}, {n})")
-    span = abs(m) // d
-    if not 1 <= k <= d:
-        raise ValueError(f"k = {k} is outside 1..{d}")
-    if not 1 <= ell <= span:
-        raise ValueError(f"l = {ell} is outside 1..{span}")
-    return span
-
-
-def component_hom(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
-    """Fully reduced homomorphism of the component (d, k, l) of class (m, n).
-
-    Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d.  The
-    label (d, k, l) names the torus
-
-        dq h1 = dq h2 = -sgn(m) d,   dp h3 = |m|/d,   dp h4 = -n / (sgn(m) d),
-        dq h3 = l,                   dq h4 = k - d/2,
-
-    whose lattice index is the automorphism order gcd(gcd(m, n),
-    (m k + n l)/d).  For l < |m|/d that torus is already fully reduced.  For
-    l = |m|/d the reparametrisation q -> q - p takes dq h3 to 0 and dq h4 to
-    k - d/2 - dp h4, and conjugation by a lattice element adds multiples of
-    dq h1 = -sgn(m) d to dq h4, so dq h4 only matters mod d.  The result is
-    then dq h3 = 0, dq h4 = k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.
-    """
-    span = check_component_label(m, n, d, k, ell)
-    sgn = 1 if m > 0 else -1
-    dp4 = -n // (sgn * d)
-    if ell == span:
-        ell, k = 0, (k - dp4 - 1) % d + 1
-    dp = LieAlgElem(0, 0, span, dp4)
-    dq = LieAlgElem(-sgn * d, -sgn * d, ell, Fraction(2 * k - d, 2))
-    return HomDerivs(dp, dq)
-
-
-def enumerate_fully_reduced(m: int, n: int) -> List[ReducedTorus]:
-    """All fully reduced homomorphisms for the class with invariants (m, n).
-
-    For each positive divisor d of gcd(m, n) (with gcd(m, 0) = |m|), each
-    l = 1..|m|/d and each k = 1..d, emits `component_hom(m, n, d, k, l)`.
-
-    The list has length |m| sigma_0(gcd(m, n)), in lexicographic (d, l, k)
-    order, and no two entries define the same torus.
-    """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    return [ReducedTorus(d, k, ell, component_hom(m, n, d, k, ell))
-            for d in divisors(math.gcd(m, n))
-            for ell in range(1, abs(m) // d + 1)
-            for k in range(1, d + 1)]
 
 
 def normalize_class(A: HomologyClass) -> Tuple[Sl2zMatrix, HomologyClass]:

@@ -24,8 +24,11 @@ E134, E234, E124.
 
 A lattice automorphism acts on both coefficient vectors through one matrix
 ((a, b), (c, d)) in SL(2, Z), an `Sl2zMatrix`, which moves the column pairs
-(a13, a23) and (a14, a24) and the pair (e134, e234) as column vectors.
-`sl2z_entries` is the one check that such a matrix is well formed.
+(a13, a23) and (a14, a24) and the pair (e134, e234) as column vectors.  The
+matrix is written in the basis (n1, n2) = (d/dy, d/dx) of those pairs, so an
+automorphism that moves the (x, y) plane by M acts here by J M J, with J the
+swap ((0, 1), (1, 0)).  `sl2z_entries` is the one check that such a matrix
+is well formed.
 """
 
 from __future__ import annotations

@@ -102,6 +102,11 @@ def exp_oracle(X: LieAlgElem) -> GroupElem:
 #   phi1: (x, y, z, t) -> (-y, x, z - x y, t)        covers s1 = [[0,-1],[1,0]]
 #   phi2: (x, y, z, t) -> (x + y, y, z + y(y+1)/2, t) covers s2 = [[1,1],[0,1]]
 #
+# s1 and s2 act on (x, y).  The library's pushforward matrices act on the
+# pairs (a13, a23), whose basis is (n1, n2) = (d/dy, d/dx), so a lift that
+# moves (x, y) by M pushes classes forward by h2_pushforward(J M J, .), with
+# J = [[0,1],[1,0]]: phi1 sends [1, 1, 0, 0] to [1, -1, 0, 0].
+#
 # A word is a sequence of generator tokens, applied leftmost first.
 # ---------------------------------------------------------------------------
 

@@ -148,6 +148,17 @@ class TestModuliCommand:
         assert out == ""
         assert "moduli budget" in err
 
+    def test_huge_n_exit_2(self, capsys):
+        # m^2 + n^2 = dp h3^2 + dp h4^2 at d = 1 passes the largest float.
+        for m, n in [(1, 2 * 10 ** 154), (1, 10 ** 200), (2, 2 * 10 ** 200)]:
+            code, out, err = run(capsys, "moduli", str(m), str(n))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, _ = run(capsys, "moduli", "1", str(10 ** 154))
+        assert code == 0
+        assert "(1 components)" in out
+
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "moduli", "2", "2", "--format", "csv")
         assert code == 0

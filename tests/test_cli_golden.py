@@ -63,6 +63,8 @@ def golden_argvs():
     yield ["moduli", "-36", "24", "--format", "text"]
     # Many rows at l = |m|/d, where the listed hom is reparametrised.
     yield ["moduli", "-8", "-8", "--format", "csv"]
+    # A refusal: dp h4 = -2 * 10^154 squares past the largest float.
+    yield ["moduli", "1", str(2 * 10 ** 154)]
     for fmt in FORMATS:
         yield ["baseline", "30", *fmt]
     yield ["baseline", "0"]
@@ -566,6 +568,8 @@ GOLDEN = {
         "1855f12c3f020c37b8bb0ddcbf0fb91fe367ebdc0b4c22429de12a24ed280509",
     "moduli -8 -8 --format csv":
         "b6de099276050ccdd0922a25adf30defff6ca5605d09d1a3ad15794e47783fa4",
+    "moduli 1 20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000":
+        "cb8f703ef81fdf9461e01b0358ae4f08b5058d27db1e31b9d50958a547bb167c",
     "baseline 30":
         "a7a032224f82338823fbf48d57610b47e07d86caaf591cd44688ab5d5b400d32",
     "baseline 30 --format text":

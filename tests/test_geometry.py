@@ -15,8 +15,8 @@ from ktgw.geometry import (
     solve_torus_data,
     symplectic_area,
 )
-from ktgw.gwcount import component_eval_class, moduli_components
-from ktgw.homs import HomDerivs, component_hom, homology_class
+from ktgw.gwcount import component_eval_class, component_hom, moduli_components
+from ktgw.homs import HomDerivs, homology_class
 from ktgw.nilalg import (
     GroupElem,
     H3Class,
@@ -104,6 +104,15 @@ class TestSolve:
         obstructed = rows((0, -1), (0, -1), (0, 0), (1, Fraction(1, 2)))
         with pytest.raises(ValueError):
             solve_torus_data(obstructed)
+
+    def test_rejects_norm_beyond_float(self):
+        # dp h4 = -n for the one component of [1, 1, n, n]; its squared norm
+        # passes the largest float once |n| exceeds about 1.34e154.
+        edge = solve_torus_data(component_hom(1, 10 ** 154, 1, 1, 1))
+        assert edge.modulus.tau2 > 0
+        for m, n in [(1, 2 * 10 ** 154), (1, -10 ** 200), (2, 2 * 10 ** 200)]:
+            with pytest.raises(ValueError, match="too long for a floating"):
+                solve_torus_data(component_hom(m, n, 1, 1, 1))
 
     def test_modulus_requires_upper_half_plane(self):
         with pytest.raises(ValueError):

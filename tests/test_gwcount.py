@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ktgw import gwcount, homs
+from ktgw import gwcount
 from ktgw.arith import aut_weight_sum, aut_weight_sum_closed, sigma
 from ktgw.gwcount import (
     aut_size_formula,
@@ -17,7 +17,7 @@ from ktgw.gwcount import (
     gw_enumerated,
     moduli_components,
 )
-from ktgw.homs import HomDerivs, enumerate_fully_reduced
+from ktgw.homs import HomDerivs
 from ktgw.nilalg import H3Class, HomologyClass, h2_pushforward, h3_pushforward
 from oracles import (
     random_plucker_class,
@@ -30,32 +30,32 @@ from oracles import (
 
 class TestAutSizeFormula:
     def test_examples(self):
-        assert aut_size_formula(2, 1, 1, 2, 0) == 1
-        assert aut_size_formula(2, 2, 1, 2, 0) == 2
+        assert aut_size_formula(2, 0, 2, 1, 1) == 1
+        assert aut_size_formula(2, 0, 2, 2, 1) == 2
         assert aut_size_formula(1, 1, 1, 1, 1) == 1
 
     def test_rejects_bad_divisor(self):
         with pytest.raises(ValueError):
-            aut_size_formula(3, 1, 1, 2, 0)
+            aut_size_formula(2, 0, 3, 1, 1)
         with pytest.raises(ValueError):
-            aut_size_formula(1, 1, 1, 0, 2)
+            aut_size_formula(0, 2, 1, 1, 1)
 
     def test_positive_and_divides_gcd(self):
         for m in [v for v in range(-8, 9) if v]:
             for n in range(-8, 9):
                 g = math.gcd(m, n)
-                for comp in enumerate_fully_reduced(m, n):
-                    aut = aut_size_formula(comp.d, comp.k, comp.ell, m, n)
+                for comp in moduli_components(m, n):
+                    aut = aut_size_formula(m, n, comp.d, comp.k, comp.ell)
                     assert aut >= 1 and g % aut == 0
 
 
 class TestAutSizeSmith:
     def test_simple_component(self):
-        entry = enumerate_fully_reduced(1, 0)[0]
+        entry = moduli_components(1, 0)[0]
         assert aut_size_smith(entry.hom) == 1
 
     def test_two_zero_component(self):
-        entries = enumerate_fully_reduced(2, 0)
+        entries = moduli_components(2, 0)
         by_label = {(e.d, e.k, e.ell): e for e in entries}
         assert aut_size_smith(by_label[(2, 2, 1)].hom) == 2
         assert aut_size_smith(by_label[(2, 1, 1)].hom) == 1
@@ -63,15 +63,15 @@ class TestAutSizeSmith:
     def test_matches_formula_on_sum_representatives(self):
         for m in [v for v in range(-6, 7) if v]:
             for n in range(-6, 7):
-                for entry in enumerate_fully_reduced(m, n):
+                for entry in moduli_components(m, n):
                     assert aut_size_smith(entry.hom) == \
-                        aut_size_formula(entry.d, entry.k, entry.ell, m, n)
+                        aut_size_formula(m, n, entry.d, entry.k, entry.ell)
 
     def test_matches_elementary_divisor_product(self):
         rng = random.Random(41)
         pool = []
         for m, n in [(2, 2), (4, 2), (6, 4), (-3, 3), (5, 0), (6, -6)]:
-            pool.extend(e.hom for e in enumerate_fully_reduced(m, n))
+            pool.extend(e.hom for e in moduli_components(m, n))
         for hom in rng.sample(pool, 40):
             diag = smith_diagonal(smith_matrix_rows(hom))
             assert diag[0] * diag[1] == aut_size_smith(hom)
@@ -131,14 +131,14 @@ class TestModuliComponents:
 
     def test_moduli_budget(self, monkeypatch):
         # [2, 2, 0, 0] has 4 components, [3, 3, 0, 0] has 6; the refusal
-        # comes before any component is enumerated.
+        # comes before any homomorphism is built.
         monkeypatch.setattr(gwcount, "MODULI_BUDGET", 4)
         assert len(moduli_components(2, 0)) == 4
 
-        def refuse(m, n):
-            raise AssertionError("over-budget moduli must enumerate nothing")
+        def refuse(m, n, d, k, ell):
+            raise AssertionError("over-budget moduli must build nothing")
 
-        monkeypatch.setattr(gwcount, "enumerate_fully_reduced", refuse)
+        monkeypatch.setattr(gwcount, "component_hom", refuse)
         with pytest.raises(ValueError, match="moduli budget"):
             moduli_components(3, 0)
 
@@ -192,11 +192,10 @@ class TestEnumerated:
             gw_enumerated(HomologyClass(2, 0, 0, 3))
 
     def test_builds_no_representatives(self, monkeypatch):
-        def refuse(m, n):
+        def refuse(m, n, d, k, ell):
             raise AssertionError("gw_enumerated must not build components")
 
-        monkeypatch.setattr(gwcount, "enumerate_fully_reduced", refuse)
-        monkeypatch.setattr(homs, "enumerate_fully_reduced", refuse)
+        monkeypatch.setattr(gwcount, "component_hom", refuse)
         assert gw_enumerated(HomologyClass(6, 6, 4, 4)).gw == \
             gw_closed_form(HomologyClass(6, 6, 4, 4)).gw
 

@@ -7,11 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ktgw.arith import sigma
-from ktgw.gwcount import aut_size_formula
+from ktgw.gwcount import aut_size_formula, component_hom, moduli_components
 from ktgw.homs import (
     HomDerivs,
-    component_hom,
-    enumerate_fully_reduced,
     fully_reduce,
     homology_class,
     normalize_class,
@@ -58,7 +56,7 @@ class TestHomologyClass:
         # n enters the normal form through dp h4 = -n / (sgn(m) d), which
         # pairs to a14 = a24 = -n; the n = 0 classes land on [m, m, 0, 0].
         for m, n in [(2, 2), (1, 1), (3, -3), (-2, 2), (4, 0)]:
-            for entry in enumerate_fully_reduced(m, n):
+            for entry in moduli_components(m, n):
                 assert homology_class(entry.hom) == \
                     HomologyClass(m, m, -n, -n)
 
@@ -68,7 +66,7 @@ class TestHomologyClass:
 
     def test_class_entries_are_integers_on_random_orbit(self):
         rng = random.Random(21)
-        for entry in enumerate_fully_reduced(4, 2):
+        for entry in moduli_components(4, 2):
             for _ in range(20):
                 moved = sl2z_act(entry.hom, random_sl2z(rng))
                 A = homology_class(moved)
@@ -84,7 +82,7 @@ class TestPlucker:
     def test_classes_of_homomorphisms_satisfy_plucker(self):
         rng = random.Random(22)
         for m, n in [(1, 0), (2, 2), (3, 1), (-2, 4)]:
-            for entry in enumerate_fully_reduced(m, n):
+            for entry in moduli_components(m, n):
                 for _ in range(10):
                     moved = sl2z_act(entry.hom, random_sl2z(rng))
                     assert plucker_holds(homology_class(moved))
@@ -96,7 +94,7 @@ class TestSl2zAction:
 
     def test_class_invariance(self):
         rng = random.Random(23)
-        for entry in enumerate_fully_reduced(6, 4):
+        for entry in moduli_components(6, 4):
             A = homology_class(entry.hom)
             for _ in range(15):
                 phi = random_sl2z(rng)
@@ -104,7 +102,7 @@ class TestSl2zAction:
 
     def test_preserves_validity(self):
         rng = random.Random(24)
-        for entry in enumerate_fully_reduced(4, 2):
+        for entry in moduli_components(4, 2):
             for _ in range(15):
                 assert validate(sl2z_act(entry.hom, random_sl2z(rng)))
 
@@ -130,7 +128,7 @@ class TestFullyReduce:
     def test_uniqueness_over_random_orbit(self):
         rng = random.Random(25)
         for m, n in [(1, 0), (2, 2), (-3, 3), (4, 2), (2, -4)]:
-            for entry in enumerate_fully_reduced(m, n):
+            for entry in moduli_components(m, n):
                 for _ in range(12):
                     phi = random_sl2z(rng)
                     moved = sl2z_act(entry.hom, phi)
@@ -153,25 +151,36 @@ class TestFullyReduce:
 
 class TestEnumerate:
     def test_counts_and_labels(self):
-        only = enumerate_fully_reduced(1, 0)
+        only = moduli_components(1, 0)
         assert len(only) == 1
         assert (only[0].d, only[0].k, only[0].ell) == (1, 1, 1)
 
-        assert len(enumerate_fully_reduced(2, 0)) == 4
+        assert len(moduli_components(2, 0)) == 4
 
-        entries = enumerate_fully_reduced(2, 2)
+        entries = moduli_components(2, 2)
         assert [(e.d, e.ell, e.k) for e in entries] == \
             [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2)]
+
+        # Every label once, in lexicographic (d, l, k) order.
+        for m in [v for v in range(-6, 7) if v]:
+            for n in range(-6, 7):
+                labels = sorted(
+                    (d, ell, k)
+                    for d in range(1, abs(m) + 1) if math.gcd(m, n) % d == 0
+                    for ell in range(1, abs(m) // d + 1)
+                    for k in range(1, d + 1))
+                assert [(e.d, e.ell, e.k)
+                        for e in moduli_components(m, n)] == labels
 
     def test_count_formula(self):
         for m in [v for v in range(-9, 10) if v]:
             for n in range(-9, 10):
-                entries = enumerate_fully_reduced(m, n)
+                entries = moduli_components(m, n)
                 assert len(entries) == abs(m) * sigma(0, math.gcd(m, n))
 
     def test_entries_valid_and_fully_reduced(self):
         for m, n in [(3, 0), (2, 2), (-4, 2), (6, -4)]:
-            for entry in enumerate_fully_reduced(m, n):
+            for entry in moduli_components(m, n):
                 h = entry.hom
                 assert validate(h)
                 assert h.is_reduced()
@@ -182,21 +191,17 @@ class TestEnumerate:
         # Distinct components differ in (d, dq h3, dq h4 mod d).
         for m, n in [(4, 0), (2, 2), (6, 4), (-6, 6)]:
             seen = set()
-            for entry in enumerate_fully_reduced(m, n):
+            for entry in moduli_components(m, n):
                 key = (entry.d, entry.hom.dq.c3, entry.hom.dq.c4 % entry.d)
                 assert key not in seen
                 seen.add(key)
 
     def test_integrality_closure(self):
         for m, n in [(4, 2), (5, 5), (-3, 6)]:
-            for entry in enumerate_fully_reduced(m, n):
+            for entry in moduli_components(m, n):
                 closure = entry.hom.dq.c4 + \
                     entry.hom.dq.c1 * entry.hom.dq.c2 / 2
                 assert closure.denominator == 1
-
-    def test_rejects_zero_m(self):
-        with pytest.raises(ValueError):
-            enumerate_fully_reduced(0, 5)
 
 
 def raw_representative(m, n, d, k, ell):
@@ -211,7 +216,7 @@ class TestSumRepresentative:
 
     def test_matches_enumerated_away_from_wrap(self):
         for m, n in [(4, 2), (6, 4), (-6, 4)]:
-            for entry in enumerate_fully_reduced(m, n):
+            for entry in moduli_components(m, n):
                 hom = component_hom(m, n, entry.d, entry.k, entry.ell)
                 assert hom == entry.hom
                 if entry.ell < abs(m) // entry.d:
@@ -226,7 +231,7 @@ class TestSumRepresentative:
         wrapped = shifted = 0
         for m in [v for v in range(-8, 9) if v]:
             for n in range(-8, 9):
-                for entry in enumerate_fully_reduced(m, n):
+                for entry in moduli_components(m, n):
                     if entry.ell != abs(m) // entry.d:
                         continue
                     raw = raw_representative(m, n, entry.d, entry.k,
@@ -256,10 +261,10 @@ class TestSumRepresentative:
             with pytest.raises(ValueError) as hom_error:
                 component_hom(4, 2, d, k, ell)
             with pytest.raises(ValueError) as aut_error:
-                aut_size_formula(d, k, ell, 4, 2)
+                aut_size_formula(4, 2, d, k, ell)
             assert str(aut_error.value) == str(hom_error.value)
         assert component_hom(4, 2, 2, 2, 2).dq.c3 == 0
-        assert aut_size_formula(2, 2, 2, 4, 2) == 2
+        assert aut_size_formula(4, 2, 2, 2, 2) == 2
 
 
 def normalized(A):
