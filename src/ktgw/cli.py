@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -118,6 +119,9 @@ def _cmd_gw(args: argparse.Namespace) -> int:
     if args.method == "both":
         agrees = results[0].gw == results[1].gw
 
+    # Each format renders its whole output before writing any of it: str()
+    # of an invariant past the interpreter's digit limit raises ValueError,
+    # and a refusal leaves stdout empty.
     if args.format == "json":
         payload: Dict[str, object] = {
             "schema_version": SCHEMA_VERSION,
@@ -130,7 +134,8 @@ def _cmd_gw(args: argparse.Namespace) -> int:
             payload["agrees"] = agrees
         _emit_json(payload)
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
+        out = io.StringIO()
+        writer = csv.writer(out)
         writer.writerow(["a13", "a23", "a14", "a24", "method", "m", "n",
                          "e134", "e234", "e124", "agrees"])
         for r in results:
@@ -138,16 +143,18 @@ def _cmd_gw(args: argparse.Namespace) -> int:
                 r.method, r.m, r.n, r.gw.e134, r.gw.e234, r.gw.e124,
                 "" if agrees is None else str(agrees).lower(),
             ])
+        sys.stdout.write(out.getvalue())
     else:
-        print(f"class:      {list(A.coords())}")
         r0 = results[0]
-        print(f"normalized: {list(r0.normalized.coords())}   "
-              f"m={r0.m} n={r0.n}")
+        lines = [f"class:      {list(A.coords())}",
+                 f"normalized: {list(r0.normalized.coords())}   "
+                 f"m={r0.m} n={r0.n}"]
         for r in results:
-            print(f"{r.method:>10}: e134={r.gw.e134} "
-                  f"e234={r.gw.e234} e124={r.gw.e124}")
+            lines.append(f"{r.method:>10}: e134={r.gw.e134} "
+                         f"e234={r.gw.e234} e124={r.gw.e124}")
         if agrees is not None:
-            print(f"agrees: {str(agrees).lower()}")
+            lines.append(f"agrees: {str(agrees).lower()}")
+        print("\n".join(lines))
     if agrees is False:
         print("error: closed and enumerated invariants disagree",
               file=sys.stderr)

@@ -7,7 +7,8 @@ are forced by the Cauchy-Riemann equations, and the one-parameter central
 family D(lambda) sweeps out the rest of the moduli component.
 
 The torus map is written once, as its logarithm, which is affine in (p, q),
-and `curve_point` and `cr_residual` both read its exact coefficients.  The
+and `cr_residual` reads its exact coefficients.  The point at (lam, p, q) is
+exp of that logarithm times exp(lam (dp_h4 n3 - dp_h3 n4)).  The
 Cauchy-Riemann defect of an affine map with dp h1 = dp h2 = 0 depends on q
 alone, so the residual costs one row of floating evaluations per grid value
 of q.
@@ -29,14 +30,13 @@ from fractions import Fraction
 from typing import Tuple
 
 from .homs import HomDerivs, validate
-from .nilalg import GroupElem, H3Class, HomologyClass, LieAlgElem
+from .nilalg import H3Class, HomologyClass, LieAlgElem
 
 __all__ = [
     "TwistorStructure",
     "TorusModulus",
     "TorusSolution",
     "solve_torus_data",
-    "curve_point",
     "cr_residual",
     "symplectic_area",
     "eval_class_integrate",
@@ -165,19 +165,6 @@ def _log_coordinates(h: HomDerivs, c0: LieAlgElem) -> Tuple[Affine, Affine, Affi
     )
 
 
-def curve_point(s: TorusSolution, lam, p, q) -> GroupElem:
-    """Point exp(p dp + q dq) exp(c0) exp(lam (dp_h4 n3 - dp_h3 n4)) of the torus.
-
-    That is exp(w) for w = `_log_coordinates` at (p, q); the central family
-    shifts only z and log t.
-    """
-    lam, p, q = Fraction(lam), Fraction(p), Fraction(q)
-    w1, w2, w3, w4 = (const + dp * p + dq * q
-                      for const, dp, dq in _log_coordinates(s.h, s.c0))
-    return GroupElem(w2, w1, w4 + w1 * w2 / 2 - lam * s.h.dp.c3,
-                     w3 + lam * s.h.dp.c4)
-
-
 def _affine_float(const: Fraction, slope: Fraction, q: float) -> float:
     """float(const + slope q), correctly rounded, by one integer division."""
     num, den = q.as_integer_ratio()
@@ -237,7 +224,8 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     """Class of the evaluation cycle by exact pullback integration.
 
     Pulls the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy) back along
-    the evaluation map (lam, p, q) -> `curve_point` and integrates over
+    the evaluation map (lam, p, q) -> exp(w) exp(lam (dp_h4 n3 - dp_h3 n4)),
+    w the logarithm `_log_coordinates` at (p, q), and integrates over
     [0, lambda_period] x [0, 1]^2 with the orientation d lam ^ dp ^ dq.
     Every pulled-back 1-form has constant coefficients.  In the
     (d lam, dp, dq) basis, with a, b = dq h1, dq h2:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import List
 
 from .arith import aut_weight_sum, divisors, sigma
-from .homs import HomDerivs, normalize_class
+from .homs import HomDerivs, normalize_class, validate
 from .nilalg import H3_ZERO, H3Class, HomologyClass, LieAlgElem, h3_pushforward
 
 __all__ = [
@@ -121,7 +121,11 @@ def aut_size_smith(h: HomDerivs) -> int:
     bbar = b2/g2, (c1, c2) = (dp h3, dq h3) and (d1, d2) is the dh4 row with
     its half-integer closure, d2 = dq h4 + dq h1 dq h2 / 2.  This is an
     oracle for `aut_size_formula`, independent of the closed k, l bookkeeping.
+    Refuses with ValueError a homomorphism that `homs.validate` rejects, so
+    every entry above is an integer.
     """
+    if not validate(h):
+        raise ValueError("not a lattice-compatible homomorphism")
     if not h.is_reduced():
         raise ValueError("homomorphism must be reduced")
     if h.dq.c1 == 0:
@@ -131,10 +135,8 @@ def aut_size_smith(h: HomDerivs) -> int:
     abar, bbar = a2 // g2, b2 // g2
     c1, c2 = int(h.dp.c3), int(h.dq.c3)
     d1 = int(h.dp.c4)
-    d2_frac = h.dq.c4 + h.dq.c1 * h.dq.c2 / 2
-    if d2_frac.denominator != 1:
-        raise ValueError("not a lattice-compatible homomorphism")
-    d2 = int(d2_frac) - (g2 * (g2 - 1) // 2) * abar * bbar
+    d2 = (int(h.dq.c4 + h.dq.c1 * h.dq.c2 / 2)
+          - (g2 * (g2 - 1) // 2) * abar * bbar)
     minor_12 = -g2 * c1
     minor_13 = -g2 * d1
     minor_23 = c1 * d2 - c2 * d1

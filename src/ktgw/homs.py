@@ -12,10 +12,13 @@ derivative matrix.  Right multiplication by SL(2,Z) reparametrises the torus
 without moving the class, and every orbit with nonzero first invariant has a
 unique fully reduced representative
 
-    dp h1 = dp h2 = 0,  dp h3 > 0,  0 <= dq h3 < dp h3,
+    dp h1 = dp h2 = 0,  dp h3 > 0,  0 <= dq h3 < dp h3.
 
-which `fully_reduce` computes.  The moduli component labels, and the one
-fully reduced homomorphism of each, live in `gwcount`.
+The moduli component labels, and the one fully reduced homomorphism of
+each, live in `gwcount`.  `fully_reduce`, which reduces any homomorphism of
+an orbit, lives in `tests/oracles.py` as the reference for those.
+`normalize_class` moves a class to diagonal shape with one SL(2,Z) matrix
+from extended Euclid.
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .nilalg import (
-    HomologyClass,
-    LieAlgElem,
-    Sl2zMatrix,
-    h2_pushforward,
-    sl2z_entries,
-)
+from .nilalg import HomologyClass, LieAlgElem, Sl2zMatrix, h2_pushforward
 
 __all__ = [
     "HomDerivs",
@@ -38,8 +35,6 @@ __all__ = [
     "validate",
     "homology_class",
     "plucker_holds",
-    "sl2z_act",
-    "fully_reduce",
     "normalize_class",
 ]
 
@@ -52,15 +47,6 @@ class HomDerivs:
 
     dp: LieAlgElem
     dq: LieAlgElem
-
-    @classmethod
-    def from_rows(cls, rows) -> "HomDerivs":
-        """Build from four (dp h_i, dq h_i) rows."""
-        if len(rows) != 4 or any(len(r) != 2 for r in rows):
-            raise ValueError("expected four rows of two entries")
-        dp = LieAlgElem(rows[0][0], rows[1][0], rows[2][0], rows[3][0])
-        dq = LieAlgElem(rows[0][1], rows[1][1], rows[2][1], rows[3][1])
-        return cls(dp, dq)
 
     def is_reduced(self) -> bool:
         return self.dp.c1 == 0 and self.dp.c2 == 0
@@ -78,16 +64,15 @@ def validate(h: HomDerivs) -> bool:
     dp h4 + dp h1 dp h2 / 2 and dq h4 + dq h1 dq h2 / 2.
     """
     dp, dq = h.dp, h.dq
-    if dp.c1 * dq.c2 - dq.c1 * dp.c2 != 0:
-        return False
     for col in (dp, dq):
         if not (_is_int(col.c1) and _is_int(col.c2) and _is_int(col.c3)):
             return False
-    if not _is_int(dp.c4 + dp.c1 * dp.c2 / 2):
-        return False
-    if not _is_int(dq.c4 + dq.c1 * dq.c2 / 2):
-        return False
-    return True
+        # With c1 c2 an integer, c4 + c1 c2 / 2 is one exactly when c4 has
+        # denominator 1 for even c1 c2 and 2 for odd.
+        if col.c4.denominator != 1 + col.c1.numerator * col.c2.numerator % 2:
+            return False
+    return (dp.c1.numerator * dq.c2.numerator
+            == dq.c1.numerator * dp.c2.numerator)
 
 
 def homology_class(h: HomDerivs) -> HomologyClass:
@@ -107,23 +92,6 @@ def plucker_holds(A: HomologyClass) -> bool:
     return A.a13 * A.a24 == A.a14 * A.a23
 
 
-def sl2z_act(h: HomDerivs, phi: Sl2zMatrix) -> HomDerivs:
-    """Right multiplication of the derivative matrix by phi in SL(2,Z)."""
-    a, b, c, d = sl2z_entries(phi)
-    dp = h.dp.scale(a) + h.dq.scale(c)
-    dq = h.dp.scale(b) + h.dq.scale(d)
-    return HomDerivs(dp, dq)
-
-
-def _mat_mul(m: Sl2zMatrix, s: Sl2zMatrix) -> Sl2zMatrix:
-    return (
-        (m[0][0] * s[0][0] + m[0][1] * s[1][0],
-         m[0][0] * s[0][1] + m[0][1] * s[1][1]),
-        (m[1][0] * s[0][0] + m[1][1] * s[1][0],
-         m[1][0] * s[0][1] + m[1][1] * s[1][1]),
-    )
-
-
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     """(g, s, t) with a s + b t = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -137,42 +105,6 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def fully_reduce(h: HomDerivs) -> Tuple[Sl2zMatrix, HomDerivs]:
-    """Canonical fully reduced representative of the reparametrisation orbit.
-
-    Requires the class of h to have equal nonzero first two coordinates.
-    Returns (phi, h') with h' = sl2z_act(h, phi), dp h1 = dp h2 = 0,
-    dp h3 > 0 and 0 <= dq h3 < dp h3.
-    """
-    A = homology_class(h)
-    if A.a13 != A.a23:
-        raise ValueError("orbit is not in (m, m, n, n) position")
-    if A.a13 == 0:
-        raise ValueError("no fully reduced form when the first invariant "
-                         "vanishes; only reduced forms exist")
-    phi: Sl2zMatrix = IDENTITY_2X2
-    cur = h
-    if cur.dp.c1 != 0 or cur.dp.c2 != 0:
-        # Clear the top block: the Euclidean step sends (dp h1, dq h1) to
-        # (0, -gcd), and the proportional second row follows along.
-        a, b = int(cur.dp.c1), int(cur.dq.c1)
-        g, s, t = _xgcd(a, b)
-        step = ((-b // g, -s), (a // g, -t))
-        phi = _mat_mul(phi, step)
-        cur = sl2z_act(cur, step)
-    if cur.dp.c3 < 0:
-        step = ((-1, 0), (0, -1))
-        phi = _mat_mul(phi, step)
-        cur = sl2z_act(cur, step)
-    c = int(cur.dp.c3)
-    shift = int(cur.dq.c3) // c
-    if shift != 0:
-        step = ((1, -shift), (0, 1))
-        phi = _mat_mul(phi, step)
-        cur = sl2z_act(cur, step)
-    return phi, cur
 
 
 def normalize_class(A: HomologyClass) -> Tuple[Sl2zMatrix, HomologyClass]:

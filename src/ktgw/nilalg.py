@@ -1,4 +1,4 @@
-"""Exact arithmetic in the nilpotent Lie group behind the Kodaira-Thurston manifold.
+"""Exact value types of the Lie algebra and homology of the Kodaira-Thurston manifold.
 
 The group N consists of real matrices
 
@@ -8,14 +8,15 @@ The group N consists of real matrices
     [0 0 0 t]
 
 and the lattice Gamma is the subgroup with integer entries; the compact
-quotient of N by Gamma is the Kodaira-Thurston manifold.  Group elements are
-stored in coordinates (x, y, z, log t) and Lie algebra elements in the basis
+quotient of N by Gamma is the Kodaira-Thurston manifold.  Lie algebra
+elements are stored in the basis
 
     n1 = d/dy,   n2 = d/dx,   n3 = d/dt,   n4 = d/dz,
 
-always with rational coordinates, so lattice membership and all algebraic
-identities are decided exactly.  The group is two-step nilpotent: the only
-nonzero bracket points along n4, and exp(X)exp(Y) = exp(X + Y + [X,Y]/2).
+always with rational coordinates, so every identity is decided exactly.
+The group is two-step nilpotent: the only nonzero bracket points along n4,
+and exp(X)exp(Y) = exp(X + Y + [X,Y]/2).  No group element is stored: the
+torus map is written once, as its logarithm, in `geometry`.
 
 The module also hosts the two homology coefficient vectors that the lattice
 automorphisms act on: degree-two classes as integer 4-vectors in the basis
@@ -41,24 +42,10 @@ Rat = Union[int, Fraction]
 
 __all__ = [
     "LieAlgElem",
-    "GroupElem",
     "HomologyClass",
     "H3Class",
     "H3_ZERO",
-    "N1",
-    "N2",
-    "N3",
-    "N4",
-    "ZERO",
-    "IDENTITY",
     "Sl2zMatrix",
-    "bracket",
-    "group_mul",
-    "group_inv",
-    "exp",
-    "log",
-    "bch_mul",
-    "in_lattice",
     "sl2z_entries",
     "h2_pushforward",
     "h3_pushforward",
@@ -88,89 +75,6 @@ class LieAlgElem:
 
     def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.c1, self.c2, self.c3, self.c4)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords())
-
-    def __add__(self, other: "LieAlgElem") -> "LieAlgElem":
-        return LieAlgElem(self.c1 + other.c1, self.c2 + other.c2,
-                          self.c3 + other.c3, self.c4 + other.c4)
-
-    def __sub__(self, other: "LieAlgElem") -> "LieAlgElem":
-        return LieAlgElem(self.c1 - other.c1, self.c2 - other.c2,
-                          self.c3 - other.c3, self.c4 - other.c4)
-
-    def __neg__(self) -> "LieAlgElem":
-        return LieAlgElem(-self.c1, -self.c2, -self.c3, -self.c4)
-
-    def scale(self, r: Rat) -> "LieAlgElem":
-        r = _frac(r)
-        return LieAlgElem(r * self.c1, r * self.c2, r * self.c3, r * self.c4)
-
-    def __rmul__(self, r: Rat) -> "LieAlgElem":
-        return self.scale(r)
-
-
-ZERO = LieAlgElem(0, 0, 0, 0)
-N1 = LieAlgElem(1, 0, 0, 0)
-N2 = LieAlgElem(0, 1, 0, 0)
-N3 = LieAlgElem(0, 0, 1, 0)
-N4 = LieAlgElem(0, 0, 0, 1)
-
-
-@dataclass(frozen=True)
-class GroupElem:
-    """Group element with matrix entries x, y, z and logarithmic t-coordinate."""
-
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    logt: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "logt"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-
-    def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.z, self.logt)
-
-
-IDENTITY = GroupElem(0, 0, 0, 0)
-
-
-def bracket(X: LieAlgElem, Y: LieAlgElem) -> LieAlgElem:
-    """Lie bracket [X, Y]; lands in the n4 direction."""
-    return LieAlgElem(0, 0, 0, X.c2 * Y.c1 - Y.c2 * X.c1)
-
-
-def group_mul(a: GroupElem, b: GroupElem) -> GroupElem:
-    """Product in N: (x,y,z,s)(x',y',z',s') = (x+x', y+y', z+z'+x y', s+s')."""
-    return GroupElem(a.x + b.x, a.y + b.y, a.z + b.z + a.x * b.y,
-                     a.logt + b.logt)
-
-
-def group_inv(a: GroupElem) -> GroupElem:
-    return GroupElem(-a.x, -a.y, -a.z + a.x * a.y, -a.logt)
-
-
-def exp(X: LieAlgElem) -> GroupElem:
-    """Exponential map; the (1,3) matrix entry picks up the x*y/2 correction."""
-    return GroupElem(X.c2, X.c1, X.c4 + X.c1 * X.c2 / 2, X.c3)
-
-
-def log(g: GroupElem) -> LieAlgElem:
-    """Inverse of exp, exact on rational coordinates."""
-    return LieAlgElem(g.y, g.x, g.logt, g.z - g.x * g.y / 2)
-
-
-def bch_mul(X: LieAlgElem, Y: LieAlgElem) -> LieAlgElem:
-    """X + Y + [X,Y]/2, the full Baker-Campbell-Hausdorff series here."""
-    return X + Y + bracket(X, Y).scale(Fraction(1, 2))
-
-
-def in_lattice(g: GroupElem) -> bool:
-    """True iff g lies in Gamma, i.e. x, y, z, log t are all integers."""
-    return all(v.denominator == 1 for v in g.coords())
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +125,6 @@ class HomologyClass:
     def coords(self) -> Tuple[int, int, int, int]:
         return (self.a13, self.a23, self.a14, self.a24)
 
-    def is_zero(self) -> bool:
-        return not any(self.coords())
-
 
 @dataclass(frozen=True)
 class H3Class:
@@ -239,16 +140,6 @@ class H3Class:
 
     def coords(self) -> Tuple[Fraction, Fraction, Fraction]:
         return (self.e134, self.e234, self.e124)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords())
-
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for v in self.coords())
-
-    def __add__(self, other: "H3Class") -> "H3Class":
-        return H3Class(self.e134 + other.e134, self.e234 + other.e234,
-                       self.e124 + other.e124)
 
     def scale(self, r: Rat) -> "H3Class":
         r = _frac(r)

@@ -5,26 +5,67 @@ multiplicative factor carried additively as log t), so they never touch the
 coordinate formulas they are checking.  The pullback oracles integrate
 general polynomial forms in (lam, p, q) with `Poly`, where the library
 integrates constant forms in closed form.
+
+No library command builds a group element, so the group layer lives here:
+
+* `GroupElem` stores a group element as (x, y, z, log t); the lattice
+  condition is integrality of all four coordinates.  The matrix oracles
+  `group_mul_oracle` and `exp_oracle` and the automorphism lifts are
+  written on it.
+* `lie_comb` forms linear combinations of Lie algebra elements by
+  coordinates.
+* `from_rows` builds a `HomDerivs` from four (dp h_i, dq h_i) rows.
+* `sl2z_act` reparametrises a homomorphism by right multiplication with an
+  SL(2,Z) matrix, and `fully_reduce` moves any homomorphism of an orbit with
+  nonzero first invariant to its fully reduced representative; they are
+  the reference for `gwcount.component_hom`'s canonical form.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ktgw.geometry import TorusSolution
-from ktgw.homs import HomDerivs
+from ktgw.homs import HomDerivs, _xgcd, homology_class
 from ktgw.nilalg import (
-    GroupElem,
     H3Class,
     HomologyClass,
     LieAlgElem,
+    Rat,
+    Sl2zMatrix,
+    _frac,
+    sl2z_entries,
 )
 
 Mat3 = Tuple[Tuple[Fraction, ...], ...]
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class GroupElem:
+    """Group element with matrix entries x, y, z and logarithmic t-coordinate."""
+
+    x: Fraction
+    y: Fraction
+    z: Fraction
+    logt: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("x", "y", "z", "logt"):
+            object.__setattr__(self, name, _frac(getattr(self, name)))
+
+    def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+        return (self.x, self.y, self.z, self.logt)
+
+
+def lie_comb(*terms: Tuple[Rat, LieAlgElem]) -> LieAlgElem:
+    """The linear combination r1 X1 + r2 X2 + ... of (r, X) pairs."""
+    return LieAlgElem(*(sum(r * X.coords()[i] for r, X in terms)
+                        for i in range(4)))
 
 
 def lie_to_mat3(X: LieAlgElem) -> Mat3:
@@ -166,6 +207,64 @@ def adjugate(M: Mat2) -> Mat2:
     """Inverse of a determinant-one 2x2 matrix."""
     (a, b), (c, d) = M
     return ((d, -b), (-c, a))
+
+
+# ---------------------------------------------------------------------------
+# Reparametrisations of homomorphisms
+# ---------------------------------------------------------------------------
+
+
+def from_rows(rows) -> HomDerivs:
+    """Build a homomorphism from four (dp h_i, dq h_i) rows."""
+    if len(rows) != 4 or any(len(r) != 2 for r in rows):
+        raise ValueError("expected four rows of two entries")
+    dp = LieAlgElem(rows[0][0], rows[1][0], rows[2][0], rows[3][0])
+    dq = LieAlgElem(rows[0][1], rows[1][1], rows[2][1], rows[3][1])
+    return HomDerivs(dp, dq)
+
+
+def sl2z_act(h: HomDerivs, phi: Sl2zMatrix) -> HomDerivs:
+    """Right multiplication of the derivative matrix by phi in SL(2,Z)."""
+    a, b, c, d = sl2z_entries(phi)
+    dp = lie_comb((a, h.dp), (c, h.dq))
+    dq = lie_comb((b, h.dp), (d, h.dq))
+    return HomDerivs(dp, dq)
+
+
+def fully_reduce(h: HomDerivs) -> Tuple[Sl2zMatrix, HomDerivs]:
+    """Canonical fully reduced representative of the reparametrisation orbit.
+
+    Requires the class of h to have equal nonzero first two coordinates.
+    Returns (phi, h') with h' = sl2z_act(h, phi), dp h1 = dp h2 = 0,
+    dp h3 > 0 and 0 <= dq h3 < dp h3.
+    """
+    A = homology_class(h)
+    if A.a13 != A.a23:
+        raise ValueError("orbit is not in (m, m, n, n) position")
+    if A.a13 == 0:
+        raise ValueError("no fully reduced form when the first invariant "
+                         "vanishes; only reduced forms exist")
+    phi: Sl2zMatrix = ((1, 0), (0, 1))
+    cur = h
+    if cur.dp.c1 != 0 or cur.dp.c2 != 0:
+        # Clear the top block: the Euclidean step sends (dp h1, dq h1) to
+        # (0, -gcd), and the proportional second row follows along.
+        a, b = int(cur.dp.c1), int(cur.dq.c1)
+        g, s, t = _xgcd(a, b)
+        step = ((-b // g, -s), (a // g, -t))
+        phi = mat2_mul(phi, step)
+        cur = sl2z_act(cur, step)
+    if cur.dp.c3 < 0:
+        step = ((-1, 0), (0, -1))
+        phi = mat2_mul(phi, step)
+        cur = sl2z_act(cur, step)
+    c = int(cur.dp.c3)
+    shift = int(cur.dq.c3) // c
+    if shift != 0:
+        step = ((1, -shift), (0, 1))
+        phi = mat2_mul(phi, step)
+        cur = sl2z_act(cur, step)
+    return phi, cur
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +510,9 @@ def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     h, c0 = s.h, s.c0
-    dw_dp = h.dp + Fraction(1, 2) * commutator_oracle(h.dp, c0)
-    dw_dq = h.dq + Fraction(1, 2) * commutator_oracle(h.dq, c0)
+    half = Fraction(1, 2)
+    dw_dp = lie_comb((1, h.dp), (half, commutator_oracle(h.dp, c0)))
+    dw_dq = lie_comb((1, h.dq), (half, commutator_oracle(h.dq, c0)))
     # (const, p, q) coefficients of w1 and w2, the only parts the defect reads.
     w12 = list(zip(c0.coords(), dw_dp.coords(), dw_dq.coords()))[:2]
     tau1, tau2 = s.modulus.tau1, s.modulus.tau2
@@ -494,8 +594,9 @@ def eval_class_pullback(s: TorusSolution) -> H3Class:
     [0, lambda_period] x [0, 1]^2, assuming nothing about which terms vanish.
     """
     h, c0 = s.h, s.c0
-    dw_dp = h.dp + Fraction(1, 2) * commutator_oracle(h.dp, c0)
-    dw_dq = h.dq + Fraction(1, 2) * commutator_oracle(h.dq, c0)
+    half = Fraction(1, 2)
+    dw_dp = lie_comb((1, h.dp), (half, commutator_oracle(h.dp, c0)))
+    dw_dq = lie_comb((1, h.dq), (half, commutator_oracle(h.dq, c0)))
     lam, p, q = Poly.var(0), Poly.var(1), Poly.var(2)
     w1, w2, w3, w4 = (Poly.const(c) + p.scale(x) + q.scale(y)
                       for c, x, y in zip(c0.coords(), dw_dp.coords(),

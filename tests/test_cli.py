@@ -116,6 +116,18 @@ class TestGwCommand:
         assert code == 0
         assert out
 
+    def test_invariant_past_digit_limit_exit_2(self, capsys):
+        # e134 has about 4500 digits, past the interpreter's limit of 4300
+        # for converting an int to str, so no format can print it.
+        big = str(10 ** 1500)
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run(capsys, "gw", big, big, "1", "1",
+                                 "--method", "closed", "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+            assert err.count("\n") == 1
+
 
 class TestModuliCommand:
     def test_component_count(self, capsys):

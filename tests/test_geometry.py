@@ -9,34 +9,31 @@ from ktgw.arith import divisors
 from ktgw.geometry import (
     TorusModulus,
     TwistorStructure,
+    _log_coordinates,
     cr_residual,
-    curve_point,
     eval_class_integrate,
     solve_torus_data,
     symplectic_area,
 )
 from ktgw.gwcount import component_eval_class, component_hom, moduli_components
 from ktgw.homs import HomDerivs, homology_class
-from ktgw.nilalg import (
-    GroupElem,
-    H3Class,
-    HomologyClass,
-    LieAlgElem,
-    N2,
-    exp,
-    group_mul,
-)
+from ktgw.nilalg import H3Class, HomologyClass, LieAlgElem
 from oracles import (
+    GroupElem,
     Poly,
     area_pullback,
     cr_residual_grid,
     eval_class_pullback,
+    exp_oracle,
+    from_rows,
+    group_mul_oracle,
+    lie_comb,
     random_fraction,
 )
 
 
 def rows(*entries):
-    return HomDerivs.from_rows(entries)
+    return from_rows(entries)
 
 
 def first_solution(m, n):
@@ -143,16 +140,30 @@ class TestTwistor:
                     assert abs(dot - expect) < 1e-12
 
 
+def torus_point(s, lam, p, q):
+    """exp of `_log_coordinates` at (p, q), times the central family at lam.
+
+    The central factor is exp(lam (dp_h4 n3 - dp_h3 n4)).
+    """
+    lam, p, q = Fraction(lam), Fraction(p), Fraction(q)
+    w = LieAlgElem(*(const + dp * p + dq * q
+                     for const, dp, dq in _log_coordinates(s.h, s.c0)))
+    central = LieAlgElem(0, 0, s.h.dp.c4, -s.h.dp.c3)
+    return group_mul_oracle(exp_oracle(w), exp_oracle(lie_comb((lam, central))))
+
+
 class TestCurvePoint:
+    """The torus map `_log_coordinates`, exponentiated by the matrix oracles."""
+
     def test_base_point(self):
         s = first_solution(1, 0)
-        assert curve_point(s, 0, 0, 0) == \
+        assert torus_point(s, 0, 0, 0) == \
             GroupElem(Fraction(-1, 2), 0, 0, 0)
 
     def test_point_values(self):
         s = first_solution(1, 0)
         # q = 1 on the (1, 0) component: dq h3 = 0, dq h4 = 1/2.
-        assert curve_point(s, 0, 0, 1) == \
+        assert torus_point(s, 0, 0, 1) == \
             GroupElem(Fraction(-3, 2), -1, 1, 0)
 
     def test_lattice_equivariance(self):
@@ -163,18 +174,18 @@ class TestCurvePoint:
                     lam = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                     p = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                     q = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-                    base = curve_point(s, lam, p, q)
-                    p_step = exp(s.h.dp)
-                    q_step = exp(s.h.dq)
-                    assert curve_point(s, lam, p + 1, q) == \
-                        group_mul(p_step, base)
-                    assert curve_point(s, lam, p, q + 1) == \
-                        group_mul(q_step, base)
+                    base = torus_point(s, lam, p, q)
+                    p_step = exp_oracle(s.h.dp)
+                    q_step = exp_oracle(s.h.dq)
+                    assert torus_point(s, lam, p + 1, q) == \
+                        group_mul_oracle(p_step, base)
+                    assert torus_point(s, lam, p, q + 1) == \
+                        group_mul_oracle(q_step, base)
 
     def test_matches_group_products(self):
-        # Independent of the polynomial map: the point is the group product
-        # exp(p dp + q dq) exp(C) exp(lam (dp_h4 n3 - dp_h3 n4)), here with a
-        # constant C that has nonzero n1, n3 and n4 parts.
+        # The logarithm is h + C + [h, C]/2: exp of it is the group product
+        # exp(p dp + q dq) exp(C), here with a constant C that has nonzero
+        # n1, n3 and n4 parts.
         rng = random.Random(47)
         for m, n in [(1, 0), (2, 2), (-3, 1), (4, -6)]:
             for sol in solutions(m, n):
@@ -186,10 +197,12 @@ class TestCurvePoint:
                 for _ in range(5):
                     lam, p, q = (Fraction(rng.randint(-9, 9), rng.randint(1, 6))
                                  for _ in range(3))
-                    expected = group_mul(
-                        group_mul(exp(p * h.dp + q * h.dq), exp(c0)),
-                        exp(lam * central))
-                    assert curve_point(s, lam, p, q) == expected
+                    expected = group_mul_oracle(
+                        group_mul_oracle(
+                            exp_oracle(lie_comb((p, h.dp), (q, h.dq))),
+                            exp_oracle(c0)),
+                        exp_oracle(lie_comb((lam, central))))
+                    assert torus_point(s, lam, p, q) == expected
 
 
 class TestCrResidual:
@@ -200,7 +213,8 @@ class TestCrResidual:
     def test_c0_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            bad = dataclasses.replace(s, c0=s.c0 + Fraction(1, 10) * N2)
+            bad = dataclasses.replace(s, c0=dataclasses.replace(
+                s.c0, c2=s.c0.c2 + Fraction(1, 10)))
             assert cr_residual(bad) > 1e-3
 
     def test_tau1_perturbation_detected(self):
@@ -303,6 +317,6 @@ class TestEvalClass:
             dp = LieAlgElem(0, 0, *(random_fraction(rng, 9, 5) for _ in range(2)))
             dq = LieAlgElem(*(random_fraction(rng, 9, 5) for _ in range(4)))
             if dq.c1 == dq.c2:
-                dq = dq + N2
+                dq = dataclasses.replace(dq, c2=dq.c2 + 1)
             bent = dataclasses.replace(bent, h=HomDerivs(dp, dq))
             assert eval_class_integrate(bent) == eval_class_pullback(bent)

@@ -18,8 +18,16 @@ from ktgw.gwcount import (
     moduli_components,
 )
 from ktgw.homs import HomDerivs
-from ktgw.nilalg import H3Class, HomologyClass, h2_pushforward, h3_pushforward
+from ktgw.nilalg import (
+    H3_ZERO,
+    H3Class,
+    HomologyClass,
+    LieAlgElem,
+    h2_pushforward,
+    h3_pushforward,
+)
 from oracles import (
+    from_rows,
     random_plucker_class,
     random_word,
     smith_diagonal,
@@ -77,9 +85,25 @@ class TestAutSizeSmith:
             assert diag[0] * diag[1] == aut_size_smith(hom)
 
     def test_rejects_non_reduced(self):
-        bad = HomDerivs.from_rows([(1, 0), (1, 0), (0, 1), (0, 0)])
+        bad = from_rows([(1, 0), (1, 0), (0, 1), (0, 0)])
         with pytest.raises(ValueError):
             aut_size_smith(bad)
+        # A lattice-compatible homomorphism with dp h1 = dp h2 = 1.
+        bad = from_rows([(1, 0), (1, 0), (0, 1), (Fraction(1, 2), 0)])
+        with pytest.raises(ValueError, match="must be reduced"):
+            aut_size_smith(bad)
+
+    def test_rejects_non_lattice(self):
+        # Non-integral rows must be refused, not truncated by int().
+        half = Fraction(1, 2)
+        closed = LieAlgElem(-1, -1, 0, half)
+        for h in [HomDerivs(LieAlgElem(0, 0, 3 * half, 1), closed),
+                  HomDerivs(LieAlgElem(0, 0, 2, Fraction(1, 3)), closed),
+                  HomDerivs(LieAlgElem(0, 0, 2, 1),
+                            LieAlgElem(-half, -half, 0, Fraction(1, 8)))]:
+            with pytest.raises(ValueError,
+                               match="not a lattice-compatible homomorphism"):
+                aut_size_smith(h)
 
 
 class TestComponentEvalClass:
@@ -148,7 +172,7 @@ class TestClosedForm:
         assert gw_closed_form(HomologyClass(1, 1, 0, 0)).gw == H3Class(1, 1, 0)
         assert gw_closed_form(HomologyClass(2, 2, 2, 2)).gw == \
             H3Class(10, 10, 0)
-        assert gw_closed_form(HomologyClass(0, 0, 1, 0)).gw.is_zero()
+        assert gw_closed_form(HomologyClass(0, 0, 1, 0)).gw == H3_ZERO
 
     def test_rejects_plucker_violation(self):
         with pytest.raises(ValueError):
@@ -158,7 +182,8 @@ class TestClosedForm:
         rng = random.Random(42)
         for _ in range(300):
             A = random_plucker_class(rng)
-            assert gw_closed_form(A).gw.is_integral()
+            gw = gw_closed_form(A).gw
+            assert all(v.denominator == 1 for v in gw.coords())
 
 
 class TestEnumerated:
@@ -172,8 +197,8 @@ class TestEnumerated:
     def test_zero_cases(self):
         for A in (HomologyClass(0, 0, 3, 0), HomologyClass(0, 0, 0, 0),
                   HomologyClass(0, 0, -2, -2)):
-            assert gw_enumerated(A).gw.is_zero()
-            assert gw_closed_form(A).gw.is_zero()
+            assert gw_enumerated(A).gw == H3_ZERO
+            assert gw_closed_form(A).gw == H3_ZERO
 
     def test_matches_closed_form_on_diagonal_classes(self):
         for m in [v for v in range(-6, 7) if v]:
@@ -205,7 +230,7 @@ class TestEnumerated:
         assert gw_enumerated(HomologyClass(2, 2, 0, 0)).gw == H3Class(5, 5, 0)
         with pytest.raises(ValueError, match="budget"):
             gw_enumerated(HomologyClass(3, 3, 0, 0))
-        assert gw_enumerated(HomologyClass(0, 0, 5, 5)).gw.is_zero()
+        assert gw_enumerated(HomologyClass(0, 0, 5, 5)).gw == H3_ZERO
 
 
 class TestEquivariance:

@@ -5,42 +5,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ktgw.homs import HomDerivs, sl2z_act
+from ktgw.homs import HomDerivs, validate
 from ktgw.nilalg import (
     H3Class,
     HomologyClass,
-    GroupElem,
-    IDENTITY,
     LieAlgElem,
-    N1,
-    N2,
-    N3,
-    N4,
-    ZERO,
-    bch_mul,
-    bracket,
-    exp,
-    group_inv,
-    group_mul,
     h2_pushforward,
     h3_pushforward,
-    in_lattice,
-    log,
 )
 from oracles import (
     GENERATORS,
+    GroupElem,
     adjugate,
     aut_apply,
     commutator_oracle,
     exp_oracle,
+    from_rows,
     group_mul_oracle,
     invert_word,
+    lie_comb,
     random_group,
     random_lattice_group,
     random_lie,
     random_plucker_class,
     random_sl2z,
     random_word,
+    sl2z_act,
     word_matrix,
 )
 
@@ -55,122 +45,196 @@ int_st = st.integers(-10 ** 6, 10 ** 6)
 S1 = ((0, -1), (1, 0))
 S2 = ((1, 1), (0, 1))
 IDENTITY_2X2 = ((1, 0), (0, 1))
-REDUCED_110 = HomDerivs.from_rows(
-    ((0, -1), (0, -1), (1, 0), (0, Fraction(1, 2))))
+REDUCED_110 = from_rows(((0, -1), (0, -1), (1, 0), (0, Fraction(1, 2))))
+
+N1, N2, N3, N4 = (LieAlgElem(*(int(i == j) for j in range(4)))
+                  for i in range(4))
+ZERO = LieAlgElem(0, 0, 0, 0)
+IDENTITY = GroupElem(0, 0, 0, 0)
+HALF = Fraction(1, 2)
+
+
+def in_lattice(g):
+    """g lies in Gamma iff x, y, z and log t are all integers."""
+    return all(v.denominator == 1 for v in g.coords())
+
+
+def log_coords(g):
+    """Inverse of exp: y n1 + x n2 + log t n3 + (z - x y / 2) n4."""
+    return LieAlgElem(g.y, g.x, g.logt, g.z - g.x * g.y / 2)
+
+
+def bch(X, Y):
+    """X + Y + [X, Y]/2, with the bracket from the matrix commutator."""
+    return lie_comb((1, X), (1, Y), (HALF, commutator_oracle(X, Y)))
 
 
 class TestBracket:
+    """The matrix commutator, pinned to the bracket the library writes."""
+
     def test_examples(self):
-        assert bracket(N2, N1) == N4
-        assert bracket(N1, N1) == ZERO
+        assert commutator_oracle(N2, N1) == N4
+        assert commutator_oracle(N1, N1) == ZERO
         rng = random.Random(0)
         for _ in range(20):
-            assert bracket(N3, random_lie(rng)) == ZERO
-            assert bracket(N4, random_lie(rng)) == ZERO
+            assert commutator_oracle(N3, random_lie(rng)) == ZERO
+            assert commutator_oracle(N4, random_lie(rng)) == ZERO
 
     def test_matches_matrix_commutator(self):
+        # [X, Y] = (X2 Y1 - Y2 X1) n4, the form `geometry._log_coordinates`
+        # uses for [h, C].
         rng = random.Random(1)
         for _ in range(1000):
             X, Y = random_lie(rng), random_lie(rng)
-            assert bracket(X, Y) == commutator_oracle(X, Y)
+            assert commutator_oracle(X, Y) == \
+                LieAlgElem(0, 0, 0, X.c2 * Y.c1 - Y.c2 * X.c1)
 
     def test_antisymmetry_and_bilinearity(self):
         rng = random.Random(2)
         for _ in range(200):
             X, Y, Z = (random_lie(rng) for _ in range(3))
-            assert bracket(X, Y) == -bracket(Y, X)
-            assert bracket(X + Y, Z) == bracket(X, Z) + bracket(Y, Z)
+            assert commutator_oracle(X, Y) == \
+                lie_comb((-1, commutator_oracle(Y, X)))
+            assert commutator_oracle(lie_comb((1, X), (1, Y)), Z) == \
+                lie_comb((1, commutator_oracle(X, Z)),
+                         (1, commutator_oracle(Y, Z)))
 
     def test_two_step_nilpotency(self):
         rng = random.Random(3)
         for _ in range(300):
             X, Y, Z = (random_lie(rng) for _ in range(3))
-            assert bracket(X, bracket(Y, Z)) == ZERO
-            assert bracket(bracket(X, Y), Z) == ZERO
+            assert commutator_oracle(X, commutator_oracle(Y, Z)) == ZERO
+            assert commutator_oracle(commutator_oracle(X, Y), Z) == ZERO
 
 
 class TestGroup:
+    """The matrix product, pinned to the group law in coordinates."""
+
     def test_mul_examples(self):
         a = GroupElem(1, 0, 0, 0)
         b = GroupElem(0, 1, 0, 0)
-        assert group_mul(a, b) == GroupElem(1, 1, 1, 0)
-        assert group_mul(b, a) == GroupElem(1, 1, 0, 0)
+        assert group_mul_oracle(a, b) == GroupElem(1, 1, 1, 0)
+        assert group_mul_oracle(b, a) == GroupElem(1, 1, 0, 0)
         rng = random.Random(4)
         for _ in range(20):
             g = random_group(rng)
-            assert group_mul(IDENTITY, g) == g
-            assert group_mul(g, IDENTITY) == g
+            assert group_mul_oracle(IDENTITY, g) == g
+            assert group_mul_oracle(g, IDENTITY) == g
 
     def test_mul_matches_matrix_product(self):
+        # (x, y, z, s)(x', y', z', s') = (x + x', y + y', z + z' + x y', s + s')
         rng = random.Random(5)
         for _ in range(1000):
             a, b = random_group(rng), random_group(rng)
-            assert group_mul(a, b) == group_mul_oracle(a, b)
+            assert group_mul_oracle(a, b) == GroupElem(
+                a.x + b.x, a.y + b.y, a.z + b.z + a.x * b.y, a.logt + b.logt)
 
     def test_associativity_and_inverse(self):
         rng = random.Random(6)
         for _ in range(200):
             a, b, c = (random_group(rng) for _ in range(3))
-            assert group_mul(group_mul(a, b), c) == group_mul(a, group_mul(b, c))
-            assert group_mul(a, group_inv(a)) == IDENTITY
-            assert group_mul(group_inv(a), a) == IDENTITY
+            assert group_mul_oracle(group_mul_oracle(a, b), c) == \
+                group_mul_oracle(a, group_mul_oracle(b, c))
+            inv = GroupElem(-a.x, -a.y, -a.z + a.x * a.y, -a.logt)
+            assert group_mul_oracle(a, inv) == IDENTITY
+            assert group_mul_oracle(inv, a) == IDENTITY
 
 
 class TestExpLog:
+    """The matrix exponential and its inverse in coordinates."""
+
     def test_exp_examples(self):
-        assert exp(ZERO) == IDENTITY
-        assert exp(N1 + N2) == GroupElem(1, 1, Fraction(1, 2), 0)
-        assert exp(N4) == GroupElem(0, 0, 1, 0)
+        assert exp_oracle(ZERO) == IDENTITY
+        assert exp_oracle(lie_comb((1, N1), (1, N2))) == \
+            GroupElem(1, 1, Fraction(1, 2), 0)
+        assert exp_oracle(N4) == GroupElem(0, 0, 1, 0)
 
     def test_log_examples(self):
-        assert log(IDENTITY) == ZERO
-        assert log(GroupElem(1, 1, Fraction(1, 2), 0)) == N1 + N2
-        assert log(GroupElem(0, 0, 1, 0)) == N4
+        for g, X in [(IDENTITY, ZERO),
+                     (GroupElem(1, 1, Fraction(1, 2), 0),
+                      lie_comb((1, N1), (1, N2))),
+                     (GroupElem(0, 0, 1, 0), N4),
+                     (GroupElem(3, 2, 0, 5), LieAlgElem(2, 3, 5, -3))]:
+            assert log_coords(g) == X
+            assert exp_oracle(X) == g
 
     def test_exp_matches_matrix_exponential(self):
         rng = random.Random(7)
         for _ in range(500):
             X = random_lie(rng)
-            assert exp(X) == exp_oracle(X)
+            assert exp_oracle(X) == \
+                GroupElem(X.c2, X.c1, X.c4 + X.c1 * X.c2 / 2, X.c3)
 
     @given(lie_st)
     def test_log_exp_roundtrip(self, X):
-        assert log(exp(X)) == X
+        # exp(X) exp(-X) = 1: the inverse is exp of the negated element.
+        neg = lie_comb((-1, X))
+        assert group_mul_oracle(exp_oracle(X), exp_oracle(neg)) == IDENTITY
+        assert group_mul_oracle(exp_oracle(neg), exp_oracle(X)) == IDENTITY
 
     def test_exp_log_roundtrip_random(self):
         rng = random.Random(8)
         for _ in range(1000):
             g = random_group(rng)
-            assert exp(log(g)) == g
+            assert exp_oracle(log_coords(g)) == g
 
 
 class TestBch:
+    """exp(X) exp(Y) = exp(X + Y + [X, Y]/2) on the matrix oracles."""
+
     def test_examples(self):
-        assert bch_mul(N1, N2) == N1 + N2 - Fraction(1, 2) * N4
+        assert bch(N1, N2) == lie_comb((1, N1), (1, N2), (-HALF, N4))
+        assert group_mul_oracle(exp_oracle(N1), exp_oracle(N2)) == \
+            exp_oracle(lie_comb((1, N1), (1, N2), (-HALF, N4)))
         rng = random.Random(9)
         for _ in range(20):
             X = random_lie(rng)
-            assert bch_mul(X, ZERO) == X
-        assert bch_mul(N3, N4) == N3 + N4
+            assert bch(X, ZERO) == X
+        assert bch(N3, N4) == lie_comb((1, N3), (1, N4))
 
     @given(lie_st, lie_st)
     def test_exp_homomorphism(self, X, Y):
-        assert exp(bch_mul(X, Y)) == group_mul(exp(X), exp(Y))
+        assert exp_oracle(bch(X, Y)) == \
+            group_mul_oracle(exp_oracle(X), exp_oracle(Y))
 
 
 class TestLattice:
+    """`homs.validate` accepts exactly the commuting pairs whose columns
+    exponentiate into the lattice."""
+
     def test_examples(self):
         assert in_lattice(GroupElem(1, 1, 1, 0))
         assert not in_lattice(GroupElem(Fraction(1, 2), 0, 0, 0))
         assert in_lattice(GroupElem(0, 0, 0, 3))
+        assert validate(REDUCED_110)
+        assert in_lattice(exp_oracle(REDUCED_110.dq))
+        # dq h4 = 0 leaves exp(dq) at z = 1/2, outside the lattice.
+        bad = from_rows(((0, -1), (0, -1), (1, 0), (0, 0)))
+        assert not validate(bad)
+        assert not in_lattice(exp_oracle(bad.dq))
+        rng = random.Random(30)
+        accepted = 0
+        for _ in range(500):
+            dp, dq = random_lie(rng, 4, 2), random_lie(rng, 4, 2)
+            if rng.random() < 0.5:
+                dq = LieAlgElem(dp.c1, dp.c2, dq.c3, dq.c4)
+            h = HomDerivs(dp, dq)
+            expected = (commutator_oracle(h.dp, h.dq) == ZERO
+                        and in_lattice(exp_oracle(h.dp))
+                        and in_lattice(exp_oracle(h.dq)))
+            assert validate(h) == expected
+            accepted += expected
+        assert 0 < accepted < 500
 
     def test_lattice_closed_under_product(self):
         rng = random.Random(10)
         for _ in range(200):
             a = random_lattice_group(rng)
             b = random_lattice_group(rng)
-            assert in_lattice(group_mul(a, b))
-            assert in_lattice(group_inv(a))
+            assert in_lattice(group_mul_oracle(a, b))
+            inv = GroupElem(-a.x, -a.y, -a.z + a.x * a.y, -a.logt)
+            assert group_mul_oracle(a, inv) == IDENTITY
+            assert in_lattice(inv)
 
 
 class TestAutomorphisms:
@@ -202,7 +266,7 @@ class TestAutomorphisms:
         for _ in range(300):
             w = random_word(rng)
             a, b = random_group(rng), random_group(rng)
-            assert aut_apply(w, group_mul(a, b)) == group_mul(
+            assert aut_apply(w, group_mul_oracle(a, b)) == group_mul_oracle(
                 aut_apply(w, a), aut_apply(w, b))
 
     def test_preserves_lattice(self):
