@@ -108,6 +108,21 @@ def _emit_json(payload: Dict[str, object]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_printable(results: List[GWResult]) -> None:
+    """Refuse an invariant with more digits than the interpreter prints.
+
+    str() of an int raises past sys.get_int_max_str_digits() digits; a
+    limit of 0, or an interpreter without one, prints any int.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    widest = max(max(abs(v.numerator), v.denominator)
+                 for r in results for v in r.gw.coords())
+    # 2^(3 limit) < 10^limit, so the power is only built for very long ints.
+    if limit and widest.bit_length() > 3 * limit and widest >= 10 ** limit:
+        raise ValueError(f"the invariant has over {limit} digits, past this "
+                         f"interpreter's limit for printing an integer")
+
+
 def _cmd_gw(args: argparse.Namespace) -> int:
     A = HomologyClass(args.a13, args.a23, args.a14, args.a24)
     results: List[GWResult] = []
@@ -118,10 +133,8 @@ def _cmd_gw(args: argparse.Namespace) -> int:
     agrees: Optional[bool] = None
     if args.method == "both":
         agrees = results[0].gw == results[1].gw
+    _check_printable(results)
 
-    # Each format renders its whole output before writing any of it: str()
-    # of an invariant past the interpreter's digit limit raises ValueError,
-    # and a refusal leaves stdout empty.
     if args.format == "json":
         payload: Dict[str, object] = {
             "schema_version": SCHEMA_VERSION,
@@ -171,7 +184,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
     rows = []
     for comp in moduli_components(args.m, args.n):
         sol = solve_torus_data(comp.hom)
-        rows.append((comp, sol, cr_residual(sol)))
+        rows.append((comp, sol, cr_residual(sol), *comp.hom.lie()))
     ev = component_eval_class(args.m, args.n)
     if args.format == "json":
         _emit_json({
@@ -185,18 +198,18 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                     "k": str(comp.k),
                     "l": str(comp.ell),
                     "hom": {
-                        "dp": [_frac_json(v) for v in comp.hom.dp.coords()],
-                        "dq": [_frac_json(v) for v in comp.hom.dq.coords()],
+                        "dp": [_frac_json(v) for v in dp],
+                        "dq": [_frac_json(v) for v in dq],
                     },
                     "tau1": _approx_json(sol.modulus.tau1),
                     "tau2": _approx_json(sol.modulus.tau2),
                     "theta": _approx_json(sol.psi.theta()),
-                    "c0_n2": _frac_json(sol.c0.c2),
+                    "c0_n2": _frac_json(sol.c0_n2),
                     "aut_size": str(comp.aut_size),
                     "eval_class": _h3_json(ev),
                     "cr_residual": _approx_json(res),
                 }
-                for comp, sol, res in rows
+                for comp, sol, res, dp, dq in rows
             ],
         })
     elif args.format == "csv":
@@ -206,12 +219,11 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                          "dq1", "dq2", "dq3", "dq4",
                          "tau1", "tau2", "theta", "c0_n2", "aut_size",
                          "ev_e134", "ev_e234", "ev_e124", "cr_residual"])
-        for comp, sol, res in rows:
+        for comp, sol, res, dp, dq in rows:
             writer.writerow([
-                comp.d, comp.k, comp.ell,
-                *comp.hom.dp.coords(), *comp.hom.dq.coords(),
+                comp.d, comp.k, comp.ell, *dp, *dq,
                 sol.modulus.tau1, sol.modulus.tau2, sol.psi.theta(),
-                sol.c0.c2, comp.aut_size, ev.e134, ev.e234, ev.e124, res,
+                sol.c0_n2, comp.aut_size, ev.e134, ev.e234, ev.e124, res,
             ])
     else:
         print(f"moduli components of [{args.m}, {args.m}, {args.n}, {args.n}]"
@@ -220,13 +232,12 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                   f"{'tau1':>9} {'tau2':>9} {'theta':>9} {'c0':>7} "
                   f"{'|Aut|':>5} {'eval':>9} {'residual':>9}")
         print(header)
-        for comp, sol, res in rows:
-            hom = comp.hom
-            mat = "[" + ",".join(map(str, hom.dp.coords())) + \
-                  " | " + ",".join(map(str, hom.dq.coords())) + "]"
+        for comp, sol, res, dp, dq in rows:
+            mat = "[" + ",".join(map(str, dp)) + \
+                  " | " + ",".join(map(str, dq)) + "]"
             print(f"{comp.d:>3} {comp.k:>3} {comp.ell:>3} {mat:<26} "
                   f"{sol.modulus.tau1:>9.5f} {sol.modulus.tau2:>9.5f} "
-                  f"{sol.psi.theta():>9.5f} {str(sol.c0.c2):>7} "
+                  f"{sol.psi.theta():>9.5f} {str(sol.c0_n2):>7} "
                   f"{comp.aut_size:>5} "
                   f"{str(ev.e134):>9} {res:>9.2e}")
     return 0

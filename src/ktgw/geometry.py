@@ -13,13 +13,15 @@ Cauchy-Riemann defect of an affine map with dp h1 = dp h2 = 0 depends on q
 alone, so the residual costs one row of floating evaluations per grid value
 of q.
 
-Combinatorial data stays in exact rationals; tau and theta live in quadratic
-extensions, so they are carried in double precision and every solution is
-re-validated numerically through `cr_residual`.  The evaluation-cycle class
-is obtained by pulling the three generating 3-forms back along the
-evaluation map.  On a reduced torus every pulled-back 1-form has constant
-coefficients, so each integral is an exact 3x3 determinant times the
-period of the central family, and the determinants have a closed form.
+Combinatorial data stays exact: the homomorphism in integers and the
+translation constant c0_n2 n2 as a rational.  tau and theta live in
+quadratic extensions, so they are carried in double precision and every
+solution is checked numerically through `cr_residual`.  The
+evaluation-cycle class is obtained by pulling the three generating 3-forms
+back along the evaluation map.  On a reduced torus every pulled-back
+1-form has constant coefficients, so each integral is an exact 3x3
+determinant times the period of the central family, and the determinants
+have a closed form.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .homs import HomDerivs, validate
-from .nilalg import H3Class, HomologyClass, LieAlgElem
+from .homs import HomDerivs
+from .nilalg import H3Class, HomologyClass, Rat
 
 __all__ = [
     "TwistorStructure",
@@ -87,24 +89,25 @@ class TorusModulus:
 
 @dataclass(frozen=True)
 class TorusSolution:
-    """A reduced homomorphism together with its forced geometric data."""
+    """A reduced homomorphism together with its forced geometric data.
+
+    The translation constant is c0_n2 n2.
+    """
 
     h: HomDerivs
     modulus: TorusModulus
     psi: TwistorStructure
-    c0: LieAlgElem
+    c0_n2: Fraction
     lambda_period: Fraction
 
 
 def _require_solvable(h: HomDerivs) -> None:
-    if not validate(h):
-        raise ValueError("not a lattice-compatible homomorphism")
     if not h.is_reduced():
         raise ValueError("homomorphism must be reduced (dp h1 = dp h2 = 0)")
-    if h.dp.c3 == 0:
+    if h.dp[2] == 0:
         raise ValueError("dp h3 = 0: modulus is undetermined and the "
                          "component is obstructed")
-    if h.dq.c1 == 0:
+    if h.dq[0] == 0:
         raise ValueError("dq h1 must be nonzero")
 
 
@@ -119,8 +122,9 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     float, as it does once |dp h4| exceeds about 1.34e154.
     """
     _require_solvable(h)
-    a, b = h.dq.c1, h.dq.c2
-    c, dd = h.dp.c3, h.dp.c4
+    # h is reduced, so dp is its own Lie column.
+    _, _, c, dd = h.dp
+    _, (a, b, dq3, dq4) = h.lie()
     try:
         norm_a = math.sqrt(float(a * a + b * b))
         norm_z = math.sqrt(float(c * c + dd * dd))
@@ -128,44 +132,42 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
         raise ValueError("a column of the homomorphism is too long for "
                          "a floating tau and theta") from None
     tau2 = norm_a / norm_z
-    tau1_exact = h.dq.c3 / c
+    tau1_exact = Fraction(dq3, c)
     # Rotation taking u = (c, dd) to w / tau2 with w = (a, b); both have the
     # same norm, so cos and sin come from the dot and cross products.
     den = norm_a * norm_z
     cos_theta = float(c * a + dd * b) / den
     sin_theta = float(c * b - dd * a) / den
-    c0_coeff = (h.dq.c4 - tau1_exact * dd) / a
-    period = Fraction(1, math.gcd(int(c), int(dd)))
     return TorusSolution(
         h=h,
         modulus=TorusModulus(float(tau1_exact), tau2),
         psi=TwistorStructure(cos_theta, sin_theta),
-        c0=LieAlgElem(0, c0_coeff, 0, 0),
-        lambda_period=period,
+        c0_n2=(dq4 - tau1_exact * dd) / a,
+        lambda_period=Fraction(1, math.gcd(c, dd)),
     )
 
 
-Affine = Tuple[Fraction, Fraction, Fraction]
+Affine = Tuple[Rat, Rat, Rat]
 
 
-def _log_coordinates(h: HomDerivs, c0: LieAlgElem) -> Tuple[Affine, Affine, Affine, Affine]:
+def _log_coordinates(h: HomDerivs,
+                     c0_n2: Fraction) -> Tuple[Affine, Affine, Affine, Affine]:
     """log(torus) = h + C + [h, C]/2 as exact (const, p, q) coefficients.
 
-    The map is affine in (p, q).  h is reduced (dp h1 = dp h2 = 0), so w1
-    and w2 have no p term, and [h, C] is q (dq h2 C1 - dq h1 C2) n4.
+    C = c0_n2 n2.  The map is affine in (p, q).  h is reduced
+    (dp h1 = dp h2 = 0), so w1 and w2 have no p term, and [h, C] is
+    -q dq h1 c0_n2 n4.
     """
-    a, b = h.dq.c1, h.dq.c2
-    bracket_coeff = (b * c0.c1 - a * c0.c2) / 2
-    zero = Fraction(0)
+    (_, _, p3, p4), (a, b, q3, q4) = h.lie()
     return (
-        (c0.c1, zero, a),
-        (c0.c2, zero, b),
-        (c0.c3, h.dp.c3, h.dq.c3),
-        (c0.c4, h.dp.c4, h.dq.c4 + bracket_coeff),
+        (0, 0, a),
+        (c0_n2, 0, b),
+        (0, p3, q3),
+        (0, p4, q4 - a * c0_n2 / 2),
     )
 
 
-def _affine_float(const: Fraction, slope: Fraction, q: float) -> float:
+def _affine_float(const: Rat, slope: Rat, q: float) -> float:
     """float(const + slope q), correctly rounded, by one integer division."""
     num, den = q.as_integer_ratio()
     return ((const.numerator * slope.denominator * den
@@ -190,7 +192,7 @@ def cr_residual(s: TorusSolution, grid: int = 8) -> float:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    w = _log_coordinates(s.h, s.c0)
+    w = _log_coordinates(s.h, s.c0_n2)
     tau1, tau2 = s.modulus.tau1, s.modulus.tau2
     du_a = [float(dp) for _, dp, _ in w]
     du_b = [(float(dq) - tau1 * dpv) / tau2
@@ -244,6 +246,7 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     pairing convention under which the one-component class with invariants
     (1, 0) comes out as +E134 + E234.
     """
-    h = s.h
-    scale = -s.lambda_period * (h.dp.c3 ** 2 + h.dp.c4 ** 2)
-    return H3Class(scale * h.dq.c1, scale * h.dq.c2, 0)
+    _, _, c, dd = s.h.dp  # reduced, so dd is dp h4
+    a, b = s.h.dq[:2]
+    scale = -s.lambda_period * (c ** 2 + dd ** 2)
+    return H3Class(scale * a, scale * b, 0)

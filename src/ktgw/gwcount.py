@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import List
 
 from .arith import aut_weight_sum, divisors, sigma
-from .homs import HomDerivs, normalize_class, validate
-from .nilalg import H3_ZERO, H3Class, HomologyClass, LieAlgElem, h3_pushforward
+from .homs import HomDerivs, normalize_class
+from .nilalg import H3_ZERO, H3Class, HomologyClass, h3_pushforward
 
 __all__ = [
     "ModuliComponent",
@@ -85,15 +85,15 @@ def component_hom(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
     k - d/2 - dp h4, and conjugation by a lattice element adds multiples of
     dq h1 = -sgn(m) d to dq h4, so dq h4 only matters mod d.  The result is
     then dq h3 = 0, dq h4 = k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.
+    The stored closed entry is dq h4 + dq h1 dq h2 / 2 = k' + d (d - 1) / 2.
     """
     span = check_component_label(m, n, d, k, ell)
     sgn = 1 if m > 0 else -1
     dp4 = -n // (sgn * d)
     if ell == span:
         ell, k = 0, (k - dp4 - 1) % d + 1
-    dp = LieAlgElem(0, 0, span, dp4)
-    dq = LieAlgElem(-sgn * d, -sgn * d, ell, Fraction(2 * k - d, 2))
-    return HomDerivs(dp, dq)
+    return HomDerivs((0, 0, span, dp4),
+                     (-sgn * d, -sgn * d, ell, k + d * (d - 1) // 2))
 
 
 def aut_size_formula(m: int, n: int, d: int, k: int, ell: int) -> int:
@@ -119,24 +119,19 @@ def aut_size_smith(h: HomDerivs) -> int:
 
     where (a2, b2) = (dq h1, dq h2), g2 = gcd(a2, b2), abar = a2/g2,
     bbar = b2/g2, (c1, c2) = (dp h3, dq h3) and (d1, d2) is the dh4 row with
-    its half-integer closure, d2 = dq h4 + dq h1 dq h2 / 2.  This is an
-    oracle for `aut_size_formula`, independent of the closed k, l bookkeeping.
-    Refuses with ValueError a homomorphism that `homs.validate` rejects, so
-    every entry above is an integer.
+    its half-integer closure, the stored integers dp[3] and dq[3].  This is
+    an oracle for `aut_size_formula`, independent of the closed k, l
+    bookkeeping.  Refuses with ValueError a homomorphism that is not reduced
+    or has dq h1 = 0.
     """
-    if not validate(h):
-        raise ValueError("not a lattice-compatible homomorphism")
     if not h.is_reduced():
         raise ValueError("homomorphism must be reduced")
-    if h.dq.c1 == 0:
+    if h.dq[0] == 0:
         raise ValueError("dq h1 must be nonzero")
-    a2, b2 = int(h.dq.c1), int(h.dq.c2)
+    (_, _, c1, d1), (a2, b2, c2, z2) = h.dp, h.dq
     g2 = math.gcd(a2, b2)
     abar, bbar = a2 // g2, b2 // g2
-    c1, c2 = int(h.dp.c3), int(h.dq.c3)
-    d1 = int(h.dp.c4)
-    d2 = (int(h.dq.c4 + h.dq.c1 * h.dq.c2 / 2)
-          - (g2 * (g2 - 1) // 2) * abar * bbar)
+    d2 = z2 - (g2 * (g2 - 1) // 2) * abar * bbar
     minor_12 = -g2 * c1
     minor_13 = -g2 * d1
     minor_23 = c1 * d2 - c2 * d1

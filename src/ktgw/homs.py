@@ -1,16 +1,19 @@
-"""Lie algebra homomorphisms R^2 -> n as derivative matrices.
+"""Lattice homomorphisms Z^2 -> Gamma as two columns of eight checked integers.
 
-A homomorphism h is recorded by its two columns of partial derivatives
-(d/dp h, d/dq h), each a Lie algebra element.  The homomorphism descends to a
-closed torus in the quotient manifold when the first three rows are integers
-and the fourth row closes up to the half-integer correction coming from the
-exponential map; commutativity of the source forces the top 2x2 block to be
-singular.
+A torus comes from a Lie algebra homomorphism h: R^2 -> n with columns of
+partial derivatives (d/dp h, d/dq h).  It closes up in the quotient
+manifold when exp of each column lies in the lattice and the columns
+commute, that is when h restricts to a homomorphism Z^2 -> Gamma.  So each
+column is stored as the coordinates (y, x, log t, z) of its exp, four
+integers: the closed column (h1, h2, h3, h4 + h1 h2 / 2).  The `HomDerivs`
+constructor is the one lattice check, and `HomDerivs.lie` the one place
+that undoes the half-integer closure.  Commutativity of the source forces
+the top 2x2 block to be singular.
 
-The torus's degree-two homology class is read off from the 2x2 minors of the
-derivative matrix.  Right multiplication by SL(2,Z) reparametrises the torus
-without moving the class, and every orbit with nonzero first invariant has a
-unique fully reduced representative
+The torus's degree-two homology class is read off from the 2x2 minors of
+the Lie derivative matrix.  Right multiplication by SL(2,Z) reparametrises
+the torus without moving the class, and every orbit with nonzero first
+invariant has a unique fully reduced representative
 
     dp h1 = dp h2 = 0,  dp h3 > 0,  0 <= dq h3 < dp h3.
 
@@ -27,12 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .nilalg import HomologyClass, LieAlgElem, Sl2zMatrix, h2_pushforward
+from .nilalg import HomologyClass, Sl2zMatrix, h2_pushforward
 
 __all__ = [
     "HomDerivs",
-    "Sl2zMatrix",
-    "validate",
     "homology_class",
     "plucker_holds",
     "normalize_class",
@@ -41,50 +42,44 @@ __all__ = [
 IDENTITY_2X2: Sl2zMatrix = ((1, 0), (0, 1))
 
 
+# (h1, h2, h3, h4 + h1 h2 / 2) of a column, and its Lie coordinates.
+Column = Tuple[int, int, int, int]
+LieColumn = Tuple[int, int, int, Fraction]
+
+
 @dataclass(frozen=True)
 class HomDerivs:
-    """Derivative matrix of a homomorphism: columns dp = d/dp h, dq = d/dq h."""
+    """Lattice homomorphism by its closed columns dp = d/dp h, dq = d/dq h.
 
-    dp: LieAlgElem
-    dq: LieAlgElem
+    Each column is a tuple of four ints (h1, h2, h3, h4 + h1 h2 / 2), and
+    the columns commute: dp h1 dq h2 = dq h1 dp h2.  Anything else raises
+    ValueError, so every HomDerivs is lattice-compatible.
+    """
+
+    dp: Column
+    dq: Column
+
+    def __post_init__(self) -> None:
+        dp, dq = self.dp, self.dq
+        if not (all(type(col) is tuple and len(col) == 4
+                    and all(type(v) is int for v in col) for col in (dp, dq))
+                and dp[0] * dq[1] == dq[0] * dp[1]):
+            raise ValueError("not a lattice-compatible homomorphism")
 
     def is_reduced(self) -> bool:
-        return self.dp.c1 == 0 and self.dp.c2 == 0
+        return self.dp[0] == 0 and self.dp[1] == 0
 
-
-def _is_int(v: Fraction) -> bool:
-    return v.denominator == 1
-
-
-def validate(h: HomDerivs) -> bool:
-    """True iff h is a homomorphism whose exponential closes up in the lattice.
-
-    Checks the commutativity constraint dp_h1 dq_h2 = dq_h1 dp_h2 and the
-    integrality of dp h_i, dq h_i for i = 1, 2, 3 together with
-    dp h4 + dp h1 dp h2 / 2 and dq h4 + dq h1 dq h2 / 2.
-    """
-    dp, dq = h.dp, h.dq
-    for col in (dp, dq):
-        if not (_is_int(col.c1) and _is_int(col.c2) and _is_int(col.c3)):
-            return False
-        # With c1 c2 an integer, c4 + c1 c2 / 2 is one exactly when c4 has
-        # denominator 1 for even c1 c2 and 2 for odd.
-        if col.c4.denominator != 1 + col.c1.numerator * col.c2.numerator % 2:
-            return False
-    return (dp.c1.numerator * dq.c2.numerator
-            == dq.c1.numerator * dp.c2.numerator)
+    def lie(self) -> Tuple[LieColumn, LieColumn]:
+        """Lie coordinates (h1, h2, h3, z - h1 h2 / 2) of dp and dq."""
+        return tuple((h1, h2, h3, Fraction(2 * z - h1 * h2, 2))
+                     for h1, h2, h3, z in (self.dp, self.dq))
 
 
 def homology_class(h: HomDerivs) -> HomologyClass:
     """Degree-two class of the torus: A_ij = dp h_i dq h_j - dq h_i dp h_j."""
-    if not validate(h):
-        raise ValueError("not a lattice-compatible homomorphism")
-    dp, dq = h.dp, h.dq
-    a13 = dp.c1 * dq.c3 - dq.c1 * dp.c3
-    a23 = dp.c2 * dq.c3 - dq.c2 * dp.c3
-    a14 = dp.c1 * dq.c4 - dq.c1 * dp.c4
-    a24 = dp.c2 * dq.c4 - dq.c2 * dp.c4
-    return HomologyClass(a13, a23, a14, a24)
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = h.lie()
+    return HomologyClass(p1 * q3 - q1 * p3, p2 * q3 - q2 * p3,
+                         p1 * q4 - q1 * p4, p2 * q4 - q2 * p4)
 
 
 def plucker_holds(A: HomologyClass) -> bool:

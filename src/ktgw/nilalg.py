@@ -1,4 +1,4 @@
-"""Exact value types of the Lie algebra and homology of the Kodaira-Thurston manifold.
+"""Exact homology value types of the Kodaira-Thurston manifold.
 
 The group N consists of real matrices
 
@@ -9,16 +9,16 @@ The group N consists of real matrices
 
 and the lattice Gamma is the subgroup with integer entries; the compact
 quotient of N by Gamma is the Kodaira-Thurston manifold.  Lie algebra
-elements are stored in the basis
+coordinates are taken in the basis
 
-    n1 = d/dy,   n2 = d/dx,   n3 = d/dt,   n4 = d/dz,
+    n1 = d/dy,   n2 = d/dx,   n3 = d/dt,   n4 = d/dz.
 
-always with rational coordinates, so every identity is decided exactly.
 The group is two-step nilpotent: the only nonzero bracket points along n4,
-and exp(X)exp(Y) = exp(X + Y + [X,Y]/2).  No group element is stored: the
-torus map is written once, as its logarithm, in `geometry`.
+and exp(X)exp(Y) = exp(X + Y + [X,Y]/2).  No Lie algebra or group element
+is stored: a homomorphism is two lattice columns in `homs`, and the torus
+map is written once, as its logarithm, in `geometry`.
 
-The module also hosts the two homology coefficient vectors that the lattice
+The module hosts the two homology coefficient vectors that the lattice
 automorphisms act on: degree-two classes as integer 4-vectors in the basis
 E13, E23, E14, E24, and degree-three classes as rational coefficients of
 E134, E234, E124.
@@ -41,7 +41,6 @@ from typing import Tuple, Union
 Rat = Union[int, Fraction]
 
 __all__ = [
-    "LieAlgElem",
     "HomologyClass",
     "H3Class",
     "H3_ZERO",
@@ -58,23 +57,6 @@ def _frac(value: Rat) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
-@dataclass(frozen=True)
-class LieAlgElem:
-    """Lie algebra element c1*n1 + c2*n2 + c3*n3 + c4*n4."""
-
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    c4: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("c1", "c2", "c3", "c4"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-
-    def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.c1, self.c2, self.c3, self.c4)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,21 @@ coordinate formulas they are checking.  The pullback oracles integrate
 general polynomial forms in (lam, p, q) with `Poly`, where the library
 integrates constant forms in closed form.
 
-No library command builds a group element, so the group layer lives here:
+No library command builds a Lie algebra or group element, so those layers
+live here:
 
+* `LieAlgElem` stores a Lie algebra element by its rational coordinates
+  in the basis n1, n2, n3, n4, and `lie_comb` forms linear combinations
+  of them.
 * `GroupElem` stores a group element as (x, y, z, log t); the lattice
   condition is integrality of all four coordinates.  The matrix oracles
   `group_mul_oracle` and `exp_oracle` and the automorphism lifts are
   written on it.
-* `lie_comb` forms linear combinations of Lie algebra elements by
-  coordinates.
-* `from_rows` builds a `HomDerivs` from four (dp h_i, dq h_i) rows.
+* `hom_from_lie` is the one converter from Lie columns to a `HomDerivs`:
+  it stores exp_oracle of each column and leaves the lattice check to the
+  `HomDerivs` constructor.  `lie_columns` reads the columns back through
+  `HomDerivs.lie`.
+* `from_rows` builds a `HomDerivs` from four Lie rows (dp h_i, dq h_i).
 * `sl2z_act` reparametrises a homomorphism by right multiplication with an
   SL(2,Z) matrix, and `fully_reduce` moves any homomorphism of an orbit with
   nonzero first invariant to its fully reduced representative; they are
@@ -34,7 +40,6 @@ from ktgw.homs import HomDerivs, _xgcd, homology_class
 from ktgw.nilalg import (
     H3Class,
     HomologyClass,
-    LieAlgElem,
     Rat,
     Sl2zMatrix,
     _frac,
@@ -43,6 +48,23 @@ from ktgw.nilalg import (
 
 Mat3 = Tuple[Tuple[Fraction, ...], ...]
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
+
+
+@dataclass(frozen=True)
+class LieAlgElem:
+    """Lie algebra element c1*n1 + c2*n2 + c3*n3 + c4*n4."""
+
+    c1: Fraction
+    c2: Fraction
+    c3: Fraction
+    c4: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("c1", "c2", "c3", "c4"):
+            object.__setattr__(self, name, _frac(getattr(self, name)))
+
+    def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+        return (self.c1, self.c2, self.c3, self.c4)
 
 
 @dataclass(frozen=True)
@@ -214,21 +236,41 @@ def adjugate(M: Mat2) -> Mat2:
 # ---------------------------------------------------------------------------
 
 
+def hom_from_lie(dp: LieAlgElem, dq: LieAlgElem) -> HomDerivs:
+    """The homomorphism with Lie columns dp and dq.
+
+    Each stored column is the coordinates (y, x, log t, z) of exp_oracle of
+    the Lie column.  A coordinate that is not an integer stays a Fraction,
+    so the `HomDerivs` constructor refuses it, as it refuses columns that
+    do not commute.
+    """
+    def closed(X: LieAlgElem) -> tuple:
+        g = exp_oracle(X)
+        return tuple(v.numerator if v.denominator == 1 else v
+                     for v in (g.y, g.x, g.logt, g.z))
+    return HomDerivs(closed(dp), closed(dq))
+
+
+def lie_columns(h: HomDerivs) -> Tuple[LieAlgElem, LieAlgElem]:
+    """The Lie columns (dp, dq) of h, from `HomDerivs.lie`."""
+    dp, dq = h.lie()
+    return LieAlgElem(*dp), LieAlgElem(*dq)
+
+
 def from_rows(rows) -> HomDerivs:
-    """Build a homomorphism from four (dp h_i, dq h_i) rows."""
+    """Build a homomorphism from four Lie rows (dp h_i, dq h_i)."""
     if len(rows) != 4 or any(len(r) != 2 for r in rows):
         raise ValueError("expected four rows of two entries")
     dp = LieAlgElem(rows[0][0], rows[1][0], rows[2][0], rows[3][0])
     dq = LieAlgElem(rows[0][1], rows[1][1], rows[2][1], rows[3][1])
-    return HomDerivs(dp, dq)
+    return hom_from_lie(dp, dq)
 
 
 def sl2z_act(h: HomDerivs, phi: Sl2zMatrix) -> HomDerivs:
-    """Right multiplication of the derivative matrix by phi in SL(2,Z)."""
+    """Right multiplication of the Lie derivative matrix by phi in SL(2,Z)."""
     a, b, c, d = sl2z_entries(phi)
-    dp = lie_comb((a, h.dp), (c, h.dq))
-    dq = lie_comb((b, h.dp), (d, h.dq))
-    return HomDerivs(dp, dq)
+    dp, dq = lie_columns(h)
+    return hom_from_lie(lie_comb((a, dp), (c, dq)), lie_comb((b, dp), (d, dq)))
 
 
 def fully_reduce(h: HomDerivs) -> Tuple[Sl2zMatrix, HomDerivs]:
@@ -246,20 +288,19 @@ def fully_reduce(h: HomDerivs) -> Tuple[Sl2zMatrix, HomDerivs]:
                          "vanishes; only reduced forms exist")
     phi: Sl2zMatrix = ((1, 0), (0, 1))
     cur = h
-    if cur.dp.c1 != 0 or cur.dp.c2 != 0:
+    if not cur.is_reduced():
         # Clear the top block: the Euclidean step sends (dp h1, dq h1) to
         # (0, -gcd), and the proportional second row follows along.
-        a, b = int(cur.dp.c1), int(cur.dq.c1)
+        a, b = cur.dp[0], cur.dq[0]
         g, s, t = _xgcd(a, b)
         step = ((-b // g, -s), (a // g, -t))
         phi = mat2_mul(phi, step)
         cur = sl2z_act(cur, step)
-    if cur.dp.c3 < 0:
+    if cur.dp[2] < 0:
         step = ((-1, 0), (0, -1))
         phi = mat2_mul(phi, step)
         cur = sl2z_act(cur, step)
-    c = int(cur.dp.c3)
-    shift = int(cur.dq.c3) // c
+    shift = cur.dq[2] // cur.dp[2]
     if shift != 0:
         step = ((1, -shift), (0, 1))
         phi = mat2_mul(phi, step)
@@ -480,20 +521,25 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> List[int]:
 
 def smith_matrix_rows(h: HomDerivs) -> List[List[int]]:
     """The 3x2 integer matrix whose minor gcd is the automorphism order."""
-    a2, b2 = int(h.dq.c1), int(h.dq.c2)
+    (_, _, c1, d1), (a2, b2, c2, d2) = h.dp, h.dq
     g2 = math.gcd(a2, b2)
     abar, bbar = a2 // g2, b2 // g2
-    d2 = int(h.dq.c4 + h.dq.c1 * h.dq.c2 / 2)
     return [
         [0, g2],
-        [int(h.dp.c3), int(h.dq.c3)],
-        [int(h.dp.c4), d2 - (g2 * (g2 - 1) // 2) * abar * bbar],
+        [c1, c2],
+        [d1, d2 - (g2 * (g2 - 1) // 2) * abar * bbar],
     ]
 
 
 # ---------------------------------------------------------------------------
 # Cauchy-Riemann residual on the full grid
 # ---------------------------------------------------------------------------
+
+
+def solution_lie(s: TorusSolution) -> Tuple[LieAlgElem, ...]:
+    """Lie columns dp, dq of a solved torus and its translation constant C."""
+    dp, dq = lie_columns(s.h)
+    return dp, dq, LieAlgElem(0, s.c0_n2, 0, 0)
 
 
 def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
@@ -509,10 +555,10 @@ def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    h, c0 = s.h, s.c0
+    dp, dq, c0 = solution_lie(s)
     half = Fraction(1, 2)
-    dw_dp = lie_comb((1, h.dp), (half, commutator_oracle(h.dp, c0)))
-    dw_dq = lie_comb((1, h.dq), (half, commutator_oracle(h.dq, c0)))
+    dw_dp = lie_comb((1, dp), (half, commutator_oracle(dp, c0)))
+    dw_dq = lie_comb((1, dq), (half, commutator_oracle(dq, c0)))
     # (const, p, q) coefficients of w1 and w2, the only parts the defect reads.
     w12 = list(zip(c0.coords(), dw_dp.coords(), dw_dq.coords()))[:2]
     tau1, tau2 = s.modulus.tau1, s.modulus.tau2
@@ -547,14 +593,14 @@ def area_pullback(s: TorusSolution) -> float:
     (g = dz - x dy) over the unit square at lambda = 0; only the final
     cos/sin combination is floating point.
     """
-    h = s.h
+    dp, dq, _ = solution_lie(s)
     lam, p, q = Poly.var(0), Poly.var(1), Poly.var(2)
-    a, b = h.dq.c1, h.dq.c2
+    a, b = dq.c1, dq.c2
     y = q.scale(a)
-    x = q.scale(b) + Poly.const(s.c0.c2)
-    z = (lam.scale(-h.dp.c3) + p.scale(h.dp.c4) + q.scale(h.dq.c4)
+    x = q.scale(b) + Poly.const(s.c0_n2)
+    z = (lam.scale(-dp.c3) + p.scale(dp.c4) + q.scale(dq.c4)
          + (q * q).scale(a * b / 2))
-    t = lam.scale(h.dp.c4) + p.scale(h.dp.c3) + q.scale(h.dq.c3)
+    t = lam.scale(dp.c4) + p.scale(dp.c3) + q.scale(dq.c3)
     dx, dy, dz, dt = (differential(f) for f in (x, y, z, t))
     gamma = form_sub(dz, form_scale(x, dy))
 
@@ -593,17 +639,17 @@ def eval_class_pullback(s: TorusSolution) -> H3Class:
     are wedged as polynomials and integrated monomial by monomial over
     [0, lambda_period] x [0, 1]^2, assuming nothing about which terms vanish.
     """
-    h, c0 = s.h, s.c0
+    dp, dq, c0 = solution_lie(s)
     half = Fraction(1, 2)
-    dw_dp = lie_comb((1, h.dp), (half, commutator_oracle(h.dp, c0)))
-    dw_dq = lie_comb((1, h.dq), (half, commutator_oracle(h.dq, c0)))
+    dw_dp = lie_comb((1, dp), (half, commutator_oracle(dp, c0)))
+    dw_dq = lie_comb((1, dq), (half, commutator_oracle(dq, c0)))
     lam, p, q = Poly.var(0), Poly.var(1), Poly.var(2)
     w1, w2, w3, w4 = (Poly.const(c) + p.scale(x) + q.scale(y)
                       for c, x, y in zip(c0.coords(), dw_dp.coords(),
                                          dw_dq.coords()))
     x, y = w2, w1
-    z = w4 + (w1 * w2).scale(Fraction(1, 2)) - lam.scale(h.dp.c3)
-    t = w3 + lam.scale(h.dp.c4)
+    z = w4 + (w1 * w2).scale(Fraction(1, 2)) - lam.scale(dp.c3)
+    t = w3 + lam.scale(dp.c4)
     dx, dy, dz, dt = (differential(f) for f in (x, y, z, t))
     gamma = form_sub(dz, form_scale(x, dy))
     period = s.lambda_period

@@ -156,8 +156,7 @@ def test_ac06_cauchy_riemann_validation():
                 if not res < 1e-9:
                     failures.append(f"{where}: residual {res:g}")
                 bad_c0 = dataclasses.replace(
-                    sol, c0=dataclasses.replace(
-                        sol.c0, c2=sol.c0.c2 + Fraction(1, 10)))
+                    sol, c0_n2=sol.c0_n2 + Fraction(1, 10))
                 if not cr_residual(bad_c0, grid=8) > 1e-3:
                     failures.append(f"{where}: c0 perturbation undetected")
                 bad_tau = dataclasses.replace(

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
+from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
-from ktgw.gwcount import gw_closed_form
-from ktgw.nilalg import HomologyClass
+from ktgw.gwcount import GWResult, gw_closed_form
+from ktgw.nilalg import H3Class, HomologyClass
 
 
 def run(capsys, *argv):
@@ -127,6 +128,26 @@ class TestGwCommand:
             assert out == ""
             assert err.startswith("error: ")
             assert err.count("\n") == 1
+
+    def test_digit_limit_refusal_in_own_words(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        big = str(10 ** 1500)
+        _, _, err = run(capsys, "gw", big, big, "1", "1", "--method", "closed")
+        assert err == (f"error: the invariant has over {limit} digits, past "
+                       f"this interpreter's limit for printing an integer\n")
+        # The refusal starts at exactly limit + 1 digits, in the numerator
+        # or the denominator of any coordinate.
+        zero = HomologyClass(0, 0, 0, 0)
+
+        def result(*gw):
+            return GWResult(zero, zero, 0, 0, H3Class(*gw), "closed")
+
+        most = 10 ** limit - 1
+        check_printable([result(-most, 1, Fraction(1, most))])
+        for gw in [(10 ** limit, 0, 0), (0, -(10 ** limit), 0),
+                   (0, 0, Fraction(1, 10 ** limit))]:
+            with pytest.raises(ValueError, match="invariant has over"):
+                check_printable([result(1, 1, 1), result(*gw)])
 
 
 class TestModuliCommand:

@@ -17,9 +17,10 @@ from ktgw.geometry import (
 )
 from ktgw.gwcount import component_eval_class, component_hom, moduli_components
 from ktgw.homs import HomDerivs, homology_class
-from ktgw.nilalg import H3Class, HomologyClass, LieAlgElem
+from ktgw.nilalg import H3Class, HomologyClass
 from oracles import (
     GroupElem,
+    LieAlgElem,
     Poly,
     area_pullback,
     cr_residual_grid,
@@ -27,6 +28,7 @@ from oracles import (
     exp_oracle,
     from_rows,
     group_mul_oracle,
+    lie_columns,
     lie_comb,
     random_fraction,
 )
@@ -69,7 +71,7 @@ class TestSolve:
         assert s.modulus.tau2 == pytest.approx(math.sqrt(2), rel=1e-14)
         assert s.psi.cos_theta == pytest.approx(-1 / math.sqrt(2), rel=1e-14)
         assert s.psi.sin_theta == pytest.approx(-1 / math.sqrt(2), rel=1e-14)
-        assert s.c0 == LieAlgElem(0, Fraction(-1, 2), 0, 0)
+        assert s.c0_n2 == Fraction(-1, 2)
         assert s.lambda_period == 1
 
     def test_two_zero_instance(self):
@@ -80,9 +82,8 @@ class TestSolve:
     def test_rotation_condition(self):
         for _, _, comp in small_sweep(3):
             s = solve_torus_data(comp.hom)
-            h = s.h
-            c, d = float(h.dp.c3), float(h.dp.c4)
-            a, b = float(h.dq.c1), float(h.dq.c2)
+            _, _, c, d = s.h.dp
+            a, b = s.h.dq[:2]
             t2 = s.modulus.tau2
             rx = s.psi.cos_theta * c - s.psi.sin_theta * d - a / t2
             ry = s.psi.sin_theta * c + s.psi.cos_theta * d - b / t2
@@ -95,8 +96,8 @@ class TestSolve:
     def test_rejections(self):
         with pytest.raises(ValueError):
             solve_torus_data(rows((1, 0), (0, 1), (0, 0), (0, 0)))
-        non_reduced = rows((1, 0), (1, 0), (0, 1), (0, 0))
-        with pytest.raises(ValueError):
+        non_reduced = rows((1, 0), (1, 0), (0, 1), (Fraction(1, 2), 0))
+        with pytest.raises(ValueError, match="must be reduced"):
             solve_torus_data(non_reduced)
         obstructed = rows((0, -1), (0, -1), (0, 0), (1, Fraction(1, 2)))
         with pytest.raises(ValueError):
@@ -147,8 +148,9 @@ def torus_point(s, lam, p, q):
     """
     lam, p, q = Fraction(lam), Fraction(p), Fraction(q)
     w = LieAlgElem(*(const + dp * p + dq * q
-                     for const, dp, dq in _log_coordinates(s.h, s.c0)))
-    central = LieAlgElem(0, 0, s.h.dp.c4, -s.h.dp.c3)
+                     for const, dp, dq in _log_coordinates(s.h, s.c0_n2)))
+    dp, _ = lie_columns(s.h)
+    central = LieAlgElem(0, 0, dp.c4, -dp.c3)
     return group_mul_oracle(exp_oracle(w), exp_oracle(lie_comb((lam, central))))
 
 
@@ -175,8 +177,7 @@ class TestCurvePoint:
                     p = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                     q = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                     base = torus_point(s, lam, p, q)
-                    p_step = exp_oracle(s.h.dp)
-                    q_step = exp_oracle(s.h.dq)
+                    p_step, q_step = map(exp_oracle, lie_columns(s.h))
                     assert torus_point(s, lam, p + 1, q) == \
                         group_mul_oracle(p_step, base)
                     assert torus_point(s, lam, p, q + 1) == \
@@ -184,25 +185,26 @@ class TestCurvePoint:
 
     def test_matches_group_products(self):
         # The logarithm is h + C + [h, C]/2: exp of it is the group product
-        # exp(p dp + q dq) exp(C), here with a constant C that has nonzero
-        # n1, n3 and n4 parts.
+        # exp(p dp + q dq) exp(C), on the solved C = c0_n2 n2 and on a
+        # random other c0_n2.
         rng = random.Random(47)
         for m, n in [(1, 0), (2, 2), (-3, 1), (4, -6)]:
             for sol in solutions(m, n):
-                h = sol.h
-                c0 = LieAlgElem(Fraction(2, 3), sol.c0.c2,
-                                Fraction(-5, 7), Fraction(3, 4))
-                s = dataclasses.replace(sol, c0=c0)
-                central = LieAlgElem(0, 0, h.dp.c4, -h.dp.c3)
-                for _ in range(5):
-                    lam, p, q = (Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                                 for _ in range(3))
-                    expected = group_mul_oracle(
-                        group_mul_oracle(
-                            exp_oracle(lie_comb((p, h.dp), (q, h.dq))),
-                            exp_oracle(c0)),
-                        exp_oracle(lie_comb((lam, central))))
-                    assert torus_point(s, lam, p, q) == expected
+                dp, dq = lie_columns(sol.h)
+                bent = random_fraction(rng, 9, 7)
+                central = LieAlgElem(0, 0, dp.c4, -dp.c3)
+                for s in (sol, dataclasses.replace(sol, c0_n2=bent)):
+                    c0 = LieAlgElem(0, s.c0_n2, 0, 0)
+                    for _ in range(5):
+                        lam, p, q = (Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 6))
+                                     for _ in range(3))
+                        expected = group_mul_oracle(
+                            group_mul_oracle(
+                                exp_oracle(lie_comb((p, dp), (q, dq))),
+                                exp_oracle(c0)),
+                            exp_oracle(lie_comb((lam, central))))
+                        assert torus_point(s, lam, p, q) == expected
 
 
 class TestCrResidual:
@@ -213,8 +215,7 @@ class TestCrResidual:
     def test_c0_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            bad = dataclasses.replace(s, c0=dataclasses.replace(
-                s.c0, c2=s.c0.c2 + Fraction(1, 10)))
+            bad = dataclasses.replace(s, c0_n2=s.c0_n2 + Fraction(1, 10))
             assert cr_residual(bad) > 1e-3
 
     def test_tau1_perturbation_detected(self):
@@ -303,20 +304,18 @@ class TestEvalClass:
 
     def test_matches_polynomial_pullback(self):
         # Exact equality with the general polynomial pullback: on solved
-        # components, with a constant C that has nonzero n1, n3 and n4 parts,
-        # and on reduced rational maps with dq h1 != dq h2, which no solved
-        # component of a diagonal class has.
+        # components, with a random other c0_n2, and on random reduced
+        # lattice maps with dq h1 != dq h2, which no solved component of a
+        # diagonal class has.
         rng = random.Random(53)
         for _, _, comp in small_sweep(4):
             s = solve_torus_data(comp.hom)
             assert eval_class_integrate(s) == eval_class_pullback(s)
-            c1, c2, c3, c4 = (random_fraction(rng, 9, 7) for _ in range(4))
-            c0 = LieAlgElem(c1 or 1, c2, c3 or 1, c4 or 1)
-            bent = dataclasses.replace(s, c0=c0)
+            bent = dataclasses.replace(s, c0_n2=random_fraction(rng, 9, 7))
             assert eval_class_integrate(bent) == eval_class_pullback(bent)
-            dp = LieAlgElem(0, 0, *(random_fraction(rng, 9, 5) for _ in range(2)))
-            dq = LieAlgElem(*(random_fraction(rng, 9, 5) for _ in range(4)))
-            if dq.c1 == dq.c2:
-                dq = dataclasses.replace(dq, c2=dq.c2 + 1)
+            dp = (0, 0, rng.randint(-9, 9), rng.randint(-9, 9))
+            dq = tuple(rng.randint(-9, 9) for _ in range(4))
+            if dq[0] == dq[1]:
+                dq = (dq[0], dq[1] + 1, *dq[2:])
             bent = dataclasses.replace(bent, h=HomDerivs(dp, dq))
             assert eval_class_integrate(bent) == eval_class_pullback(bent)

@@ -17,17 +17,17 @@ from ktgw.gwcount import (
     gw_enumerated,
     moduli_components,
 )
-from ktgw.homs import HomDerivs
 from ktgw.nilalg import (
     H3_ZERO,
     H3Class,
     HomologyClass,
-    LieAlgElem,
     h2_pushforward,
     h3_pushforward,
 )
 from oracles import (
+    LieAlgElem,
     from_rows,
+    hom_from_lie,
     random_plucker_class,
     random_word,
     smith_diagonal,
@@ -85,25 +85,27 @@ class TestAutSizeSmith:
             assert diag[0] * diag[1] == aut_size_smith(hom)
 
     def test_rejects_non_reduced(self):
-        bad = from_rows([(1, 0), (1, 0), (0, 1), (0, 0)])
-        with pytest.raises(ValueError):
-            aut_size_smith(bad)
+        # dp h4 + dp h1 dp h2 / 2 = 1/2: refused before aut_size_smith.
+        with pytest.raises(ValueError,
+                           match="not a lattice-compatible homomorphism"):
+            from_rows([(1, 0), (1, 0), (0, 1), (0, 0)])
         # A lattice-compatible homomorphism with dp h1 = dp h2 = 1.
         bad = from_rows([(1, 0), (1, 0), (0, 1), (Fraction(1, 2), 0)])
         with pytest.raises(ValueError, match="must be reduced"):
             aut_size_smith(bad)
 
     def test_rejects_non_lattice(self):
-        # Non-integral rows must be refused, not truncated by int().
+        # Non-integral rows are refused when the homomorphism is built, so
+        # aut_size_smith never sees one.
         half = Fraction(1, 2)
         closed = LieAlgElem(-1, -1, 0, half)
-        for h in [HomDerivs(LieAlgElem(0, 0, 3 * half, 1), closed),
-                  HomDerivs(LieAlgElem(0, 0, 2, Fraction(1, 3)), closed),
-                  HomDerivs(LieAlgElem(0, 0, 2, 1),
-                            LieAlgElem(-half, -half, 0, Fraction(1, 8)))]:
+        for dp, dq in [(LieAlgElem(0, 0, 3 * half, 1), closed),
+                       (LieAlgElem(0, 0, 2, Fraction(1, 3)), closed),
+                       (LieAlgElem(0, 0, 2, 1),
+                        LieAlgElem(-half, -half, 0, Fraction(1, 8)))]:
             with pytest.raises(ValueError,
                                match="not a lattice-compatible homomorphism"):
-                aut_size_smith(h)
+                hom_from_lie(dp, dq)
 
 
 class TestComponentEvalClass:

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from ktgw.arith import sigma
 from ktgw.gwcount import aut_size_formula, component_hom, moduli_components
-from ktgw.homs import homology_class, normalize_class, plucker_holds, validate
+from ktgw.homs import HomDerivs, homology_class, normalize_class, plucker_holds
 from ktgw.nilalg import HomologyClass, h2_pushforward
 from oracles import (
+    adjugate,
+    exp_oracle,
     from_rows,
     fully_reduce,
+    lie_columns,
     random_plucker_class,
     random_sl2z,
     sl2z_act,
@@ -28,20 +31,59 @@ def rows(*entries):
 REDUCED_110 = rows((0, -1), (0, -1), (1, 0), (0, Fraction(1, 2)))
 
 
+NOT_LATTICE = "not a lattice-compatible homomorphism"
+
+
 class TestValidate:
+    """The `HomDerivs` constructor is the one lattice check."""
+
     def test_examples(self):
-        assert validate(REDUCED_110)
-        assert not validate(rows((1, 0), (0, 1), (0, 0), (0, 0)))
-        assert validate(rows((0, 0), (0, 0), (0, 0), (0, 0)))
+        assert REDUCED_110 == HomDerivs((0, 0, 1, 0), (-1, -1, 0, 1))
+        with pytest.raises(ValueError, match=NOT_LATTICE):
+            rows((1, 0), (0, 1), (0, 0), (0, 0))
+        assert rows((0, 0), (0, 0), (0, 0), (0, 0)) == \
+            HomDerivs((0, 0, 0, 0), (0, 0, 0, 0))
 
     def test_integrality_violations(self):
-        assert not validate(rows((0, Fraction(1, 3)), (0, 0), (0, 0), (0, 0)))
+        with pytest.raises(ValueError, match=NOT_LATTICE):
+            rows((0, Fraction(1, 3)), (0, 0), (0, 0), (0, 0))
         # dq h4 + dq h1 dq h2 / 2 = 1/2 here, not an integer.
-        assert not validate(rows((0, -1), (0, -1), (1, 0), (0, 0)))
+        with pytest.raises(ValueError, match=NOT_LATTICE):
+            rows((0, -1), (0, -1), (1, 0), (0, 0))
 
     def test_half_integer_fourth_row_allowed(self):
         h = rows((0, -1), (0, -1), (2, 1), (0, Fraction(3, 2)))
-        assert validate(h)
+        assert h.dq == (-1, -1, 1, 2)
+        assert h.lie()[1] == (-1, -1, 1, Fraction(3, 2))
+
+    def test_constructor_refuses_non_int_entries_and_shapes(self):
+        good = (0, 0, 1, 0)
+        for bad in [(0, 0, Fraction(1), 0), (0, 0, 1.0, 0), (0, 0, True, 0),
+                    (0, 0, 1), (0, 0, 1, 0, 0), [0, 0, 1, 0]]:
+            for dp, dq in [(bad, good), (good, bad)]:
+                with pytest.raises(ValueError, match=NOT_LATTICE):
+                    HomDerivs(dp, dq)
+
+    def test_constructor_refuses_non_commuting_columns(self):
+        with pytest.raises(ValueError, match=NOT_LATTICE):
+            HomDerivs((1, 0, 0, 0), (0, 1, 0, 0))
+        with pytest.raises(ValueError, match=NOT_LATTICE):
+            HomDerivs((2, 3, 0, 0), (4, 5, 0, 0))
+        assert HomDerivs((2, 3, 0, 0), (4, 6, 0, 0)).dq == (4, 6, 0, 0)
+
+    def test_lie_view_matches_exp_oracle(self):
+        # exp of each Lie column has the stored integers as coordinates
+        # (y, x, log t, z).
+        rng = random.Random(20)
+        for _ in range(300):
+            # Top blocks proportional to one (u, v), so the columns commute.
+            u, v = rng.randint(-9, 9), rng.randint(-9, 9)
+            h = HomDerivs(*((s * u, s * v, rng.randint(-50, 50),
+                             rng.randint(-50, 50))
+                            for s in (rng.randint(-5, 5), rng.randint(-5, 5))))
+            for col, X in zip((h.dp, h.dq), lie_columns(h)):
+                g = exp_oracle(X)
+                assert (g.y, g.x, g.logt, g.z) == col
 
 
 class TestHomologyClass:
@@ -102,7 +144,11 @@ class TestSl2zAction:
         rng = random.Random(24)
         for entry in moduli_components(4, 2):
             for _ in range(15):
-                assert validate(sl2z_act(entry.hom, random_sl2z(rng)))
+                # sl2z_act builds a HomDerivs, which refuses a non-lattice
+                # result; the inverse matrix brings the original back.
+                phi = random_sl2z(rng)
+                moved = sl2z_act(entry.hom, phi)
+                assert sl2z_act(moved, adjugate(phi)) == entry.hom
 
     def test_rejects_wrong_determinant(self):
         with pytest.raises(ValueError):
@@ -142,7 +188,6 @@ class TestFullyReduce:
 
     def test_rejects_off_diagonal_class(self):
         h = rows((0, -1), (0, -2), (1, 0), (0, 1))
-        assert validate(h)
         with pytest.raises(ValueError):
             fully_reduce(h)
 
@@ -180,26 +225,26 @@ class TestEnumerate:
         for m, n in [(3, 0), (2, 2), (-4, 2), (6, -4)]:
             for entry in moduli_components(m, n):
                 h = entry.hom
-                assert validate(h)
                 assert h.is_reduced()
-                assert h.dp.c3 > 0
-                assert 0 <= h.dq.c3 < h.dp.c3
+                assert h.dp[2] > 0
+                assert 0 <= h.dq[2] < h.dp[2]
 
     def test_entries_pairwise_distinct_tori(self):
         # Distinct components differ in (d, dq h3, dq h4 mod d).
         for m, n in [(4, 0), (2, 2), (6, 4), (-6, 6)]:
             seen = set()
             for entry in moduli_components(m, n):
-                key = (entry.d, entry.hom.dq.c3, entry.hom.dq.c4 % entry.d)
+                _, dq = entry.hom.lie()
+                key = (entry.d, dq[2], dq[3] % entry.d)
                 assert key not in seen
                 seen.add(key)
 
     def test_integrality_closure(self):
         for m, n in [(4, 2), (5, 5), (-3, 6)]:
             for entry in moduli_components(m, n):
-                closure = entry.hom.dq.c4 + \
-                    entry.hom.dq.c1 * entry.hom.dq.c2 / 2
-                assert closure.denominator == 1
+                _, (a, b, _, h4) = entry.hom.lie()
+                assert h4 + Fraction(a * b, 2) == entry.hom.dq[3]
+                assert type(entry.hom.dq[3]) is int
 
 
 def raw_representative(m, n, d, k, ell):
@@ -221,7 +266,7 @@ class TestSumRepresentative:
                     assert hom == raw_representative(
                         m, n, entry.d, entry.k, entry.ell)
                 else:
-                    assert hom.dq.c3 == 0
+                    assert hom.dq[2] == 0
 
     def test_wrap_is_fully_reduced_raw_representative(self):
         # At l = |m|/d the listed hom is the fully reduced form of the raw
@@ -236,12 +281,11 @@ class TestSumRepresentative:
                                              entry.ell)
                     _, red = fully_reduce(raw)
                     assert red.dp == entry.hom.dp
-                    assert red.dq.c1 == entry.hom.dq.c1
-                    assert red.dq.c2 == entry.hom.dq.c2
-                    assert red.dq.c3 == entry.hom.dq.c3 == 0
-                    assert (red.dq.c4 - entry.hom.dq.c4) % entry.d == 0
+                    assert red.dq[:3] == entry.hom.dq[:3]
+                    assert red.dq[2] == 0
+                    assert (red.dq[3] - entry.hom.dq[3]) % entry.d == 0
                     wrapped += 1
-                    shifted += red.dq.c4 != entry.hom.dq.c4
+                    shifted += red.dq[3] != entry.hom.dq[3]
         assert wrapped > 0 and shifted > 0
 
     def test_rejects_bad_divisor(self):
@@ -261,7 +305,7 @@ class TestSumRepresentative:
             with pytest.raises(ValueError) as aut_error:
                 aut_size_formula(4, 2, d, k, ell)
             assert str(aut_error.value) == str(hom_error.value)
-        assert component_hom(4, 2, 2, 2, 2).dq.c3 == 0
+        assert component_hom(4, 2, 2, 2, 2).dq[2] == 0
         assert aut_size_formula(4, 2, 2, 2, 2) == 2
 
 

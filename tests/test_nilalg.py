@@ -5,24 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ktgw.homs import HomDerivs, validate
 from ktgw.nilalg import (
     H3Class,
     HomologyClass,
-    LieAlgElem,
     h2_pushforward,
     h3_pushforward,
 )
 from oracles import (
     GENERATORS,
     GroupElem,
+    LieAlgElem,
     adjugate,
     aut_apply,
     commutator_oracle,
     exp_oracle,
     from_rows,
     group_mul_oracle,
+    hom_from_lie,
     invert_word,
+    lie_columns,
     lie_comb,
     random_group,
     random_lattice_group,
@@ -198,31 +199,39 @@ class TestBch:
             group_mul_oracle(exp_oracle(X), exp_oracle(Y))
 
 
+def converts(dp, dq):
+    """True iff `hom_from_lie` builds a homomorphism from dp and dq."""
+    try:
+        hom_from_lie(dp, dq)
+    except ValueError as exc:
+        assert str(exc) == "not a lattice-compatible homomorphism"
+        return False
+    return True
+
+
 class TestLattice:
-    """`homs.validate` accepts exactly the commuting pairs whose columns
-    exponentiate into the lattice."""
+    """`hom_from_lie`, through the `HomDerivs` constructor, accepts exactly
+    the commuting pairs whose columns exponentiate into the lattice."""
 
     def test_examples(self):
         assert in_lattice(GroupElem(1, 1, 1, 0))
         assert not in_lattice(GroupElem(Fraction(1, 2), 0, 0, 0))
         assert in_lattice(GroupElem(0, 0, 0, 3))
-        assert validate(REDUCED_110)
-        assert in_lattice(exp_oracle(REDUCED_110.dq))
+        assert in_lattice(exp_oracle(lie_columns(REDUCED_110)[1]))
         # dq h4 = 0 leaves exp(dq) at z = 1/2, outside the lattice.
-        bad = from_rows(((0, -1), (0, -1), (1, 0), (0, 0)))
-        assert not validate(bad)
-        assert not in_lattice(exp_oracle(bad.dq))
+        bad_dq = LieAlgElem(-1, -1, 0, 0)
+        assert not converts(LieAlgElem(0, 0, 1, 0), bad_dq)
+        assert not in_lattice(exp_oracle(bad_dq))
         rng = random.Random(30)
         accepted = 0
         for _ in range(500):
             dp, dq = random_lie(rng, 4, 2), random_lie(rng, 4, 2)
             if rng.random() < 0.5:
                 dq = LieAlgElem(dp.c1, dp.c2, dq.c3, dq.c4)
-            h = HomDerivs(dp, dq)
-            expected = (commutator_oracle(h.dp, h.dq) == ZERO
-                        and in_lattice(exp_oracle(h.dp))
-                        and in_lattice(exp_oracle(h.dq)))
-            assert validate(h) == expected
+            expected = (commutator_oracle(dp, dq) == ZERO
+                        and in_lattice(exp_oracle(dp))
+                        and in_lattice(exp_oracle(dq)))
+            assert converts(dp, dq) == expected
             accepted += expected
         assert 0 < accepted < 500
 
