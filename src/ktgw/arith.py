@@ -2,8 +2,9 @@
 
 Everything here is pure integer or rational arithmetic.  The two headline
 items are the Hermite-form count of finite-index sublattices of Z^2 (which
-recovers sigma_1) and the triple divisor sum of reciprocal automorphism
-orders together with its closed form |m| sigma_2(gcd(m,n)) / gcd(m,n)^2.
+recovers sigma_1) and the sum of reciprocal automorphism orders over the
+component labels, evaluated as a sum over pairs of divisors of gcd(m, n),
+together with its closed form |m| sigma_2(gcd(m,n)) / gcd(m,n)^2.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 __all__ = [
     "divisors",
@@ -161,6 +162,20 @@ def count_sublattices_hnf(ell: int) -> int:
     return sum(1 for _ in hnf_matrices(ell))
 
 
+def _moebius_weights(g: int) -> List[Tuple[int, int]]:
+    """Pairs (f, g w(f)) over the divisors f of g >= 1, in no fixed order.
+
+    w is multiplicative with w(p^a) = (1 - p) / p^a, so that 1 / x is the
+    sum of w(f) over f | x (Pillai 1933), and g w(f) = (g / f) times the
+    product of (1 - p) over the primes p | f is an integer.
+    """
+    pairs = [(1, g)]
+    for p, e in _factorize(g).items():
+        pairs += [(f * p ** a, gw // p ** a * (1 - p))
+                  for f, gw in pairs for a in range(1, e + 1)]
+    return pairs
+
+
 def aut_weight_sum(m: int, n: int) -> Fraction:
     """Total reciprocal automorphism weight of the genus-one components.
 
@@ -172,21 +187,23 @@ def aut_weight_sum(m: int, n: int) -> Fraction:
     with the conventions gcd(x, 0) = |x| and gcd of absolute values.  The
     summand is the reciprocal of the automorphism order of the torus
     component labelled (d, k, l) in the class with invariants (m, n).
+
+    With g = gcd(m, n), 1 / gcd(g, v) is the sum of w(f) over f | gcd(g, v),
+    and the labels of d with f | (m k + n l) / d number exactly
+    C(d, f) = |m| gcd(f, g/d) / f, since k and l each run over whole
+    periods of the congruence.  So the sum costs sigma_0(g)^2 pairs (f, d),
+    not |m| sigma_0(g) labels.
     """
     if m == 0:
         raise ValueError("m must be nonzero")
     g = math.gcd(m, n)
-    # Every gcd below divides g, so accumulate numerators over denominator g.
+    weights = _moebius_weights(g)
+    divs = [f for f, _ in weights]
+    # Every g w(f) and C(d, f) is an integer, so accumulate numerators over
+    # denominator g.  g/d runs over the divisors of g as d does.
     acc = 0
-    for d in divisors(g):
-        md = m // d
-        nd = n // d
-        span = abs(m) // d
-        for k in range(1, d + 1):
-            val = md * k + nd
-            for _ in range(span):
-                acc += g // math.gcd(g, val)
-                val += nd
+    for f, gw in weights:
+        acc += gw * (abs(m) // f) * sum(math.gcd(f, e) for e in divs)
     return Fraction(acc, g)
 
 

@@ -51,7 +51,7 @@ from .nilalg import H3Class, HomologyClass
 
 SCHEMA_VERSION = "1"
 # Largest `verify identities --max` and `baseline LMAX`.  Both costs grow
-# about quadratically, to about 8 s and 4 s at these limits (Intel Xeon,
+# about quadratically, to about 1.4 s and 3.3 s at these limits (Intel Xeon,
 # Python 3.11).  `verify oracle|geometry|all` are bounded instead by the
 # moduli budget on the components they sweep.
 IDENTITIES_MAX = 400

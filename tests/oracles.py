@@ -25,6 +25,9 @@ live here:
   SL(2,Z) matrix, and `fully_reduce` moves any homomorphism of an orbit with
   nonzero first invariant to its fully reduced representative; they are
   the reference for `gwcount.component_hom`'s canonical form.
+* `aut_weight_sum_labels` sums the reciprocal automorphism orders label by
+  label, one gcd per component; it is the reference for
+  `arith.aut_weight_sum`, which sums over pairs of divisors.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from ktgw.arith import divisors
 from ktgw.geometry import TorusSolution
 from ktgw.homs import HomDerivs, _xgcd, homology_class
 from ktgw.nilalg import (
@@ -306,6 +310,34 @@ def fully_reduce(h: HomDerivs) -> Tuple[Sl2zMatrix, HomDerivs]:
         phi = mat2_mul(phi, step)
         cur = sl2z_act(cur, step)
     return phi, cur
+
+
+# ---------------------------------------------------------------------------
+# Reciprocal automorphism weights, label by label
+# ---------------------------------------------------------------------------
+
+
+def aut_weight_sum_labels(m: int, n: int) -> Fraction:
+    """Sum of 1 / gcd(gcd(m, n), (m k + n l) / d) over every label (d, k, l).
+
+    Visits d | gcd(m, n), k = 1..d and l = 1..|m|/d one by one, |m|
+    sigma_0(gcd(m, n)) labels with one gcd each.
+    """
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    g = math.gcd(m, n)
+    # Every gcd below divides g, so accumulate numerators over denominator g.
+    acc = 0
+    for d in divisors(g):
+        md = m // d
+        nd = n // d
+        span = abs(m) // d
+        for k in range(1, d + 1):
+            val = md * k + nd
+            for _ in range(span):
+                acc += g // math.gcd(g, val)
+                val += nd
+    return Fraction(acc, g)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import ktgw.arith as arith
 from ktgw.arith import (
+    _moebius_weights,
     aut_weight_sum,
     aut_weight_sum_closed,
     cesaro_check,
@@ -14,6 +16,7 @@ from ktgw.arith import (
     hnf_matrices,
     sigma,
 )
+from oracles import aut_weight_sum_labels
 
 
 def brute_divisors(limit):
@@ -131,14 +134,8 @@ class TestSublatticeCount:
             count_sublattices_hnf(0)
 
 
-def _naive_weight_sum(m: int, n: int) -> Fraction:
-    g = math.gcd(m, n)
-    total = Fraction(0)
-    for d in divisors(g):
-        for k in range(1, d + 1):
-            for ell in range(1, abs(m) // d + 1):
-                total += Fraction(1, math.gcd(g, (m * k + n * ell) // d))
-    return total
+# Values of gcd(m, n) with few and with many divisors, prime powers among them.
+WEIGHT_GCDS = (1, 2, 6, 12, 97, 360, 720, 1024, 5040)
 
 
 class TestWeightSum:
@@ -153,9 +150,46 @@ class TestWeightSum:
         assert aut_weight_sum_closed(6, 4) == Fraction(15, 2)
 
     def test_matches_naive_summation(self):
-        for m in range(1, 13):
-            for n in range(0, 13):
-                assert aut_weight_sum(m, n) == _naive_weight_sum(m, n)
+        for m in [v for v in range(-30, 31) if v]:
+            for n in range(-30, 31):
+                assert aut_weight_sum(m, n) == aut_weight_sum_labels(m, n)
+
+    def test_matches_label_loop_on_random_classes(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            g = rng.choice(WEIGHT_GCDS)
+            # |m| = g keeps the label loop short, and gcd(m, g t) = g.
+            m, n = g * rng.choice((-1, 1)), g * rng.randint(-6, 6)
+            assert aut_weight_sum(m, n) == aut_weight_sum_labels(m, n)
+
+    def test_label_count_per_divisor_pair(self):
+        # The labels (k, l) of d with f | (m k + n l) / d number
+        # |m| gcd(f, g/d) / f, the count aut_weight_sum sums.
+        for m in [v for v in range(-12, 13) if v]:
+            for n in range(-12, 13):
+                g = math.gcd(m, n)
+                for d in divisors(g):
+                    for f in divisors(g):
+                        box = sum(1 for k in range(1, d + 1)
+                                  for ell in range(1, abs(m) // d + 1)
+                                  if (m * k + n * ell) // d % f == 0)
+                        assert box == abs(m) * math.gcd(f, g // d) // f
+
+    def test_moebius_weights_sum_to_reciprocals(self):
+        # g w(f) summed over f | x is g / x for every x | g.
+        for g in WEIGHT_GCDS + (2 ** 61 - 1, 10 ** 12):
+            weights = _moebius_weights(g)
+            assert sorted(f for f, _ in weights) == list(divisors(g))
+            for x in divisors(g):
+                assert sum(gw for f, gw in weights if x % f == 0) == g // x
+
+    def test_does_not_use_sigma(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("aut_weight_sum must not call sigma")
+
+        monkeypatch.setattr(arith, "sigma", refuse)
+        monkeypatch.setattr(arith, "aut_weight_sum_closed", refuse)
+        assert aut_weight_sum(720, 1080) == aut_weight_sum_labels(720, 1080)
 
     def test_identity_sweep(self):
         for m in range(1, 61):

@@ -104,8 +104,9 @@ class TestGwCommand:
         assert "cannot split" in err
 
     def test_enumeration_over_budget_exit_2(self, capsys):
-        # g = 2^61 - 1 is prime, so the class has 2 (2^61 - 1) components.
-        big = str(2 ** 61 - 1)
+        # g = 2^6 3^4 5^2 7 11 13 17 19 23 has 6720 divisors, so the class
+        # has 6720^2 = 45158400 divisor pairs.
+        big = str(963761198400)
         for method in ("both", "enumerate"):
             code, out, err = run(capsys, "gw", big, big, "0", "0",
                                  "--method", method)
@@ -116,6 +117,15 @@ class TestGwCommand:
                            "--method", "closed")
         assert code == 0
         assert out
+
+    def test_enumeration_answers_large_gcd(self, capsys):
+        # 2^61 - 1 is prime (4 divisor pairs) and 10^9 has 100^2 pairs,
+        # though their classes have over 10^11 components.
+        for big in (str(2 ** 61 - 1), str(10 ** 9)):
+            code, out, err = run(capsys, "gw", big, big, "0", "0")
+            assert code == 0
+            assert out.endswith("agrees: true\n")
+            assert err == ""
 
     def test_invariant_past_digit_limit_exit_2(self, capsys):
         # e134 has about 4500 digits, past the interpreter's limit of 4300

@@ -227,12 +227,25 @@ class TestEnumerated:
             gw_closed_form(HomologyClass(6, 6, 4, 4)).gw
 
     def test_component_budget(self, monkeypatch):
-        # [2, 2, 0, 0] has 2 sigma_0(2) = 4 components, [3, 3, 0, 0] has 6.
+        # [2, 2, 0, 0] has sigma_0(2)^2 = 4 divisor pairs, [6, 6, 0, 0] 16.
         monkeypatch.setattr(gwcount, "ENUMERATION_BUDGET", 4)
         assert gw_enumerated(HomologyClass(2, 2, 0, 0)).gw == H3Class(5, 5, 0)
         with pytest.raises(ValueError, match="budget"):
-            gw_enumerated(HomologyClass(3, 3, 0, 0))
+            gw_enumerated(HomologyClass(6, 6, 0, 0))
         assert gw_enumerated(HomologyClass(0, 0, 5, 5)).gw == H3_ZERO
+
+    def test_gcd_bits_limit_before_factoring(self, monkeypatch):
+        # gcd(7, 0) has 3 bits and gcd(8, 0) has 4.
+        monkeypatch.setattr(gwcount, "ENUMERATION_GCD_BITS", 3)
+        assert gw_enumerated(HomologyClass(7, 7, 0, 0)).gw == \
+            gw_closed_form(HomologyClass(7, 7, 0, 0)).gw
+
+        def refuse(k, n):
+            raise AssertionError("an oversized gcd must not be factored")
+
+        monkeypatch.setattr(gwcount, "sigma", refuse)
+        with pytest.raises(ValueError, match="enumeration limit of 3"):
+            gw_enumerated(HomologyClass(8, 8, 0, 0))
 
 
 class TestEquivariance:
