@@ -75,14 +75,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _factorize(n: int) -> Dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}.
+@lru_cache(maxsize=1024)
+def _factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as (prime, exponent) pairs.
 
     Trial division by the primes below _TRIAL_LIMIT, then Miller-Rabin on
     what is left.  A composite cofactor is split by trial division on from
     _TRIAL_LIMIT up to _SPLIT_LIMIT.  Raises ValueError when a cofactor is a
     probable prime above _MR_LIMIT, or a composite with no prime factor up
-    to _SPLIT_LIMIT.
+    to _SPLIT_LIMIT.  Cached, so that the closed form, the budget check and
+    the weight sum of one class split its gcd once.
     """
     fact: Dict[int, int] = {}
     for p in _SMALL_PRIMES:
@@ -106,7 +108,7 @@ def _factorize(n: int) -> Dict[int, int]:
         while n % d == 0:
             fact[d] = fact.get(d, 0) + 1
             n //= d
-    return fact
+    return tuple(fact.items())
 
 
 @lru_cache(maxsize=1024)
@@ -122,7 +124,7 @@ def divisors(n: int) -> Tuple[int, ...]:
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
     divs = [1]
-    for p, e in _factorize(n).items():
+    for p, e in _factorize(n):
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return tuple(sorted(divs))
 
@@ -138,7 +140,7 @@ def sigma(k: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"sigma requires n >= 1, got {n}")
     out = 1
-    for p, e in _factorize(n).items():
+    for p, e in _factorize(n):
         out *= e + 1 if k == 0 else (p ** (k * (e + 1)) - 1) // (p ** k - 1)
     return out
 
@@ -170,7 +172,7 @@ def _moebius_weights(g: int) -> List[Tuple[int, int]]:
     product of (1 - p) over the primes p | f is an integer.
     """
     pairs = [(1, g)]
-    for p, e in _factorize(g).items():
+    for p, e in _factorize(g):
         pairs += [(f * p ** a, gw // p ** a * (1 - p))
                   for f, gw in pairs for a in range(1, e + 1)]
     return pairs

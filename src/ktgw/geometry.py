@@ -167,14 +167,6 @@ def _log_coordinates(h: HomDerivs,
     )
 
 
-def _affine_float(const: Rat, slope: Rat, q: float) -> float:
-    """float(const + slope q), correctly rounded, by one integer division."""
-    num, den = q.as_integer_ratio()
-    return ((const.numerator * slope.denominator * den
-             + slope.numerator * const.denominator * num)
-            / (const.denominator * slope.denominator * den))
-
-
 def cr_residual(s: TorusSolution, grid: int = 8) -> float:
     """Max norm of the Cauchy-Riemann defect over a grid on the unit square.
 
@@ -188,7 +180,9 @@ def cr_residual(s: TorusSolution, grid: int = 8) -> float:
     part, so [w, du_a] = 0.  The defect is therefore a function of q alone,
     and its maximum over the grid x grid points is the maximum over the grid
     values of q.  w1 and w2 are rounded from their exact values, as
-    float(Fraction) would round them.
+    float(Fraction) would round them: with q = num / den, const + slope q
+    is one integer true division, (cn den + sn num) / (cd den), whose
+    integers cn, sn and cd are the same in every row.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -200,11 +194,15 @@ def cr_residual(s: TorusSolution, grid: int = 8) -> float:
     pu = s.psi.apply(tuple(du_a))
     # The first three defect components are the same in every row.
     fixed = [(pu[k] - du_b[k]) ** 2 for k in range(3)]
-    (c1, _, a), (c2, _, b) = w[0], w[1]
+    (cn1, sn1, cd1), (cn2, sn2, cd2) = (
+        (c.numerator * sl.denominator, sl.numerator * c.denominator,
+         c.denominator * sl.denominator)
+        for c, _, sl in w[:2])
     worst = 0.0
     for j in range(grid):
-        q = j / (grid - 1)
-        w1, w2 = _affine_float(c1, a, q), _affine_float(c2, b, q)
+        num, den = (j / (grid - 1)).as_integer_ratio()
+        w1 = (cn1 * den + sn1 * num) / (cd1 * den)
+        w2 = (cn2 * den + sn2 * num) / (cd2 * den)
         v4 = du_b[3] - (w2 * du_b[0] - du_b[1] * w1) / 2
         defect = math.sqrt(sum((*fixed, (pu[3] - v4) ** 2)))
         worst = max(worst, defect)

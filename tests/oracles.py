@@ -28,6 +28,9 @@ live here:
 * `aut_weight_sum_labels` sums the reciprocal automorphism orders label by
   label, one gcd per component; it is the reference for
   `arith.aut_weight_sum`, which sums over pairs of divisors.
+* `cr_residual_rows` rounds each row of the Cauchy-Riemann residual with
+  `_affine_float`, building every integer afresh; it is the bitwise
+  reference for `geometry.cr_residual`, which builds them once per call.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ktgw.arith import divisors
-from ktgw.geometry import TorusSolution
+from ktgw.geometry import TorusSolution, _log_coordinates
 from ktgw.homs import HomDerivs, _xgcd, homology_class
 from ktgw.nilalg import (
     H3Class,
@@ -610,6 +613,42 @@ def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
             pu = s.psi.apply(u)
             defect = math.sqrt(sum((pu[k] - v[k]) ** 2 for k in range(4)))
             worst = max(worst, defect)
+    return worst
+
+
+def _affine_float(const: Rat, slope: Rat, q: float) -> float:
+    """float(const + slope q), correctly rounded, by one integer division."""
+    num, den = q.as_integer_ratio()
+    return ((const.numerator * slope.denominator * den
+             + slope.numerator * const.denominator * num)
+            / (const.denominator * slope.denominator * den))
+
+
+def cr_residual_rows(s: TorusSolution, grid: int = 8) -> float:
+    """Cauchy-Riemann residual, one row per grid q, each row from scratch.
+
+    The reference for the row loop of `geometry.cr_residual`, which forms
+    the integer products of `_affine_float` once per call instead of once
+    per row.  Both read the coefficients of `geometry._log_coordinates`;
+    `cr_residual_grid` is the reference that does not.
+    """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    w = _log_coordinates(s.h, s.c0_n2)
+    tau1, tau2 = s.modulus.tau1, s.modulus.tau2
+    du_a = [float(dp) for _, dp, _ in w]
+    du_b = [(float(dq) - tau1 * dpv) / tau2
+            for (_, _, dq), dpv in zip(w, du_a)]
+    pu = s.psi.apply(tuple(du_a))
+    fixed = [(pu[k] - du_b[k]) ** 2 for k in range(3)]
+    (c1, _, a), (c2, _, b) = w[0], w[1]
+    worst = 0.0
+    for j in range(grid):
+        q = j / (grid - 1)
+        w1, w2 = _affine_float(c1, a, q), _affine_float(c2, b, q)
+        v4 = du_b[3] - (w2 * du_b[0] - du_b[1] * w1) / 2
+        defect = math.sqrt(sum((*fixed, (pu[3] - v4) ** 2)))
+        worst = max(worst, defect)
     return worst
 
 

@@ -8,8 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from ktgw import arith
 from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
+from ktgw.cli import _dumps as dumps
 from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
 from ktgw.gwcount import GWResult, gw_closed_form
@@ -103,6 +107,26 @@ class TestGwCommand:
         assert out == ""
         assert "cannot split" in err
 
+    def test_both_methods_split_g_once(self, capsys, monkeypatch):
+        # g = 1009 * 1013 has no prime factor below the trial-division
+        # primes, so each factorization of g scans for a split once, after a
+        # composite verdict.  The closed form, the budget check and the
+        # weight sum all factor g.
+        verdicts = []
+        arith_is_prime = arith._is_prime
+
+        def is_prime(n):
+            verdicts.append(arith_is_prime(n))
+            return verdicts[-1]
+
+        monkeypatch.setattr(arith, "_is_prime", is_prime)
+        arith._factorize.cache_clear()
+        g = str(1009 * 1013)
+        code, out, _ = run(capsys, "gw", g, g, "0", "0", "--method", "both")
+        assert code == 0
+        assert out.endswith("agrees: true\n")
+        assert verdicts.count(False) == 1
+
     def test_enumeration_over_budget_exit_2(self, capsys):
         # g = 2^6 3^4 5^2 7 11 13 17 19 23 has 6720 divisors, so the class
         # has 6720^2 = 45158400 divisor pairs.
@@ -158,6 +182,34 @@ class TestGwCommand:
                    (0, 0, Fraction(1, 10 ** limit))]:
             with pytest.raises(ValueError, match="invariant has over"):
                 check_printable([result(1, 1, 1), result(*gw)])
+
+
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té\u2028€\U0001f600')
+                | st.characters())
+_LEAVES = (_TEXT
+           | st.floats()
+           | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                              -0.0, 5e-324, 2.1e138])
+           | st.booleans()
+           | st.none()
+           | st.integers()
+           | st.integers(min_value=2 ** 64, max_value=2 ** 200)
+           | st.integers(min_value=-2 ** 200, max_value=-2 ** 64))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    @given(_JSON)
+    @example({})
+    @example([])
+    @example({"": [[], {}], "a": {"b": [{}]}})
+    @example([[[]], {"x": []}, -0.0, 5e-324, 2.1e138, 2 ** 70, None])
+    def test_matches_json_dumps_indent_2(self, x):
+        assert dumps(x) == json.dumps(x, indent=2)
 
 
 class TestModuliCommand:

@@ -24,6 +24,7 @@ from oracles import (
     Poly,
     area_pullback,
     cr_residual_grid,
+    cr_residual_rows,
     eval_class_pullback,
     exp_oracle,
     from_rows,
@@ -257,6 +258,31 @@ class TestCrResidual:
         for s in sols:
             for grid in (2, 3, 8):
                 assert cr_residual(s, grid) == cr_residual_grid(s, grid)
+
+    def test_matches_row_reference_bitwise(self):
+        # The integers of each row are formed once per call, so every row
+        # rounds as the row-by-row reference does, to the last bit.
+        sols = [solve_torus_data(comp.hom) for _, _, comp in small_sweep(8)]
+        rng = random.Random(71)
+        for m, n in [(1, 10 ** 12), (1200, 23757), (10 ** 9, 10 ** 9)]:
+            ds = divisors(math.gcd(m, n))
+            for _ in range(12):
+                d = rng.choice(ds)
+                rep = component_hom(m, n, d, rng.randint(1, d),
+                                    rng.randint(1, m // d))
+                sols.append(solve_torus_data(rep))
+        bent = []
+        for s in sols[::7]:
+            tau1, tau2 = s.modulus.tau1, s.modulus.tau2
+            bent += [
+                dataclasses.replace(s, c0_n2=s.c0_n2 + Fraction(1, 10 ** 12)),
+                dataclasses.replace(s, modulus=TorusModulus(tau1 + 1e-9, tau2)),
+                dataclasses.replace(s, modulus=TorusModulus(tau1, tau2 * 1.5)),
+            ]
+        for s in sols + bent:
+            for grid in (2, 3, 8, 17):
+                assert (cr_residual(s, grid).hex()
+                        == cr_residual_rows(s, grid).hex())
 
     def test_grid_validation(self):
         s = first_solution(1, 0)
