@@ -232,9 +232,9 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                         "dp": [_frac_json(v) for v in dp],
                         "dq": [_frac_json(v) for v in dq],
                     },
-                    "tau1": _approx_json(sol.modulus.tau1),
-                    "tau2": _approx_json(sol.modulus.tau2),
-                    "theta": _approx_json(sol.psi.theta()),
+                    "tau1": _approx_json(sol.tau1),
+                    "tau2": _approx_json(sol.tau2),
+                    "theta": _approx_json(sol.theta()),
                     "c0_n2": _frac_json(sol.c0_n2),
                     "aut_size": str(comp.aut_size),
                     "eval_class": _h3_json(ev),
@@ -253,7 +253,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
         for comp, sol, res, dp, dq in rows:
             writer.writerow([
                 comp.d, comp.k, comp.ell, *dp, *dq,
-                sol.modulus.tau1, sol.modulus.tau2, sol.psi.theta(),
+                sol.tau1, sol.tau2, sol.theta(),
                 sol.c0_n2, comp.aut_size, ev.e134, ev.e234, ev.e124, res,
             ])
     else:
@@ -267,8 +267,8 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
             mat = "[" + ",".join(map(str, dp)) + \
                   " | " + ",".join(map(str, dq)) + "]"
             print(f"{comp.d:>3} {comp.k:>3} {comp.ell:>3} {mat:<26} "
-                  f"{sol.modulus.tau1:>9.5f} {sol.modulus.tau2:>9.5f} "
-                  f"{sol.psi.theta():>9.5f} {str(sol.c0_n2):>7} "
+                  f"{sol.tau1:>9.5f} {sol.tau2:>9.5f} "
+                  f"{sol.theta():>9.5f} {str(sol.c0_n2):>7} "
                   f"{comp.aut_size:>5} "
                   f"{str(ev.e134):>9} {res:>9.2e}")
     return 0
@@ -350,7 +350,7 @@ def _verify_geometry(max_n: int) -> List[_Sweep]:
             res = cr_residual(sol)
             residual.check(res < 1e-9, f"residual {res:g} at {where}")
             cls = homology_class(comp.hom)
-            ar = symplectic_area(cls, sol.psi.theta())
+            ar = symplectic_area(cls, sol.cos_theta, sol.sin_theta)
             area.check(ar > 0, f"area {ar:g} at {where}")
             cycle.check(eval_class_integrate(sol) == expected,
                         f"cycle class mismatch at {where}")

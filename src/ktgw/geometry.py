@@ -13,6 +13,9 @@ Cauchy-Riemann defect of an affine map with dp h1 = dp h2 = 0 depends on q
 alone, so the residual costs one row of floating evaluations per grid value
 of q.
 
+A solved torus is one flat `TorusSolution` of h, tau, theta and c0_n2;
+the central period 1 / gcd(dp h3, dp h4) is read off h where it is needed.
+
 Combinatorial data stays exact: the homomorphism in integers and the
 translation constant c0_n2 n2 as a rational.  tau and theta live in
 quadratic extensions, so they are carried in double precision and every
@@ -35,8 +38,7 @@ from .homs import HomDerivs
 from .nilalg import H3Class, HomologyClass, Rat
 
 __all__ = [
-    "TwistorStructure",
-    "TorusModulus",
+    "CR_GRID",
     "TorusSolution",
     "solve_torus_data",
     "cr_residual",
@@ -44,71 +46,37 @@ __all__ = [
     "eval_class_integrate",
 ]
 
-
-@dataclass(frozen=True)
-class TwistorStructure:
-    """Orthogonal complex structure in the twistor circle, by its rotation.
-
-    The rotation with matrix [[cos, -sin], [sin, cos]] carries the central
-    directions (n3, n4) to (n1, n2); the complementary block is forced to be
-    minus its inverse, which makes the induced 4x4 map square to -Id.
-    """
-
-    cos_theta: float
-    sin_theta: float
-
-    def __post_init__(self) -> None:
-        if abs(self.cos_theta ** 2 + self.sin_theta ** 2 - 1.0) > 1e-12:
-            raise ValueError("(cos, sin) must lie on the unit circle")
-
-    def theta(self) -> float:
-        return math.atan2(self.sin_theta, self.cos_theta)
-
-    def apply(self, v: Tuple[float, float, float, float]) -> Tuple[float, float, float, float]:
-        """Action on Lie algebra coordinates (c1, c2, c3, c4)."""
-        c, s = self.cos_theta, self.sin_theta
-        return (
-            c * v[2] - s * v[3],
-            s * v[2] + c * v[3],
-            -c * v[0] - s * v[1],
-            s * v[0] - c * v[1],
-        )
-
-
-@dataclass(frozen=True)
-class TorusModulus:
-    """Point tau = tau1 + i tau2 of the upper half-plane."""
-
-    tau1: float
-    tau2: float
-
-    def __post_init__(self) -> None:
-        if not self.tau2 > 0:
-            raise ValueError("tau2 must be positive")
+# The residual is the worst defect over CR_GRID x CR_GRID points of the unit
+# square; every printed and checked residual uses this grid.
+CR_GRID = 8
 
 
 @dataclass(frozen=True)
 class TorusSolution:
     """A reduced homomorphism together with its forced geometric data.
 
-    The translation constant is c0_n2 n2.
+    tau = tau1 + i tau2 is the modulus, in the upper half-plane.  The
+    twistor structure is the rotation [[cos, -sin], [sin, cos]], which
+    carries the central directions (n3, n4) to (n1, n2); the complementary
+    block is forced to be minus its inverse, which makes the induced 4x4 map
+    square to -Id.  The translation constant is c0_n2 n2.
     """
 
     h: HomDerivs
-    modulus: TorusModulus
-    psi: TwistorStructure
+    tau1: float
+    tau2: float
+    cos_theta: float
+    sin_theta: float
     c0_n2: Fraction
-    lambda_period: Fraction
 
+    def __post_init__(self) -> None:
+        if not self.tau2 > 0:
+            raise ValueError("tau2 must be positive")
+        if abs(self.cos_theta ** 2 + self.sin_theta ** 2 - 1.0) > 1e-12:
+            raise ValueError("(cos, sin) must lie on the unit circle")
 
-def _require_solvable(h: HomDerivs) -> None:
-    if not h.is_reduced():
-        raise ValueError("homomorphism must be reduced (dp h1 = dp h2 = 0)")
-    if h.dp[2] == 0:
-        raise ValueError("dp h3 = 0: modulus is undetermined and the "
-                         "component is obstructed")
-    if h.dq[0] == 0:
-        raise ValueError("dq h1 must be nonzero")
+    def theta(self) -> float:
+        return math.atan2(self.sin_theta, self.cos_theta)
 
 
 def solve_torus_data(h: HomDerivs) -> TorusSolution:
@@ -121,7 +89,13 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     the squared norm of (dq h1, dq h2) or (dp h3, dp h4) passes the largest
     float, as it does once |dp h4| exceeds about 1.34e154.
     """
-    _require_solvable(h)
+    if not h.is_reduced():
+        raise ValueError("homomorphism must be reduced (dp h1 = dp h2 = 0)")
+    if h.dp[2] == 0:
+        raise ValueError("dp h3 = 0: modulus is undetermined and the "
+                         "component is obstructed")
+    if h.dq[0] == 0:
+        raise ValueError("dq h1 must be nonzero")
     # h is reduced, so dp is its own Lie column.
     _, _, c, dd = h.dp
     _, (a, b, dq3, dq4) = h.lie()
@@ -138,13 +112,8 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     den = norm_a * norm_z
     cos_theta = float(c * a + dd * b) / den
     sin_theta = float(c * b - dd * a) / den
-    return TorusSolution(
-        h=h,
-        modulus=TorusModulus(float(tau1_exact), tau2),
-        psi=TwistorStructure(cos_theta, sin_theta),
-        c0_n2=(dq4 - tau1_exact * dd) / a,
-        lambda_period=Fraction(1, math.gcd(c, dd)),
-    )
+    return TorusSolution(h, float(tau1_exact), tau2, cos_theta, sin_theta,
+                         (dq4 - tau1_exact * dd) / a)
 
 
 Affine = Tuple[Rat, Rat, Rat]
@@ -167,31 +136,33 @@ def _log_coordinates(h: HomDerivs,
     )
 
 
-def cr_residual(s: TorusSolution, grid: int = 8) -> float:
-    """Max norm of the Cauchy-Riemann defect over a grid on the unit square.
+def cr_residual(s: TorusSolution) -> float:
+    """Max norm of the Cauchy-Riemann defect on a CR_GRID x CR_GRID grid.
 
     The defect at (p, q) is psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2
-    where w is the logarithm of the torus, du_a = dw/dp and
+    where psi is the twistor structure, w the logarithm of the torus,
+    du_a = dw/dp and
     du_b = (dw/dq - tau1 dw/dp) / tau2.  Coefficients of w are exact; the
     evaluation mixes in the floating tau and theta.
 
     w is affine, so du_a and du_b are constant.  [w, X] = (w2 X1 - X2 w1) n4
     reads only w1 and w2, which have no p term, and du_a has no n1 or n2
-    part, so [w, du_a] = 0.  The defect is therefore a function of q alone,
-    and its maximum over the grid x grid points is the maximum over the grid
-    values of q.  w1 and w2 are rounded from their exact values, as
+    part, so [w, du_a] = 0 and psi(du_a) is the rotation of its (n3, n4)
+    part into (n1, n2).  The defect is therefore a function of q alone, and
+    its maximum over the grid is the maximum over the grid values of q.
+    w1 and w2 are rounded from their exact values, as
     float(Fraction) would round them: with q = num / den, const + slope q
     is one integer true division, (cn den + sn num) / (cd den), whose
     integers cn, sn and cd are the same in every row.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
     w = _log_coordinates(s.h, s.c0_n2)
-    tau1, tau2 = s.modulus.tau1, s.modulus.tau2
+    tau1, tau2 = s.tau1, s.tau2
     du_a = [float(dp) for _, dp, _ in w]
     du_b = [(float(dq) - tau1 * dpv) / tau2
             for (_, _, dq), dpv in zip(w, du_a)]
-    pu = s.psi.apply(tuple(du_a))
+    cos, sin = s.cos_theta, s.sin_theta
+    pu = (cos * du_a[2] - sin * du_a[3], sin * du_a[2] + cos * du_a[3],
+          0.0, 0.0)
     # The first three defect components are the same in every row.
     fixed = [(pu[k] - du_b[k]) ** 2 for k in range(3)]
     (cn1, sn1, cd1), (cn2, sn2, cd2) = (
@@ -199,8 +170,8 @@ def cr_residual(s: TorusSolution, grid: int = 8) -> float:
          c.denominator * sl.denominator)
         for c, _, sl in w[:2])
     worst = 0.0
-    for j in range(grid):
-        num, den = (j / (grid - 1)).as_integer_ratio()
+    for j in range(CR_GRID):
+        num, den = (j / (CR_GRID - 1)).as_integer_ratio()
         w1 = (cn1 * den + sn1 * num) / (cd1 * den)
         w2 = (cn2 * den + sn2 * num) / (cd2 * den)
         v4 = du_b[3] - (w2 * du_b[0] - du_b[1] * w1) / 2
@@ -209,15 +180,15 @@ def cr_residual(s: TorusSolution, grid: int = 8) -> float:
     return worst
 
 
-def symplectic_area(A: HomologyClass, theta: float) -> float:
+def symplectic_area(A: HomologyClass, cos_theta: float,
+                    sin_theta: float) -> float:
     """Area of A against the symplectic form with twistor angle theta.
 
     The form is dt ^ (cos dx + sin dy) + (dz - x dy) ^ (-sin dx + cos dy);
     pairing it with the class gives
     -(cos (a23 + a14) + sin (a13 - a24)).
     """
-    return -(math.cos(theta) * (A.a23 + A.a14)
-             + math.sin(theta) * (A.a13 - A.a24))
+    return -(cos_theta * (A.a23 + A.a14) + sin_theta * (A.a13 - A.a24))
 
 
 def eval_class_integrate(s: TorusSolution) -> H3Class:
@@ -226,7 +197,7 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     Pulls the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy) back along
     the evaluation map (lam, p, q) -> exp(w) exp(lam (dp_h4 n3 - dp_h3 n4)),
     w the logarithm `_log_coordinates` at (p, q), and integrates over
-    [0, lambda_period] x [0, 1]^2 with the orientation d lam ^ dp ^ dq.
+    [0, 1 / gcd(dp h3, dp h4)] x [0, 1]^2 with the orientation d lam ^ dp ^ dq.
     Every pulled-back 1-form has constant coefficients.  In the
     (d lam, dp, dq) basis, with a, b = dq h1, dq h2:
     - dx = (0, 0, b) and dy = (0, 0, a);
@@ -238,7 +209,7 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     the result, dy^dx^g vanishes, and the other two determinants are
     a (dp h3^2 + dp h4^2) and b (dp h3^2 + dp h4^2).  The class is
 
-        -lambda_period (dp h3^2 + dp h4^2) (a E134 + b E234),
+        -(dp h3^2 + dp h4^2) / gcd(dp h3, dp h4) (a E134 + b E234),
 
     independent of the translation constant.  Cycle coefficients carry the
     pairing convention under which the one-component class with invariants
@@ -246,5 +217,5 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     """
     _, _, c, dd = s.h.dp  # reduced, so dd is dp h4
     a, b = s.h.dq[:2]
-    scale = -s.lambda_period * (c ** 2 + dd ** 2)
+    scale = Fraction(-(c ** 2 + dd ** 2), math.gcd(c, dd))
     return H3Class(scale * a, scale * b, 0)

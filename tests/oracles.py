@@ -28,6 +28,8 @@ live here:
 * `aut_weight_sum_labels` sums the reciprocal automorphism orders label by
   label, one gcd per component; it is the reference for
   `arith.aut_weight_sum`, which sums over pairs of divisors.
+* `twistor_apply` is the full 4x4 action of a solved torus's twistor
+  structure; the library applies it only to vectors with no n1 or n2 part.
 * `cr_residual_rows` rounds each row of the Cauchy-Riemann residual with
   `_affine_float`, building every integer afresh; it is the bitwise
   reference for `geometry.cr_residual`, which builds them once per call.
@@ -577,6 +579,22 @@ def solution_lie(s: TorusSolution) -> Tuple[LieAlgElem, ...]:
     return dp, dq, LieAlgElem(0, s.c0_n2, 0, 0)
 
 
+def twistor_apply(s: TorusSolution,
+                  v: Tuple[float, float, float, float]) -> Tuple[float, ...]:
+    """The twistor structure of s on Lie algebra coordinates (c1, c2, c3, c4).
+
+    The rotation [[cos, -sin], [sin, cos]] carries (n3, n4) to (n1, n2), and
+    the complementary block is minus its inverse, so the map squares to -Id.
+    """
+    c, si = s.cos_theta, s.sin_theta
+    return (
+        c * v[2] - si * v[3],
+        si * v[2] + c * v[3],
+        -c * v[0] - si * v[1],
+        si * v[0] - c * v[1],
+    )
+
+
 def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
     """Cauchy-Riemann residual over every point of a grid x grid square.
 
@@ -596,7 +614,7 @@ def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
     dw_dq = lie_comb((1, dq), (half, commutator_oracle(dq, c0)))
     # (const, p, q) coefficients of w1 and w2, the only parts the defect reads.
     w12 = list(zip(c0.coords(), dw_dp.coords(), dw_dq.coords()))[:2]
-    tau1, tau2 = s.modulus.tau1, s.modulus.tau2
+    tau1, tau2 = s.tau1, s.tau2
     dpv = [float(c) for c in dw_dp.coords()]
     dqv = [float(c) for c in dw_dq.coords()]
     dbv = [(dqv[k] - tau1 * dpv[k]) / tau2 for k in range(4)]
@@ -610,7 +628,7 @@ def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
                  dpv[3] - (wv[1] * dpv[0] - dpv[1] * wv[0]) / 2)
             v = (dbv[0], dbv[1], dbv[2],
                  dbv[3] - (wv[1] * dbv[0] - dbv[1] * wv[0]) / 2)
-            pu = s.psi.apply(u)
+            pu = twistor_apply(s, u)
             defect = math.sqrt(sum((pu[k] - v[k]) ** 2 for k in range(4)))
             worst = max(worst, defect)
     return worst
@@ -635,11 +653,11 @@ def cr_residual_rows(s: TorusSolution, grid: int = 8) -> float:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     w = _log_coordinates(s.h, s.c0_n2)
-    tau1, tau2 = s.modulus.tau1, s.modulus.tau2
+    tau1, tau2 = s.tau1, s.tau2
     du_a = [float(dp) for _, dp, _ in w]
     du_b = [(float(dq) - tau1 * dpv) / tau2
             for (_, _, dq), dpv in zip(w, du_a)]
-    pu = s.psi.apply(tuple(du_a))
+    pu = twistor_apply(s, du_a)
     fixed = [(pu[k] - du_b[k]) ** 2 for k in range(3)]
     (c1, _, a), (c2, _, b) = w[0], w[1]
     worst = 0.0
@@ -689,7 +707,7 @@ def area_pullback(s: TorusSolution) -> float:
     i_t_dy = integrate_slice(wedge_pq(dt, dy))
     i_g_dx = integrate_slice(wedge_pq(gamma, dx))
     i_g_dy = integrate_slice(wedge_pq(gamma, dy))
-    c, si = s.psi.cos_theta, s.psi.sin_theta
+    c, si = s.cos_theta, s.sin_theta
     return c * float(i_t_dx + i_g_dy) + si * float(i_t_dy - i_g_dx)
 
 
@@ -708,7 +726,8 @@ def eval_class_pullback(s: TorusSolution) -> H3Class:
     z = w4 + w1 w2 / 2 - lam dp_h3 and log t = w3 + lam dp_h4 as polynomials
     in (lam, p, q); the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy)
     are wedged as polynomials and integrated monomial by monomial over
-    [0, lambda_period] x [0, 1]^2, assuming nothing about which terms vanish.
+    [0, 1 / gcd(dp h3, dp h4)] x [0, 1]^2, assuming nothing about which
+    terms vanish.
     """
     dp, dq, c0 = solution_lie(s)
     half = Fraction(1, 2)
@@ -723,7 +742,7 @@ def eval_class_pullback(s: TorusSolution) -> H3Class:
     t = w3 + lam.scale(dp.c4)
     dx, dy, dz, dt = (differential(f) for f in (x, y, z, t))
     gamma = form_sub(dz, form_scale(x, dy))
-    period = s.lambda_period
+    period = Fraction(1, math.gcd(*s.h.dp[2:]))
     raw_134 = wedge3(dy, dt, gamma).integrate_box(period)
     raw_234 = wedge3(dx, dt, gamma).integrate_box(period)
     raw_124 = wedge3(dy, dx, gamma).integrate_box(period)

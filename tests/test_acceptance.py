@@ -19,8 +19,6 @@ from ktgw.arith import (
     sigma,
 )
 from ktgw.geometry import (
-    TorusModulus,
-    TwistorStructure,
     cr_residual,
     eval_class_integrate,
     solve_torus_data,
@@ -152,27 +150,23 @@ def test_ac06_cauchy_riemann_validation():
                 where = f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell})"
                 sol = solve_torus_data(comp.hom)
                 checked += 5
-                res = cr_residual(sol, grid=8)
+                res = cr_residual(sol)
                 if not res < 1e-9:
                     failures.append(f"{where}: residual {res:g}")
                 bad_c0 = dataclasses.replace(
                     sol, c0_n2=sol.c0_n2 + Fraction(1, 10))
-                if not cr_residual(bad_c0, grid=8) > 1e-3:
+                if not cr_residual(bad_c0) > 1e-3:
                     failures.append(f"{where}: c0 perturbation undetected")
-                bad_tau = dataclasses.replace(
-                    sol, modulus=TorusModulus(sol.modulus.tau1 + 0.1,
-                                              sol.modulus.tau2))
-                if not cr_residual(bad_tau, grid=8) > 1e-3:
+                bad_tau = dataclasses.replace(sol, tau1=sol.tau1 + 0.1)
+                if not cr_residual(bad_tau) > 1e-3:
                     failures.append(f"{where}: tau1 perturbation undetected")
-                bad_tau2 = dataclasses.replace(
-                    sol, modulus=TorusModulus(sol.modulus.tau1,
-                                              sol.modulus.tau2 + 0.1))
-                if not cr_residual(bad_tau2, grid=8) > 1e-3:
+                bad_tau2 = dataclasses.replace(sol, tau2=sol.tau2 + 0.1)
+                if not cr_residual(bad_tau2) > 1e-3:
                     failures.append(f"{where}: tau2 perturbation undetected")
-                theta = sol.psi.theta() + 0.1
-                bad_psi = dataclasses.replace(
-                    sol, psi=TwistorStructure(math.cos(theta), math.sin(theta)))
-                if not cr_residual(bad_psi, grid=8) > 1e-3:
+                theta = sol.theta() + 0.1
+                bad_psi = dataclasses.replace(sol, cos_theta=math.cos(theta),
+                                              sin_theta=math.sin(theta))
+                if not cr_residual(bad_psi) > 1e-3:
                     failures.append(f"{where}: psi rotation undetected")
     report("AC6 Cauchy-Riemann residuals (|m|,|n| <= 4)", failures, checked,
            started)
@@ -216,8 +210,9 @@ def test_ac09_area_positivity():
         for n in range(-4, 5):
             for comp in moduli_components(m, n):
                 checked += 1
+                sol = solve_torus_data(comp.hom)
                 area = symplectic_area(homology_class(comp.hom),
-                                       solve_torus_data(comp.hom).psi.theta())
+                                       sol.cos_theta, sol.sin_theta)
                 if not area > 0:
                     failures.append(
                         f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell}):"

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -346,6 +347,25 @@ class TestBaselineCommand:
         assert code == 2
         assert out == ""
         assert f"baseline limit of {BASELINE_LMAX}" in err
+
+
+class TestCsvLayouts:
+    def test_help_epilog_matches_headers(self, capsys):
+        """The layouts `ktgw --help` documents are the headers printed."""
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = capsys.readouterr().out
+        # A layout is "  name:  cols", wrapped onto deeper-indented lines.
+        layouts = {name: re.sub(r"\s+", "", cols).split(",")
+                   for name, cols in re.findall(
+                       r"^  (\w+):\s+(\S+(?:\n {4,}\S+)*)", help_text,
+                       re.M)}
+        assert set(layouts) == {"gw", "moduli", "baseline"}
+        for argv in (["gw", "2", "4", "1", "2"], ["moduli", "2", "0"],
+                     ["baseline", "3"]):
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == 0
+            assert next(csv.reader(io.StringIO(out))) == layouts[argv[0]]
 
 
 class TestEntryPoint:

@@ -7,8 +7,7 @@ import pytest
 
 from ktgw.arith import divisors
 from ktgw.geometry import (
-    TorusModulus,
-    TwistorStructure,
+    CR_GRID,
     _log_coordinates,
     cr_residual,
     eval_class_integrate,
@@ -32,6 +31,7 @@ from oracles import (
     lie_columns,
     lie_comb,
     random_fraction,
+    twistor_apply,
 )
 
 
@@ -68,31 +68,32 @@ class TestPoly:
 class TestSolve:
     def test_simple_instance(self):
         s = first_solution(1, 0)
-        assert s.modulus.tau1 == pytest.approx(0.0, abs=1e-15)
-        assert s.modulus.tau2 == pytest.approx(math.sqrt(2), rel=1e-14)
-        assert s.psi.cos_theta == pytest.approx(-1 / math.sqrt(2), rel=1e-14)
-        assert s.psi.sin_theta == pytest.approx(-1 / math.sqrt(2), rel=1e-14)
+        assert s.tau1 == pytest.approx(0.0, abs=1e-15)
+        assert s.tau2 == pytest.approx(math.sqrt(2), rel=1e-14)
+        assert s.cos_theta == pytest.approx(-1 / math.sqrt(2), rel=1e-14)
+        assert s.sin_theta == pytest.approx(-1 / math.sqrt(2), rel=1e-14)
         assert s.c0_n2 == Fraction(-1, 2)
-        assert s.lambda_period == 1
+        # The central period 1 / gcd(dp h3, dp h4).
+        assert math.gcd(*s.h.dp[2:]) == 1
 
     def test_two_zero_instance(self):
         s = first_solution(2, 0)
-        assert s.modulus.tau1 == pytest.approx(0.5)
-        assert s.modulus.tau2 == pytest.approx(math.sqrt(2) / 2, rel=1e-14)
+        assert s.tau1 == pytest.approx(0.5)
+        assert s.tau2 == pytest.approx(math.sqrt(2) / 2, rel=1e-14)
 
     def test_rotation_condition(self):
         for _, _, comp in small_sweep(3):
             s = solve_torus_data(comp.hom)
             _, _, c, d = s.h.dp
             a, b = s.h.dq[:2]
-            t2 = s.modulus.tau2
-            rx = s.psi.cos_theta * c - s.psi.sin_theta * d - a / t2
-            ry = s.psi.sin_theta * c + s.psi.cos_theta * d - b / t2
+            t2 = s.tau2
+            rx = s.cos_theta * c - s.sin_theta * d - a / t2
+            ry = s.sin_theta * c + s.cos_theta * d - b / t2
             assert math.hypot(rx, ry) < 1e-12
 
     def test_tau2_positive(self):
         for _, _, comp in small_sweep(3):
-            assert solve_torus_data(comp.hom).modulus.tau2 > 0
+            assert solve_torus_data(comp.hom).tau2 > 0
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -108,30 +109,32 @@ class TestSolve:
         # dp h4 = -n for the one component of [1, 1, n, n]; its squared norm
         # passes the largest float once |n| exceeds about 1.34e154.
         edge = solve_torus_data(component_hom(1, 10 ** 154, 1, 1, 1))
-        assert edge.modulus.tau2 > 0
+        assert edge.tau2 > 0
         for m, n in [(1, 2 * 10 ** 154), (1, -10 ** 200), (2, 2 * 10 ** 200)]:
             with pytest.raises(ValueError, match="too long for a floating"):
                 solve_torus_data(component_hom(m, n, 1, 1, 1))
 
     def test_modulus_requires_upper_half_plane(self):
-        with pytest.raises(ValueError):
-            TorusModulus(0.0, -1.0)
-        with pytest.raises(ValueError):
-            TorusModulus(0.0, 0.0)
+        s = first_solution(1, 0)
+        with pytest.raises(ValueError, match="tau2 must be positive"):
+            dataclasses.replace(s, tau2=-1.0)
+        with pytest.raises(ValueError, match="tau2 must be positive"):
+            dataclasses.replace(s, tau2=0.0)
 
 
 class TestTwistor:
     def test_unit_circle_enforced(self):
-        with pytest.raises(ValueError):
-            TwistorStructure(1.0, 1.0)
+        s = first_solution(1, 0)
+        with pytest.raises(ValueError, match="must lie on the unit circle"):
+            dataclasses.replace(s, cos_theta=1.0, sin_theta=1.0)
 
     def test_square_is_minus_identity_and_orthogonal(self):
         for _, _, comp in small_sweep(2):
-            psi = solve_torus_data(comp.hom).psi
+            s = solve_torus_data(comp.hom)
             basis = [tuple(float(i == j) for j in range(4)) for i in range(4)]
-            cols = [psi.apply(v) for v in basis]
+            cols = [twistor_apply(s, v) for v in basis]
             for i in range(4):
-                twice = psi.apply(cols[i])
+                twice = twistor_apply(s, cols[i])
                 for j in range(4):
                     expect = -1.0 if i == j else 0.0
                     assert abs(twice[j] - expect) < 1e-12
@@ -222,30 +225,26 @@ class TestCrResidual:
     def test_tau1_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            bad = dataclasses.replace(
-                s, modulus=TorusModulus(s.modulus.tau1 + 0.1,
-                                        s.modulus.tau2))
+            bad = dataclasses.replace(s, tau1=s.tau1 + 0.1)
             assert cr_residual(bad) > 1e-3
 
     def test_tau2_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            bad = dataclasses.replace(
-                s, modulus=TorusModulus(s.modulus.tau1,
-                                        s.modulus.tau2 + 0.1))
+            bad = dataclasses.replace(s, tau2=s.tau2 + 0.1)
             assert cr_residual(bad) > 1e-3
 
     def test_psi_rotation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            theta = s.psi.theta() + 0.1
-            bad = dataclasses.replace(
-                s, psi=TwistorStructure(math.cos(theta), math.sin(theta)))
+            theta = s.theta() + 0.1
+            bad = dataclasses.replace(s, cos_theta=math.cos(theta),
+                                      sin_theta=math.sin(theta))
             assert cr_residual(bad) > 1e-3
 
     def test_matches_grid_reference(self):
         # Float equality, no tolerance: one row per grid q rounds exactly as
-        # the full grid x grid evaluation does.
+        # the full CR_GRID x CR_GRID evaluation does.
         sols = [solve_torus_data(comp.hom) for _, _, comp in small_sweep(4)]
         rng = random.Random(29)
         for m, n in [(5000, 3000), (50000, 30000), (10 ** 7, 3 * 10 ** 6)]:
@@ -256,8 +255,7 @@ class TestCrResidual:
                                     rng.randint(1, m // d))
                 sols.append(solve_torus_data(rep))
         for s in sols:
-            for grid in (2, 3, 8):
-                assert cr_residual(s, grid) == cr_residual_grid(s, grid)
+            assert cr_residual(s) == cr_residual_grid(s, CR_GRID)
 
     def test_matches_row_reference_bitwise(self):
         # The integers of each row are formed once per call, so every row
@@ -273,43 +271,36 @@ class TestCrResidual:
                 sols.append(solve_torus_data(rep))
         bent = []
         for s in sols[::7]:
-            tau1, tau2 = s.modulus.tau1, s.modulus.tau2
             bent += [
                 dataclasses.replace(s, c0_n2=s.c0_n2 + Fraction(1, 10 ** 12)),
-                dataclasses.replace(s, modulus=TorusModulus(tau1 + 1e-9, tau2)),
-                dataclasses.replace(s, modulus=TorusModulus(tau1, tau2 * 1.5)),
+                dataclasses.replace(s, tau1=s.tau1 + 1e-9),
+                dataclasses.replace(s, tau2=s.tau2 * 1.5),
             ]
         for s in sols + bent:
-            for grid in (2, 3, 8, 17):
-                assert (cr_residual(s, grid).hex()
-                        == cr_residual_rows(s, grid).hex())
-
-    def test_grid_validation(self):
-        s = first_solution(1, 0)
-        with pytest.raises(ValueError):
-            cr_residual(s, grid=1)
+            assert cr_residual(s).hex() == cr_residual_rows(s, CR_GRID).hex()
 
 
 class TestSymplecticArea:
     def test_zero_class(self):
         for theta in (0.0, 1.0, math.pi):
-            assert symplectic_area(HomologyClass(0, 0, 0, 0), theta) == 0
+            zero = HomologyClass(0, 0, 0, 0)
+            assert symplectic_area(zero, math.cos(theta), math.sin(theta)) == 0
 
     def test_diagonal_class_at_pi(self):
-        assert symplectic_area(HomologyClass(1, 1, 1, 1), math.pi) == \
-            pytest.approx(2.0)
+        assert symplectic_area(HomologyClass(1, 1, 1, 1), math.cos(math.pi),
+                               math.sin(math.pi)) == pytest.approx(2.0)
 
     def test_positive_on_solved_components(self):
         for _, _, comp in small_sweep(2):
             A = homology_class(comp.hom)
-            theta = solve_torus_data(comp.hom).psi.theta()
-            assert symplectic_area(A, theta) > 0
+            s = solve_torus_data(comp.hom)
+            assert symplectic_area(A, s.cos_theta, s.sin_theta) > 0
 
     def test_matches_pullback_integration(self):
         for _, _, comp in small_sweep(2):
             A = homology_class(comp.hom)
             s = solve_torus_data(comp.hom)
-            assert symplectic_area(A, s.psi.theta()) == \
+            assert symplectic_area(A, s.cos_theta, s.sin_theta) == \
                 pytest.approx(area_pullback(s), rel=1e-12, abs=1e-12)
 
 
@@ -332,14 +323,16 @@ class TestEvalClass:
         # Exact equality with the general polynomial pullback: on solved
         # components, with a random other c0_n2, and on random reduced
         # lattice maps with dq h1 != dq h2, which no solved component of a
-        # diagonal class has.
+        # diagonal class has.  Both take the central period from h, so the
+        # random maps keep dp h3 != 0, as solve_torus_data requires.
         rng = random.Random(53)
         for _, _, comp in small_sweep(4):
             s = solve_torus_data(comp.hom)
             assert eval_class_integrate(s) == eval_class_pullback(s)
             bent = dataclasses.replace(s, c0_n2=random_fraction(rng, 9, 7))
             assert eval_class_integrate(bent) == eval_class_pullback(bent)
-            dp = (0, 0, rng.randint(-9, 9), rng.randint(-9, 9))
+            dp = (0, 0, rng.choice((*range(-9, 0), *range(1, 10))),
+                  rng.randint(-9, 9))
             dq = tuple(rng.randint(-9, 9) for _ in range(4))
             if dq[0] == dq[1]:
                 dq = (dq[0], dq[1] + 1, *dq[2:])
