@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,13 +13,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ktgw import arith
+from ktgw import arith, cli
 from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
 from ktgw.cli import _dumps as dumps
 from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
 from ktgw.gwcount import GWResult, gw_closed_form
-from ktgw.nilalg import H3Class, HomologyClass
+from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass
 
 
 def run(capsys, *argv):
@@ -184,6 +185,17 @@ class TestGwCommand:
             with pytest.raises(ValueError, match="invariant has over"):
                 check_printable([result(1, 1, 1), result(*gw)])
 
+    def test_disagreeing_routes_exit_1(self, capsys, monkeypatch):
+        real = cli.gw_enumerated
+        monkeypatch.setattr(cli, "gw_enumerated",
+                            lambda A: dataclasses.replace(real(A), gw=H3_ZERO))
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run(capsys, "gw", "2", "4", "1", "2",
+                                 "--format", fmt)
+            assert code == 1
+            assert out != ""
+            assert err == "error: closed and enumerated invariants disagree\n"
+
 
 _TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té\u2028€\U0001f600')
                 | st.characters())
@@ -280,6 +292,21 @@ class TestVerifyCommand:
         assert code == 0
         assert "geometry/cr-residual" in out
         assert "geometry/eval-cycle" in out
+
+    def test_failed_identity_exit_1(self, capsys, monkeypatch):
+        real_weight = cli.aut_weight_sum_closed
+        real_hnf = cli.count_sublattices_hnf
+        monkeypatch.setattr(
+            cli, "aut_weight_sum_closed",
+            lambda m, n: real_weight(m, n) + ((m, n) in ((2, 1), (3, 3))))
+        monkeypatch.setattr(cli, "count_sublattices_hnf",
+                            lambda ell: real_hnf(ell) + (ell == 2))
+        code, out, err = run(capsys, "verify", "identities", "--max", "3")
+        assert code == 1
+        assert out == ("identities/weight-sum: 12 checks, 2 failures [FAIL]\n"
+                       "identities/hnf-sigma1: 3 checks, 1 failures [FAIL]\n"
+                       "identities/cesaro: 9 checks, 0 failures [ok]\n")
+        assert err == "first counterexample: weight sum mismatch at m=2 n=1\n"
 
     def test_bad_max(self, capsys):
         code, _, err = run(capsys, "verify", "identities", "--max", "0")
