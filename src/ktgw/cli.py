@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -59,12 +58,20 @@ SCHEMA_VERSION = "1"
 IDENTITIES_MAX = 400
 BASELINE_LMAX = 5000
 
-_CSV_DOC = """\
+_GW_COLUMNS = ("a13", "a23", "a14", "a24", "method", "m", "n",
+               "e134", "e234", "e124", "agrees")
+_MODULI_COLUMNS = ("d", "k", "l", "dp1", "dp2", "dp3", "dp4",
+                   "dq1", "dq2", "dq3", "dq4", "tau1", "tau2", "theta",
+                   "c0_n2", "aut_size", "ev_e134", "ev_e234", "ev_e124",
+                   "cr_residual")
+_BASELINE_COLUMNS = ("ell", "hnf_count", "sigma1", "equal")
+
+_CSV_DOC = f"""\
 CSV column layouts (fixed):
-  gw:       a13,a23,a14,a24,method,m,n,e134,e234,e124,agrees
-  moduli:   d,k,l,dp1,dp2,dp3,dp4,dq1,dq2,dq3,dq4,tau1,tau2,theta,c0_n2,
-            aut_size,ev_e134,ev_e234,ev_e124,cr_residual
-  baseline: ell,hnf_count,sigma1,equal
+  gw:       {','.join(_GW_COLUMNS)}
+  moduli:   {','.join(_MODULI_COLUMNS[:15])},
+            {','.join(_MODULI_COLUMNS[15:])}
+  baseline: {','.join(_BASELINE_COLUMNS)}
 Rationals are printed as num/den (or plain integers); floats are decimal.
 """
 
@@ -90,10 +97,10 @@ def _h3_json(c: H3Class) -> Dict[str, Dict[str, str]]:
     }
 
 
-def _gw_result_json(r: GWResult) -> Dict[str, object]:
+def _gw_result_json(A: HomologyClass, r: GWResult) -> Dict[str, object]:
     return {
-        "input_class": [str(v) for v in r.input_class.coords()],
-        "normalized": [str(v) for v in r.normalized.coords()],
+        "input_class": [str(v) for v in A.coords()],
+        "normalized": [str(v) for v in (r.m, r.m, r.n, r.n)],
         "m": str(r.m),
         "n": str(r.n),
         "method": r.method,
@@ -104,7 +111,8 @@ def _gw_result_json(r: GWResult) -> Dict[str, object]:
 def _dumps(x: object, pad: str = "\n") -> str:
     """The text of json.dumps(x, indent=2), for str dict keys.
 
-    pad is a newline and the indent of the line that x starts on.
+    pad is a newline and the indent of the line that x starts on.  An indent
+    turns json.dumps onto its pure-Python encoder, twice as slow as this.
     """
     if isinstance(x, str):
         return _encode_str(x)
@@ -126,12 +134,6 @@ def _dumps(x: object, pad: str = "\n") -> str:
     if isinstance(x, float) and math.isfinite(x):
         return float.__repr__(x)
     return json.dumps(x)
-
-
-def _emit_json(payload: Dict[str, object]) -> None:
-    """Print the text of json.dumps(payload, indent=2), written by _dumps:
-    an indent turns json.dumps onto its pure-Python encoder, twice as slow."""
-    print(_dumps(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +174,23 @@ def _cmd_gw(args: argparse.Namespace) -> int:
             "command": "gw",
             "class": [str(v) for v in A.coords()],
             "method": args.method,
-            "results": [_gw_result_json(r) for r in results],
+            "results": [_gw_result_json(A, r) for r in results],
         }
         if agrees is not None:
             payload["agrees"] = agrees
-        _emit_json(payload)
+        print(_dumps(payload))
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["a13", "a23", "a14", "a24", "method", "m", "n",
-                         "e134", "e234", "e124", "agrees"])
+        writer = csv.writer(sys.stdout)
+        writer.writerow(_GW_COLUMNS)
         for r in results:
             writer.writerow(list(A.coords()) + [
                 r.method, r.m, r.n, r.gw.e134, r.gw.e234, r.gw.e124,
                 "" if agrees is None else str(agrees).lower(),
             ])
-        sys.stdout.write(out.getvalue())
     else:
-        r0 = results[0]
+        m, n = results[0].m, results[0].n
         lines = [f"class:      {list(A.coords())}",
-                 f"normalized: {list(r0.normalized.coords())}   "
-                 f"m={r0.m} n={r0.n}"]
+                 f"normalized: {[m, m, n, n]}   m={m} n={n}"]
         for r in results:
             lines.append(f"{r.method:>10}: e134={r.gw.e134} "
                          f"e234={r.gw.e234} e124={r.gw.e124}")
@@ -218,7 +216,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
         rows.append((comp, sol, cr_residual(sol), *comp.hom.lie()))
     ev = component_eval_class(args.m, args.n)
     if args.format == "json":
-        _emit_json({
+        print(_dumps({
             "schema_version": SCHEMA_VERSION,
             "command": "moduli",
             "m": str(args.m),
@@ -242,14 +240,10 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                 }
                 for comp, sol, res, dp, dq in rows
             ],
-        })
+        }))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["d", "k", "l",
-                         "dp1", "dp2", "dp3", "dp4",
-                         "dq1", "dq2", "dq3", "dq4",
-                         "tau1", "tau2", "theta", "c0_n2", "aut_size",
-                         "ev_e134", "ev_e234", "ev_e124", "cr_residual"])
+        writer.writerow(_MODULI_COLUMNS)
         for comp, sol, res, dp, dq in rows:
             writer.writerow([
                 comp.d, comp.k, comp.ell, *dp, *dq,
@@ -280,15 +274,20 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
 
 
 class _Sweep:
+    """A named count of checks and failures, with the first failure's detail."""
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.checked = 0
-        self.failures: List[str] = []
+        self.failed = 0
+        self.first_failure = ""
 
     def check(self, ok: bool, detail: str) -> None:
         self.checked += 1
         if not ok:
-            self.failures.append(detail)
+            if not self.failed:
+                self.first_failure = detail
+            self.failed += 1
 
 
 def _verify_identities(max_n: int) -> List[_Sweep]:
@@ -389,12 +388,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sweeps.extend(_verify_geometry(args.max))
     failed = False
     for sweep in sweeps:
-        status = "ok" if not sweep.failures else "FAIL"
+        status = "FAIL" if sweep.failed else "ok"
         print(f"{sweep.name}: {sweep.checked} checks, "
-              f"{len(sweep.failures)} failures [{status}]")
-        if sweep.failures and not failed:
+              f"{sweep.failed} failures [{status}]")
+        if sweep.failed and not failed:
             failed = True
-            print(f"first counterexample: {sweep.failures[0]}",
+            print(f"first counterexample: {sweep.first_failure}",
                   file=sys.stderr)
     return 1 if failed else 0
 
@@ -416,7 +415,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         s1 = sigma(1, ell)
         rows.append((ell, count, s1, count == s1))
     if args.format == "json":
-        _emit_json({
+        print(_dumps({
             "schema_version": SCHEMA_VERSION,
             "command": "baseline",
             "rows": [
@@ -424,10 +423,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
                  "sigma1": str(s1), "equal": equal}
                 for ell, count, s1, equal in rows
             ],
-        })
+        }))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["ell", "hnf_count", "sigma1", "equal"])
+        writer.writerow(_BASELINE_COLUMNS)
         for ell, count, s1, equal in rows:
             writer.writerow([ell, count, s1, str(equal).lower()])
     else:

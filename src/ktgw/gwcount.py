@@ -4,12 +4,11 @@ A torus-representable degree-two class is moved to diagonal shape
 [m, m, n, n] by a lattice automorphism.  For m = 0 the moduli components are
 obstructed and contribute nothing.  For m != 0 the components are labelled
 by (d, k, l) with d | gcd(m, n), k = 1..d, l = 1..|m|/d.  This module owns
-the label rules: `check_component_label` refuses labels outside that range,
-`component_hom` gives each label its one fully reduced homomorphism,
-`aut_size_formula` its automorphism order, and `moduli_components` lists
-them all once.  Each component carries the evaluation-cycle class
-sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234) with weight 1 / |Aut|, and the
-weighted total collapses to the closed form
+the label rules: `moduli_component` refuses labels outside that range and
+gives each label its one fully reduced homomorphism and its automorphism
+order, and `moduli_components` lists them all once.  Each component carries
+the evaluation-cycle class sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234)
+with weight 1 / |Aut|, and the weighted total collapses to the closed form
 
     (m^2 + n^2) sigma_2(gcd(m, n)) / gcd(m, n)^3 (a13 E134 + a23 E234).
 
@@ -30,9 +29,7 @@ from .nilalg import H3_ZERO, H3Class, HomologyClass, h3_pushforward
 __all__ = [
     "ModuliComponent",
     "GWResult",
-    "check_component_label",
-    "component_hom",
-    "aut_size_formula",
+    "moduli_component",
     "aut_size_smith",
     "component_count",
     "component_eval_class",
@@ -55,59 +52,60 @@ def component_count(m: int, n: int) -> int:
     return abs(m) * sigma(0, math.gcd(m, n))
 
 
-def check_component_label(m: int, n: int, d: int, k: int, ell: int) -> int:
-    """Refuse a label (d, k, l) that names no component of the class (m, n).
+@dataclass(frozen=True)
+class ModuliComponent:
+    """One connected moduli component with its counting data.
+
+    Built by `moduli_component` from its label (d, k, ell): hom is the
+    label's fully reduced homomorphism, and aut_size its lattice index.  Its
+    torus geometry is `geometry.solve_torus_data(hom)`, and its
+    evaluation-cycle class, the same for every component of the class, is
+    `component_eval_class(m, n)`.
+    """
+
+    d: int
+    k: int
+    ell: int
+    hom: HomDerivs
+    aut_size: int
+
+
+def moduli_component(m: int, n: int, d: int, k: int,
+                     ell: int) -> ModuliComponent:
+    """The moduli component (d, k, l) of the class (m, n).
 
     Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d, and
-    raises ValueError otherwise.  Returns |m|/d.
-    """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    if d < 1 or math.gcd(m, n) % d != 0:
-        raise ValueError(f"{d} does not divide gcd({m}, {n})")
-    span = abs(m) // d
-    if not 1 <= k <= d:
-        raise ValueError(f"k = {k} is outside 1..{d}")
-    if not 1 <= ell <= span:
-        raise ValueError(f"l = {ell} is outside 1..{span}")
-    return span
-
-
-def component_hom(m: int, n: int, d: int, k: int, ell: int) -> HomDerivs:
-    """Fully reduced homomorphism of the component (d, k, l) of class (m, n).
-
-    Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d.  The
-    label (d, k, l) names the torus
+    raises ValueError otherwise.  The label (d, k, l) names the torus
 
         dq h1 = dq h2 = -sgn(m) d,   dp h3 = |m|/d,   dp h4 = -n / (sgn(m) d),
         dq h3 = l,                   dq h4 = k - d/2,
 
     whose lattice index is the automorphism order gcd(gcd(m, n),
-    (m k + n l)/d).  For l < |m|/d that torus is already fully reduced.  For
+    (m k + n l)/d), with gcd(x, 0) = |x| and the second argument taken in
+    absolute value.  For l < |m|/d that torus is already fully reduced.  For
     l = |m|/d the reparametrisation q -> q - p takes dq h3 to 0 and dq h4 to
     k - d/2 - dp h4, and conjugation by a lattice element adds multiples of
     dq h1 = -sgn(m) d to dq h4, so dq h4 only matters mod d.  The result is
     then dq h3 = 0, dq h4 = k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.
     The stored closed entry is dq h4 + dq h1 dq h2 / 2 = k' + d (d - 1) / 2.
     """
-    span = check_component_label(m, n, d, k, ell)
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    g = math.gcd(m, n)
+    if d < 1 or g % d != 0:
+        raise ValueError(f"{d} does not divide gcd({m}, {n})")
+    span = abs(m) // d
+    if not 1 <= k <= d:
+        raise ValueError(f"k = {k} is outside 1..{d}")
+    if not 1 <= ell <= span:
+        raise ValueError(f"l = {ell} is outside 1..{span}")
     sgn = 1 if m > 0 else -1
     dp4 = -n // (sgn * d)
-    if ell == span:
-        ell, k = 0, (k - dp4 - 1) % d + 1
-    return HomDerivs((0, 0, span, dp4),
-                     (-sgn * d, -sgn * d, ell, k + d * (d - 1) // 2))
-
-
-def aut_size_formula(m: int, n: int, d: int, k: int, ell: int) -> int:
-    """Automorphism order gcd(gcd(m, n), (m k + n l) / d) of component (d, k, l).
-
-    Conventions: gcd(x, 0) = |x| and the second argument is taken in
-    absolute value.  Refuses labels outside d | gcd(m, n), 1 <= k <= d,
-    1 <= l <= |m|/d with `check_component_label`.
-    """
-    check_component_label(m, n, d, k, ell)
-    return math.gcd(m, n, (m * k + n * ell) // d)
+    dq3, k_red = (0, (k - dp4 - 1) % d + 1) if ell == span else (ell, k)
+    hom = HomDerivs((0, 0, span, dp4),
+                    (-sgn * d, -sgn * d, dq3, k_red + d * (d - 1) // 2))
+    return ModuliComponent(d, k, ell, hom,
+                           math.gcd(g, (m * k + n * ell) // d))
 
 
 def aut_size_smith(h: HomDerivs) -> int:
@@ -123,9 +121,9 @@ def aut_size_smith(h: HomDerivs) -> int:
     where (a2, b2) = (dq h1, dq h2), g2 = gcd(a2, b2), abar = a2/g2,
     bbar = b2/g2, (c1, c2) = (dp h3, dq h3) and (d1, d2) is the dh4 row with
     its half-integer closure, the stored integers dp[3] and dq[3].  This is
-    an oracle for `aut_size_formula`, independent of the closed k, l
-    bookkeeping.  Refuses with ValueError a homomorphism that is not reduced
-    or has dq h1 = 0.
+    an oracle for `moduli_component`'s aut_size, independent of its closed
+    k, l bookkeeping.  Refuses with ValueError a homomorphism that is not
+    reduced or has dq h1 = 0.
     """
     if not h.is_reduced():
         raise ValueError("homomorphism must be reduced")
@@ -157,23 +155,6 @@ def component_eval_class(m: int, n: int) -> H3Class:
     return H3Class(coeff, coeff, 0)
 
 
-@dataclass(frozen=True)
-class ModuliComponent:
-    """One connected moduli component with its counting data.
-
-    hom is `component_hom` at the labels (d, k, ell), and aut_size is its
-    lattice index.  Its torus geometry is `geometry.solve_torus_data(hom)`,
-    and its evaluation-cycle class, the same for every component of the
-    class, is `component_eval_class(m, n)`.
-    """
-
-    d: int
-    k: int
-    ell: int
-    hom: HomDerivs
-    aut_size: int
-
-
 def moduli_components(m: int, n: int) -> List[ModuliComponent]:
     """All moduli components of the diagonal class with invariants (m, n).
 
@@ -189,8 +170,7 @@ def moduli_components(m: int, n: int) -> List[ModuliComponent]:
     if components > MODULI_BUDGET:
         raise ValueError(f"{components} moduli components exceed the "
                          f"moduli budget of {MODULI_BUDGET}")
-    return [ModuliComponent(d, k, ell, component_hom(m, n, d, k, ell),
-                            aut_size_formula(m, n, d, k, ell))
+    return [moduli_component(m, n, d, k, ell)
             for d in divisors(math.gcd(m, n))
             for ell in range(1, abs(m) // d + 1)
             for k in range(1, d + 1)]
@@ -198,10 +178,11 @@ def moduli_components(m: int, n: int) -> List[ModuliComponent]:
 
 @dataclass(frozen=True)
 class GWResult:
-    """Genus-one one-point family invariant of a degree-two class."""
+    """Genus-one one-point family invariant of a degree-two class.
 
-    input_class: HomologyClass
-    normalized: HomologyClass
+    m and n are the invariants of the class's diagonal shape [m, m, n, n].
+    """
+
     m: int
     n: int
     gw: H3Class
@@ -223,7 +204,7 @@ def gw_closed_form(A: HomologyClass) -> GWResult:
         g = math.gcd(m, n)
         coeff = Fraction((m * m + n * n) * sigma(2, g), g ** 3)
         gw = H3Class(coeff * A.a13, coeff * A.a23, 0)
-    return GWResult(A, norm, m, n, gw, "closed")
+    return GWResult(m, n, gw, "closed")
 
 
 def gw_enumerated(A: HomologyClass) -> GWResult:
@@ -253,4 +234,4 @@ def gw_enumerated(A: HomologyClass) -> GWResult:
         total = component_eval_class(m, n).scale(aut_weight_sum(m, n))
         (a, b), (c, d) = M
         gw = h3_pushforward(((d, -b), (-c, a)), total)
-    return GWResult(A, norm, m, n, gw, "enumerated")
+    return GWResult(m, n, gw, "enumerated")

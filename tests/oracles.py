@@ -24,7 +24,7 @@ live here:
 * `sl2z_act` reparametrises a homomorphism by right multiplication with an
   SL(2,Z) matrix, and `fully_reduce` moves any homomorphism of an orbit with
   nonzero first invariant to its fully reduced representative; they are
-  the reference for `gwcount.component_hom`'s canonical form.
+  the reference for `gwcount.moduli_component`'s canonical form.
 * `aut_weight_sum_labels` sums the reciprocal automorphism orders label by
   label, one gcd per component; it is the reference for
   `arith.aut_weight_sum`, which sums over pairs of divisors.

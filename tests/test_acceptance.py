@@ -25,7 +25,6 @@ from ktgw.geometry import (
     symplectic_area,
 )
 from ktgw.gwcount import (
-    aut_size_formula,
     aut_size_smith,
     component_eval_class,
     gw_closed_form,
@@ -131,7 +130,7 @@ def test_ac05_automorphism_oracle():
         for n in range(-10, 11):
             for entry in moduli_components(m, n):
                 checked += 1
-                formula = aut_size_formula(m, n, entry.d, entry.k, entry.ell)
+                formula = entry.aut_size
                 smith = aut_size_smith(entry.hom)
                 if formula != smith:
                     failures.append(

@@ -173,10 +173,8 @@ class TestGwCommand:
                        f"this interpreter's limit for printing an integer\n")
         # The refusal starts at exactly limit + 1 digits, in the numerator
         # or the denominator of any coordinate.
-        zero = HomologyClass(0, 0, 0, 0)
-
         def result(*gw):
-            return GWResult(zero, zero, 0, 0, H3Class(*gw), "closed")
+            return GWResult(0, 0, H3Class(*gw), "closed")
 
         most = 10 ** limit - 1
         check_printable([result(-most, 1, Fraction(1, most))])

@@ -14,7 +14,11 @@ from ktgw.geometry import (
     solve_torus_data,
     symplectic_area,
 )
-from ktgw.gwcount import component_eval_class, component_hom, moduli_components
+from ktgw.gwcount import (
+    component_eval_class,
+    moduli_component,
+    moduli_components,
+)
 from ktgw.homs import HomDerivs, homology_class
 from ktgw.nilalg import H3Class, HomologyClass
 from oracles import (
@@ -108,11 +112,11 @@ class TestSolve:
     def test_rejects_norm_beyond_float(self):
         # dp h4 = -n for the one component of [1, 1, n, n]; its squared norm
         # passes the largest float once |n| exceeds about 1.34e154.
-        edge = solve_torus_data(component_hom(1, 10 ** 154, 1, 1, 1))
+        edge = solve_torus_data(moduli_component(1, 10 ** 154, 1, 1, 1).hom)
         assert edge.tau2 > 0
         for m, n in [(1, 2 * 10 ** 154), (1, -10 ** 200), (2, 2 * 10 ** 200)]:
             with pytest.raises(ValueError, match="too long for a floating"):
-                solve_torus_data(component_hom(m, n, 1, 1, 1))
+                solve_torus_data(moduli_component(m, n, 1, 1, 1).hom)
 
     def test_modulus_requires_upper_half_plane(self):
         s = first_solution(1, 0)
@@ -251,8 +255,8 @@ class TestCrResidual:
             ds = divisors(math.gcd(m, n))
             for _ in range(12):
                 d = rng.choice(ds)
-                rep = component_hom(m, n, d, rng.randint(1, d),
-                                    rng.randint(1, m // d))
+                rep = moduli_component(m, n, d, rng.randint(1, d),
+                                       rng.randint(1, m // d)).hom
                 sols.append(solve_torus_data(rep))
         for s in sols:
             assert cr_residual(s) == cr_residual_grid(s, CR_GRID)
@@ -266,8 +270,8 @@ class TestCrResidual:
             ds = divisors(math.gcd(m, n))
             for _ in range(12):
                 d = rng.choice(ds)
-                rep = component_hom(m, n, d, rng.randint(1, d),
-                                    rng.randint(1, m // d))
+                rep = moduli_component(m, n, d, rng.randint(1, d),
+                                       rng.randint(1, m // d)).hom
                 sols.append(solve_torus_data(rep))
         bent = []
         for s in sols[::7]:

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from ktgw import gwcount
 from ktgw.arith import aut_weight_sum, aut_weight_sum_closed, sigma
 from ktgw.gwcount import (
-    aut_size_formula,
     aut_size_smith,
     component_count,
     component_eval_class,
     gw_closed_form,
     gw_enumerated,
+    moduli_component,
     moduli_components,
 )
 from ktgw.nilalg import (
@@ -38,22 +38,22 @@ from oracles import (
 
 class TestAutSizeFormula:
     def test_examples(self):
-        assert aut_size_formula(2, 0, 2, 1, 1) == 1
-        assert aut_size_formula(2, 0, 2, 2, 1) == 2
-        assert aut_size_formula(1, 1, 1, 1, 1) == 1
+        assert moduli_component(2, 0, 2, 1, 1).aut_size == 1
+        assert moduli_component(2, 0, 2, 2, 1).aut_size == 2
+        assert moduli_component(1, 1, 1, 1, 1).aut_size == 1
 
     def test_rejects_bad_divisor(self):
         with pytest.raises(ValueError):
-            aut_size_formula(2, 0, 3, 1, 1)
+            moduli_component(2, 0, 3, 1, 1)
         with pytest.raises(ValueError):
-            aut_size_formula(0, 2, 1, 1, 1)
+            moduli_component(0, 2, 1, 1, 1)
 
     def test_positive_and_divides_gcd(self):
         for m in [v for v in range(-8, 9) if v]:
             for n in range(-8, 9):
                 g = math.gcd(m, n)
                 for comp in moduli_components(m, n):
-                    aut = aut_size_formula(m, n, comp.d, comp.k, comp.ell)
+                    aut = comp.aut_size
                     assert aut >= 1 and g % aut == 0
 
 
@@ -72,8 +72,7 @@ class TestAutSizeSmith:
         for m in [v for v in range(-6, 7) if v]:
             for n in range(-6, 7):
                 for entry in moduli_components(m, n):
-                    assert aut_size_smith(entry.hom) == \
-                        aut_size_formula(m, n, entry.d, entry.k, entry.ell)
+                    assert aut_size_smith(entry.hom) == entry.aut_size
 
     def test_matches_elementary_divisor_product(self):
         rng = random.Random(41)
@@ -164,7 +163,7 @@ class TestModuliComponents:
         def refuse(m, n, d, k, ell):
             raise AssertionError("over-budget moduli must build nothing")
 
-        monkeypatch.setattr(gwcount, "component_hom", refuse)
+        monkeypatch.setattr(gwcount, "moduli_component", refuse)
         with pytest.raises(ValueError, match="moduli budget"):
             moduli_components(3, 0)
 
@@ -222,7 +221,7 @@ class TestEnumerated:
         def refuse(m, n, d, k, ell):
             raise AssertionError("gw_enumerated must not build components")
 
-        monkeypatch.setattr(gwcount, "component_hom", refuse)
+        monkeypatch.setattr(gwcount, "moduli_component", refuse)
         assert gw_enumerated(HomologyClass(6, 6, 4, 4)).gw == \
             gw_closed_form(HomologyClass(6, 6, 4, 4)).gw
 

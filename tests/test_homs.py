@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ktgw.arith import sigma
-from ktgw.gwcount import aut_size_formula, component_hom, moduli_components
+from ktgw.gwcount import moduli_component, moduli_components
 from ktgw.homs import HomDerivs, homology_class, normalize_class, plucker_holds
 from ktgw.nilalg import HomologyClass, h2_pushforward
 from oracles import (
@@ -255,12 +255,12 @@ def raw_representative(m, n, d, k, ell):
 
 
 class TestSumRepresentative:
-    """`component_hom`, the one representative of each summand label."""
+    """`moduli_component`, the one representative of each summand label."""
 
     def test_matches_enumerated_away_from_wrap(self):
         for m, n in [(4, 2), (6, 4), (-6, 4)]:
             for entry in moduli_components(m, n):
-                hom = component_hom(m, n, entry.d, entry.k, entry.ell)
+                hom = moduli_component(m, n, entry.d, entry.k, entry.ell).hom
                 assert hom == entry.hom
                 if entry.ell < abs(m) // entry.d:
                     assert hom == raw_representative(
@@ -290,23 +290,29 @@ class TestSumRepresentative:
 
     def test_rejects_bad_divisor(self):
         with pytest.raises(ValueError):
-            component_hom(4, 2, 3, 1, 1)
+            moduli_component(4, 2, 3, 1, 1)
         with pytest.raises(ValueError):
-            component_hom(4, 2, 0, 1, 1)
+            moduli_component(4, 2, 0, 1, 1)
         with pytest.raises(ValueError):
-            component_hom(0, 2, 1, 1, 1)
+            moduli_component(0, 2, 1, 1, 1)
 
     def test_rejects_labels_out_of_range(self):
-        # aut_size_formula refuses the same labels with the same message.
-        for d, k, ell in [(2, 0, 1), (2, 3, 1), (2, 1, 0), (2, 1, 3),
-                          (2, 2, -1), (0, 1, 1), (-2, 1, 1), (1, 5, 99)]:
-            with pytest.raises(ValueError) as hom_error:
-                component_hom(4, 2, d, k, ell)
-            with pytest.raises(ValueError) as aut_error:
-                aut_size_formula(4, 2, d, k, ell)
-            assert str(aut_error.value) == str(hom_error.value)
-        assert component_hom(4, 2, 2, 2, 2).dq[2] == 0
-        assert aut_size_formula(4, 2, 2, 2, 2) == 2
+        # Each label is refused once, in the words of its first bad field.
+        for d, k, ell, message in [
+                (2, 0, 1, "k = 0 is outside 1..2"),
+                (2, 3, 1, "k = 3 is outside 1..2"),
+                (2, 1, 0, "l = 0 is outside 1..2"),
+                (2, 1, 3, "l = 3 is outside 1..2"),
+                (2, 2, -1, "l = -1 is outside 1..2"),
+                (0, 1, 1, "0 does not divide gcd(4, 2)"),
+                (-2, 1, 1, "-2 does not divide gcd(4, 2)"),
+                (1, 5, 99, "k = 5 is outside 1..1")]:
+            with pytest.raises(ValueError) as error:
+                moduli_component(4, 2, d, k, ell)
+            assert str(error.value) == message
+        comp = moduli_component(4, 2, 2, 2, 2)
+        assert comp.hom.dq[2] == 0
+        assert comp.aut_size == 2
 
 
 def normalized(A):
