@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,7 +47,7 @@ from .gwcount import (
     moduli_components,
 )
 from .homs import homology_class
-from .nilalg import H3Class, HomologyClass
+from .nilalg import HomologyClass
 
 SCHEMA_VERSION = "1"
 # Largest `verify identities --max` and `baseline LMAX`.  Both costs grow
@@ -77,35 +76,15 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 
 
 # ---------------------------------------------------------------------------
-# Serialisation helpers
+# Output records
 # ---------------------------------------------------------------------------
+# Each command builds one leaf tuple per record, in the order of its column
+# tuple.  A JSON list item is filled from a %(column)s template of the
+# schema-v1 shape, where a rational column has the holes col.num and col.den.
 
 
-def _frac_json(x: Fraction) -> Dict[str, str]:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
-def _approx_json(x: float) -> Dict[str, object]:
-    return {"value": x, "approx": True}
-
-
-def _h3_json(c: H3Class) -> Dict[str, Dict[str, str]]:
-    return {
-        "e134": _frac_json(c.e134),
-        "e234": _frac_json(c.e234),
-        "e124": _frac_json(c.e124),
-    }
-
-
-def _gw_result_json(A: HomologyClass, r: GWResult) -> Dict[str, object]:
-    return {
-        "input_class": [str(v) for v in A.coords()],
-        "normalized": [str(v) for v in (r.m, r.m, r.n, r.n)],
-        "m": str(r.m),
-        "n": str(r.n),
-        "method": r.method,
-        "gw": _h3_json(r.gw),
-    }
+class _Raw(str):
+    """Text that _dumps writes as it stands: a filled template or a hole."""
 
 
 def _dumps(x: object, pad: str = "\n") -> str:
@@ -115,7 +94,7 @@ def _dumps(x: object, pad: str = "\n") -> str:
     turns json.dumps onto its pure-Python encoder, twice as slow as this.
     """
     if isinstance(x, str):
-        return _encode_str(x)
+        return x if type(x) is _Raw else _encode_str(x)
     if isinstance(x, dict):
         if not x:
             return "{}"
@@ -134,6 +113,59 @@ def _dumps(x: object, pad: str = "\n") -> str:
     if isinstance(x, float) and math.isfinite(x):
         return float.__repr__(x)
     return json.dumps(x)
+
+
+_hole = "%({})s".format
+
+
+def _frac(col: str) -> Dict[str, str]:
+    return {"num": _hole(col + ".num"), "den": _hole(col + ".den")}
+
+
+def _approx(col: str) -> Dict[str, object]:
+    return {"value": _Raw(_hole(col)), "approx": True}
+
+
+# The list items of schema v1, at their indent in the payload.
+_ITEM_PAD = "\n    "
+_GW_JSON = _dumps({
+    "input_class": [_hole(col) for col in _GW_COLUMNS[:4]],
+    "normalized": [_hole(col) for col in ("m", "m", "n", "n")],
+    **{col: _hole(col) for col in ("m", "n", "method")},
+    "gw": {col: _frac(col) for col in _GW_COLUMNS[7:10]},
+}, _ITEM_PAD)
+_MODULI_JSON = _dumps({
+    **{col: _hole(col) for col in _MODULI_COLUMNS[:3]},
+    "hom": {"dp": [_frac(col) for col in _MODULI_COLUMNS[3:7]],
+            "dq": [_frac(col) for col in _MODULI_COLUMNS[7:11]]},
+    **{col: _approx(col) for col in _MODULI_COLUMNS[11:14]},
+    "c0_n2": _frac("c0_n2"),
+    "aut_size": _hole("aut_size"),
+    "eval_class": {col[3:]: _frac(col) for col in _MODULI_COLUMNS[16:19]},
+    "cr_residual": _approx("cr_residual"),
+}, _ITEM_PAD)
+_BASELINE_JSON = _dumps({
+    **{col: _hole(col) for col in _BASELINE_COLUMNS[:3]},
+    "equal": _Raw(_hole("equal")),
+}, _ITEM_PAD)
+
+
+class _Leaves(dict):
+    """A row's leaves by column name; the hole col.num or col.den reads
+    the numerator or denominator of the rational column col."""
+
+    def __missing__(self, hole: str) -> int:
+        col, part = hole.split(".")
+        v = self[col]
+        return v.numerator if part == "num" else v.denominator
+
+
+def _fill(template: str, columns: Sequence[str],
+          rows: List[tuple]) -> List[_Raw]:
+    """The JSON list items of rows; floats go through _dumps, for NaN."""
+    return [_Raw(template % _Leaves(
+        (col, _dumps(v) if isinstance(v, float) else v)
+        for col, v in zip(columns, row))) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +195,32 @@ def _cmd_gw(args: argparse.Namespace) -> int:
         results.append(gw_closed_form(A))
     if args.method in ("enumerate", "both"):
         results.append(gw_enumerated(A))
-    agrees: Optional[bool] = None
-    if args.method == "both":
-        agrees = results[0].gw == results[1].gw
+    agrees = results[0].gw == results[1].gw if len(results) == 2 else None
     _check_printable(results)
-
+    flag = "" if agrees is None else str(agrees).lower()
+    rows = [(*A.coords(), r.method, r.m, r.n, *r.gw.coords(), flag)
+            for r in results]
     if args.format == "json":
         payload: Dict[str, object] = {
             "schema_version": SCHEMA_VERSION,
             "command": "gw",
             "class": [str(v) for v in A.coords()],
             "method": args.method,
-            "results": [_gw_result_json(A, r) for r in results],
+            "results": _fill(_GW_JSON, _GW_COLUMNS, rows),
         }
         if agrees is not None:
             payload["agrees"] = agrees
         print(_dumps(payload))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_GW_COLUMNS)
-        for r in results:
-            writer.writerow(list(A.coords()) + [
-                r.method, r.m, r.n, r.gw.e134, r.gw.e234, r.gw.e124,
-                "" if agrees is None else str(agrees).lower(),
-            ])
+        csv.writer(sys.stdout).writerows([_GW_COLUMNS, *rows])
     else:
-        m, n = results[0].m, results[0].n
-        lines = [f"class:      {list(A.coords())}",
+        a13, a23, a14, a24, _, m, n = rows[0][:7]
+        lines = [f"class:      {[a13, a23, a14, a24]}",
                  f"normalized: {[m, m, n, n]}   m={m} n={n}"]
-        for r in results:
-            lines.append(f"{r.method:>10}: e134={r.gw.e134} "
-                         f"e234={r.gw.e234} e124={r.gw.e124}")
-        if agrees is not None:
-            lines.append(f"agrees: {str(agrees).lower()}")
+        for _, _, _, _, method, _, _, e134, e234, e124, _ in rows:
+            lines.append(f"{method:>10}: e134={e134} e234={e234} e124={e124}")
+        if flag:
+            lines.append(f"agrees: {flag}")
         print("\n".join(lines))
     if agrees is False:
         print("error: closed and enumerated invariants disagree",
@@ -210,61 +235,37 @@ def _cmd_gw(args: argparse.Namespace) -> int:
 
 
 def _cmd_moduli(args: argparse.Namespace) -> int:
+    comps = moduli_components(args.m, args.n)
+    ev = component_eval_class(args.m, args.n).coords()
     rows = []
-    for comp in moduli_components(args.m, args.n):
+    for comp in comps:
         sol = solve_torus_data(comp.hom)
-        rows.append((comp, sol, cr_residual(sol), *comp.hom.lie()))
-    ev = component_eval_class(args.m, args.n)
+        dp, dq = comp.hom.lie
+        rows.append((comp.d, comp.k, comp.ell, *dp, *dq, sol.tau1, sol.tau2,
+                     sol.theta(), sol.c0_n2, comp.aut_size, *ev,
+                     cr_residual(sol)))
     if args.format == "json":
         print(_dumps({
             "schema_version": SCHEMA_VERSION,
             "command": "moduli",
             "m": str(args.m),
             "n": str(args.n),
-            "components": [
-                {
-                    "d": str(comp.d),
-                    "k": str(comp.k),
-                    "l": str(comp.ell),
-                    "hom": {
-                        "dp": [_frac_json(v) for v in dp],
-                        "dq": [_frac_json(v) for v in dq],
-                    },
-                    "tau1": _approx_json(sol.tau1),
-                    "tau2": _approx_json(sol.tau2),
-                    "theta": _approx_json(sol.theta()),
-                    "c0_n2": _frac_json(sol.c0_n2),
-                    "aut_size": str(comp.aut_size),
-                    "eval_class": _h3_json(ev),
-                    "cr_residual": _approx_json(res),
-                }
-                for comp, sol, res, dp, dq in rows
-            ],
+            "components": _fill(_MODULI_JSON, _MODULI_COLUMNS, rows),
         }))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_MODULI_COLUMNS)
-        for comp, sol, res, dp, dq in rows:
-            writer.writerow([
-                comp.d, comp.k, comp.ell, *dp, *dq,
-                sol.tau1, sol.tau2, sol.theta(),
-                sol.c0_n2, comp.aut_size, ev.e134, ev.e234, ev.e124, res,
-            ])
+        csv.writer(sys.stdout).writerows([_MODULI_COLUMNS, *rows])
     else:
         print(f"moduli components of [{args.m}, {args.m}, {args.n}, {args.n}]"
               f" ({len(rows)} components)")
-        header = (f"{'d':>3} {'k':>3} {'l':>3} {'matrix (dp | dq)':<26} "
-                  f"{'tau1':>9} {'tau2':>9} {'theta':>9} {'c0':>7} "
-                  f"{'|Aut|':>5} {'eval':>9} {'residual':>9}")
-        print(header)
-        for comp, sol, res, dp, dq in rows:
-            mat = "[" + ",".join(map(str, dp)) + \
-                  " | " + ",".join(map(str, dq)) + "]"
-            print(f"{comp.d:>3} {comp.k:>3} {comp.ell:>3} {mat:<26} "
-                  f"{sol.tau1:>9.5f} {sol.tau2:>9.5f} "
-                  f"{sol.theta():>9.5f} {str(sol.c0_n2):>7} "
-                  f"{comp.aut_size:>5} "
-                  f"{str(ev.e134):>9} {res:>9.2e}")
+        print(f"{'d':>3} {'k':>3} {'l':>3} {'matrix (dp | dq)':<26} "
+              f"{'tau1':>9} {'tau2':>9} {'theta':>9} {'c0':>7} "
+              f"{'|Aut|':>5} {'eval':>9} {'residual':>9}")
+        for (d, k, ell, *h, tau1, tau2, theta, c0, aut, ev134, _, _,
+             res) in rows:
+            mat = "[%s,%s,%s,%s | %s,%s,%s,%s]" % tuple(h)
+            print(f"{d:>3} {k:>3} {ell:>3} {mat:<26} {tau1:>9.5f} "
+                  f"{tau2:>9.5f} {theta:>9.5f} {str(c0):>7} {aut:>5} "
+                  f"{str(ev134):>9} {res:>9.2e}")
     return 0
 
 
@@ -413,26 +414,19 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     for ell in range(1, args.lmax + 1):
         count = count_sublattices_hnf(ell)
         s1 = sigma(1, ell)
-        rows.append((ell, count, s1, count == s1))
+        rows.append((ell, count, s1, str(count == s1).lower()))
     if args.format == "json":
         print(_dumps({
             "schema_version": SCHEMA_VERSION,
             "command": "baseline",
-            "rows": [
-                {"ell": str(ell), "hnf_count": str(count),
-                 "sigma1": str(s1), "equal": equal}
-                for ell, count, s1, equal in rows
-            ],
+            "rows": _fill(_BASELINE_JSON, _BASELINE_COLUMNS, rows),
         }))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_BASELINE_COLUMNS)
-        for ell, count, s1, equal in rows:
-            writer.writerow([ell, count, s1, str(equal).lower()])
+        csv.writer(sys.stdout).writerows([_BASELINE_COLUMNS, *rows])
     else:
         print(f"{'ell':>5} {'hnf':>8} {'sigma1':>8} {'equal':>6}")
         for ell, count, s1, equal in rows:
-            print(f"{ell:>5} {count:>8} {s1:>8} {str(equal).lower():>6}")
+            print(f"{ell:>5} {count:>8} {s1:>8} {equal:>6}")
     return 0
 
 

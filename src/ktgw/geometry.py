@@ -98,7 +98,7 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
         raise ValueError("dq h1 must be nonzero")
     # h is reduced, so dp is its own Lie column.
     _, _, c, dd = h.dp
-    _, (a, b, dq3, dq4) = h.lie()
+    _, (a, b, dq3, dq4) = h.lie
     try:
         norm_a = math.sqrt(float(a * a + b * b))
         norm_z = math.sqrt(float(c * c + dd * dd))
@@ -127,7 +127,7 @@ def _log_coordinates(h: HomDerivs,
     (dp h1 = dp h2 = 0), so w1 and w2 have no p term, and [h, C] is
     -q dq h1 c0_n2 n4.
     """
-    (_, _, p3, p4), (a, b, q3, q4) = h.lie()
+    (_, _, p3, p4), (a, b, q3, q4) = h.lie
     return (
         (0, 0, a),
         (c0_n2, 0, b),

@@ -26,6 +26,7 @@ from extended Euclid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -69,15 +70,17 @@ class HomDerivs:
     def is_reduced(self) -> bool:
         return self.dp[0] == 0 and self.dp[1] == 0
 
+    @functools.cached_property
     def lie(self) -> Tuple[LieColumn, LieColumn]:
-        """Lie coordinates (h1, h2, h3, z - h1 h2 / 2) of dp and dq."""
+        """Lie coordinates (h1, h2, h3, z - h1 h2 / 2) of dp and dq, cached:
+        the fields are frozen, and dataclasses.replace builds a new record."""
         return tuple((h1, h2, h3, Fraction(2 * z - h1 * h2, 2))
                      for h1, h2, h3, z in (self.dp, self.dq))
 
 
 def homology_class(h: HomDerivs) -> HomologyClass:
     """Degree-two class of the torus: A_ij = dp h_i dq h_j - dq h_i dp h_j."""
-    (p1, p2, p3, p4), (q1, q2, q3, q4) = h.lie()
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = h.lie
     return HomologyClass(p1 * q3 - q1 * p3, p2 * q3 - q2 * p3,
                          p1 * q4 - q1 * p4, p2 * q4 - q2 * p4)
 

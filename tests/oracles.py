@@ -262,7 +262,7 @@ def hom_from_lie(dp: LieAlgElem, dq: LieAlgElem) -> HomDerivs:
 
 def lie_columns(h: HomDerivs) -> Tuple[LieAlgElem, LieAlgElem]:
     """The Lie columns (dp, dq) of h, from `HomDerivs.lie`."""
-    dp, dq = h.lie()
+    dp, dq = h.lie
     return LieAlgElem(*dp), LieAlgElem(*dq)
 
 

@@ -6,11 +6,12 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktgw import arith, cli
@@ -18,7 +19,9 @@ from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
 from ktgw.cli import _dumps as dumps
 from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
-from ktgw.gwcount import GWResult, gw_closed_form
+from ktgw.geometry import cr_residual, solve_torus_data
+from ktgw.gwcount import (GWResult, component_eval_class, gw_closed_form,
+                          moduli_components)
 from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass
 
 
@@ -221,6 +224,126 @@ class TestJsonWriter:
     @example([[[]], {"x": []}, -0.0, 5e-324, 2.1e138, 2 ** 70, None])
     def test_matches_json_dumps_indent_2(self, x):
         assert dumps(x) == json.dumps(x, indent=2)
+
+
+# Reference list items, built with json.dumps from a row by the README's
+# schema rules: integers are decimal strings, rationals {"num", "den"}
+# string pairs, floats {"value", "approx": true}, and booleans bare.
+def ref_frac(v):
+    v = Fraction(v)
+    return {"num": str(v.numerator), "den": str(v.denominator)}
+
+
+def ref_approx(x):
+    return {"value": x, "approx": True}
+
+
+def ref_gw_item(row):
+    a13, a23, a14, a24, method, m, n, e134, e234, e124, _ = row
+    return {"input_class": [str(v) for v in (a13, a23, a14, a24)],
+            "normalized": [str(v) for v in (m, m, n, n)],
+            "m": str(m), "n": str(n), "method": method,
+            "gw": {"e134": ref_frac(e134), "e234": ref_frac(e234),
+                   "e124": ref_frac(e124)}}
+
+
+def ref_moduli_item(row):
+    d, k, ell, *h, tau1, tau2, theta, c0, aut, e134, e234, e124, res = row
+    return {"d": str(d), "k": str(k), "l": str(ell),
+            "hom": {"dp": [ref_frac(v) for v in h[:4]],
+                    "dq": [ref_frac(v) for v in h[4:]]},
+            "tau1": ref_approx(tau1), "tau2": ref_approx(tau2),
+            "theta": ref_approx(theta), "c0_n2": ref_frac(c0),
+            "aut_size": str(aut),
+            "eval_class": {"e134": ref_frac(e134), "e234": ref_frac(e234),
+                           "e124": ref_frac(e124)},
+            "cr_residual": ref_approx(res)}
+
+
+def ref_baseline_item(row):
+    ell, count, s1, equal = row
+    return {"ell": str(ell), "hnf_count": str(count), "sigma1": str(s1),
+            "equal": {"true": True, "false": False}[equal]}
+
+
+def ref_item_text(item):
+    """json.dumps of a list item, at its indent in the payload."""
+    return json.dumps(item, indent=2).replace("\n", "\n    ")
+
+
+_INTS = (st.integers()
+         | st.integers(min_value=2 ** 64, max_value=2 ** 200)
+         | st.integers(min_value=-2 ** 200, max_value=-2 ** 64))
+_RATS = _INTS | st.fractions() | st.builds(Fraction, _INTS, _INTS.filter(bool))
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.1e138])
+_BOOLS = st.sampled_from(["true", "false"])
+_ROWS = {
+    "gw": st.tuples(*[_INTS] * 4, st.sampled_from(["closed", "enumerated"]),
+                    _INTS, _INTS, *[_RATS] * 3, _BOOLS | st.just("")),
+    "moduli": st.tuples(*[_INTS] * 3, *[_RATS] * 8, *[_FLOATS] * 3, _RATS,
+                        _INTS, *[_RATS] * 3, _FLOATS),
+    "baseline": st.tuples(*[_INTS] * 3, _BOOLS),
+}
+_TEMPLATES = {
+    "gw": (cli._GW_JSON, cli._GW_COLUMNS, ref_gw_item),
+    "moduli": (cli._MODULI_JSON, cli._MODULI_COLUMNS, ref_moduli_item),
+    "baseline": (cli._BASELINE_JSON, cli._BASELINE_COLUMNS,
+                 ref_baseline_item),
+}
+
+
+class TestJsonTemplates:
+    @pytest.mark.parametrize("command", sorted(_TEMPLATES))
+    def test_holes_name_columns(self, command):
+        template, columns, _ = _TEMPLATES[command]
+        hole = re.compile(r"%\((\w+)(\.num|\.den)?\)s")
+        assert {m[1] for m in hole.finditer(template)} <= set(columns)
+        assert "%" not in hole.sub("", template)
+
+    @pytest.mark.parametrize("command", sorted(_TEMPLATES))
+    @given(data=st.data())
+    def test_matches_json_dumps_indent_2(self, command, data):
+        template, columns, ref_item = _TEMPLATES[command]
+        row = data.draw(_ROWS[command])
+        assert len(row) == len(columns)
+        assert cli._fill(template, columns, [row]) == [
+            ref_item_text(ref_item(row))]
+
+    def test_special_leaves(self):
+        big, nan, inf = 2 ** 70, float("nan"), float("inf")
+        rows = {
+            "gw": [(-big, big, 0, 1, "closed", big, -big, Fraction(-1, 3),
+                    Fraction(big, 7), 0, "false")],
+            "moduli": [(1, big, -big, 0, 0, 1, Fraction(-3, 2), -1, big, 0,
+                        Fraction(-big, 3), nan, inf, -inf, Fraction(-1, 2),
+                        big, Fraction(big, 3), -big, 0, -0.0),
+                       (1, 2, 3, 0, 0, 1, 0, 1, 1, 0, 1, 5e-324, 2.1e138,
+                        -2.1e138, 0, 1, 1, 1, 0, 0.5)],
+            "baseline": [(big, big, big + 1, "false")],
+        }
+        for command, (template, columns, ref_item) in _TEMPLATES.items():
+            assert cli._fill(template, columns, rows[command]) == [
+                ref_item_text(ref_item(row)) for row in rows[command]]
+
+    @settings(max_examples=15, deadline=None)
+    @given(m=st.integers(-12, 12).filter(bool), n=st.integers(-12, 12))
+    def test_moduli_command_matches_reference(self, m, n):
+        ev = component_eval_class(m, n).coords()
+        items = []
+        for comp in moduli_components(m, n):
+            sol = solve_torus_data(comp.hom)
+            dp, dq = comp.hom.lie
+            items.append(ref_moduli_item((
+                comp.d, comp.k, comp.ell, *dp, *dq, sol.tau1, sol.tau2,
+                sol.theta(), sol.c0_n2, comp.aut_size, *ev,
+                cr_residual(sol))))
+        payload = {"schema_version": "1", "command": "moduli",
+                   "m": str(m), "n": str(n), "components": items}
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["moduli", str(m), str(n), "--format", "json"]) == 0
+        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 class TestModuliCommand:

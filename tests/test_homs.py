@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -54,7 +55,15 @@ class TestValidate:
     def test_half_integer_fourth_row_allowed(self):
         h = rows((0, -1), (0, -1), (2, 1), (0, Fraction(3, 2)))
         assert h.dq == (-1, -1, 1, 2)
-        assert h.lie()[1] == (-1, -1, 1, Fraction(3, 2))
+        assert h.lie[1] == (-1, -1, 1, Fraction(3, 2))
+
+    def test_lie_is_cached_per_record(self):
+        h = REDUCED_110
+        assert h.lie is h.lie
+        # replace builds a fresh record, so its Lie columns are its own.
+        moved = dataclasses.replace(h, dq=(-1, -1, 1, 2))
+        assert moved.lie == (h.lie[0], (-1, -1, 1, Fraction(3, 2)))
+        assert h.lie[1] == (-1, -1, 0, Fraction(1, 2))
 
     def test_constructor_refuses_non_int_entries_and_shapes(self):
         good = (0, 0, 1, 0)
@@ -234,7 +243,7 @@ class TestEnumerate:
         for m, n in [(4, 0), (2, 2), (6, 4), (-6, 6)]:
             seen = set()
             for entry in moduli_components(m, n):
-                _, dq = entry.hom.lie()
+                _, dq = entry.hom.lie
                 key = (entry.d, dq[2], dq[3] % entry.d)
                 assert key not in seen
                 seen.add(key)
@@ -242,7 +251,7 @@ class TestEnumerate:
     def test_integrality_closure(self):
         for m, n in [(4, 2), (5, 5), (-3, 6)]:
             for entry in moduli_components(m, n):
-                _, (a, b, _, h4) = entry.hom.lie()
+                _, (a, b, _, h4) = entry.hom.lie
                 assert h4 + Fraction(a * b, 2) == entry.hom.dq[3]
                 assert type(entry.hom.dq[3]) is int
 
