@@ -116,10 +116,11 @@ def divisors(n: int) -> Tuple[int, ...]:
     """All positive divisors of n in increasing order.
 
     Built from the prime factorization of n: trial division by the primes
-    below 1000, then deterministic Miller-Rabin (exact below 3.3 * 10^24),
-    with further trial division up to 10^7 to split a composite cofactor.
-    Raises ValueError for n < 1, for a prime factor above 3.3 * 10^24 and
-    for a composite cofactor with no prime factor up to 10^7.
+    below _TRIAL_LIMIT, then deterministic Miller-Rabin (exact below
+    _MR_LIMIT), with further trial division up to _SPLIT_LIMIT to split a
+    composite cofactor.  Raises ValueError for n < 1, for a prime factor of
+    at least _MR_LIMIT and for a composite cofactor with no prime factor up
+    to _SPLIT_LIMIT.
     """
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")

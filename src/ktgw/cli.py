@@ -18,9 +18,7 @@ import argparse
 import csv
 import functools
 import json
-import math
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arith import (
@@ -79,43 +77,16 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 # Output records
 # ---------------------------------------------------------------------------
 # Each command builds one leaf tuple per record, in the order of its column
-# tuple.  A JSON list item is filled from a %(column)s template of the
-# schema-v1 shape, where a rational column has the holes col.num and col.den.
-
-
-class _Raw(str):
-    """Text that _dumps writes as it stands: a filled template or a hole."""
-
-
-def _dumps(x: object, pad: str = "\n") -> str:
-    """The text of json.dumps(x, indent=2), for str dict keys.
-
-    pad is a newline and the indent of the line that x starts on.  An indent
-    turns json.dumps onto its pure-Python encoder, twice as slow as this.
-    """
-    if isinstance(x, str):
-        return x if type(x) is _Raw else _encode_str(x)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        return ("{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _dumps(v, inner) for k, v in x.items()])
-            + pad + "}")
-    if isinstance(x, list):
-        if not x:
-            return "[]"
-        inner = pad + "  "
-        return ("[" + inner + ("," + inner).join([_dumps(v, inner) for v in x])
-                + pad + "]")
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float) and math.isfinite(x):
-        return float.__repr__(x)
-    return json.dumps(x)
-
+# tuple.  Its JSON document comes from two %-templates that json.dumps(shape,
+# indent=2) builds at import from the schema-v1 shape: one list item, at its
+# indent, where a rational column has the holes col.num and col.den; and one
+# envelope, whose list is the single hole items and whose other holes name
+# the command's arguments.  The lists are never empty, and every filled value
+# is a decimal integer, a float or a fixed word, so no hole needs escaping.
 
 _hole = "%({})s".format
+# The repr of each non-finite float, as json.dumps spells it.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _frac(col: str) -> Dict[str, str]:
@@ -123,18 +94,46 @@ def _frac(col: str) -> Dict[str, str]:
 
 
 def _approx(col: str) -> Dict[str, object]:
-    return {"value": _Raw(_hole(col)), "approx": True}
+    return {"value": _hole(col), "approx": True}
 
 
-# The list items of schema v1, at their indent in the payload.
-_ITEM_PAD = "\n    "
-_GW_JSON = _dumps({
+def _unquote(text: str, *names: str) -> str:
+    """JSON text with the holes of names out of their string quotes."""
+    for name in names:
+        text = text.replace(f'"{_hole(name)}"', _hole(name))
+    return text
+
+
+def _envelope(command: str, fields: Dict[str, object]) -> str:
+    """The template of a document; its holes items and agrees are bare."""
+    return _unquote(json.dumps({"schema_version": SCHEMA_VERSION,
+                                "command": command, **fields}, indent=2),
+                    "items", "agrees")
+
+
+class _Items:
+    """A list item template, at its indent in the envelope.  A column whose
+    hole is an approx value is a float; one with a col.num hole a rational."""
+
+    def __init__(self, columns: Sequence[str], shape: Dict[str, object],
+                 *bare: str) -> None:
+        text = json.dumps(shape, indent=2)
+        self.columns = columns
+        self.floats = [col for col in columns
+                       if f'"value": "{_hole(col)}"' in text]
+        self.fracs = [(col, col + ".num", col + ".den") for col in columns
+                      if _hole(col + ".num") in text]
+        self.template = _unquote(text, *bare, *self.floats).replace(
+            "\n", "\n    ")
+
+
+_GW_ITEMS = _Items(_GW_COLUMNS, {
     "input_class": [_hole(col) for col in _GW_COLUMNS[:4]],
     "normalized": [_hole(col) for col in ("m", "m", "n", "n")],
     **{col: _hole(col) for col in ("m", "n", "method")},
     "gw": {col: _frac(col) for col in _GW_COLUMNS[7:10]},
-}, _ITEM_PAD)
-_MODULI_JSON = _dumps({
+})
+_MODULI_ITEMS = _Items(_MODULI_COLUMNS, {
     **{col: _hole(col) for col in _MODULI_COLUMNS[:3]},
     "hom": {"dp": [_frac(col) for col in _MODULI_COLUMNS[3:7]],
             "dq": [_frac(col) for col in _MODULI_COLUMNS[7:11]]},
@@ -143,29 +142,41 @@ _MODULI_JSON = _dumps({
     "aut_size": _hole("aut_size"),
     "eval_class": {col[3:]: _frac(col) for col in _MODULI_COLUMNS[16:19]},
     "cr_residual": _approx("cr_residual"),
-}, _ITEM_PAD)
-_BASELINE_JSON = _dumps({
-    **{col: _hole(col) for col in _BASELINE_COLUMNS[:3]},
-    "equal": _Raw(_hole("equal")),
-}, _ITEM_PAD)
+})
+_BASELINE_ITEMS = _Items(_BASELINE_COLUMNS, {
+    col: _hole(col) for col in _BASELINE_COLUMNS}, "equal")
+
+_GW_FIELDS = {
+    "class": [_hole(col) for col in _GW_COLUMNS[:4]],
+    "method": _hole("method"),
+    "results": [_hole("items")],
+}
+_GW_JSON = _envelope("gw", _GW_FIELDS)
+_GW_AGREES_JSON = _envelope("gw", {**_GW_FIELDS, "agrees": _hole("agrees")})
+_MODULI_JSON = _envelope("moduli", {"m": _hole("m"), "n": _hole("n"),
+                                    "components": [_hole("items")]})
+_BASELINE_JSON = _envelope("baseline", {"rows": [_hole("items")]})
 
 
-class _Leaves(dict):
-    """A row's leaves by column name; the hole col.num or col.den reads
-    the numerator or denominator of the rational column col."""
+def _fill(items: _Items, rows: List[tuple]) -> List[str]:
+    """The JSON list items of rows, each filled from a plain dict."""
+    filled = []
+    for row in rows:
+        leaves = dict(zip(items.columns, row))
+        for col, num, den in items.fracs:
+            v = leaves[col]
+            leaves[num], leaves[den] = v.numerator, v.denominator
+        for col in items.floats:
+            text = repr(leaves[col])
+            leaves[col] = _FLOAT_WORDS.get(text, text)
+        filled.append(items.template % leaves)
+    return filled
 
-    def __missing__(self, hole: str) -> int:
-        col, part = hole.split(".")
-        v = self[col]
-        return v.numerator if part == "num" else v.denominator
 
-
-def _fill(template: str, columns: Sequence[str],
-          rows: List[tuple]) -> List[_Raw]:
-    """The JSON list items of rows; floats go through _dumps, for NaN."""
-    return [_Raw(template % _Leaves(
-        (col, _dumps(v) if isinstance(v, float) else v)
-        for col, v in zip(columns, row))) for row in rows]
+def _print_json(envelope: str, items: _Items, rows: List[tuple],
+                **holes: object) -> None:
+    holes["items"] = ",\n    ".join(_fill(items, rows))
+    print(envelope % holes)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +212,8 @@ def _cmd_gw(args: argparse.Namespace) -> int:
     rows = [(*A.coords(), r.method, r.m, r.n, *r.gw.coords(), flag)
             for r in results]
     if args.format == "json":
-        payload: Dict[str, object] = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "gw",
-            "class": [str(v) for v in A.coords()],
-            "method": args.method,
-            "results": _fill(_GW_JSON, _GW_COLUMNS, rows),
-        }
-        if agrees is not None:
-            payload["agrees"] = agrees
-        print(_dumps(payload))
+        envelope = _GW_JSON if agrees is None else _GW_AGREES_JSON
+        _print_json(envelope, _GW_ITEMS, rows, **vars(args), agrees=flag)
     elif args.format == "csv":
         csv.writer(sys.stdout).writerows([_GW_COLUMNS, *rows])
     else:
@@ -245,13 +248,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                      sol.theta(), sol.c0_n2, comp.aut_size, *ev,
                      cr_residual(sol)))
     if args.format == "json":
-        print(_dumps({
-            "schema_version": SCHEMA_VERSION,
-            "command": "moduli",
-            "m": str(args.m),
-            "n": str(args.n),
-            "components": _fill(_MODULI_JSON, _MODULI_COLUMNS, rows),
-        }))
+        _print_json(_MODULI_JSON, _MODULI_ITEMS, rows, **vars(args))
     elif args.format == "csv":
         csv.writer(sys.stdout).writerows([_MODULI_COLUMNS, *rows])
     else:
@@ -416,11 +413,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         s1 = sigma(1, ell)
         rows.append((ell, count, s1, str(count == s1).lower()))
     if args.format == "json":
-        print(_dumps({
-            "schema_version": SCHEMA_VERSION,
-            "command": "baseline",
-            "rows": _fill(_BASELINE_JSON, _BASELINE_COLUMNS, rows),
-        }))
+        _print_json(_BASELINE_JSON, _BASELINE_ITEMS, rows)
     elif args.format == "csv":
         csv.writer(sys.stdout).writerows([_BASELINE_COLUMNS, *rows])
     else:

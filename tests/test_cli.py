@@ -11,17 +11,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktgw import arith, cli
 from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
-from ktgw.cli import _dumps as dumps
 from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
 from ktgw.geometry import cr_residual, solve_torus_data
 from ktgw.gwcount import (GWResult, component_eval_class, gw_closed_form,
-                          moduli_components)
+                          gw_enumerated, moduli_components)
 from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass
 
 
@@ -198,34 +197,6 @@ class TestGwCommand:
             assert err == "error: closed and enumerated invariants disagree\n"
 
 
-_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té\u2028€\U0001f600')
-                | st.characters())
-_LEAVES = (_TEXT
-           | st.floats()
-           | st.sampled_from([float("nan"), float("inf"), float("-inf"),
-                              -0.0, 5e-324, 2.1e138])
-           | st.booleans()
-           | st.none()
-           | st.integers()
-           | st.integers(min_value=2 ** 64, max_value=2 ** 200)
-           | st.integers(min_value=-2 ** 200, max_value=-2 ** 64))
-_JSON = st.recursive(
-    _LEAVES,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(_TEXT, inner, max_size=4),
-    max_leaves=24)
-
-
-class TestJsonWriter:
-    @given(_JSON)
-    @example({})
-    @example([])
-    @example({"": [[], {}], "a": {"b": [{}]}})
-    @example([[[]], {"x": []}, -0.0, 5e-324, 2.1e138, 2 ** 70, None])
-    def test_matches_json_dumps_indent_2(self, x):
-        assert dumps(x) == json.dumps(x, indent=2)
-
-
 # Reference list items, built with json.dumps from a row by the README's
 # schema rules: integers are decimal strings, rationals {"num", "den"}
 # string pairs, floats {"value", "approx": true}, and booleans bare.
@@ -286,29 +257,65 @@ _ROWS = {
     "baseline": st.tuples(*[_INTS] * 3, _BOOLS),
 }
 _TEMPLATES = {
-    "gw": (cli._GW_JSON, cli._GW_COLUMNS, ref_gw_item),
-    "moduli": (cli._MODULI_JSON, cli._MODULI_COLUMNS, ref_moduli_item),
-    "baseline": (cli._BASELINE_JSON, cli._BASELINE_COLUMNS,
-                 ref_baseline_item),
+    "gw": (cli._GW_ITEMS, ref_gw_item),
+    "moduli": (cli._MODULI_ITEMS, ref_moduli_item),
+    "baseline": (cli._BASELINE_ITEMS, ref_baseline_item),
+}
+# The holes each template may have: an item's name its columns, and an
+# envelope's name the command's arguments, the items and the gw flag agrees.
+_GW_ARGS = {"a13", "a23", "a14", "a24", "method"}
+_HOLES = {
+    **{command: (items.template, set(items.columns))
+       for command, (items, _) in _TEMPLATES.items()},
+    "gw-envelope": (cli._GW_JSON, _GW_ARGS | {"items"}),
+    "gw-agrees-envelope": (cli._GW_AGREES_JSON,
+                           _GW_ARGS | {"items", "agrees"}),
+    "moduli-envelope": (cli._MODULI_JSON, {"m", "n", "items"}),
+    "baseline-envelope": (cli._BASELINE_JSON, {"items"}),
 }
 
 
+def json_out(*argv):
+    """stdout of a JSON command that exits 0."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main([*argv, "--format", "json"]) == 0
+    return out.getvalue()
+
+
+def ref_gw_payload(A, method):
+    results = []
+    if method in ("closed", "both"):
+        results.append(gw_closed_form(A))
+    if method in ("enumerate", "both"):
+        results.append(gw_enumerated(A))
+    payload = {"schema_version": "1", "command": "gw",
+               "class": [str(v) for v in A.coords()], "method": method,
+               "results": [ref_gw_item((*A.coords(), r.method, r.m, r.n,
+                                        *r.gw.coords(), ""))
+                           for r in results]}
+    if method == "both":
+        payload["agrees"] = results[0].gw == results[1].gw
+    return payload
+
+
 class TestJsonTemplates:
-    @pytest.mark.parametrize("command", sorted(_TEMPLATES))
+    @pytest.mark.parametrize("command", sorted(_HOLES))
     def test_holes_name_columns(self, command):
-        template, columns, _ = _TEMPLATES[command]
+        template, names = _HOLES[command]
         hole = re.compile(r"%\((\w+)(\.num|\.den)?\)s")
-        assert {m[1] for m in hole.finditer(template)} <= set(columns)
+        assert {m[1] for m in hole.finditer(template)} <= names
         assert "%" not in hole.sub("", template)
+        if command.endswith("envelope"):
+            assert template.count("%(items)s") == 1
 
     @pytest.mark.parametrize("command", sorted(_TEMPLATES))
     @given(data=st.data())
     def test_matches_json_dumps_indent_2(self, command, data):
-        template, columns, ref_item = _TEMPLATES[command]
+        items, ref_item = _TEMPLATES[command]
         row = data.draw(_ROWS[command])
-        assert len(row) == len(columns)
-        assert cli._fill(template, columns, [row]) == [
-            ref_item_text(ref_item(row))]
+        assert len(row) == len(items.columns)
+        assert cli._fill(items, [row]) == [ref_item_text(ref_item(row))]
 
     def test_special_leaves(self):
         big, nan, inf = 2 ** 70, float("nan"), float("inf")
@@ -322,8 +329,8 @@ class TestJsonTemplates:
                         -2.1e138, 0, 1, 1, 1, 0, 0.5)],
             "baseline": [(big, big, big + 1, "false")],
         }
-        for command, (template, columns, ref_item) in _TEMPLATES.items():
-            assert cli._fill(template, columns, rows[command]) == [
+        for command, (items, ref_item) in _TEMPLATES.items():
+            assert cli._fill(items, rows[command]) == [
                 ref_item_text(ref_item(row)) for row in rows[command]]
 
     @settings(max_examples=15, deadline=None)
@@ -340,10 +347,30 @@ class TestJsonTemplates:
                 cr_residual(sol))))
         payload = {"schema_version": "1", "command": "moduli",
                    "m": str(m), "n": str(n), "components": items}
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert main(["moduli", str(m), str(n), "--format", "json"]) == 0
-        assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+        assert json_out("moduli", str(m), str(n)) == \
+            json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("method", ["closed", "enumerate", "both"])
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.integers(-9, 9), q=st.integers(-9, 9),
+           s=st.integers(-9, 9), t=st.integers(-9, 9))
+    def test_gw_command_matches_reference(self, method, p, q, s, t):
+        # [s p, s q, t p, t q] meets the Plücker relation a13 a24 = a23 a14.
+        A = HomologyClass(s * p, s * q, t * p, t * q)
+        assert json_out("gw", *map(str, A.coords()), "--method", method) == \
+            json.dumps(ref_gw_payload(A, method), indent=2) + "\n"
+
+    @settings(max_examples=15, deadline=None)
+    @given(lmax=st.integers(1, 60))
+    def test_baseline_command_matches_reference(self, lmax):
+        rows = [(ell, arith.count_sublattices_hnf(ell), arith.sigma(1, ell))
+                for ell in range(1, lmax + 1)]
+        payload = {"schema_version": "1", "command": "baseline",
+                   "rows": [ref_baseline_item((ell, c, s1,
+                                               str(c == s1).lower()))
+                            for ell, c, s1 in rows]}
+        assert json_out("baseline", str(lmax)) == \
+            json.dumps(payload, indent=2) + "\n"
 
 
 class TestModuliCommand:
