@@ -1,11 +1,7 @@
 """Command-line front end.
 
-Subcommands:
-
-    gw A13 A23 A14 A24   invariant of a class, by either or both routes
-    moduli M N           list the moduli components of [M, M, N, N]
-    verify SUITE         run a verification sweep (identities|oracle|geometry|all)
-    baseline LMAX        sublattice counts against sigma_1
+`_GRAMMAR` declares each subcommand with its arguments; `ktgw --help` and
+`ktgw COMMAND --help` print them.
 
 Exit codes: 0 success, 1 internal cross-check failure, 2 invalid input.
 Diagnostics go to stderr, data to stdout.  Exact rationals are serialised as
@@ -18,8 +14,10 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .arith import (
     aut_weight_sum,
@@ -428,13 +426,67 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The plain spelling of an int: int() also reads "+5", "1_0", " 5" and
+# non-ASCII digits, which are left to argparse.
+_PLAIN_INT = re.compile("-?[0-9]+")
+
+
+class _Arg:
+    """An argument of a command: a positional named by its dest, or an
+    option by its --flag.  Its value is an int, or one of its choices."""
+
+    def __init__(self, name: str, choices: Optional[Tuple[str, ...]] = None,
+                 default: object = None, help: Optional[str] = None) -> None:
+        self.name, self.choices = name, choices
+        self.default, self.help = default, help
+        self.dest = name.lstrip("-")
+
+    def read(self, token: str) -> object:
+        """The value argparse reads from a plain token; else ValueError."""
+        if self.choices is None:
+            if _PLAIN_INT.fullmatch(token):
+                return int(token)
+        elif token in self.choices:
+            return token
+        raise ValueError(token)
+
+
+class _Command:
+    """A subcommand: its handler, help line, positionals and options."""
+
+    def __init__(self, func: Callable[[argparse.Namespace], int], help: str,
+                 positionals: Tuple[_Arg, ...],
+                 options: Tuple[_Arg, ...]) -> None:
+        self.func, self.help = func, help
+        self.positionals, self.options = positionals, options
+        self.flags = {opt.name: opt for opt in options}
+        self.defaults = {opt.dest: opt.default for opt in options}
+
+
+_FORMAT = _Arg("--format", ("json", "csv", "text"), "text",
+               "output format (default text)")
+# The one declaration of the command line: build_parser and _read both
+# read it.
+_GRAMMAR = {
+    "gw": _Command(_cmd_gw, "invariant of the class [a13, a23, a14, a24]",
+                   tuple(map(_Arg, ("a13", "a23", "a14", "a24"))),
+                   (_FORMAT, _Arg("--method", ("closed", "enumerate",
+                                               "both"), "both"))),
+    "moduli": _Command(_cmd_moduli, "moduli components of [m, m, n, n]",
+                       (_Arg("m"), _Arg("n")), (_FORMAT,)),
+    "verify": _Command(_cmd_verify, "run a verification sweep",
+                       (_Arg("suite", ("identities", "oracle", "geometry",
+                                       "all")),),
+                       (_Arg("--max", default=8,
+                             help="sweep bound (default 8)"),)),
+    "baseline": _Command(_cmd_baseline, "sublattice counts against sigma_1",
+                         (_Arg("lmax"),), (_FORMAT,)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `ktgw` parser, built once; parsing does not change it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"),
-                        default="text", help="output format (default text)")
-
     parser = argparse.ArgumentParser(
         prog="ktgw",
         description="Exact genus-one family curve counts for the "
@@ -443,40 +495,53 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gw = sub.add_parser("gw", parents=[common],
-                          help="invariant of the class [a13, a23, a14, a24]")
-    p_gw.add_argument("a13", type=int)
-    p_gw.add_argument("a23", type=int)
-    p_gw.add_argument("a14", type=int)
-    p_gw.add_argument("a24", type=int)
-    p_gw.add_argument("--method", choices=("closed", "enumerate", "both"),
-                      default="both")
-    p_gw.set_defaults(func=_cmd_gw)
-
-    p_mod = sub.add_parser("moduli", parents=[common],
-                           help="moduli components of [m, m, n, n]")
-    p_mod.add_argument("m", type=int)
-    p_mod.add_argument("n", type=int)
-    p_mod.set_defaults(func=_cmd_moduli)
-
-    p_ver = sub.add_parser("verify", help="run a verification sweep")
-    p_ver.add_argument("suite",
-                       choices=("identities", "oracle", "geometry", "all"))
-    p_ver.add_argument("--max", type=int, default=8,
-                       help="sweep bound (default 8)")
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_base = sub.add_parser("baseline", parents=[common],
-                            help="sublattice counts against sigma_1")
-    p_base.add_argument("lmax", type=int)
-    p_base.set_defaults(func=_cmd_baseline)
-
+    for name, command in _GRAMMAR.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.positionals + command.options:
+            p.add_argument(arg.name, choices=arg.choices,
+                           type=int if arg.choices is None else None,
+                           default=arg.default, help=arg.help)
+        p.set_defaults(func=command.func)
     return parser
 
 
+def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace of a plain command line, equal to argparse's, or None.
+
+    A plain command line is a command, exactly its positionals, then pairs
+    of a full --flag and a legal value, where the last pair of a flag wins.
+    """
+    command = _GRAMMAR.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    end = 1 + len(command.positionals)
+    if len(argv) < end or (len(argv) - end) % 2:
+        return None
+    args = [*command.positionals, *map(command.flags.get, argv[end::2])]
+    if None in args:
+        return None
+    values = {"command": argv[0], "func": command.func, **command.defaults}
+    try:
+        for arg, token in zip(args, [*argv[1:end], *argv[end + 1::2]]):
+            values[arg.dest] = arg.read(token)
+    except ValueError:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line, by default sys.argv[1:], and return its exit
+    code.
+
+    A plain command line (see _read) is read directly.  Any other, and
+    every request for help, goes through argparse, which prints its help
+    and usage errors (exit 2) as it always has.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -522,6 +522,94 @@ class TestBaselineCommand:
         assert code == 2
         assert out == ""
         assert f"baseline limit of {BASELINE_LMAX}" in err
+
+
+# Tokens for drawn command lines: plain ints, ints that only int() reads,
+# every flag and value, and what argparse alone handles.
+ODD_INTS = ("+5", "1_0", "-1_0", "\u0665", "-\u0665", "", " 5", "5 ", "-",
+            "--5", "0x10", "5" * 5000)
+JUNK = ("--meth", "--form", "--m", "--format=json", "--max=3", "--", "-h",
+        "--help", "-x", "junk", "--format", "--method", "--max", "json",
+        "closed", "all", "gw", "verify")
+plain_int = st.integers(-10 ** 30, 10 ** 30).map(str) | st.sampled_from(
+    ("007", "-0"))
+token = plain_int | st.sampled_from(ODD_INTS + JUNK)
+
+
+@st.composite
+def command_lines(draw):
+    """Plain command lines of the grammar, most with one token off."""
+    name = draw(st.sampled_from(sorted(cli._GRAMMAR)))
+    command = cli._GRAMMAR[name]
+
+    def legal(arg):
+        return st.sampled_from(arg.choices) if arg.choices else plain_int
+
+    argv = [name, *(draw(legal(arg)) for arg in command.positionals)]
+    for _ in range(draw(st.integers(0, 3))):
+        opt = draw(st.sampled_from(command.options))
+        argv += [opt.name, draw(legal(opt))]
+    edit = draw(st.sampled_from(("keep", "replace", "insert", "delete")))
+    if edit != "keep":
+        i = draw(st.integers(0, len(argv) - (edit != "insert")))
+        argv[i:i + (edit != "insert")] = [] if edit == "delete" else [
+            draw(token)]
+    return argv
+
+
+def outcome(argv=None):
+    """(exit code, stdout, stderr) of main, which may raise SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCommandLineReader:
+    @settings(max_examples=400, deadline=None)
+    @given(command_lines())
+    def test_read_matches_argparse(self, argv):
+        args = cli._read(argv)
+        if args is not None:
+            expected = cli.build_parser().parse_args(argv)
+            assert vars(args) == vars(expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["gw", "1", "2", "3"],
+        ["gw", "1", "2", "3", "4", "5"],
+        ["gw", "1", "2", "3", "4", "--format", "xml"],
+        ["moduli", "1", "0", "--format"],
+        ["verify", "all", "--max"],
+        ["-h"],
+        ["gw", "-h"],
+        ["moduli", "5" * 5000, "0"],
+        # Read by argparse alone.
+        ["gw", "2", "4", "1", "2", "--format=json"],
+        ["gw", "2", "4", "1", "2", "--meth", "closed"],
+        ["gw", "+6", "6", "4", "4"],
+        ["moduli", "1_000", "0"],
+        ["moduli", " 3", "0"],
+        ["moduli", "\u0663", "0"],
+        ["moduli", "--", "-1", "0"],
+    ])
+    def test_refused_lines_fall_back_to_argparse(self, argv, monkeypatch):
+        """What the reader refuses, argparse answers exactly as it would
+        alone; messages are compared live, as they vary across versions."""
+        assert cli._read(argv) is None
+        got = outcome(argv)
+        monkeypatch.setattr(cli, "_read", lambda argv: None)
+        assert got == outcome(argv)
+
+    @pytest.mark.parametrize("argv", [["gw", "2", "4", "1", "2"],
+                                      ["gw", "1", "2", "3"]])
+    def test_argv_none_reads_sys_argv(self, argv, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["ktgw", *argv])
+        got = outcome()
+        monkeypatch.setattr(cli, "_read", lambda argv: None)
+        assert got == outcome(argv)
 
 
 class TestCsvLayouts:

@@ -85,6 +85,22 @@ def golden_argvs():
         yield ["baseline", "30", *fmt]
     yield ["baseline", "0"]
     yield ["baseline", "0", "--format", "json"]
+    # Command lines that argparse reads but that are not in the plain form
+    # (the command, its positionals, then full flags with their values):
+    # --flag=value, abbreviated flags, options before or between the
+    # positionals, and ints that int() reads in another spelling.  The
+    # last two also repeat an option, which the plain form allows.
+    yield ["gw", "2", "4", "1", "2", "--format=json"]
+    yield ["gw", "2", "4", "1", "2", "--meth", "closed", "--form", "csv"]
+    yield ["gw", "+6", "6", "4", "4"]
+    yield ["moduli", "1_2", "0"]
+    yield ["moduli", "٣", "0", "--format", "csv"]
+    yield ["gw", "--format", "json", "6", "6", "4", "4"]
+    yield ["gw", "6", "6", "--method", "closed", "4", "4"]
+    yield ["verify", "identities", "--m", "3"]
+    yield ["verify", "identities", "--max=3"]
+    yield ["gw", "6", "6", "4", "4", "--format", "csv", "--format", "json"]
+    yield ["verify", "identities", "--max", "9", "--max", "2"]
 
 
 def digest(argv):
@@ -617,6 +633,28 @@ GOLDEN = {
         "1d6958a75f8fc1cc63de5748ea8ca2341f7d2aa0d9b9d0a46f363743caf962c1",
     "baseline 0 --format json":
         "1d6958a75f8fc1cc63de5748ea8ca2341f7d2aa0d9b9d0a46f363743caf962c1",
+    "gw 2 4 1 2 --format=json":
+        "c3cc13566f06bfb60d76b249c48fc65c6f2c96b804dcf31f2ba1b69b453ade25",
+    "gw 2 4 1 2 --meth closed --form csv":
+        "26c8101a0c9323aff21bce17757ba20d58442482fbe54d47d201b2b258f2e3f0",
+    "gw +6 6 4 4":
+        "642f21a17808e342097d752d921ae074307f42bd2f6e2d2ab201a155924cae39",
+    "moduli 1_2 0":
+        "79156bbafa96fbef55dc489bb0d4ea214eb3e69846143d7ef4e33f8427ac5ca8",
+    "moduli ٣ 0 --format csv":
+        "0ae2ffc5801bb42ce83be5ad180887eda572a12dbab311f6bb3e664ca3a8b1be",
+    "gw --format json 6 6 4 4":
+        "828ee859342bd28db7a5b954c6b105a85e71b718e970251a304caa2a2770dd48",
+    "gw 6 6 --method closed 4 4":
+        "026a9c44eb8b16f8df4424c712ffd44781123be1c2eb524aee8fd8a7a2566f97",
+    "verify identities --m 3":
+        "f0b3b29db9192168ae49c11bc5b003978c270873a174ec278c35461e67fb7020",
+    "verify identities --max=3":
+        "f0b3b29db9192168ae49c11bc5b003978c270873a174ec278c35461e67fb7020",
+    "gw 6 6 4 4 --format csv --format json":
+        "828ee859342bd28db7a5b954c6b105a85e71b718e970251a304caa2a2770dd48",
+    "verify identities --max 9 --max 2":
+        "d9a27b389e1a866e610754bdbe18faecfc15de88743402dc1e1e543b71932770",
 }
 
 
