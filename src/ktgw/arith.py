@@ -10,9 +10,10 @@ together with its closed form |m| sigma_2(gcd(m,n)) / gcd(m,n)^2.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 __all__ = [
     "divisors",
@@ -26,7 +27,7 @@ __all__ = [
 ]
 
 
-def _primes_below(n: int) -> Tuple[int, ...]:
+def _primes_below(n: int) -> tuple[int, ...]:
     """Sieve of Eratosthenes."""
     sieve = bytearray([1]) * n
     sieve[:2] = b"\x00\x00"
@@ -76,7 +77,7 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs.
 
     Trial division by the primes below _TRIAL_LIMIT, then Miller-Rabin on
@@ -86,7 +87,7 @@ def _factorize(n: int) -> Tuple[Tuple[int, int], ...]:
     to _SPLIT_LIMIT.  Cached, so that the closed form, the budget check and
     the weight sum of one class split its gcd once.
     """
-    fact: Dict[int, int] = {}
+    fact: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
             break
@@ -112,7 +113,7 @@ def _factorize(n: int) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=1024)
-def divisors(n: int) -> Tuple[int, ...]:
+def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in increasing order.
 
     Built from the prime factorization of n: trial division by the primes
@@ -146,7 +147,7 @@ def sigma(k: int, n: int) -> int:
     return out
 
 
-def hnf_matrices(ell: int) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:
+def hnf_matrices(ell: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
     """Hermite-form matrices [[d, b], [0, ell/d]] with d | ell and 0 <= b < d.
 
     These are exactly the index-ell sublattices of Z^2 up to right
@@ -165,7 +166,7 @@ def count_sublattices_hnf(ell: int) -> int:
     return sum(1 for _ in hnf_matrices(ell))
 
 
-def _moebius_weights(g: int) -> List[Tuple[int, int]]:
+def _moebius_weights(g: int) -> list[tuple[int, int]]:
     """Pairs (f, g w(f)) over the divisors f of g >= 1, in no fixed order.
 
     w is multiplicative with w(p^a) = (1 - p) / p^a, so that 1 / x is the
@@ -218,10 +219,7 @@ def aut_weight_sum_closed(m: int, n: int) -> Fraction:
     return Fraction(abs(m) * sigma(2, g), g * g)
 
 
-class CesaroCheck(NamedTuple):
-    lhs: int
-    rhs: int
-    equal: bool
+CesaroCheck = namedtuple("CesaroCheck", ("lhs", "rhs", "equal"))
 
 
 def cesaro_check(f: Callable[[int], int], n: int) -> CesaroCheck:

@@ -16,8 +16,7 @@ import functools
 import json
 import re
 import sys
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from collections.abc import Callable, Iterator, Sequence
 
 from .arith import (
     aut_weight_sum,
@@ -87,11 +86,11 @@ _hole = "%({})s".format
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _frac(col: str) -> Dict[str, str]:
+def _frac(col: str) -> dict[str, str]:
     return {"num": _hole(col + ".num"), "den": _hole(col + ".den")}
 
 
-def _approx(col: str) -> Dict[str, object]:
+def _approx(col: str) -> dict[str, object]:
     return {"value": _hole(col), "approx": True}
 
 
@@ -102,7 +101,7 @@ def _unquote(text: str, *names: str) -> str:
     return text
 
 
-def _envelope(command: str, fields: Dict[str, object]) -> str:
+def _envelope(command: str, fields: dict[str, object]) -> str:
     """The template of a document; its holes items and agrees are bare."""
     return _unquote(json.dumps({"schema_version": SCHEMA_VERSION,
                                 "command": command, **fields}, indent=2),
@@ -113,7 +112,7 @@ class _Items:
     """A list item template, at its indent in the envelope.  A column whose
     hole is an approx value is a float; one with a col.num hole a rational."""
 
-    def __init__(self, columns: Sequence[str], shape: Dict[str, object],
+    def __init__(self, columns: Sequence[str], shape: dict[str, object],
                  *bare: str) -> None:
         text = json.dumps(shape, indent=2)
         self.columns = columns
@@ -156,7 +155,7 @@ _MODULI_JSON = _envelope("moduli", {"m": _hole("m"), "n": _hole("n"),
 _BASELINE_JSON = _envelope("baseline", {"rows": [_hole("items")]})
 
 
-def _fill(items: _Items, rows: List[tuple]) -> List[str]:
+def _fill(items: _Items, rows: list[tuple]) -> list[str]:
     """The JSON list items of rows, each filled from a plain dict."""
     filled = []
     for row in rows:
@@ -171,7 +170,7 @@ def _fill(items: _Items, rows: List[tuple]) -> List[str]:
     return filled
 
 
-def _print_json(envelope: str, items: _Items, rows: List[tuple],
+def _print_json(envelope: str, items: _Items, rows: list[tuple],
                 **holes: object) -> None:
     holes["items"] = ",\n    ".join(_fill(items, rows))
     print(envelope % holes)
@@ -182,7 +181,7 @@ def _print_json(envelope: str, items: _Items, rows: List[tuple],
 # ---------------------------------------------------------------------------
 
 
-def _check_printable(results: List[GWResult]) -> None:
+def _check_printable(results: list[GWResult]) -> None:
     """Refuse an invariant with more digits than the interpreter prints.
 
     str() of an int raises past sys.get_int_max_str_digits() digits; a
@@ -199,7 +198,7 @@ def _check_printable(results: List[GWResult]) -> None:
 
 def _cmd_gw(args: argparse.Namespace) -> int:
     A = HomologyClass(args.a13, args.a23, args.a14, args.a24)
-    results: List[GWResult] = []
+    results: list[GWResult] = []
     if args.method in ("closed", "both"):
         results.append(gw_closed_form(A))
     if args.method in ("enumerate", "both"):
@@ -286,7 +285,7 @@ class _Sweep:
             self.failed += 1
 
 
-def _verify_identities(max_n: int) -> List[_Sweep]:
+def _verify_identities(max_n: int) -> list[_Sweep]:
     weight = _Sweep("identities/weight-sum")
     for m in range(1, max_n + 1):
         for n in range(0, max_n + 1):
@@ -305,7 +304,7 @@ def _verify_identities(max_n: int) -> List[_Sweep]:
     return [weight, hnf, ces]
 
 
-def _sweep_classes(max_n: int) -> Iterator[Tuple[int, int]]:
+def _sweep_classes(max_n: int) -> Iterator[tuple[int, int]]:
     """Invariants (m, n) of the classes [m, m, n, n] a verify sweep covers.
 
     Yields m != 0 and |m|, |n| <= max_n in lexicographic order.
@@ -314,7 +313,7 @@ def _sweep_classes(max_n: int) -> Iterator[Tuple[int, int]]:
     return ((m, n) for m in span if m != 0 for n in span)
 
 
-def _verify_oracle(max_n: int) -> List[_Sweep]:
+def _verify_oracle(max_n: int) -> list[_Sweep]:
     gw = _Sweep("oracle/closed-vs-enumerated")
     auts = _Sweep("oracle/aut-formula-vs-smith")
     counts = _Sweep("oracle/component-count")
@@ -332,7 +331,7 @@ def _verify_oracle(max_n: int) -> List[_Sweep]:
     return [gw, auts, counts]
 
 
-def _verify_geometry(max_n: int) -> List[_Sweep]:
+def _verify_geometry(max_n: int) -> list[_Sweep]:
     residual = _Sweep("geometry/cr-residual")
     area = _Sweep("geometry/area-positivity")
     cycle = _Sweep("geometry/eval-cycle")
@@ -375,7 +374,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          f"the limit of {IDENTITIES_MAX}")
     if args.suite in ("oracle", "geometry", "all"):
         _check_sweep_budget(args.max)
-    sweeps: List[_Sweep] = []
+    sweeps: list[_Sweep] = []
     if args.suite in ("identities", "all"):
         sweeps.extend(_verify_identities(args.max))
     if args.suite in ("oracle", "all"):
@@ -435,8 +434,8 @@ class _Arg:
     """An argument of a command: a positional named by its dest, or an
     option by its --flag.  Its value is an int, or one of its choices."""
 
-    def __init__(self, name: str, choices: Optional[Tuple[str, ...]] = None,
-                 default: object = None, help: Optional[str] = None) -> None:
+    def __init__(self, name: str, choices: tuple[str, ...] | None = None,
+                 default: object = None, help: str | None = None) -> None:
         self.name, self.choices = name, choices
         self.default, self.help = default, help
         self.dest = name.lstrip("-")
@@ -455,8 +454,8 @@ class _Command:
     """A subcommand: its handler, help line, positionals and options."""
 
     def __init__(self, func: Callable[[argparse.Namespace], int], help: str,
-                 positionals: Tuple[_Arg, ...],
-                 options: Tuple[_Arg, ...]) -> None:
+                 positionals: tuple[_Arg, ...],
+                 options: tuple[_Arg, ...]) -> None:
         self.func, self.help = func, help
         self.positionals, self.options = positionals, options
         self.flags = {opt.name: opt for opt in options}
@@ -505,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+def _read(argv: Sequence[str]) -> argparse.Namespace | None:
     """The namespace of a plain command line, equal to argparse's, or None.
 
     A plain command line is a command, exactly its positionals, then pairs
@@ -529,7 +528,7 @@ def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     return argparse.Namespace(**values)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line, by default sys.argv[1:], and return its exit
     code.
 

@@ -30,12 +30,10 @@ have a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
 from .homs import HomDerivs
-from .nilalg import H3Class, HomologyClass, Rat
+from .nilalg import H3Class, HomologyClass, Rat, Record
 
 __all__ = [
     "CR_GRID",
@@ -51,8 +49,7 @@ __all__ = [
 CR_GRID = 8
 
 
-@dataclass(frozen=True)
-class TorusSolution:
+class TorusSolution(Record):
     """A reduced homomorphism together with its forced geometric data.
 
     tau = tau1 + i tau2 is the modulus, in the upper half-plane.  The
@@ -62,18 +59,16 @@ class TorusSolution:
     square to -Id.  The translation constant is c0_n2 n2.
     """
 
-    h: HomDerivs
-    tau1: float
-    tau2: float
-    cos_theta: float
-    sin_theta: float
-    c0_n2: Fraction
+    fields = ("h", "tau1", "tau2", "cos_theta", "sin_theta", "c0_n2")
 
-    def __post_init__(self) -> None:
-        if not self.tau2 > 0:
+    def __init__(self, h: HomDerivs, tau1: float, tau2: float,
+                 cos_theta: float, sin_theta: float, c0_n2: Fraction) -> None:
+        if not tau2 > 0:
             raise ValueError("tau2 must be positive")
-        if abs(self.cos_theta ** 2 + self.sin_theta ** 2 - 1.0) > 1e-12:
+        if abs(cos_theta ** 2 + sin_theta ** 2 - 1.0) > 1e-12:
             raise ValueError("(cos, sin) must lie on the unit circle")
+        self.__dict__.update(h=h, tau1=tau1, tau2=tau2, cos_theta=cos_theta,
+                             sin_theta=sin_theta, c0_n2=c0_n2)
 
     def theta(self) -> float:
         return math.atan2(self.sin_theta, self.cos_theta)
@@ -116,11 +111,11 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
                          (dq4 - tau1_exact * dd) / a)
 
 
-Affine = Tuple[Rat, Rat, Rat]
+Affine = tuple[Rat, Rat, Rat]
 
 
 def _log_coordinates(h: HomDerivs,
-                     c0_n2: Fraction) -> Tuple[Affine, Affine, Affine, Affine]:
+                     c0_n2: Fraction) -> tuple[Affine, Affine, Affine, Affine]:
     """log(torus) = h + C + [h, C]/2 as exact (const, p, q) coefficients.
 
     C = c0_n2 n2.  The map is affine in (p, q).  h is reduced

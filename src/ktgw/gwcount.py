@@ -18,13 +18,11 @@ Both routes are implemented and cross-checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
 
 from .arith import aut_weight_sum, divisors, sigma
 from .homs import HomDerivs, normalize_class
-from .nilalg import H3_ZERO, H3Class, HomologyClass, h3_pushforward
+from .nilalg import H3_ZERO, H3Class, HomologyClass, Record, h3_pushforward
 
 __all__ = [
     "ModuliComponent",
@@ -52,8 +50,7 @@ def component_count(m: int, n: int) -> int:
     return abs(m) * sigma(0, math.gcd(m, n))
 
 
-@dataclass(frozen=True)
-class ModuliComponent:
+class ModuliComponent(Record):
     """One connected moduli component with its counting data.
 
     Built by `moduli_component` from its label (d, k, ell): hom is the
@@ -63,11 +60,11 @@ class ModuliComponent:
     `component_eval_class(m, n)`.
     """
 
-    d: int
-    k: int
-    ell: int
-    hom: HomDerivs
-    aut_size: int
+    fields = ("d", "k", "ell", "hom", "aut_size")
+
+    def __init__(self, d: int, k: int, ell: int, hom: HomDerivs,
+                 aut_size: int) -> None:
+        self.__dict__.update(d=d, k=k, ell=ell, hom=hom, aut_size=aut_size)
 
 
 def moduli_component(m: int, n: int, d: int, k: int,
@@ -155,7 +152,7 @@ def component_eval_class(m: int, n: int) -> H3Class:
     return H3Class(coeff, coeff, 0)
 
 
-def moduli_components(m: int, n: int) -> List[ModuliComponent]:
+def moduli_components(m: int, n: int) -> list[ModuliComponent]:
     """All moduli components of the diagonal class with invariants (m, n).
 
     One per label (d, k, l), in lexicographic (d, l, k) order, |m|
@@ -176,17 +173,16 @@ def moduli_components(m: int, n: int) -> List[ModuliComponent]:
             for k in range(1, d + 1)]
 
 
-@dataclass(frozen=True)
-class GWResult:
+class GWResult(Record):
     """Genus-one one-point family invariant of a degree-two class.
 
     m and n are the invariants of the class's diagonal shape [m, m, n, n].
     """
 
-    m: int
-    n: int
-    gw: H3Class
-    method: str
+    fields = ("m", "n", "gw", "method")
+
+    def __init__(self, m: int, n: int, gw: H3Class, method: str) -> None:
+        self.__dict__.update(m=m, n=n, gw=gw, method=method)
 
 
 def gw_closed_form(A: HomologyClass) -> GWResult:

@@ -27,11 +27,9 @@ from extended Euclid.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
 
-from .nilalg import HomologyClass, Sl2zMatrix, h2_pushforward
+from .nilalg import HomologyClass, Record, Sl2zMatrix, h2_pushforward
 
 __all__ = [
     "HomDerivs",
@@ -44,12 +42,11 @@ IDENTITY_2X2: Sl2zMatrix = ((1, 0), (0, 1))
 
 
 # (h1, h2, h3, h4 + h1 h2 / 2) of a column, and its Lie coordinates.
-Column = Tuple[int, int, int, int]
-LieColumn = Tuple[int, int, int, Fraction]
+Column = tuple[int, int, int, int]
+LieColumn = tuple[int, int, int, Fraction]
 
 
-@dataclass(frozen=True)
-class HomDerivs:
+class HomDerivs(Record):
     """Lattice homomorphism by its closed columns dp = d/dp h, dq = d/dq h.
 
     Each column is a tuple of four ints (h1, h2, h3, h4 + h1 h2 / 2), and
@@ -57,23 +54,22 @@ class HomDerivs:
     ValueError, so every HomDerivs is lattice-compatible.
     """
 
-    dp: Column
-    dq: Column
+    fields = ("dp", "dq")
 
-    def __post_init__(self) -> None:
-        dp, dq = self.dp, self.dq
+    def __init__(self, dp: Column, dq: Column) -> None:
         if not (all(type(col) is tuple and len(col) == 4
                     and all(type(v) is int for v in col) for col in (dp, dq))
                 and dp[0] * dq[1] == dq[0] * dp[1]):
             raise ValueError("not a lattice-compatible homomorphism")
+        self.__dict__.update(dp=dp, dq=dq)
 
     def is_reduced(self) -> bool:
         return self.dp[0] == 0 and self.dp[1] == 0
 
     @functools.cached_property
-    def lie(self) -> Tuple[LieColumn, LieColumn]:
+    def lie(self) -> tuple[LieColumn, LieColumn]:
         """Lie coordinates (h1, h2, h3, z - h1 h2 / 2) of dp and dq, cached:
-        the fields are frozen, and dataclasses.replace builds a new record."""
+        the fields are frozen, and `replace` builds a new record."""
         return tuple((h1, h2, h3, Fraction(2 * z - h1 * h2, 2))
                      for h1, h2, h3, z in (self.dp, self.dq))
 
@@ -90,7 +86,7 @@ def plucker_holds(A: HomologyClass) -> bool:
     return A.a13 * A.a24 == A.a14 * A.a23
 
 
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with a s + b t = g = gcd(a, b) >= 0."""
     old_r, r = a, b
     old_s, s = 1, 0
@@ -105,7 +101,7 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def normalize_class(A: HomologyClass) -> Tuple[Sl2zMatrix, HomologyClass]:
+def normalize_class(A: HomologyClass) -> tuple[Sl2zMatrix, HomologyClass]:
     """Move a torus-representable class to the diagonal shape [m, m, n, n].
 
     Returns (M, A') with A' = h2_pushforward(M, A), A'13 = A'23 =

@@ -30,17 +30,19 @@ matrix is written in the basis (n1, n2) = (d/dy, d/dx) of those pairs, so an
 automorphism that moves the (x, y) plane by M acts here by J M J, with J the
 swap ((0, 1), (1, 0)).  `sl2z_entries` is the one check that such a matrix
 is well formed.
+
+`Record` is the immutable value base of the package's six records, here and
+in `homs`, `geometry` and `gwcount`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 __all__ = [
+    "Record",
     "HomologyClass",
     "H3Class",
     "H3_ZERO",
@@ -59,15 +61,56 @@ def _frac(value: Rat) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+class Record:
+    """Immutable value record over the attribute names in `fields`.
+
+    A subclass's __init__ checks and coerces its arguments, then stores
+    them with self.__dict__.update.  Equality and hashing are by the field
+    values, and equality also by exact type, so no record equals a tuple or
+    a record of another type.  The repr is Name(field=value, ...).  A
+    functools.cached_property may store more in __dict__; equality, hashing
+    and the repr read only the fields.
+    """
+
+    fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.fields))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.fields, self._values())))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes: object) -> Record:
+        """A copy with the given fields changed, built by the constructor, so
+        that every check of the constructor runs again."""
+        return type(self)(**dict(zip(self.fields, self._values())) | changes)
+
+
 # ---------------------------------------------------------------------------
 # Homology coefficient vectors
 # ---------------------------------------------------------------------------
 
 # A lattice automorphism on homology: the matrix ((a, b), (c, d)).
-Sl2zMatrix = Tuple[Tuple[int, int], Tuple[int, int]]
+Sl2zMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 
-def sl2z_entries(M: Sl2zMatrix) -> Tuple[int, int, int, int]:
+def sl2z_entries(M: Sl2zMatrix) -> tuple[int, int, int, int]:
     """Entries (a, b, c, d) of M = ((a, b), (c, d)), checked to lie in SL(2, Z).
 
     Raises ValueError unless M is a pair of pairs of ints with a d - b c = 1.
@@ -91,36 +134,29 @@ def _int(value) -> int:
     raise TypeError(f"expected an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Record):
     """Degree-two class a13*E13 + a23*E23 + a14*E14 + a24*E24."""
 
-    a13: int
-    a23: int
-    a14: int
-    a24: int
+    fields = ("a13", "a23", "a14", "a24")
 
-    def __post_init__(self) -> None:
-        for name in ("a13", "a23", "a14", "a24"):
-            object.__setattr__(self, name, _int(getattr(self, name)))
+    def __init__(self, a13: int, a23: int, a14: int, a24: int) -> None:
+        self.__dict__.update(a13=_int(a13), a23=_int(a23), a14=_int(a14),
+                             a24=_int(a24))
 
-    def coords(self) -> Tuple[int, int, int, int]:
+    def coords(self) -> tuple[int, int, int, int]:
         return (self.a13, self.a23, self.a14, self.a24)
 
 
-@dataclass(frozen=True)
-class H3Class:
+class H3Class(Record):
     """Degree-three class with coefficients along E134, E234, E124."""
 
-    e134: Fraction
-    e234: Fraction
-    e124: Fraction
+    fields = ("e134", "e234", "e124")
 
-    def __post_init__(self) -> None:
-        for name in ("e134", "e234", "e124"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+    def __init__(self, e134: Rat, e234: Rat, e124: Rat) -> None:
+        self.__dict__.update(e134=_frac(e134), e234=_frac(e234),
+                             e124=_frac(e124))
 
-    def coords(self) -> Tuple[Fraction, Fraction, Fraction]:
+    def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.e134, self.e234, self.e124)
 
     def scale(self, r: Rat) -> "H3Class":

@@ -5,7 +5,6 @@ report.  All combinatorial checks are exact; the geometric residual and
 positivity checks use the stated tolerances.
 """
 
-import dataclasses
 import math
 import random
 import time
@@ -152,19 +151,18 @@ def test_ac06_cauchy_riemann_validation():
                 res = cr_residual(sol)
                 if not res < 1e-9:
                     failures.append(f"{where}: residual {res:g}")
-                bad_c0 = dataclasses.replace(
-                    sol, c0_n2=sol.c0_n2 + Fraction(1, 10))
+                bad_c0 = sol.replace(c0_n2=sol.c0_n2 + Fraction(1, 10))
                 if not cr_residual(bad_c0) > 1e-3:
                     failures.append(f"{where}: c0 perturbation undetected")
-                bad_tau = dataclasses.replace(sol, tau1=sol.tau1 + 0.1)
+                bad_tau = sol.replace(tau1=sol.tau1 + 0.1)
                 if not cr_residual(bad_tau) > 1e-3:
                     failures.append(f"{where}: tau1 perturbation undetected")
-                bad_tau2 = dataclasses.replace(sol, tau2=sol.tau2 + 0.1)
+                bad_tau2 = sol.replace(tau2=sol.tau2 + 0.1)
                 if not cr_residual(bad_tau2) > 1e-3:
                     failures.append(f"{where}: tau2 perturbation undetected")
                 theta = sol.theta() + 0.1
-                bad_psi = dataclasses.replace(sol, cos_theta=math.cos(theta),
-                                              sin_theta=math.sin(theta))
+                bad_psi = sol.replace(cos_theta=math.cos(theta),
+                                      sin_theta=math.sin(theta))
                 if not cr_residual(bad_psi) > 1e-3:
                     failures.append(f"{where}: psi rotation undetected")
     report("AC6 Cauchy-Riemann residuals (|m|,|n| <= 4)", failures, checked,

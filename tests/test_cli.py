@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -188,7 +187,7 @@ class TestGwCommand:
     def test_disagreeing_routes_exit_1(self, capsys, monkeypatch):
         real = cli.gw_enumerated
         monkeypatch.setattr(cli, "gw_enumerated",
-                            lambda A: dataclasses.replace(real(A), gw=H3_ZERO))
+                            lambda A: real(A).replace(gw=H3_ZERO))
         for fmt in ("text", "json", "csv"):
             code, out, err = run(capsys, "gw", "2", "4", "1", "2",
                                  "--format", fmt)
@@ -647,3 +646,17 @@ class TestEntryPoint:
                 assert "agrees: true" in proc.stdout
             else:
                 assert proc.stdout == ""
+
+    def test_import_loads_no_introspection_modules(self):
+        """Importing ktgw.cli in a bare interpreter loads none of
+        dataclasses, inspect and typing.  -I -S keeps the environment and
+        site .pth files, which may import them first, out."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import ktgw.cli; print(sorted("
+                "{'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code,
+                               str(src)], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

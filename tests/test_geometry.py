@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -121,16 +120,16 @@ class TestSolve:
     def test_modulus_requires_upper_half_plane(self):
         s = first_solution(1, 0)
         with pytest.raises(ValueError, match="tau2 must be positive"):
-            dataclasses.replace(s, tau2=-1.0)
+            s.replace(tau2=-1.0)
         with pytest.raises(ValueError, match="tau2 must be positive"):
-            dataclasses.replace(s, tau2=0.0)
+            s.replace(tau2=0.0)
 
 
 class TestTwistor:
     def test_unit_circle_enforced(self):
         s = first_solution(1, 0)
         with pytest.raises(ValueError, match="must lie on the unit circle"):
-            dataclasses.replace(s, cos_theta=1.0, sin_theta=1.0)
+            s.replace(cos_theta=1.0, sin_theta=1.0)
 
     def test_square_is_minus_identity_and_orthogonal(self):
         for _, _, comp in small_sweep(2):
@@ -201,7 +200,7 @@ class TestCurvePoint:
                 dp, dq = lie_columns(sol.h)
                 bent = random_fraction(rng, 9, 7)
                 central = LieAlgElem(0, 0, dp.c4, -dp.c3)
-                for s in (sol, dataclasses.replace(sol, c0_n2=bent)):
+                for s in (sol, sol.replace(c0_n2=bent)):
                     c0 = LieAlgElem(0, s.c0_n2, 0, 0)
                     for _ in range(5):
                         lam, p, q = (Fraction(rng.randint(-9, 9),
@@ -223,27 +222,27 @@ class TestCrResidual:
     def test_c0_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            bad = dataclasses.replace(s, c0_n2=s.c0_n2 + Fraction(1, 10))
+            bad = s.replace(c0_n2=s.c0_n2 + Fraction(1, 10))
             assert cr_residual(bad) > 1e-3
 
     def test_tau1_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            bad = dataclasses.replace(s, tau1=s.tau1 + 0.1)
+            bad = s.replace(tau1=s.tau1 + 0.1)
             assert cr_residual(bad) > 1e-3
 
     def test_tau2_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            bad = dataclasses.replace(s, tau2=s.tau2 + 0.1)
+            bad = s.replace(tau2=s.tau2 + 0.1)
             assert cr_residual(bad) > 1e-3
 
     def test_psi_rotation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
             theta = s.theta() + 0.1
-            bad = dataclasses.replace(s, cos_theta=math.cos(theta),
-                                      sin_theta=math.sin(theta))
+            bad = s.replace(cos_theta=math.cos(theta),
+                            sin_theta=math.sin(theta))
             assert cr_residual(bad) > 1e-3
 
     def test_matches_grid_reference(self):
@@ -276,9 +275,9 @@ class TestCrResidual:
         bent = []
         for s in sols[::7]:
             bent += [
-                dataclasses.replace(s, c0_n2=s.c0_n2 + Fraction(1, 10 ** 12)),
-                dataclasses.replace(s, tau1=s.tau1 + 1e-9),
-                dataclasses.replace(s, tau2=s.tau2 * 1.5),
+                s.replace(c0_n2=s.c0_n2 + Fraction(1, 10 ** 12)),
+                s.replace(tau1=s.tau1 + 1e-9),
+                s.replace(tau2=s.tau2 * 1.5),
             ]
         for s in sols + bent:
             assert cr_residual(s).hex() == cr_residual_rows(s, CR_GRID).hex()
@@ -333,12 +332,12 @@ class TestEvalClass:
         for _, _, comp in small_sweep(4):
             s = solve_torus_data(comp.hom)
             assert eval_class_integrate(s) == eval_class_pullback(s)
-            bent = dataclasses.replace(s, c0_n2=random_fraction(rng, 9, 7))
+            bent = s.replace(c0_n2=random_fraction(rng, 9, 7))
             assert eval_class_integrate(bent) == eval_class_pullback(bent)
             dp = (0, 0, rng.choice((*range(-9, 0), *range(1, 10))),
                   rng.randint(-9, 9))
             dq = tuple(rng.randint(-9, 9) for _ in range(4))
             if dq[0] == dq[1]:
                 dq = (dq[0], dq[1] + 1, *dq[2:])
-            bent = dataclasses.replace(bent, h=HomDerivs(dp, dq))
+            bent = bent.replace(h=HomDerivs(dp, dq))
             assert eval_class_integrate(bent) == eval_class_pullback(bent)

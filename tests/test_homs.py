@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -61,7 +60,7 @@ class TestValidate:
         h = REDUCED_110
         assert h.lie is h.lie
         # replace builds a fresh record, so its Lie columns are its own.
-        moved = dataclasses.replace(h, dq=(-1, -1, 1, 2))
+        moved = h.replace(dq=(-1, -1, 1, 2))
         assert moved.lie == (h.lie[0], (-1, -1, 1, Fraction(3, 2)))
         assert h.lie[1] == (-1, -1, 0, Fraction(1, 2))
 

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ktgw.geometry import TorusSolution
+from ktgw.gwcount import GWResult, ModuliComponent
+from ktgw.homs import HomDerivs
 from ktgw.nilalg import (
     H3Class,
     HomologyClass,
@@ -405,3 +408,90 @@ class TestRunLetters:
     def test_rejects_malformed_letters(self, letter, act):
         with pytest.raises(ValueError):
             act(letter)
+
+
+def _hom():
+    return HomDerivs((0, 0, 1, 0), (-1, -1, 0, 1))
+
+
+# Each record, built afresh from equal values on every call, and its repr
+# Name(field=value, ...), which error messages such as normalize_class's
+# embed.
+RECORDS = [
+    (lambda: HomologyClass(1, 2, 3, 4),
+     "HomologyClass(a13=1, a23=2, a14=3, a24=4)"),
+    (lambda: H3Class(1, HALF, 0),
+     "H3Class(e134=Fraction(1, 1), e234=Fraction(1, 2), "
+     "e124=Fraction(0, 1))"),
+    (_hom, "HomDerivs(dp=(0, 0, 1, 0), dq=(-1, -1, 0, 1))"),
+    (lambda: TorusSolution(_hom(), 0.0, 1.0, 1.0, 0.0, HALF),
+     "TorusSolution(h=HomDerivs(dp=(0, 0, 1, 0), dq=(-1, -1, 0, 1)), "
+     "tau1=0.0, tau2=1.0, cos_theta=1.0, sin_theta=0.0, "
+     "c0_n2=Fraction(1, 2))"),
+    (lambda: ModuliComponent(1, 1, 1, _hom(), 1),
+     "ModuliComponent(d=1, k=1, ell=1, "
+     "hom=HomDerivs(dp=(0, 0, 1, 0), dq=(-1, -1, 0, 1)), aut_size=1)"),
+    (lambda: GWResult(1, 0, H3Class(1, 1, 0), "closed"),
+     "GWResult(m=1, n=0, gw=H3Class(e134=Fraction(1, 1), "
+     "e234=Fraction(1, 1), e124=Fraction(0, 1)), method='closed')"),
+]
+
+
+class TestRecord:
+    """The contract of the six value records: equality and hashing by type
+    and value, immutability, the repr, and a replace that builds through the
+    constructor."""
+
+    @pytest.mark.parametrize("build, text", RECORDS)
+    def test_equal_values_equal_records(self, build, text):
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a.replace() == a
+
+    @pytest.mark.parametrize("build, text", RECORDS)
+    def test_unequal_to_tuple_and_other_records(self, build, text):
+        rec = build()
+        values = tuple(getattr(rec, name) for name in rec.fields)
+        assert rec != values and values != rec
+        twin = type("Twin", (type(rec),), {})(*values)
+        assert rec != twin and twin != rec
+        for other, _ in RECORDS:
+            if other is not build:
+                assert rec != other()
+
+    @pytest.mark.parametrize("build, text", RECORDS)
+    def test_immutable(self, build, text):
+        rec = build()
+        name = rec.fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            setattr(rec, "extra", 1)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+        assert rec == build()
+
+    @pytest.mark.parametrize("build, text", RECORDS)
+    def test_repr(self, build, text):
+        assert repr(build()) == text
+
+    def test_replace_reruns_checks(self):
+        with pytest.raises(ValueError):
+            _hom().replace(dp=(0, 1, 1, 0))
+        e124 = H3Class(1, 1, HALF).replace(e124=0).e124
+        assert type(e124) is Fraction and e124 == 0
+        a13 = HomologyClass(1, 2, 3, 4).replace(a13=Fraction(2)).a13
+        assert type(a13) is int and a13 == 2
+        with pytest.raises(TypeError):
+            HomologyClass(1, 2, 3, 4).replace(a13=HALF)
+        with pytest.raises(TypeError):
+            HomologyClass(1, 2, 3, 4).replace(a12=0)
+
+    def test_cached_lie_does_not_affect_equality(self):
+        a, b = _hom(), _hom()
+        assert a.lie[1] == (-1, -1, 0, Fraction(1, 2))
+        assert "lie" in vars(a) and "lie" not in vars(b)
+        assert a == b and b == a and hash(a) == hash(b)
+        assert repr(a) == repr(b)
