@@ -1,7 +1,7 @@
 """Command-line front end.
 
-`_GRAMMAR` declares each subcommand with its arguments; `ktgw --help` and
-`ktgw COMMAND --help` print them.
+`_GRAMMAR` declares each subcommand with its handler and arguments; `main`
+dispatches through it, and `ktgw --help` and `ktgw COMMAND --help` print it.
 
 Exit codes: 0 success, 1 internal cross-check failure, 2 invalid input.
 Diagnostics go to stderr, data to stdout.  Exact rationals are serialised as
@@ -74,7 +74,8 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 # Output records
 # ---------------------------------------------------------------------------
 # Each command builds one leaf tuple per record, in the order of its column
-# tuple.  Its JSON document comes from two %-templates that json.dumps(shape,
+# tuple, and prints them as text itself or as CSV or JSON by its _Output.
+# The JSON document comes from two %-templates that json.dumps(shape,
 # indent=2) builds at import from the schema-v1 shape: one list item, at its
 # indent, where a rational column has the holes col.num and col.den; and one
 # envelope, whose list is the single hole items and whose other holes name
@@ -90,10 +91,6 @@ def _frac(col: str) -> dict[str, str]:
     return {"num": _hole(col + ".num"), "den": _hole(col + ".den")}
 
 
-def _approx(col: str) -> dict[str, object]:
-    return {"value": _hole(col), "approx": True}
-
-
 def _unquote(text: str, *names: str) -> str:
     """JSON text with the holes of names out of their string quotes."""
     for name in names:
@@ -101,79 +98,80 @@ def _unquote(text: str, *names: str) -> str:
     return text
 
 
-def _envelope(command: str, fields: dict[str, object]) -> str:
-    """The template of a document; its holes items and agrees are bare."""
-    return _unquote(json.dumps({"schema_version": SCHEMA_VERSION,
-                                "command": command, **fields}, indent=2),
-                    "items", "agrees")
+class _Output:
+    """A command's CSV columns, JSON templates and printer.  item is the
+    item shape, or an _Output whose columns and item this one shares.  An
+    item column whose hole is an approx value is a float; bare ones bare."""
 
-
-class _Items:
-    """A list item template, at its indent in the envelope.  A column whose
-    hole is an approx value is a float; one with a col.num hole a rational."""
-
-    def __init__(self, columns: Sequence[str], shape: dict[str, object],
+    def __init__(self, command: str, fields: dict[str, object],
+                 columns: Sequence[str], item: dict[str, object] | _Output,
                  *bare: str) -> None:
-        text = json.dumps(shape, indent=2)
-        self.columns = columns
-        self.floats = [col for col in columns
-                       if f'"value": "{_hole(col)}"' in text]
-        self.fracs = [(col, col + ".num", col + ".den") for col in columns
-                      if _hole(col + ".num") in text]
-        self.template = _unquote(text, *bare, *self.floats).replace(
-            "\n", "\n    ")
+        if isinstance(item, _Output):
+            vars(self).update(vars(item))
+        else:
+            text = json.dumps(item, indent=2)
+            self.columns = columns
+            self.floats = [col for col in columns
+                           if f'"value": "{_hole(col)}"' in text]
+            self.fracs = [(col, col + ".num", col + ".den")
+                          for col in columns if _hole(col + ".num") in text]
+            self.item = _unquote(text, *bare, *self.floats).replace(
+                "\n", "\n    ")
+        self.envelope = _unquote(json.dumps(
+            {"schema_version": SCHEMA_VERSION, "command": command, **fields},
+            indent=2), "items", "agrees")
 
+    def fill(self, rows: list[tuple]) -> list[str]:
+        """The JSON list items of rows, each filled from a plain dict."""
+        filled = []
+        for row in rows:
+            leaves = dict(zip(self.columns, row))
+            for col, num, den in self.fracs:
+                v = leaves[col]
+                leaves[num], leaves[den] = v.numerator, v.denominator
+            for col in self.floats:
+                text = repr(leaves[col])
+                leaves[col] = _FLOAT_WORDS.get(text, text)
+            filled.append(self.item % leaves)
+        return filled
 
-_GW_ITEMS = _Items(_GW_COLUMNS, {
-    "input_class": [_hole(col) for col in _GW_COLUMNS[:4]],
-    "normalized": [_hole(col) for col in ("m", "m", "n", "n")],
-    **{col: _hole(col) for col in ("m", "n", "method")},
-    "gw": {col: _frac(col) for col in _GW_COLUMNS[7:10]},
-})
-_MODULI_ITEMS = _Items(_MODULI_COLUMNS, {
-    **{col: _hole(col) for col in _MODULI_COLUMNS[:3]},
-    "hom": {"dp": [_frac(col) for col in _MODULI_COLUMNS[3:7]],
-            "dq": [_frac(col) for col in _MODULI_COLUMNS[7:11]]},
-    **{col: _approx(col) for col in _MODULI_COLUMNS[11:14]},
-    "c0_n2": _frac("c0_n2"),
-    "aut_size": _hole("aut_size"),
-    "eval_class": {col[3:]: _frac(col) for col in _MODULI_COLUMNS[16:19]},
-    "cr_residual": _approx("cr_residual"),
-})
-_BASELINE_ITEMS = _Items(_BASELINE_COLUMNS, {
-    col: _hole(col) for col in _BASELINE_COLUMNS}, "equal")
+    def print(self, fmt: str, rows: list[tuple], **holes: object) -> None:
+        """Write rows to stdout as fmt, csv or json, with holes filled."""
+        if fmt == "csv":
+            csv.writer(sys.stdout).writerows([self.columns, *rows])
+        else:
+            holes["items"] = ",\n    ".join(self.fill(rows))
+            print(self.envelope % holes)
+
 
 _GW_FIELDS = {
     "class": [_hole(col) for col in _GW_COLUMNS[:4]],
     "method": _hole("method"),
     "results": [_hole("items")],
 }
-_GW_JSON = _envelope("gw", _GW_FIELDS)
-_GW_AGREES_JSON = _envelope("gw", {**_GW_FIELDS, "agrees": _hole("agrees")})
-_MODULI_JSON = _envelope("moduli", {"m": _hole("m"), "n": _hole("n"),
-                                    "components": [_hole("items")]})
-_BASELINE_JSON = _envelope("baseline", {"rows": [_hole("items")]})
-
-
-def _fill(items: _Items, rows: list[tuple]) -> list[str]:
-    """The JSON list items of rows, each filled from a plain dict."""
-    filled = []
-    for row in rows:
-        leaves = dict(zip(items.columns, row))
-        for col, num, den in items.fracs:
-            v = leaves[col]
-            leaves[num], leaves[den] = v.numerator, v.denominator
-        for col in items.floats:
-            text = repr(leaves[col])
-            leaves[col] = _FLOAT_WORDS.get(text, text)
-        filled.append(items.template % leaves)
-    return filled
-
-
-def _print_json(envelope: str, items: _Items, rows: list[tuple],
-                **holes: object) -> None:
-    holes["items"] = ",\n    ".join(_fill(items, rows))
-    print(envelope % holes)
+_GW = _Output("gw", _GW_FIELDS, _GW_COLUMNS, {
+    "input_class": [_hole(col) for col in _GW_COLUMNS[:4]],
+    "normalized": [_hole(col) for col in ("m", "m", "n", "n")],
+    **{col: _hole(col) for col in ("m", "n", "method")},
+    "gw": {col: _frac(col) for col in _GW_COLUMNS[7:10]},
+})
+_GW_AGREES = _Output("gw", {**_GW_FIELDS, "agrees": _hole("agrees")},
+                     _GW_COLUMNS, _GW)
+_MODULI = _Output("moduli", {"m": _hole("m"), "n": _hole("n"),
+                             "components": [_hole("items")]},
+                  _MODULI_COLUMNS, {
+    **{col: _hole(col) for col in _MODULI_COLUMNS[:3]},
+    "hom": {"dp": [_frac(col) for col in _MODULI_COLUMNS[3:7]],
+            "dq": [_frac(col) for col in _MODULI_COLUMNS[7:11]]},
+    **{col: {"value": _hole(col), "approx": True}
+       for col in _MODULI_COLUMNS[11:14]},
+    "c0_n2": _frac("c0_n2"),
+    "aut_size": _hole("aut_size"),
+    "eval_class": {col[3:]: _frac(col) for col in _MODULI_COLUMNS[16:19]},
+    "cr_residual": {"value": _hole("cr_residual"), "approx": True},
+})
+_BASELINE = _Output("baseline", {"rows": [_hole("items")]}, _BASELINE_COLUMNS,
+                    {col: _hole(col) for col in _BASELINE_COLUMNS}, "equal")
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +201,12 @@ def _cmd_gw(args: argparse.Namespace) -> int:
         results.append(gw_closed_form(A))
     if args.method in ("enumerate", "both"):
         results.append(gw_enumerated(A))
-    agrees = results[0].gw == results[1].gw if len(results) == 2 else None
     _check_printable(results)
-    flag = "" if agrees is None else str(agrees).lower()
+    flag = ("" if len(results) == 1
+            else str(results[0].gw == results[1].gw).lower())
     rows = [(*A.coords(), r.method, r.m, r.n, *r.gw.coords(), flag)
             for r in results]
-    if args.format == "json":
-        envelope = _GW_JSON if agrees is None else _GW_AGREES_JSON
-        _print_json(envelope, _GW_ITEMS, rows, **vars(args), agrees=flag)
-    elif args.format == "csv":
-        csv.writer(sys.stdout).writerows([_GW_COLUMNS, *rows])
-    else:
+    if args.format == "text":
         a13, a23, a14, a24, _, m, n = rows[0][:7]
         lines = [f"class:      {[a13, a23, a14, a24]}",
                  f"normalized: {[m, m, n, n]}   m={m} n={n}"]
@@ -222,7 +215,10 @@ def _cmd_gw(args: argparse.Namespace) -> int:
         if flag:
             lines.append(f"agrees: {flag}")
         print("\n".join(lines))
-    if agrees is False:
+    else:
+        (_GW_AGREES if flag else _GW).print(args.format, rows, **vars(args),
+                                            agrees=flag)
+    if flag == "false":
         print("error: closed and enumerated invariants disagree",
               file=sys.stderr)
         return 1
@@ -244,11 +240,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
         rows.append((comp.d, comp.k, comp.ell, *dp, *dq, sol.tau1, sol.tau2,
                      sol.theta(), sol.c0_n2, comp.aut_size, *ev,
                      cr_residual(sol)))
-    if args.format == "json":
-        _print_json(_MODULI_JSON, _MODULI_ITEMS, rows, **vars(args))
-    elif args.format == "csv":
-        csv.writer(sys.stdout).writerows([_MODULI_COLUMNS, *rows])
-    else:
+    if args.format == "text":
         print(f"moduli components of [{args.m}, {args.m}, {args.n}, {args.n}]"
               f" ({len(rows)} components)")
         print(f"{'d':>3} {'k':>3} {'l':>3} {'matrix (dp | dq)':<26} "
@@ -260,6 +252,8 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
             print(f"{d:>3} {k:>3} {ell:>3} {mat:<26} {tau1:>9.5f} "
                   f"{tau2:>9.5f} {theta:>9.5f} {str(c0):>7} {aut:>5} "
                   f"{str(ev134):>9} {res:>9.2e}")
+    else:
+        _MODULI.print(args.format, rows, **vars(args))
     return 0
 
 
@@ -366,30 +360,29 @@ def _check_sweep_budget(max_n: int) -> None:
                          f"{MODULI_BUDGET}")
 
 
+# The sweeps of each verify suite; `all` runs every suite in this order.
+_SUITES = {"identities": _verify_identities, "oracle": _verify_oracle,
+           "geometry": _verify_geometry}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max < 1:
         raise ValueError("--max must be at least 1")
-    if args.suite in ("identities", "all") and args.max > IDENTITIES_MAX:
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    if "identities" in suites and args.max > IDENTITIES_MAX:
         raise ValueError(f"verify identities --max {args.max} exceeds "
                          f"the limit of {IDENTITIES_MAX}")
-    if args.suite in ("oracle", "geometry", "all"):
+    if suites != ["identities"]:
         _check_sweep_budget(args.max)
-    sweeps: list[_Sweep] = []
-    if args.suite in ("identities", "all"):
-        sweeps.extend(_verify_identities(args.max))
-    if args.suite in ("oracle", "all"):
-        sweeps.extend(_verify_oracle(args.max))
-    if args.suite in ("geometry", "all"):
-        sweeps.extend(_verify_geometry(args.max))
-    failed = False
+    sweeps = [sweep for suite in suites for sweep in _SUITES[suite](args.max)]
     for sweep in sweeps:
         status = "FAIL" if sweep.failed else "ok"
         print(f"{sweep.name}: {sweep.checked} checks, "
               f"{sweep.failed} failures [{status}]")
-        if sweep.failed and not failed:
-            failed = True
-            print(f"first counterexample: {sweep.first_failure}",
-                  file=sys.stderr)
+    failed = [sweep for sweep in sweeps if sweep.failed]
+    if failed:
+        print(f"first counterexample: {failed[0].first_failure}",
+              file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -409,14 +402,12 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         count = count_sublattices_hnf(ell)
         s1 = sigma(1, ell)
         rows.append((ell, count, s1, str(count == s1).lower()))
-    if args.format == "json":
-        _print_json(_BASELINE_JSON, _BASELINE_ITEMS, rows)
-    elif args.format == "csv":
-        csv.writer(sys.stdout).writerows([_BASELINE_COLUMNS, *rows])
-    else:
+    if args.format == "text":
         print(f"{'ell':>5} {'hnf':>8} {'sigma1':>8} {'equal':>6}")
         for ell, count, s1, equal in rows:
             print(f"{ell:>5} {count:>8} {s1:>8} {equal:>6}")
+    else:
+        _BASELINE.print(args.format, rows)
     return 0
 
 
@@ -474,8 +465,7 @@ _GRAMMAR = {
     "moduli": _Command(_cmd_moduli, "moduli components of [m, m, n, n]",
                        (_Arg("m"), _Arg("n")), (_FORMAT,)),
     "verify": _Command(_cmd_verify, "run a verification sweep",
-                       (_Arg("suite", ("identities", "oracle", "geometry",
-                                       "all")),),
+                       (_Arg("suite", (*_SUITES, "all")),),
                        (_Arg("--max", default=8,
                              help="sweep bound (default 8)"),)),
     "baseline": _Command(_cmd_baseline, "sublattice counts against sigma_1",
@@ -500,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(arg.name, choices=arg.choices,
                            type=int if arg.choices is None else None,
                            default=arg.default, help=arg.help)
-        p.set_defaults(func=command.func)
     return parser
 
 
@@ -519,7 +508,7 @@ def _read(argv: Sequence[str]) -> argparse.Namespace | None:
     args = [*command.positionals, *map(command.flags.get, argv[end::2])]
     if None in args:
         return None
-    values = {"command": argv[0], "func": command.func, **command.defaults}
+    values = {"command": argv[0], **command.defaults}
     try:
         for arg, token in zip(args, [*argv[1:end], *argv[end + 1::2]]):
             values[arg.dest] = arg.read(token)
@@ -542,7 +531,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _GRAMMAR[args.command].func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -85,6 +85,9 @@ def moduli_component(m: int, n: int, d: int, k: int,
     dq h1 = -sgn(m) d to dq h4, so dq h4 only matters mod d.  The result is
     then dq h3 = 0, dq h4 = k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.
     The stored closed entry is dq h4 + dq h1 dq h2 / 2 = k' + d (d - 1) / 2.
+
+    Sign convention: by its sign of dp h4, every component of (m, n) pairs
+    to the class [m, m, -n, -n], not [m, m, n, n].
     """
     if m == 0:
         raise ValueError("m must be nonzero")
@@ -158,11 +161,15 @@ def moduli_components(m: int, n: int) -> list[ModuliComponent]:
     One per label (d, k, l), in lexicographic (d, l, k) order, |m|
     sigma_0(gcd(m, n)) in all.  Refuses m = 0, whose components are
     obstructed, and more than MODULI_BUDGET components, before building
-    any homomorphism.
+    any homomorphism; |m| past the budget already proves that, so it is
+    refused before gcd(m, n) is factored.
     """
     if m == 0:
         raise ValueError("moduli with m = 0 are obstructed and do not "
                          "contribute")
+    if abs(m) > MODULI_BUDGET:
+        raise ValueError(f"at least {abs(m)} moduli components exceed the "
+                         f"moduli budget of {MODULI_BUDGET}")
     components = component_count(m, n)
     if components > MODULI_BUDGET:
         raise ValueError(f"{components} moduli components exceed the "

@@ -94,6 +94,18 @@ class TestFactoring:
         for k in (0, 1, 2):
             assert sigma(k, n) == sum(d ** k for d in expected)
 
+    @pytest.mark.parametrize("p", [998244353, 469762049, 167772161])
+    def test_primes_reaching_minus_one_by_squaring(self, p):
+        # Base 2 reaches p - 1 only after squaring 2^d, d the odd part of
+        # p - 1 (998244353 = 119 * 2^23 + 1, 469762049 = 7 * 2^26 + 1,
+        # 167772161 = 5 * 2^25 + 1): the squaring loop's early exit.
+        d = p - 1
+        while d % 2 == 0:
+            d //= 2
+        assert pow(2, d, p) not in (1, p - 1)
+        assert arith._is_prime(p)
+        assert sigma(0, p) == 2
+
     def test_refuses_prime_above_deterministic_bound(self):
         with pytest.raises(ValueError):
             sigma(2, 2 ** 89 - 1)

@@ -256,21 +256,21 @@ _ROWS = {
     "baseline": st.tuples(*[_INTS] * 3, _BOOLS),
 }
 _TEMPLATES = {
-    "gw": (cli._GW_ITEMS, ref_gw_item),
-    "moduli": (cli._MODULI_ITEMS, ref_moduli_item),
-    "baseline": (cli._BASELINE_ITEMS, ref_baseline_item),
+    "gw": (cli._GW, ref_gw_item),
+    "moduli": (cli._MODULI, ref_moduli_item),
+    "baseline": (cli._BASELINE, ref_baseline_item),
 }
 # The holes each template may have: an item's name its columns, and an
 # envelope's name the command's arguments, the items and the gw flag agrees.
 _GW_ARGS = {"a13", "a23", "a14", "a24", "method"}
 _HOLES = {
-    **{command: (items.template, set(items.columns))
+    **{command: (items.item, set(items.columns))
        for command, (items, _) in _TEMPLATES.items()},
-    "gw-envelope": (cli._GW_JSON, _GW_ARGS | {"items"}),
-    "gw-agrees-envelope": (cli._GW_AGREES_JSON,
+    "gw-envelope": (cli._GW.envelope, _GW_ARGS | {"items"}),
+    "gw-agrees-envelope": (cli._GW_AGREES.envelope,
                            _GW_ARGS | {"items", "agrees"}),
-    "moduli-envelope": (cli._MODULI_JSON, {"m", "n", "items"}),
-    "baseline-envelope": (cli._BASELINE_JSON, {"items"}),
+    "moduli-envelope": (cli._MODULI.envelope, {"m", "n", "items"}),
+    "baseline-envelope": (cli._BASELINE.envelope, {"items"}),
 }
 
 
@@ -314,7 +314,7 @@ class TestJsonTemplates:
         items, ref_item = _TEMPLATES[command]
         row = data.draw(_ROWS[command])
         assert len(row) == len(items.columns)
-        assert cli._fill(items, [row]) == [ref_item_text(ref_item(row))]
+        assert items.fill([row]) == [ref_item_text(ref_item(row))]
 
     def test_special_leaves(self):
         big, nan, inf = 2 ** 70, float("nan"), float("inf")
@@ -329,7 +329,7 @@ class TestJsonTemplates:
             "baseline": [(big, big, big + 1, "false")],
         }
         for command, (items, ref_item) in _TEMPLATES.items():
-            assert cli._fill(items, rows[command]) == [
+            assert items.fill(rows[command]) == [
                 ref_item_text(ref_item(row)) for row in rows[command]]
 
     @settings(max_examples=15, deadline=None)
@@ -401,6 +401,15 @@ class TestModuliCommand:
                              "--format", "json")
         assert code == 2
         assert out == ""
+        assert "moduli budget" in err
+
+    def test_huge_m_refused_before_factoring(self, capsys):
+        # |m| alone proves more than 10^4 components; gcd(m, 0) = m =
+        # 100000007 * 100000037 would be refused by the 10^7 split scan.
+        code, out, err = run(capsys, "moduli", "10000004400000259", "0")
+        assert code == 2
+        assert out == ""
+        assert "at least 10000004400000259 moduli components" in err
         assert "moduli budget" in err
 
     def test_huge_n_exit_2(self, capsys):

@@ -107,6 +107,8 @@ class TestSolve:
         obstructed = rows((0, -1), (0, -1), (0, 0), (1, Fraction(1, 2)))
         with pytest.raises(ValueError):
             solve_torus_data(obstructed)
+        with pytest.raises(ValueError, match="dq h1 must be nonzero"):
+            solve_torus_data(HomDerivs((0, 0, 1, 0), (0, 0, 0, 0)))
 
     def test_rejects_norm_beyond_float(self):
         # dp h4 = -n for the one component of [1, 1, n, n]; its squared norm

@@ -17,6 +17,7 @@ from ktgw.gwcount import (
     moduli_component,
     moduli_components,
 )
+from ktgw.homs import HomDerivs
 from ktgw.nilalg import (
     H3_ZERO,
     H3Class,
@@ -92,6 +93,14 @@ class TestAutSizeSmith:
         bad = from_rows([(1, 0), (1, 0), (0, 1), (Fraction(1, 2), 0)])
         with pytest.raises(ValueError, match="must be reduced"):
             aut_size_smith(bad)
+
+    def test_rejects_degenerate(self):
+        # Reduced homomorphisms whose lattice index is undefined: dq h1 = 0,
+        # or an image of rank below two, where every 2x2 minor vanishes.
+        with pytest.raises(ValueError, match="dq h1 must be nonzero"):
+            aut_size_smith(HomDerivs((0, 0, 1, 0), (0, 0, 0, 0)))
+        with pytest.raises(ValueError, match="image has rank below two"):
+            aut_size_smith(HomDerivs((0, 0, 0, 0), (1, 1, 0, 0)))
 
     def test_rejects_non_lattice(self):
         # Non-integral rows are refused when the homomorphism is built, so

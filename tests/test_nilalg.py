@@ -487,6 +487,10 @@ class TestRecord:
         with pytest.raises(TypeError):
             HomologyClass(1, 2, 3, 4).replace(a13=HALF)
         with pytest.raises(TypeError):
+            H3Class(0.5, 0, 0)
+        with pytest.raises(TypeError):
+            H3Class(1, 1, HALF).replace(e134=0.5)
+        with pytest.raises(TypeError):
             HomologyClass(1, 2, 3, 4).replace(a12=0)
 
     def test_cached_lie_does_not_affect_equality(self):
