@@ -1,25 +1,24 @@
 """Divisor sums and the exact gcd identities behind the torus counts.
 
 Everything here is pure integer or rational arithmetic.  The two headline
-items are the Hermite-form count of finite-index sublattices of Z^2 (which
-recovers sigma_1) and the sum of reciprocal automorphism orders over the
-component labels, evaluated as a sum over pairs of divisors of gcd(m, n),
-together with its closed form |m| sigma_2(gcd(m,n)) / gcd(m,n)^2.
+items are a divisor sieve counting the finite-index sublattices of Z^2 (it
+never factors, so it checks sigma_1) and the sum of reciprocal automorphism
+orders over the component labels, evaluated as a sum over pairs of divisors
+of gcd(m, n), together with its closed form |m| sigma_2(gcd(m,n)) / gcd(m,n)^2.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
     "divisors",
     "sigma",
-    "hnf_matrices",
-    "count_sublattices_hnf",
+    "sublattice_counts",
     "aut_weight_sum",
     "aut_weight_sum_closed",
     "CesaroCheck",
@@ -147,23 +146,20 @@ def sigma(k: int, n: int) -> int:
     return out
 
 
-def hnf_matrices(ell: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-    """Hermite-form matrices [[d, b], [0, ell/d]] with d | ell and 0 <= b < d.
+def sublattice_counts(lmax: int) -> list[int]:
+    """Numbers of index-ell sublattices of Z^2 for ell = 0..lmax, by a sieve.
 
-    These are exactly the index-ell sublattices of Z^2 up to right
-    unimodular reparametrisation.
+    counts[ell] is the sum of the d <= lmax that divide ell (0 at ell = 0):
+    the number of Hermite forms [[d, b], [0, ell/d]] with 0 <= b < d.  It
+    equals sigma(1, ell) but never factors, so it checks `sigma`.
     """
-    if ell < 1:
-        raise ValueError(f"sublattice index must be >= 1, got {ell}")
-    for d in divisors(ell):
-        q = ell // d
-        for b in range(d):
-            yield ((d, b), (0, q))
-
-
-def count_sublattices_hnf(ell: int) -> int:
-    """Number of index-ell sublattices of Z^2; equals sigma(1, ell)."""
-    return sum(1 for _ in hnf_matrices(ell))
+    if lmax < 1:
+        raise ValueError(f"sublattice index must be >= 1, got {lmax}")
+    counts = [0] * (lmax + 1)
+    for d in range(1, lmax + 1):
+        for ell in range(d, lmax + 1, d):
+            counts[ell] += d
+    return counts
 
 
 def _moebius_weights(g: int) -> list[tuple[int, int]]:

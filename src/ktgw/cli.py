@@ -22,8 +22,8 @@ from .arith import (
     aut_weight_sum,
     aut_weight_sum_closed,
     cesaro_check,
-    count_sublattices_hnf,
     sigma,
+    sublattice_counts,
 )
 from .geometry import (
     cr_residual,
@@ -45,10 +45,10 @@ from .homs import homology_class
 from .nilalg import HomologyClass
 
 SCHEMA_VERSION = "1"
-# Largest `verify identities --max` and `baseline LMAX`.  Both costs grow
-# about quadratically, to about 1.4 s and 3.3 s at these limits (Intel Xeon,
-# Python 3.11).  `verify oracle|geometry|all` are bounded instead by the
-# moduli budget on the components they sweep.
+# Largest `verify identities --max`, about 1.5 s and quadratic in it, and
+# `baseline LMAX`, about 0.05 s by its sieve but kept so that no refusal
+# changes (Intel Xeon, Python 3.11).  `verify oracle|geometry|all` are
+# bounded instead by the moduli budget on the components they sweep.
 IDENTITIES_MAX = 400
 BASELINE_LMAX = 5000
 
@@ -263,7 +263,8 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
 
 
 class _Sweep:
-    """A named count of checks and failures, with the first failure's detail."""
+    """A named count of checks and failures, with the first failure's
+    detail: `check` formats its fmt and args for that failure only."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -271,11 +272,11 @@ class _Sweep:
         self.failed = 0
         self.first_failure = ""
 
-    def check(self, ok: bool, detail: str) -> None:
+    def check(self, ok: bool, fmt: str, *args: object) -> None:
         self.checked += 1
         if not ok:
             if not self.failed:
-                self.first_failure = detail
+                self.first_failure = fmt.format(*args)
             self.failed += 1
 
 
@@ -284,17 +285,18 @@ def _verify_identities(max_n: int) -> list[_Sweep]:
     for m in range(1, max_n + 1):
         for n in range(0, max_n + 1):
             ok = aut_weight_sum(m, n) == aut_weight_sum_closed(m, n)
-            weight.check(ok, f"weight sum mismatch at m={m} n={n}")
+            weight.check(ok, "weight sum mismatch at m={} n={}", m, n)
     hnf = _Sweep("identities/hnf-sigma1")
+    counts = sublattice_counts(max_n)
     for ell in range(1, max_n + 1):
-        ok = count_sublattices_hnf(ell) == sigma(1, ell)
-        hnf.check(ok, f"sublattice count mismatch at ell={ell}")
+        hnf.check(counts[ell] == sigma(1, ell),
+                  "sublattice count mismatch at ell={}", ell)
     ces = _Sweep("identities/cesaro")
     funcs = {"one": lambda v: 1, "id": lambda v: v, "square": lambda v: v * v}
     for fname, f in funcs.items():
         for n in range(1, max_n + 1):
             ok = cesaro_check(f, n).equal
-            ces.check(ok, f"cesaro mismatch at f={fname} n={n}")
+            ces.check(ok, "cesaro mismatch at f={} n={}", fname, n)
     return [weight, hnf, ces]
 
 
@@ -314,14 +316,14 @@ def _verify_oracle(max_n: int) -> list[_Sweep]:
     for m, n in _sweep_classes(max_n):
         A = HomologyClass(m, m, n, n)
         ok = gw_closed_form(A).gw == gw_enumerated(A).gw
-        gw.check(ok, f"invariant mismatch at m={m} n={n}")
+        gw.check(ok, "invariant mismatch at m={} n={}", m, n)
         comps = moduli_components(m, n)
         counts.check(len(comps) == component_count(m, n),
-                     f"component count mismatch at m={m} n={n}")
+                     "component count mismatch at m={} n={}", m, n)
         for comp in comps:
             ok = comp.aut_size == aut_size_smith(comp.hom)
-            auts.check(ok, f"aut mismatch at m={m} n={n} "
-                           f"(d,k,l)=({comp.d},{comp.k},{comp.ell})")
+            auts.check(ok, "aut mismatch at m={} n={} (d,k,l)=({},{},{})",
+                       m, n, comp.d, comp.k, comp.ell)
     return [gw, auts, counts]
 
 
@@ -329,19 +331,19 @@ def _verify_geometry(max_n: int) -> list[_Sweep]:
     residual = _Sweep("geometry/cr-residual")
     area = _Sweep("geometry/area-positivity")
     cycle = _Sweep("geometry/eval-cycle")
+    at = " at m={} n={} (d,k,l)=({},{},{})"
     for m, n in _sweep_classes(max_n):
         expected = component_eval_class(m, n)
         for comp in moduli_components(m, n):
-            where = (f"m={m} n={n} "
-                     f"(d,k,l)=({comp.d},{comp.k},{comp.ell})")
+            where = (m, n, comp.d, comp.k, comp.ell)
             sol = solve_torus_data(comp.hom)
             res = cr_residual(sol)
-            residual.check(res < 1e-9, f"residual {res:g} at {where}")
+            residual.check(res < 1e-9, "residual {:g}" + at, res, *where)
             cls = homology_class(comp.hom)
             ar = symplectic_area(cls, sol.cos_theta, sol.sin_theta)
-            area.check(ar > 0, f"area {ar:g} at {where}")
+            area.check(ar > 0, "area {:g}" + at, ar, *where)
             cycle.check(eval_class_integrate(sol) == expected,
-                        f"cycle class mismatch at {where}")
+                        "cycle class mismatch" + at, *where)
     return [residual, area, cycle]
 
 
@@ -397,11 +399,11 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     if args.lmax > BASELINE_LMAX:
         raise ValueError(f"lmax {args.lmax} exceeds the baseline limit of "
                          f"{BASELINE_LMAX}")
+    counts = sublattice_counts(args.lmax)
     rows = []
     for ell in range(1, args.lmax + 1):
-        count = count_sublattices_hnf(ell)
         s1 = sigma(1, ell)
-        rows.append((ell, count, s1, str(count == s1).lower()))
+        rows.append((ell, counts[ell], s1, str(counts[ell] == s1).lower()))
     if args.format == "text":
         print(f"{'ell':>5} {'hnf':>8} {'sigma1':>8} {'equal':>6}")
         for ell, count, s1, equal in rows:

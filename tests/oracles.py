@@ -28,6 +28,9 @@ live here:
 * `aut_weight_sum_labels` sums the reciprocal automorphism orders label by
   label, one gcd per component; it is the reference for
   `arith.aut_weight_sum`, which sums over pairs of divisors.
+* `hnf_matrices` enumerates the Hermite forms of the index-ell sublattices
+  of Z^2; their number is the reference for `arith.sublattice_counts`,
+  which sieves divisor sums without building a form.
 * `twistor_apply` is the full 4x4 action of a solved torus's twistor
   structure; the library applies it only to vectors with no n1 or n2 part.
 * `cr_residual_rows` rounds each row of the Cauchy-Riemann residual with
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -343,6 +347,20 @@ def aut_weight_sum_labels(m: int, n: int) -> Fraction:
                 acc += g // math.gcd(g, val)
                 val += nd
     return Fraction(acc, g)
+
+
+def hnf_matrices(ell: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """Hermite-form matrices [[d, b], [0, ell/d]] with d | ell and 0 <= b < d.
+
+    These are exactly the index-ell sublattices of Z^2 up to right
+    unimodular reparametrisation.
+    """
+    if ell < 1:
+        raise ValueError(f"sublattice index must be >= 1, got {ell}")
+    for d in divisors(ell):
+        q = ell // d
+        for b in range(d):
+            yield ((d, b), (0, q))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ from ktgw.arith import (
     aut_weight_sum,
     aut_weight_sum_closed,
     cesaro_check,
-    count_sublattices_hnf,
     divisors,
-    hnf_matrices,
     sigma,
+    sublattice_counts,
 )
-from oracles import aut_weight_sum_labels
+from oracles import aut_weight_sum_labels, hnf_matrices
 
 
 def brute_divisors(limit):
@@ -125,9 +124,10 @@ class TestFactoring:
 
 class TestSublatticeCount:
     def test_examples(self):
-        assert count_sublattices_hnf(1) == 1
-        assert count_sublattices_hnf(6) == 12
-        assert count_sublattices_hnf(4) == 7
+        counts = sublattice_counts(6)
+        assert counts[1] == 1
+        assert counts[6] == 12
+        assert counts[4] == 7
 
     def test_matrices_are_hermite_of_right_index(self):
         for ell in (1, 4, 6, 9, 12, 30):
@@ -136,14 +136,18 @@ class TestSublatticeCount:
             for (d, b), (c, q) in mats:
                 assert c == 0 and 0 <= b < d
                 assert d * q == ell
+        counts = sublattice_counts(300)
+        for ell in range(1, 301):
+            assert counts[ell] == len(list(hnf_matrices(ell)))
 
     def test_matches_sigma1(self):
+        counts = sublattice_counts(200)
         for ell in range(1, 201):
-            assert count_sublattices_hnf(ell) == sigma(1, ell)
+            assert counts[ell] == sigma(1, ell)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            count_sublattices_hnf(0)
+            sublattice_counts(0)
 
 
 # Values of gcd(m, n) with few and with many divisors, prime powers among them.

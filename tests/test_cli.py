@@ -21,6 +21,7 @@ from ktgw.geometry import cr_residual, solve_torus_data
 from ktgw.gwcount import (GWResult, component_eval_class, gw_closed_form,
                           gw_enumerated, moduli_components)
 from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass
+from oracles import hnf_matrices
 
 
 def run(capsys, *argv):
@@ -362,7 +363,7 @@ class TestJsonTemplates:
     @settings(max_examples=15, deadline=None)
     @given(lmax=st.integers(1, 60))
     def test_baseline_command_matches_reference(self, lmax):
-        rows = [(ell, arith.count_sublattices_hnf(ell), arith.sigma(1, ell))
+        rows = [(ell, len(list(hnf_matrices(ell))), arith.sigma(1, ell))
                 for ell in range(1, lmax + 1)]
         payload = {"schema_version": "1", "command": "baseline",
                    "rows": [ref_baseline_item((ell, c, s1,
@@ -451,18 +452,51 @@ class TestVerifyCommand:
 
     def test_failed_identity_exit_1(self, capsys, monkeypatch):
         real_weight = cli.aut_weight_sum_closed
-        real_hnf = cli.count_sublattices_hnf
+        real_counts = cli.sublattice_counts
         monkeypatch.setattr(
             cli, "aut_weight_sum_closed",
             lambda m, n: real_weight(m, n) + ((m, n) in ((2, 1), (3, 3))))
-        monkeypatch.setattr(cli, "count_sublattices_hnf",
-                            lambda ell: real_hnf(ell) + (ell == 2))
+        monkeypatch.setattr(cli, "sublattice_counts",
+                            lambda lmax: [c + (ell == 2) for ell, c
+                                          in enumerate(real_counts(lmax))])
         code, out, err = run(capsys, "verify", "identities", "--max", "3")
         assert code == 1
         assert out == ("identities/weight-sum: 12 checks, 2 failures [FAIL]\n"
                        "identities/hnf-sigma1: 3 checks, 1 failures [FAIL]\n"
                        "identities/cesaro: 9 checks, 0 failures [ok]\n")
         assert err == "first counterexample: weight sum mismatch at m=2 n=1\n"
+
+    def test_sieve_catches_factoring_defect(self, capsys):
+        # With every exponent read as 1, sigma(1, 4) = 3; the sieve, which
+        # never factors, still counts 7 sublattices of index 4.
+        real = arith._factorize
+        arith.divisors.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(arith, "_factorize",
+                           lambda n: tuple((p, 1) for p, _ in real(n)))
+                code, out, _ = run(capsys, "verify", "identities", "--max",
+                                   "12")
+                assert code == 1
+                assert ("identities/hnf-sigma1: 12 checks, 4 failures "
+                        "[FAIL]\n") in out
+                code, out, _ = run(capsys, "baseline", "12")
+                assert code == 0
+                assert "    4        7        3  false" in out.splitlines()
+        finally:
+            arith.divisors.cache_clear()
+
+    def test_passing_check_formats_nothing(self):
+        class Unformattable:
+            def __format__(self, spec):
+                raise AssertionError("formatted a passing check")
+
+        sweep = cli._Sweep("s")
+        sweep.check(True, "{} at {:g}", Unformattable(), Unformattable())
+        sweep.check(False, "x={} y={:g}", 3, 0.5)
+        sweep.check(False, "{}", Unformattable())
+        assert (sweep.checked, sweep.failed) == (3, 2)
+        assert sweep.first_failure == "x=3 y=0.5"
 
     def test_bad_max(self, capsys):
         code, _, err = run(capsys, "verify", "identities", "--max", "0")
