@@ -147,14 +147,11 @@ def sigma(k: int, n: int) -> int:
 
 
 def sublattice_counts(lmax: int) -> list[int]:
-    """Numbers of index-ell sublattices of Z^2 for ell = 0..lmax, by a sieve.
-
-    counts[ell] is the sum of the d <= lmax that divide ell (0 at ell = 0):
-    the number of Hermite forms [[d, b], [0, ell/d]] with 0 <= b < d.  It
-    equals sigma(1, ell) but never factors, so it checks `sigma`.
-    """
+    """counts[ell] for ell = 0..lmax: the sum of the divisors of ell
+    (sigma_1), by a sieve.  It counts the index-ell sublattices of Z^2, the
+    Hermite forms [[d, b], [0, ell/d]] with 0 <= b < d, and never factors."""
     if lmax < 1:
-        raise ValueError(f"sublattice index must be >= 1, got {lmax}")
+        raise ValueError(f"lmax must be >= 1, got {lmax}")
     counts = [0] * (lmax + 1)
     for d in range(1, lmax + 1):
         for ell in range(d, lmax + 1, d):

@@ -263,8 +263,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
 
 
 class _Sweep:
-    """A named count of checks and failures, with the first failure's
-    detail: `check` formats its fmt and args for that failure only."""
+    """A named count of checks and failures; formats the first failure only."""
 
     def __init__(self, name: str) -> None:
         self.name = name
