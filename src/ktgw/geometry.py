@@ -6,12 +6,12 @@ modulus tau, the twistor rotation angle theta and the translation constant
 are forced by the Cauchy-Riemann equations, and the one-parameter central
 family D(lambda) sweeps out the rest of the moduli component.
 
-The torus map is written once, as its logarithm, which is affine in (p, q),
-and `cr_residual` reads its exact coefficients.  The point at (lam, p, q) is
-exp of that logarithm times exp(lam (dp_h4 n3 - dp_h3 n4)).  The
-Cauchy-Riemann defect of an affine map with dp h1 = dp h2 = 0 depends on q
-alone, so the residual costs one row of floating evaluations per grid value
-of q.
+The torus map is exp of its logarithm h + C + [h, C]/2, C = c0_n2 n2, times
+exp(lam (dp_h4 n3 - dp_h3 n4)) at (lam, p, q).  The logarithm is affine in
+(p, q), and `cr_residual` forms its exact coefficients from the eight
+integers of h and c0_n2.  The Cauchy-Riemann defect of an affine map with
+dp h1 = dp h2 = 0 depends on q alone, so the residual costs one row of
+floating evaluations per grid value of q.
 
 A solved torus is one flat `TorusSolution` of h, tau, theta and c0_n2;
 the central period 1 / gcd(dp h3, dp h4) is read off h where it is needed.
@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .homs import HomDerivs
-from .nilalg import H3Class, HomologyClass, Rat, Record
+from .nilalg import H3Class, HomologyClass, Record
 
 __all__ = [
     "CR_GRID",
@@ -47,6 +47,9 @@ __all__ = [
 # The residual is the worst defect over CR_GRID x CR_GRID points of the unit
 # square; every printed and checked residual uses this grid.
 CR_GRID = 8
+# (num, den) of each grid value j / (CR_GRID - 1) of q, as an exact ratio.
+_CR_ROWS = tuple((j / (CR_GRID - 1)).as_integer_ratio()
+                 for j in range(CR_GRID))
 
 
 class TorusSolution(Record):
@@ -77,11 +80,11 @@ class TorusSolution(Record):
 def solve_torus_data(h: HomDerivs) -> TorusSolution:
     """Solve the Cauchy-Riemann constraints for a reduced homomorphism.
 
-    tau2 is the norm ratio |(dq h1, dq h2)| / |(dp h3, dp h4)|, tau1 is
-    dq h3 / dp h3, the rotation is the unique one carrying (dp h3, dp h4)
-    to (dq h1, dq h2) / tau2, and the translation constant points along n2
-    with coefficient (dq h4 - tau1 dp h4) / dq h1.  Raises ValueError when
-    the squared norm of (dq h1, dq h2) or (dp h3, dp h4) passes the largest
+    With (a, b, q3, z) = dq and (c, e) = (dp h3, dp h4): tau2 is the norm
+    ratio |(a, b)| / |(c, e)|, tau1 is q3 / c, the rotation is the unique
+    one carrying (c, e) to (a, b) / tau2, and the translation constant
+    points along n2 with coefficient (z - a b / 2 - tau1 e) / a.  Raises
+    ValueError when the squared norm of (a, b) or (c, e) passes the largest
     float, as it does once |dp h4| exceeds about 1.34e154.
     """
     if not h.is_reduced():
@@ -91,44 +94,22 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
                          "component is obstructed")
     if h.dq[0] == 0:
         raise ValueError("dq h1 must be nonzero")
-    # h is reduced, so dp is its own Lie column.
-    _, _, c, dd = h.dp
-    _, (a, b, dq3, dq4) = h.lie
+    _, _, c, e = h.dp
+    a, b, q3, z = h.dq
     try:
         norm_a = math.sqrt(float(a * a + b * b))
-        norm_z = math.sqrt(float(c * c + dd * dd))
+        norm_z = math.sqrt(float(c * c + e * e))
     except OverflowError:
         raise ValueError("a column of the homomorphism is too long for "
                          "a floating tau and theta") from None
-    tau2 = norm_a / norm_z
-    tau1_exact = Fraction(dq3, c)
-    # Rotation taking u = (c, dd) to w / tau2 with w = (a, b); both have the
+    # Rotation taking u = (c, e) to w / tau2 with w = (a, b); both have the
     # same norm, so cos and sin come from the dot and cross products.
     den = norm_a * norm_z
-    cos_theta = float(c * a + dd * b) / den
-    sin_theta = float(c * b - dd * a) / den
-    return TorusSolution(h, float(tau1_exact), tau2, cos_theta, sin_theta,
-                         (dq4 - tau1_exact * dd) / a)
-
-
-Affine = tuple[Rat, Rat, Rat]
-
-
-def _log_coordinates(h: HomDerivs,
-                     c0_n2: Fraction) -> tuple[Affine, Affine, Affine, Affine]:
-    """log(torus) = h + C + [h, C]/2 as exact (const, p, q) coefficients.
-
-    C = c0_n2 n2.  The map is affine in (p, q).  h is reduced
-    (dp h1 = dp h2 = 0), so w1 and w2 have no p term, and [h, C] is
-    -q dq h1 c0_n2 n4.
-    """
-    (_, _, p3, p4), (a, b, q3, q4) = h.lie
-    return (
-        (0, 0, a),
-        (c0_n2, 0, b),
-        (0, p3, q3),
-        (0, p4, q4 - a * c0_n2 / 2),
-    )
+    # + 0.0 turns the -0.0 of 0 / c, c < 0, into float(Fraction(0, c)).
+    return TorusSolution(h, q3 / c + 0.0, norm_a / norm_z,
+                         float(c * a + e * b) / den,
+                         float(c * b - e * a) / den,
+                         Fraction((2 * z - a * b) * c - 2 * q3 * e, 2 * c * a))
 
 
 def cr_residual(s: TorusSolution) -> float:
@@ -136,43 +117,39 @@ def cr_residual(s: TorusSolution) -> float:
 
     The defect at (p, q) is psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2
     where psi is the twistor structure, w the logarithm of the torus,
-    du_a = dw/dp and
-    du_b = (dw/dq - tau1 dw/dp) / tau2.  Coefficients of w are exact; the
-    evaluation mixes in the floating tau and theta.
-
-    w is affine, so du_a and du_b are constant.  [w, X] = (w2 X1 - X2 w1) n4
-    reads only w1 and w2, which have no p term, and du_a has no n1 or n2
-    part, so [w, du_a] = 0 and psi(du_a) is the rotation of its (n3, n4)
-    part into (n1, n2).  The defect is therefore a function of q alone, and
-    its maximum over the grid is the maximum over the grid values of q.
-    w1 and w2 are rounded from their exact values, as
-    float(Fraction) would round them: with q = num / den, const + slope q
-    is one integer true division, (cn den + sn num) / (cd den), whose
-    integers cn, sn and cd are the same in every row.
+    du_a = dw/dp and du_b = (dw/dq - tau1 dw/dp) / tau2, with tau1, tau2 and
+    theta read from s.  In the names of `solve_torus_data`, w1 = a q,
+    w2 = c0_n2 + b q, w3 = c p + q3 q and w4 = e p + (z - a b/2 - a c0_n2/2) q.
+    [w, X] = (w2 X1 - X2 w1) n4 reads only w1 and w2, which have no p
+    term, and du_a has no n1 or n2 part, so [w, du_a] = 0 and psi(du_a) is
+    the rotation of (c, e) into (n1, n2).  So the defect depends on q
+    alone, only its n4 component varies, and the residual is sqrt of the
+    three fixed squares plus the largest n4 square over the grid (sum and
+    sqrt are monotone).  Each exact coefficient is rounded as
+    float(Fraction) would round it, by one integer true division.  Raises
+    ValueError when a square passes the largest float.
     """
-    w = _log_coordinates(s.h, s.c0_n2)
-    tau1, tau2 = s.tau1, s.tau2
-    du_a = [float(dp) for _, dp, _ in w]
-    du_b = [(float(dq) - tau1 * dpv) / tau2
-            for (_, _, dq), dpv in zip(w, du_a)]
-    cos, sin = s.cos_theta, s.sin_theta
-    pu = (cos * du_a[2] - sin * du_a[3], sin * du_a[2] + cos * du_a[3],
-          0.0, 0.0)
-    # The first three defect components are the same in every row.
-    fixed = [(pu[k] - du_b[k]) ** 2 for k in range(3)]
-    (cn1, sn1, cd1), (cn2, sn2, cd2) = (
-        (c.numerator * sl.denominator, sl.numerator * c.denominator,
-         c.denominator * sl.denominator)
-        for c, _, sl in w[:2])
-    worst = 0.0
-    for j in range(CR_GRID):
-        num, den = (j / (CR_GRID - 1)).as_integer_ratio()
-        w1 = (cn1 * den + sn1 * num) / (cd1 * den)
-        w2 = (cn2 * den + sn2 * num) / (cd2 * den)
-        v4 = du_b[3] - (w2 * du_b[0] - du_b[1] * w1) / 2
-        defect = math.sqrt(sum((*fixed, (pu[3] - v4) ** 2)))
-        worst = max(worst, defect)
-    return worst
+    _, _, c, e = s.h.dp
+    a, b, q3, z = s.h.dq
+    c0n, c0d = s.c0_n2.numerator, s.c0_n2.denominator
+    tau1, tau2, cos, sin = s.tau1, s.tau2, s.cos_theta, s.sin_theta
+    try:
+        fc, fe = float(c), float(e)
+        # du_b; its n1 and n2 parts have no tau1 term, since dw/dp has none.
+        b1, b2 = a / tau2, b / tau2
+        b3 = (q3 - tau1 * fc) / tau2
+        b4 = (((2 * z - a * b) * c0d - a * c0n) / (2 * c0d)
+              - tau1 * fe) / tau2
+        fixed = ((cos * fc - sin * fe - b1) ** 2,
+                 (sin * fc + cos * fe - b2) ** 2, b3 ** 2)
+        bd = b * c0d
+        worst = max((b4 - ((c0n * den + bd * num) / (c0d * den) * b1
+                           - b2 * (a * num / den)) / 2) ** 2
+                    for num, den in _CR_ROWS)
+    except OverflowError:
+        raise ValueError("the Cauchy-Riemann defect of this torus passes "
+                         "the largest float") from None
+    return math.sqrt(sum((*fixed, worst)))
 
 
 def symplectic_area(A: HomologyClass, cos_theta: float,
@@ -191,7 +168,7 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
 
     Pulls the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy) back along
     the evaluation map (lam, p, q) -> exp(w) exp(lam (dp_h4 n3 - dp_h3 n4)),
-    w the logarithm `_log_coordinates` at (p, q), and integrates over
+    w the logarithm of the torus at (p, q), and integrates over
     [0, 1 / gcd(dp h3, dp h4)] x [0, 1]^2 with the orientation d lam ^ dp ^ dq.
     Every pulled-back 1-form has constant coefficients.  In the
     (d lam, dp, dq) basis, with a, b = dq h1, dq h2:

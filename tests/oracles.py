@@ -33,9 +33,14 @@ live here:
   which sieves divisor sums without building a form.
 * `twistor_apply` is the full 4x4 action of a solved torus's twistor
   structure; the library applies it only to vectors with no n1 or n2 part.
-* `cr_residual_rows` rounds each row of the Cauchy-Riemann residual with
-  `_affine_float`, building every integer afresh; it is the bitwise
-  reference for `geometry.cr_residual`, which builds them once per call.
+* `solve_torus_fractions` solves the torus geometry through `HomDerivs.lie`
+  and Fractions; it is the bitwise reference for
+  `geometry.solve_torus_data`, which forms every float from integers.
+* `log_coordinates` writes the torus logarithm as exact affine
+  coefficients in (p, q), for the curve-point tests and the residual rows.
+* `cr_residual_rows` rounds each row of the Cauchy-Riemann residual from
+  `log_coordinates` with `_affine_float`, building every integer afresh;
+  it is the bitwise reference for `geometry.cr_residual`.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from ktgw.arith import divisors
-from ktgw.geometry import TorusSolution, _log_coordinates
+from ktgw.geometry import TorusSolution
 from ktgw.homs import HomDerivs, _xgcd, homology_class
 from ktgw.nilalg import (
     H3Class,
@@ -591,6 +596,59 @@ def smith_matrix_rows(h: HomDerivs) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 
+def solve_torus_fractions(h: HomDerivs) -> TorusSolution:
+    """`geometry.solve_torus_data` through Fractions, the bitwise reference.
+
+    tau2 is the norm ratio |(dq h1, dq h2)| / |(dp h3, dp h4)|, tau1 is
+    float(Fraction(dq h3, dp h3)), the rotation is the unique one carrying
+    (dp h3, dp h4) to (dq h1, dq h2) / tau2, and c0_n2 is
+    (dq h4 - tau1 dp h4) / dq h1 in exact Lie coordinates.
+    """
+    if not h.is_reduced():
+        raise ValueError("homomorphism must be reduced (dp h1 = dp h2 = 0)")
+    if h.dp[2] == 0:
+        raise ValueError("dp h3 = 0: modulus is undetermined and the "
+                         "component is obstructed")
+    if h.dq[0] == 0:
+        raise ValueError("dq h1 must be nonzero")
+    # h is reduced, so dp is its own Lie column.
+    _, _, c, dd = h.dp
+    _, (a, b, dq3, dq4) = h.lie
+    try:
+        norm_a = math.sqrt(float(a * a + b * b))
+        norm_z = math.sqrt(float(c * c + dd * dd))
+    except OverflowError:
+        raise ValueError("a column of the homomorphism is too long for "
+                         "a floating tau and theta") from None
+    tau2 = norm_a / norm_z
+    tau1_exact = Fraction(dq3, c)
+    den = norm_a * norm_z
+    cos_theta = float(c * a + dd * b) / den
+    sin_theta = float(c * b - dd * a) / den
+    return TorusSolution(h, float(tau1_exact), tau2, cos_theta, sin_theta,
+                         (dq4 - tau1_exact * dd) / a)
+
+
+Affine = Tuple[Rat, Rat, Rat]
+
+
+def log_coordinates(h: HomDerivs,
+                    c0_n2: Fraction) -> Tuple[Affine, Affine, Affine, Affine]:
+    """log(torus) = h + C + [h, C]/2 as exact (const, p, q) coefficients.
+
+    C = c0_n2 n2.  The map is affine in (p, q).  h is reduced
+    (dp h1 = dp h2 = 0), so w1 and w2 have no p term, and [h, C] is
+    -q dq h1 c0_n2 n4.
+    """
+    (_, _, p3, p4), (a, b, q3, q4) = h.lie
+    return (
+        (0, 0, a),
+        (c0_n2, 0, b),
+        (0, p3, q3),
+        (0, p4, q4 - a * c0_n2 / 2),
+    )
+
+
 def solution_lie(s: TorusSolution) -> Tuple[LieAlgElem, ...]:
     """Lie columns dp, dq of a solved torus and its translation constant C."""
     dp, dq = lie_columns(s.h)
@@ -619,7 +677,7 @@ def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
     The reference for `geometry.cr_residual`.  The torus logarithm is
     w = C + X + [X, C]/2 with X = p dp + q dq; its derivatives
     dp + [dp, C]/2 and dq + [dq, C]/2 come from the matrix commutator, so no
-    coefficient of `geometry._log_coordinates` is used.  w is evaluated
+    coefficient of `log_coordinates` is used.  w is evaluated
     exactly at each grid point and rounded once, and the defect
     psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2 is formed in floats as
     `cr_residual` specifies it.
@@ -663,14 +721,15 @@ def _affine_float(const: Rat, slope: Rat, q: float) -> float:
 def cr_residual_rows(s: TorusSolution, grid: int = 8) -> float:
     """Cauchy-Riemann residual, one row per grid q, each row from scratch.
 
-    The reference for the row loop of `geometry.cr_residual`, which forms
-    the integer products of `_affine_float` once per call instead of once
-    per row.  Both read the coefficients of `geometry._log_coordinates`;
-    `cr_residual_grid` is the reference that does not.
+    The bitwise reference for `geometry.cr_residual`, which forms the
+    coefficients of `log_coordinates` from the integers of h and c0_n2,
+    squares only the varying n4 component of each row, and takes one sqrt.
+    This one reads `log_coordinates` and rounds each row from scratch;
+    `cr_residual_grid` is the reference that reads no coefficient of it.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    w = _log_coordinates(s.h, s.c0_n2)
+    w = log_coordinates(s.h, s.c0_n2)
     tau1, tau2 = s.tau1, s.tau2
     du_a = [float(dp) for _, dp, _ in w]
     du_b = [(float(dq) - tau1 * dpv) / tau2

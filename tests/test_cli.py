@@ -424,6 +424,18 @@ class TestModuliCommand:
         assert code == 0
         assert "(1 components)" in out
 
+    def test_residual_overflow_exit_2(self, capsys):
+        # Both columns fit a float, but a square of the Cauchy-Riemann
+        # defect does not: a refusal, not a failed cross-check.
+        for m, n in [(2, 10 ** 154), (7, 10 ** 153 + 3)]:
+            for fmt in ["text", "json", "csv"]:
+                code, out, err = run(capsys, "moduli", str(m), str(n),
+                                     "--format", fmt)
+                assert code == 2
+                assert out == ""
+                assert err == ("error: the Cauchy-Riemann defect of this "
+                               "torus passes the largest float\n")
+
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "moduli", "2", "2", "--format", "csv")
         assert code == 0

@@ -7,7 +7,6 @@ import pytest
 from ktgw.arith import divisors
 from ktgw.geometry import (
     CR_GRID,
-    _log_coordinates,
     cr_residual,
     eval_class_integrate,
     solve_torus_data,
@@ -33,7 +32,9 @@ from oracles import (
     group_mul_oracle,
     lie_columns,
     lie_comb,
+    log_coordinates,
     random_fraction,
+    solve_torus_fractions,
     twistor_apply,
 )
 
@@ -55,6 +56,18 @@ def small_sweep(bound=2):
 
 def solutions(m, n):
     return [solve_torus_data(comp.hom) for comp in moduli_components(m, n)]
+
+
+def sampled_homs(rng, classes, count):
+    """`count` random component homomorphisms of each class [m, m, n, n]."""
+    homs = []
+    for m, n in classes:
+        ds = divisors(math.gcd(m, n))
+        for _ in range(count):
+            d = rng.choice(ds)
+            homs.append(moduli_component(m, n, d, rng.randint(1, d),
+                                         rng.randint(1, m // d)).hom)
+    return homs
 
 
 class TestPoly:
@@ -119,6 +132,30 @@ class TestSolve:
             with pytest.raises(ValueError, match="too long for a floating"):
                 solve_torus_data(moduli_component(m, n, 1, 1, 1).hom)
 
+    def test_matches_fraction_reference_bitwise(self):
+        # Every float to the last bit, signs of zero included, and c0_n2
+        # equal in value and type.  The random reduced lattice maps reach
+        # dp h3 < 0 and dq h3 = 0, where 0 / dp h3 is -0.0.
+        homs = [comp.hom for _, _, comp in small_sweep(14)]
+        homs += [comp.hom for comp in moduli_components(9973, 1)]
+        homs += sampled_homs(random.Random(83), [
+            (1, 10 ** 12), (1200, 23757), (10 ** 9, 10 ** 9),
+            (1, 10 ** 154)], 40)
+        rng = random.Random(89)
+        nonzero = (*range(-9, 0), *range(1, 10))
+        for _ in range(500):
+            c, a = rng.choice(nonzero), rng.choice(nonzero)
+            b, q3, z, e = (rng.randint(-9, 9) for _ in range(4))
+            homs.append(HomDerivs((0, 0, c, e), (a, b, q3, z)))
+        for h in homs:
+            got, ref = solve_torus_data(h), solve_torus_fractions(h)
+            assert [got.tau1.hex(), got.tau2.hex(), got.cos_theta.hex(),
+                    got.sin_theta.hex()] == [
+                ref.tau1.hex(), ref.tau2.hex(), ref.cos_theta.hex(),
+                ref.sin_theta.hex()]
+            assert type(got.c0_n2) is type(ref.c0_n2) is Fraction
+            assert got.c0_n2 == ref.c0_n2
+
     def test_modulus_requires_upper_half_plane(self):
         s = first_solution(1, 0)
         with pytest.raises(ValueError, match="tau2 must be positive"):
@@ -151,20 +188,20 @@ class TestTwistor:
 
 
 def torus_point(s, lam, p, q):
-    """exp of `_log_coordinates` at (p, q), times the central family at lam.
+    """exp of `log_coordinates` at (p, q), times the central family at lam.
 
     The central factor is exp(lam (dp_h4 n3 - dp_h3 n4)).
     """
     lam, p, q = Fraction(lam), Fraction(p), Fraction(q)
     w = LieAlgElem(*(const + dp * p + dq * q
-                     for const, dp, dq in _log_coordinates(s.h, s.c0_n2)))
+                     for const, dp, dq in log_coordinates(s.h, s.c0_n2)))
     dp, _ = lie_columns(s.h)
     central = LieAlgElem(0, 0, dp.c4, -dp.c3)
     return group_mul_oracle(exp_oracle(w), exp_oracle(lie_comb((lam, central))))
 
 
 class TestCurvePoint:
-    """The torus map `_log_coordinates`, exponentiated by the matrix oracles."""
+    """The torus map `log_coordinates`, exponentiated by the matrix oracles."""
 
     def test_base_point(self):
         s = first_solution(1, 0)
@@ -250,30 +287,21 @@ class TestCrResidual:
     def test_matches_grid_reference(self):
         # Float equality, no tolerance: one row per grid q rounds exactly as
         # the full CR_GRID x CR_GRID evaluation does.
-        sols = [solve_torus_data(comp.hom) for _, _, comp in small_sweep(4)]
-        rng = random.Random(29)
-        for m, n in [(5000, 3000), (50000, 30000), (10 ** 7, 3 * 10 ** 6)]:
-            ds = divisors(math.gcd(m, n))
-            for _ in range(12):
-                d = rng.choice(ds)
-                rep = moduli_component(m, n, d, rng.randint(1, d),
-                                       rng.randint(1, m // d)).hom
-                sols.append(solve_torus_data(rep))
-        for s in sols:
+        homs = [comp.hom for _, _, comp in small_sweep(4)]
+        homs += sampled_homs(random.Random(29), [
+            (5000, 3000), (50000, 30000), (10 ** 7, 3 * 10 ** 6)], 12)
+        for s in map(solve_torus_data, homs):
             assert cr_residual(s) == cr_residual_grid(s, CR_GRID)
 
     def test_matches_row_reference_bitwise(self):
-        # The integers of each row are formed once per call, so every row
-        # rounds as the row-by-row reference does, to the last bit.
-        sols = [solve_torus_data(comp.hom) for _, _, comp in small_sweep(8)]
-        rng = random.Random(71)
-        for m, n in [(1, 10 ** 12), (1200, 23757), (10 ** 9, 10 ** 9)]:
-            ds = divisors(math.gcd(m, n))
-            for _ in range(12):
-                d = rng.choice(ds)
-                rep = moduli_component(m, n, d, rng.randint(1, d),
-                                       rng.randint(1, m // d)).hom
-                sols.append(solve_torus_data(rep))
+        # The coefficients come from the integers of h and c0_n2, and one
+        # sqrt is taken of the largest row; the residual still equals the
+        # row-by-row reference to the last bit.
+        homs = [comp.hom for _, _, comp in small_sweep(8)]
+        homs += sampled_homs(random.Random(71), [
+            (1, 10 ** 12), (1200, 23757), (10 ** 9, 10 ** 9), (9973, 1),
+            (1, 10 ** 154)], 12)
+        sols = list(map(solve_torus_data, homs))
         bent = []
         for s in sols[::7]:
             bent += [
@@ -282,7 +310,14 @@ class TestCrResidual:
                 s.replace(tau2=s.tau2 * 1.5),
             ]
         for s in sols + bent:
-            assert cr_residual(s).hex() == cr_residual_rows(s, CR_GRID).hex()
+            try:
+                expected = cr_residual_rows(s, CR_GRID).hex()
+            except OverflowError:
+                # A bent (1, 10^154) torus squares past the largest float.
+                with pytest.raises(ValueError, match="the largest float"):
+                    cr_residual(s)
+            else:
+                assert cr_residual(s).hex() == expected
 
 
 class TestSymplecticArea:

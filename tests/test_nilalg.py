@@ -85,8 +85,8 @@ class TestBracket:
             assert commutator_oracle(N4, random_lie(rng)) == ZERO
 
     def test_matches_matrix_commutator(self):
-        # [X, Y] = (X2 Y1 - Y2 X1) n4, the form `geometry._log_coordinates`
-        # uses for [h, C].
+        # [X, Y] = (X2 Y1 - Y2 X1) n4, the form `oracles.log_coordinates`
+        # and `geometry.cr_residual` use for [h, C].
         rng = random.Random(1)
         for _ in range(1000):
             X, Y = random_lie(rng), random_lie(rng)
