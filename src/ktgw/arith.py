@@ -14,6 +14,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 __all__ = [
     "divisors",
@@ -173,6 +174,18 @@ def _moebius_weights(g: int) -> list[tuple[int, int]]:
     return pairs
 
 
+@lru_cache(maxsize=64)
+def _weight_terms(g: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (f, c_f) over f | g, c_f = g w(f) sum_{e | g} gcd(f, e), where
+    e = g/d runs over the divisors of g as d does; cached, as a sweep row or
+    a deck revisits few g.  sigma_0(g) <= 2000 under
+    `gwcount.ENUMERATION_BUDGET`: at most about 1 MB an entry, 64 MB in all."""
+    weights = _moebius_weights(g)
+    divs = [f for f, _ in weights]
+    return tuple((f, gw * sum(map(math.gcd, repeat(f), divs)))
+                 for f, gw in weights)
+
+
 def aut_weight_sum(m: int, n: int) -> Fraction:
     """Total reciprocal automorphism weight of the genus-one components.
 
@@ -193,15 +206,8 @@ def aut_weight_sum(m: int, n: int) -> Fraction:
     """
     if m == 0:
         raise ValueError("m must be nonzero")
-    g = math.gcd(m, n)
-    weights = _moebius_weights(g)
-    divs = [f for f, _ in weights]
-    # Every g w(f) and C(d, f) is an integer, so accumulate numerators over
-    # denominator g.  g/d runs over the divisors of g as d does.
-    acc = 0
-    for f, gw in weights:
-        acc += gw * (abs(m) // f) * sum(math.gcd(f, e) for e in divs)
-    return Fraction(acc, g)
+    g, span = math.gcd(m, n), abs(m)
+    return Fraction(sum(c * (span // f) for f, c in _weight_terms(g)), g)
 
 
 def aut_weight_sum_closed(m: int, n: int) -> Fraction:

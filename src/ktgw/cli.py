@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from collections.abc import Callable, Iterator, Sequence
+from fractions import Fraction
 
 from .arith import (
     aut_weight_sum,
@@ -45,7 +46,7 @@ from .homs import homology_class
 from .nilalg import HomologyClass
 
 SCHEMA_VERSION = "1"
-# Largest `verify identities --max`, about 1.5 s and quadratic in it, and
+# Largest `verify identities --max`, about 0.7 s and quadratic in it, and
 # `baseline LMAX`, about 0.05 s by its sieve but kept so that no refusal
 # changes (Intel Xeon, Python 3.11).  `verify oracle|geometry|all` are
 # bounded instead by the moduli budget on the components they sweep.
@@ -236,9 +237,12 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
     rows = []
     for comp in comps:
         sol = solve_torus_data(comp.hom)
-        dp, dq = comp.hom.lie
-        rows.append((comp.d, comp.k, comp.ell, *dp, *dq, sol.tau1, sol.tau2,
-                     sol.theta(), sol.c0_n2, comp.aut_size, *ev,
+        # dp is reduced, so it is its own Lie column; t / 2 is dq's Lie h4.
+        a, b, q3, z = comp.hom.dq
+        t = 2 * z - a * b
+        rows.append((comp.d, comp.k, comp.ell, *comp.hom.dp, a, b, q3,
+                     t // 2 if t % 2 == 0 else Fraction(t, 2), sol.tau1,
+                     sol.tau2, sol.theta(), sol.c0_n2, comp.aut_size, *ev,
                      cr_residual(sol)))
     if args.format == "text":
         print(f"moduli components of [{args.m}, {args.m}, {args.n}, {args.n}]"

@@ -189,5 +189,5 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     """
     _, _, c, dd = s.h.dp  # reduced, so dd is dp h4
     a, b = s.h.dq[:2]
-    scale = Fraction(-(c ** 2 + dd ** 2), math.gcd(c, dd))
-    return H3Class(scale * a, scale * b, 0)
+    num, den = -(c * c + dd * dd), math.gcd(c, dd)
+    return H3Class(Fraction(num * a, den), Fraction(num * b, den), 0)

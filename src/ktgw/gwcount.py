@@ -205,8 +205,9 @@ def gw_closed_form(A: HomologyClass) -> GWResult:
         gw = H3_ZERO
     else:
         g = math.gcd(m, n)
-        coeff = Fraction((m * m + n * n) * sigma(2, g), g ** 3)
-        gw = H3Class(coeff * A.a13, coeff * A.a23, 0)
+        num, den = (m * m + n * n) * sigma(2, g), g ** 3
+        gw = H3Class(Fraction(num * A.a13, den),
+                     Fraction(num * A.a23, den), 0)
     return GWResult(m, n, gw, "closed")
 
 

@@ -6,8 +6,7 @@ manifold when exp of each column lies in the lattice and the columns
 commute, that is when h restricts to a homomorphism Z^2 -> Gamma.  So each
 column is stored as the coordinates (y, x, log t, z) of its exp, four
 integers: the closed column (h1, h2, h3, h4 + h1 h2 / 2).  The `HomDerivs`
-constructor is the one lattice check, and `HomDerivs.lie` the one place
-that undoes the half-integer closure.  Commutativity of the source forces
+constructor is the one lattice check.  Commutativity of the source forces
 the top 2x2 block to be singular.
 
 The torus's degree-two homology class is read off from the 2x2 minors of
@@ -26,9 +25,6 @@ from extended Euclid.
 
 from __future__ import annotations
 
-import functools
-from fractions import Fraction
-
 from .nilalg import HomologyClass, Record, Sl2zMatrix, h2_pushforward
 
 __all__ = [
@@ -41,9 +37,8 @@ __all__ = [
 IDENTITY_2X2: Sl2zMatrix = ((1, 0), (0, 1))
 
 
-# (h1, h2, h3, h4 + h1 h2 / 2) of a column, and its Lie coordinates.
+# (h1, h2, h3, h4 + h1 h2 / 2) of a column.
 Column = tuple[int, int, int, int]
-LieColumn = tuple[int, int, int, Fraction]
 
 
 class HomDerivs(Record):
@@ -57,8 +52,8 @@ class HomDerivs(Record):
     fields = ("dp", "dq")
 
     def __init__(self, dp: Column, dq: Column) -> None:
-        if not (all(type(col) is tuple and len(col) == 4
-                    and all(type(v) is int for v in col) for col in (dp, dq))
+        if not (type(dp) is type(dq) is tuple and len(dp) == len(dq) == 4
+                and set(map(type, dp + dq)) == {int}
                 and dp[0] * dq[1] == dq[0] * dp[1]):
             raise ValueError("not a lattice-compatible homomorphism")
         self.__dict__.update(dp=dp, dq=dq)
@@ -66,19 +61,16 @@ class HomDerivs(Record):
     def is_reduced(self) -> bool:
         return self.dp[0] == 0 and self.dp[1] == 0
 
-    @functools.cached_property
-    def lie(self) -> tuple[LieColumn, LieColumn]:
-        """Lie coordinates (h1, h2, h3, z - h1 h2 / 2) of dp and dq, cached:
-        the fields are frozen, and `replace` builds a new record."""
-        return tuple((h1, h2, h3, Fraction(2 * z - h1 * h2, 2))
-                     for h1, h2, h3, z in (self.dp, self.dq))
-
 
 def homology_class(h: HomDerivs) -> HomologyClass:
-    """Degree-two class of the torus: A_ij = dp h_i dq h_j - dq h_i dp h_j."""
-    (p1, p2, p3, p4), (q1, q2, q3, q4) = h.lie
+    """Degree-two class of the torus: A_ij = dp h_i dq h_j - dq h_i dp h_j.
+
+    On closed columns A14 = p1 zq - q1 zp - p1 q1 (q2 - p2) / 2, and A24
+    alike; p1 q2 = q1 p2 makes q2 - p2 even if p1 q1 is odd."""
+    (p1, p2, p3, zp), (q1, q2, q3, zq) = h.dp, h.dq
     return HomologyClass(p1 * q3 - q1 * p3, p2 * q3 - q2 * p3,
-                         p1 * q4 - q1 * p4, p2 * q4 - q2 * p4)
+                         p1 * zq - q1 * zp - p1 * q1 * (q2 - p2) // 2,
+                         p2 * zq - q2 * zp - p2 * q2 * (q1 - p1) // 2)
 
 
 def plucker_holds(A: HomologyClass) -> bool:

@@ -67,9 +67,7 @@ class Record:
     A subclass's __init__ checks and coerces its arguments, then stores
     them with self.__dict__.update.  Equality and hashing are by the field
     values, and equality also by exact type, so no record equals a tuple or
-    a record of another type.  The repr is Name(field=value, ...).  A
-    functools.cached_property may store more in __dict__; equality, hashing
-    and the repr read only the fields.
+    a record of another type.  The repr is Name(field=value, ...).
     """
 
     fields: tuple[str, ...] = ()
@@ -119,7 +117,7 @@ def sl2z_entries(M: Sl2zMatrix) -> tuple[int, int, int, int]:
         (a, b), (c, d) = M
     except (TypeError, ValueError):
         raise ValueError(f"expected a 2x2 matrix, got {M!r}") from None
-    if not all(type(e) is int for e in (a, b, c, d)):
+    if not type(a) is type(b) is type(c) is type(d) is int:
         raise ValueError(f"matrix entries must be ints, got {M!r}")
     if a * d - b * c != 1:
         raise ValueError(f"matrix must have determinant 1, got {M!r}")
@@ -160,8 +158,9 @@ class H3Class(Record):
         return (self.e134, self.e234, self.e124)
 
     def scale(self, r: Rat) -> "H3Class":
-        r = _frac(r)
-        return H3Class(r * self.e134, r * self.e234, r * self.e124)
+        rn, rd = _frac(r).as_integer_ratio()
+        return H3Class(*(Fraction(rn * v.numerator, rd * v.denominator)
+                         for v in self.coords()))
 
 
 H3_ZERO = H3Class(0, 0, 0)
@@ -183,4 +182,7 @@ def h3_pushforward(M: Sl2zMatrix, C: H3Class) -> H3Class:
         raise ValueError("pushforward is only defined for classes with zero "
                          "E124 component")
     a, b, c, d = sl2z_entries(M)
-    return H3Class(a * C.e134 + b * C.e234, c * C.e134 + d * C.e234, 0)
+    (n1, d1), (n2, d2) = C.e134.as_integer_ratio(), C.e234.as_integer_ratio()
+    u, v, den = n1 * d2, n2 * d1, d1 * d2  # over the common denominator
+    return H3Class(Fraction(a * u + b * v, den),
+                   Fraction(c * u + d * v, den), 0)

@@ -18,8 +18,10 @@ live here:
   written on it.
 * `hom_from_lie` is the one converter from Lie columns to a `HomDerivs`:
   it stores exp_oracle of each column and leaves the lattice check to the
-  `HomDerivs` constructor.  `lie_columns` reads the columns back through
-  `HomDerivs.lie`.
+  `HomDerivs` constructor.  `lie` undoes the half-integer closure of the
+  stored columns with Fractions, the reference for `homs.homology_class`
+  and the `moduli` columns, which stay in integers; `lie_columns` wraps
+  its columns as `LieAlgElem`s.
 * `from_rows` builds a `HomDerivs` from four Lie rows (dp h_i, dq h_i).
 * `sl2z_act` reparametrises a homomorphism by right multiplication with an
   SL(2,Z) matrix, and `fully_reduce` moves any homomorphism of an orbit with
@@ -33,8 +35,8 @@ live here:
   which sieves divisor sums without building a form.
 * `twistor_apply` is the full 4x4 action of a solved torus's twistor
   structure; the library applies it only to vectors with no n1 or n2 part.
-* `solve_torus_fractions` solves the torus geometry through `HomDerivs.lie`
-  and Fractions; it is the bitwise reference for
+* `solve_torus_fractions` solves the torus geometry through `lie` and
+  Fractions; it is the bitwise reference for
   `geometry.solve_torus_data`, which forms every float from integers.
 * `log_coordinates` writes the torus logarithm as exact affine
   coefficients in (p, q), for the curve-point tests and the residual rows.
@@ -269,9 +271,16 @@ def hom_from_lie(dp: LieAlgElem, dq: LieAlgElem) -> HomDerivs:
     return HomDerivs(closed(dp), closed(dq))
 
 
+def lie(h: HomDerivs) -> Tuple[Tuple[Rat, ...], Tuple[Rat, ...]]:
+    """Lie coordinates (h1, h2, h3, z - h1 h2 / 2) of the columns dp and dq
+    of h, each fourth entry a Fraction."""
+    return tuple((h1, h2, h3, Fraction(2 * z - h1 * h2, 2))
+                 for h1, h2, h3, z in (h.dp, h.dq))
+
+
 def lie_columns(h: HomDerivs) -> Tuple[LieAlgElem, LieAlgElem]:
-    """The Lie columns (dp, dq) of h, from `HomDerivs.lie`."""
-    dp, dq = h.lie
+    """The Lie columns (dp, dq) of h, from `lie`."""
+    dp, dq = lie(h)
     return LieAlgElem(*dp), LieAlgElem(*dq)
 
 
@@ -491,6 +500,13 @@ def random_fraction(rng: random.Random, span: int = 40, den: int = 8) -> Fractio
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
+def in_lowest_terms(v: object) -> bool:
+    """Whether v is a plain Fraction with a positive denominator coprime to
+    its numerator, as Fraction arithmetic leaves every result."""
+    return (type(v) is Fraction and v.denominator > 0
+            and math.gcd(v.numerator, v.denominator) == 1)
+
+
 def random_lie(rng: random.Random, span: int = 40, den: int = 8) -> LieAlgElem:
     return LieAlgElem(*(random_fraction(rng, span, den) for _ in range(4)))
 
@@ -613,7 +629,7 @@ def solve_torus_fractions(h: HomDerivs) -> TorusSolution:
         raise ValueError("dq h1 must be nonzero")
     # h is reduced, so dp is its own Lie column.
     _, _, c, dd = h.dp
-    _, (a, b, dq3, dq4) = h.lie
+    _, (a, b, dq3, dq4) = lie(h)
     try:
         norm_a = math.sqrt(float(a * a + b * b))
         norm_z = math.sqrt(float(c * c + dd * dd))
@@ -640,7 +656,7 @@ def log_coordinates(h: HomDerivs,
     (dp h1 = dp h2 = 0), so w1 and w2 have no p term, and [h, C] is
     -q dq h1 c0_n2 n4.
     """
-    (_, _, p3, p4), (a, b, q3, q4) = h.lie
+    (_, _, p3, p4), (a, b, q3, q4) = lie(h)
     return (
         (0, 0, a),
         (c0_n2, 0, b),

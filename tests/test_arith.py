@@ -15,6 +15,8 @@ from ktgw.arith import (
     sigma,
     sublattice_counts,
 )
+from ktgw.gwcount import gw_enumerated
+from ktgw.nilalg import HomologyClass
 from oracles import aut_weight_sum_labels, hnf_matrices
 
 
@@ -205,6 +207,7 @@ class TestWeightSum:
 
         monkeypatch.setattr(arith, "sigma", refuse)
         monkeypatch.setattr(arith, "aut_weight_sum_closed", refuse)
+        arith._weight_terms.cache_clear()
         assert aut_weight_sum(720, 1080) == aut_weight_sum_labels(720, 1080)
 
     def test_identity_sweep(self):
@@ -226,6 +229,37 @@ class TestWeightSum:
             aut_weight_sum(0, 3)
         with pytest.raises(ValueError):
             aut_weight_sum_closed(0, 3)
+
+
+class TestWeightSumCache:
+    """`aut_weight_sum` caches what depends on gcd(m, n) alone, in a
+    bounded cache that no refused class fills."""
+
+    def test_cold_and_warm_match_labels(self):
+        for m in [v for v in range(-30, 31) if v]:
+            for n in range(-30, 31):
+                expected = aut_weight_sum_labels(m, n)
+                arith._weight_terms.cache_clear()
+                assert aut_weight_sum(m, n) == expected
+                assert arith._weight_terms.cache_info().currsize == 1
+                assert aut_weight_sum(m, n) == expected
+                assert arith._weight_terms.cache_info().hits == 1
+
+    def test_cache_is_bounded(self):
+        maxsize = arith._weight_terms.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 256
+        arith._weight_terms.cache_clear()
+        for g in range(1, 2 * maxsize + 2):
+            assert aut_weight_sum(g, 0) == aut_weight_sum_closed(g, 0)
+        assert arith._weight_terms.cache_info().currsize == maxsize
+
+    def test_enumeration_refusal_leaves_cache_empty(self):
+        # 963761198400 has 6720 divisors: 45158400 pairs, over the budget.
+        g = 963761198400
+        arith._weight_terms.cache_clear()
+        with pytest.raises(ValueError, match="enumeration budget"):
+            gw_enumerated(HomologyClass(g, g, 0, 0))
+        assert arith._weight_terms.cache_info().currsize == 0
 
 
 class TestCesaro:

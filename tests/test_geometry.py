@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ktgw.arith import divisors
 from ktgw.geometry import (
     CR_GRID,
+    TorusSolution,
     cr_residual,
     eval_class_integrate,
     solve_torus_data,
@@ -30,6 +33,7 @@ from oracles import (
     exp_oracle,
     from_rows,
     group_mul_oracle,
+    in_lowest_terms,
     lie_columns,
     lie_comb,
     log_coordinates,
@@ -378,3 +382,16 @@ class TestEvalClass:
                 dq = (dq[0], dq[1] + 1, *dq[2:])
             bent = bent.replace(h=HomDerivs(dp, dq))
             assert eval_class_integrate(bent) == eval_class_pullback(bent)
+
+    @given(st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=6,
+                    max_size=6))
+    def test_matches_fraction_arithmetic(self, entries):
+        # The class reads only dp h3, dp h4, dq h1 and dq h2 of a reduced h.
+        c, e, a, b, q3, z = entries
+        assume(c != 0 or e != 0)
+        s = TorusSolution(HomDerivs((0, 0, c, e), (a, b, q3, z)), 0.0, 1.0,
+                          1.0, 0.0, Fraction(0))
+        scale = Fraction(-(c ** 2 + e ** 2), math.gcd(c, e))
+        got = eval_class_integrate(s)
+        assert got.coords() == (scale * a, scale * b, 0)
+        assert all(map(in_lowest_terms, got.coords()))

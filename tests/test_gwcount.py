@@ -29,6 +29,7 @@ from oracles import (
     LieAlgElem,
     from_rows,
     hom_from_lie,
+    in_lowest_terms,
     random_plucker_class,
     random_word,
     smith_diagonal,
@@ -194,6 +195,20 @@ class TestClosedForm:
             A = random_plucker_class(rng)
             gw = gw_closed_form(A).gw
             assert all(v.denominator == 1 for v in gw.coords())
+
+    @given(p=st.integers(-2 ** 200, 2 ** 200), k=st.integers(1, 720),
+           s=st.integers(-60, 60), t=st.integers(-60, 60))
+    def test_matches_fraction_arithmetic(self, p, k, s, t):
+        # [s p, s q, t p, t q] meets the Plücker relation; q = p + k keeps
+        # gcd(p, q) a divisor of k, so gcd(m, n) factors at once.
+        q = p + k
+        A = HomologyClass(s * p, s * q, t * p, t * q)
+        r = gw_closed_form(A)
+        assume(r.m != 0)
+        g = math.gcd(r.m, r.n)
+        coeff = Fraction((r.m ** 2 + r.n ** 2) * sigma(2, g), g ** 3)
+        assert r.gw.coords() == (coeff * A.a13, coeff * A.a23, 0)
+        assert all(map(in_lowest_terms, r.gw.coords()))
 
 
 class TestEnumerated:

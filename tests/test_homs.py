@@ -1,5 +1,7 @@
+import enum
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from oracles import (
     exp_oracle,
     from_rows,
     fully_reduce,
+    lie,
     lie_columns,
     random_plucker_class,
     random_sl2z,
@@ -54,23 +57,30 @@ class TestValidate:
     def test_half_integer_fourth_row_allowed(self):
         h = rows((0, -1), (0, -1), (2, 1), (0, Fraction(3, 2)))
         assert h.dq == (-1, -1, 1, 2)
-        assert h.lie[1] == (-1, -1, 1, Fraction(3, 2))
+        assert lie(h)[1] == (-1, -1, 1, Fraction(3, 2))
 
-    def test_lie_is_cached_per_record(self):
+    def test_lie_oracle_reads_each_record(self):
         h = REDUCED_110
-        assert h.lie is h.lie
         # replace builds a fresh record, so its Lie columns are its own.
         moved = h.replace(dq=(-1, -1, 1, 2))
-        assert moved.lie == (h.lie[0], (-1, -1, 1, Fraction(3, 2)))
-        assert h.lie[1] == (-1, -1, 0, Fraction(1, 2))
+        assert lie(moved) == (lie(h)[0], (-1, -1, 1, Fraction(3, 2)))
+        assert lie(h)[1] == (-1, -1, 0, Fraction(1, 2))
+        assert "lie" not in vars(h) and not hasattr(h, "lie")
 
     def test_constructor_refuses_non_int_entries_and_shapes(self):
+        # Only exact ints in exact 4-tuples pass: no int subclass, tuple
+        # subclass, column of another length, or non-sequence.
+        One = enum.IntEnum("One", {"ONE": 1})
+        Col = namedtuple("Col", "h1 h2 h3 z")
         good = (0, 0, 1, 0)
         for bad in [(0, 0, Fraction(1), 0), (0, 0, 1.0, 0), (0, 0, True, 0),
-                    (0, 0, 1), (0, 0, 1, 0, 0), [0, 0, 1, 0]]:
-            for dp, dq in [(bad, good), (good, bad)]:
-                with pytest.raises(ValueError, match=NOT_LATTICE):
+                    (0, 0, 1), (0, 0, 1, 0, 0), [0, 0, 1, 0],
+                    (0, 0, One.ONE, 0), (False, 0, 1, 0), (0, 0, 1, "0"),
+                    (0, 0, 1, None), Col(0, 0, 1, 0), (), None, 7, "0010"]:
+            for dp, dq in [(bad, good), (good, bad), (bad, bad)]:
+                with pytest.raises(ValueError, match=f"^{NOT_LATTICE}$"):
                     HomDerivs(dp, dq)
+        assert HomDerivs(good, good).dp == good
 
     def test_constructor_refuses_non_commuting_columns(self):
         with pytest.raises(ValueError, match=NOT_LATTICE):
@@ -119,6 +129,57 @@ class TestHomologyClass:
                 moved = sl2z_act(entry.hom, random_sl2z(rng))
                 A = homology_class(moved)
                 assert all(isinstance(v, int) for v in A.coords())
+
+
+def lie_minors(h):
+    """The 2x2 minors of the Lie derivative matrix of h, in Fractions; the
+    HomologyClass constructor refuses an entry that is not an integer."""
+    (p1, p2, p3, p4), (q1, q2, q3, q4) = lie(h)
+    return HomologyClass(p1 * q3 - q1 * p3, p2 * q3 - q2 * p3,
+                         p1 * q4 - q1 * p4, p2 * q4 - q2 * p4)
+
+
+class TestHomologyClassExact:
+    """`homology_class` reads the minors off the closed integer columns; the
+    Lie columns of the `lie` oracle are the Fraction reference."""
+
+    def test_every_component_up_to_14(self):
+        for m in range(-14, 15):
+            if m == 0:
+                continue
+            for n in range(-14, 15):
+                for entry in moduli_components(m, n):
+                    A = homology_class(entry.hom)
+                    assert A == lie_minors(entry.hom)
+                    assert A == HomologyClass(m, m, -n, -n)
+
+    @given(u=st.integers(-2 ** 40, 2 ** 40), v=st.integers(-2 ** 40, 2 ** 40),
+           s=st.integers(-2 ** 40, 2 ** 40), t=st.integers(-2 ** 40, 2 ** 40),
+           rest=st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=4,
+                         max_size=4))
+    def test_random_lattice_maps(self, u, v, s, t, rest):
+        # Top blocks proportional to (u, v) commute; odd u, v, s, t make the
+        # products h1 h2 and p1 q1 odd.
+        p3, p4, q3, q4 = rest
+        h = HomDerivs((s * u, s * v, p3, p4), (t * u, t * v, q3, q4))
+        A = homology_class(h)
+        assert A == lie_minors(h)
+        assert all(type(x) is int for x in A.coords())
+
+    def test_odd_products_and_unreduced_maps(self):
+        rng = random.Random(25)
+        odd = 0
+        for _ in range(500):
+            u, v = rng.randrange(-31, 32, 2), rng.randrange(-31, 32, 2)
+            s, t = rng.randrange(-31, 32, 2), rng.randrange(-9, 10)
+            h = HomDerivs((s * u, s * v, rng.randint(-99, 99),
+                           rng.randint(-99, 99)),
+                          (t * u, t * v, rng.randint(-99, 99),
+                           rng.randint(-99, 99)))
+            odd += (h.dp[0] * h.dq[0]) % 2
+            assert not h.is_reduced()
+            assert homology_class(h) == lie_minors(h)
+        assert odd > 100
 
 
 class TestPlucker:
@@ -242,7 +303,7 @@ class TestEnumerate:
         for m, n in [(4, 0), (2, 2), (6, 4), (-6, 6)]:
             seen = set()
             for entry in moduli_components(m, n):
-                _, dq = entry.hom.lie
+                _, dq = lie(entry.hom)
                 key = (entry.d, dq[2], dq[3] % entry.d)
                 assert key not in seen
                 seen.add(key)
@@ -250,7 +311,7 @@ class TestEnumerate:
     def test_integrality_closure(self):
         for m, n in [(4, 2), (5, 5), (-3, 6)]:
             for entry in moduli_components(m, n):
-                _, (a, b, _, h4) = entry.hom.lie
+                _, (a, b, _, h4) = lie(entry.hom)
                 assert h4 + Fraction(a * b, 2) == entry.hom.dq[3]
                 assert type(entry.hom.dq[3]) is int
 

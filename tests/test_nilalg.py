@@ -1,4 +1,6 @@
+import enum
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,11 @@ from ktgw.homs import HomDerivs
 from ktgw.nilalg import (
     H3Class,
     HomologyClass,
+    _frac,
+    _int,
     h2_pushforward,
     h3_pushforward,
+    sl2z_entries,
 )
 from oracles import (
     GENERATORS,
@@ -25,6 +30,7 @@ from oracles import (
     from_rows,
     group_mul_oracle,
     hom_from_lie,
+    in_lowest_terms,
     invert_word,
     lie_columns,
     lie_comb,
@@ -39,6 +45,10 @@ from oracles import (
 )
 
 fractions_st = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+# Fractions and ints with numerators and denominators up to 200 bits.
+big_int_st = st.integers(-2 ** 200, 2 ** 200)
+big_rat_st = st.one_of(big_int_st, st.builds(Fraction, big_int_st,
+                                             st.integers(1, 2 ** 200)))
 lie_st = st.builds(LieAlgElem, fractions_st, fractions_st, fractions_st,
                    fractions_st)
 group_st = st.builds(GroupElem, fractions_st, fractions_st, fractions_st,
@@ -354,6 +364,90 @@ class TestH3Pushforward:
             assert out.e134 == mat[0][0] * e134 + mat[0][1] * e234
             assert out.e234 == mat[1][0] * e134 + mat[1][1] * e234
 
+    @given(st.lists(token_st, max_size=12), big_rat_st, big_rat_st)
+    def test_matches_fraction_arithmetic(self, word, e134, e234):
+        (a, b), (c, d) = mat = word_matrix(word)
+        e134, e234 = Fraction(e134), Fraction(e234)
+        out = h3_pushforward(mat, H3Class(e134, e234, 0))
+        assert out.coords() == (a * e134 + b * e234, c * e134 + d * e234, 0)
+        assert all(map(in_lowest_terms, out.coords()))
+
+
+class TestH3Scale:
+    @given(big_rat_st, big_rat_st, big_rat_st, big_rat_st)
+    def test_matches_fraction_arithmetic(self, r, e134, e234, e124):
+        out = H3Class(e134, e234, e124).scale(r)
+        r = Fraction(r)
+        assert out.coords() == (r * e134, r * e234, r * e124)
+        assert all(map(in_lowest_terms, out.coords()))
+
+    def test_refuses_non_rationals(self):
+        with pytest.raises(TypeError, match="^expected int or Fraction, "
+                                            "got float$"):
+            H3Class(1, 2, 3).scale(0.5)
+
+
+class One(enum.IntEnum):
+    ONE = 1
+
+
+class TestSl2zEntries:
+    """The one check of a lattice automorphism, with its exact messages."""
+
+    def test_accepts_sl2z(self):
+        assert sl2z_entries(((2, 1), (-7, -3))) == (2, 1, -7, -3)
+
+    @pytest.mark.parametrize("M", [
+        ((1, 0), (0, True)), ((True, 0), (0, 1)), ((One.ONE, 0), (0, 1)),
+        ((1, 0), (0, One.ONE)), ((1, Fraction(0)), (0, 1)),
+        ((1, 0), (0, Fraction(1))), ((1.0, 0), (0, 1)), ((1, 0), (0, 1.0)),
+        (([1], 0), (0, 1)), ((1, 0), (0, [1])), (("1", 0), (0, 1)),
+        ((1, None), (0, 1)),
+    ])
+    def test_refuses_non_int_entries(self, M):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"matrix entries must be ints, got {M!r}") + "$"):
+            sl2z_entries(M)
+
+    @pytest.mark.parametrize("M", [
+        ((1, 0),), ((1, 0, 0), (0, 1)), ((1, 0), (0, 1), (0, 0)),
+        (1, 0, 0, 1), ((1,), (0, 1)), 5, None, "ab",
+    ])
+    def test_refuses_wrong_shapes(self, M):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"expected a 2x2 matrix, got {M!r}") + "$"):
+            sl2z_entries(M)
+
+    @pytest.mark.parametrize("M", [((1, 0), (0, -1)), ((2, 0), (0, 1)),
+                                   ((0, 0), (0, 0))])
+    def test_refuses_other_determinants(self, M):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"matrix must have determinant 1, got {M!r}") + "$"):
+            sl2z_entries(M)
+
+
+class TestCoercions:
+    """`_int` and `_frac`, the coercions of the homology records."""
+
+    def test_int(self):
+        assert type(_int(Fraction(4, 2))) is int and _int(Fraction(4, 2)) == 2
+        assert _int(One.ONE) is One.ONE and _int(True) is True
+        for bad in [Fraction(1, 2), 1.0, "1", None]:
+            with pytest.raises(TypeError, match="^" + re.escape(
+                    f"expected an integer, got {bad!r}") + "$"):
+                _int(bad)
+
+    def test_frac(self):
+        half = Fraction(1, 2)
+        assert _frac(half) is half
+        for value in [3, True, One.ONE]:
+            out = _frac(value)
+            assert type(out) is Fraction and out == value
+        for bad in [0.5, "1", None, [1]]:
+            with pytest.raises(TypeError, match="^expected int or Fraction, "
+                               f"got {type(bad).__name__}$"):
+                _frac(bad)
+
 
 class TestRunLetters:
     """A word of generator letters reaches the library as its SL(2, Z) matrix.
@@ -493,9 +587,8 @@ class TestRecord:
         with pytest.raises(TypeError):
             HomologyClass(1, 2, 3, 4).replace(a12=0)
 
-    def test_cached_lie_does_not_affect_equality(self):
+    def test_equality_reads_only_the_fields(self):
         a, b = _hom(), _hom()
-        assert a.lie[1] == (-1, -1, 0, Fraction(1, 2))
-        assert "lie" in vars(a) and "lie" not in vars(b)
+        vars(a)["extra"] = 1
         assert a == b and b == a and hash(a) == hash(b)
         assert repr(a) == repr(b)
