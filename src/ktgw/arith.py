@@ -37,13 +37,27 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(p for p, is_prime in enumerate(sieve) if is_prime)
 
 
-# Trial division covers every prime below this bound.
+# Trial division covers every prime below this bound; one gcd with their
+# product finds which of them divide n.
 _TRIAL_LIMIT = 1000
 _SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 # Miller-Rabin with these bases is exact below _MR_LIMIT (Sorenson and
 # Webster 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
+# (bound, k): the first k bases are exact below bound, the least strong
+# pseudoprime to all k of them (Jaeschke 1993; Sorenson and Webster 2015).
+_MR_TIERS = (
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
 # A composite cofactor is split by trial division up to this bound only; one
 # with no prime factor below it is refused, so a scan tries at most 5 * 10^6
 # odd candidates.
@@ -54,13 +68,20 @@ def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n with no prime factor below _TRIAL_LIMIT.
 
     A witness proves n composite at any size; a prime verdict is proven only
-    below _MR_LIMIT, so above it a would-be prime is refused.
+    below _MR_LIMIT, so above it a would-be prime is refused.  Only as many
+    bases run as _MR_TIERS needs for the size of n; all of them from the last
+    tier bound on.
     """
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for bound, k in _MR_TIERS:
+        if n < bound:
+            break
+    else:
+        k = len(_MR_BASES)
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -80,20 +101,28 @@ def _is_prime(n: int) -> bool:
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs.
 
-    Trial division by the primes below _TRIAL_LIMIT, then Miller-Rabin on
-    what is left.  A composite cofactor is split by trial division on from
-    _TRIAL_LIMIT up to _SPLIT_LIMIT.  Raises ValueError when a cofactor is a
-    probable prime above _MR_LIMIT, or a composite with no prime factor up
-    to _SPLIT_LIMIT.  Cached, so that the closed form, the budget check and
-    the weight sum of one class split its gcd once.
+    Trial division by the primes below _TRIAL_LIMIT that one gcd with their
+    product finds to divide n, then Miller-Rabin on what is left.  A
+    composite cofactor is split by trial division on from _TRIAL_LIMIT up to
+    _SPLIT_LIMIT.  Raises ValueError when a cofactor is a probable prime
+    above _MR_LIMIT, or a composite with no prime factor up to _SPLIT_LIMIT.
+    Cached, so that the closed form, the budget check and the weight sum of
+    one class split its gcd once.
     """
     fact: dict[int, int] = {}
+    # common is the product of the small primes not yet divided out.  Past
+    # it none is left; past the square root of n, n is 1 or a prime.
+    common = math.gcd(n, _SMALL_PRODUCT)
+    stop = min(common, math.isqrt(n))
     for p in _SMALL_PRIMES:
-        if p * p > n:
+        if p > stop:
             break
-        while n % p == 0:
-            fact[p] = fact.get(p, 0) + 1
-            n //= p
+        if common % p == 0:
+            while n % p == 0:
+                fact[p] = fact.get(p, 0) + 1
+                n //= p
+            common //= p
+            stop = min(common, math.isqrt(n))
     # From here on n has no prime factor below d.
     d = _TRIAL_LIMIT + 1
     while n > 1:

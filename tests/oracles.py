@@ -33,6 +33,12 @@ live here:
 * `hnf_matrices` enumerates the Hermite forms of the index-ell sublattices
   of Z^2; their number is the reference for `arith.sublattice_counts`,
   which sieves divisor sums without building a form.
+* `is_prime_all_bases` runs all 13 Miller-Rabin bases at every size
+  through `strong_probable_prime`, and `factorize_trial` tries each prime
+  below 1000 in turn until its square passes the cofactor; they are the
+  references for `arith._is_prime`, which runs only the bases the size of
+  n needs, and `arith._factorize`, which finds the small primes dividing n
+  by one gcd.
 * `twistor_apply` is the full 4x4 action of a solved torus's twistor
   structure; the library applies it only to vectors with no n1 or n2 part.
 * `solve_torus_fractions` solves the torus geometry through `lie` and
@@ -54,7 +60,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from ktgw.arith import divisors
+from ktgw.arith import (
+    _MR_BASES,
+    _MR_LIMIT,
+    _SMALL_PRIMES,
+    _SPLIT_LIMIT,
+    _TRIAL_LIMIT,
+    divisors,
+)
 from ktgw.geometry import TorusSolution
 from ktgw.homs import HomDerivs, _xgcd, homology_class
 from ktgw.nilalg import (
@@ -375,6 +388,76 @@ def hnf_matrices(ell: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
         q = ell // d
         for b in range(d):
             yield ((d, b), (0, q))
+
+
+# ---------------------------------------------------------------------------
+# Factoring with every Miller-Rabin base and every small prime
+# ---------------------------------------------------------------------------
+
+
+def strong_probable_prime(n: int, bases: Sequence[int]) -> bool:
+    """True when no base in bases is a Miller-Rabin witness for odd n."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def is_prime_all_bases(n: int) -> bool:
+    """Deterministic Miller-Rabin with all 13 bases at every size.
+
+    A witness proves n composite at any size; a prime verdict is proven only
+    below _MR_LIMIT, so above it a would-be prime is refused.
+    """
+    if not strong_probable_prime(n, _MR_BASES):
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot prove {n} prime: it exceeds the "
+                         f"deterministic Miller-Rabin bound {_MR_LIMIT}")
+    return True
+
+
+def factorize_trial(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as (prime, exponent) pairs.
+
+    Tries each prime below _TRIAL_LIMIT in turn until its square passes what
+    is left of n, then splits the cofactor as `arith._factorize` does, with
+    `is_prime_all_bases` and the same refusals.
+    """
+    fact: Dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            fact[p] = fact.get(p, 0) + 1
+            n //= p
+    # From here on n has no prime factor below d.
+    d = _TRIAL_LIMIT + 1
+    while n > 1:
+        if n < d * d or is_prime_all_bases(n):
+            fact[n] = fact.get(n, 0) + 1
+            break
+        for d in range(d, _SPLIT_LIMIT + 1, 2):
+            if n % d == 0:
+                break
+        else:
+            raise ValueError(f"cannot split {n}: it is composite with no "
+                             f"prime factor up to {_SPLIT_LIMIT}")
+        while n % d == 0:
+            fact[d] = fact.get(d, 0) + 1
+            n //= d
+    return tuple(fact.items())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ from ktgw.arith import (
 )
 from ktgw.gwcount import gw_enumerated
 from ktgw.nilalg import HomologyClass
-from oracles import aut_weight_sum_labels, hnf_matrices
+from oracles import (
+    aut_weight_sum_labels,
+    factorize_trial,
+    hnf_matrices,
+    is_prime_all_bases,
+    strong_probable_prime,
+)
 
 
 def brute_divisors(limit):
@@ -122,6 +128,129 @@ class TestFactoring:
         with pytest.raises(ValueError, match=str(100000007 * 100000037)):
             sigma(2, 100000007 * 100000037)
         assert time.perf_counter() - start < 1.0
+
+
+def verdict(f, n):
+    """f(n), or the message of the ValueError that f raises for n."""
+    try:
+        return f(n)
+    except ValueError as exc:
+        return str(exc)
+
+
+def no_small_factor(rng, lo, hi):
+    """An odd n in [lo, hi) with no prime factor below the trial limit."""
+    while True:
+        n = rng.randrange(lo, hi) | 1
+        if math.gcd(n, arith._SMALL_PRODUCT) == 1 and lo <= n < hi:
+            return n
+
+
+TIER_BOUNDS = [bound for bound, _ in arith._MR_TIERS]
+
+
+class TestMillerRabinBySize:
+    @pytest.mark.parametrize("bound, k", arith._MR_TIERS)
+    def test_tier_bound_is_composite(self, bound, k):
+        # Each bound is a strong pseudoprime to the first k bases, so it must
+        # fall in the next tier, which runs more of them.
+        assert strong_probable_prime(bound, arith._MR_BASES[:k])
+        assert is_prime_all_bases(bound) is False
+        assert arith._is_prime(bound) is False
+
+    @pytest.mark.parametrize("bound", TIER_BOUNDS + [arith._MR_LIMIT])
+    def test_largest_prime_below_bound(self, bound):
+        p = bound - 2
+        while not is_prime_all_bases(p):
+            p -= 2
+        assert arith._is_prime(p) is True
+
+    @pytest.mark.parametrize("n", [
+        # Squares of the Wieferich primes: strong pseudoprimes to base 2.
+        1093 ** 2, 3511 ** 2,
+        # Primes past the Miller-Rabin bound are refused.
+        2 ** 89 - 1, 2 ** 107 - 1,
+    ])
+    def test_pseudoprimes_and_refusals(self, n):
+        assert verdict(arith._is_prime, n) == verdict(is_prime_all_bases, n)
+
+    @pytest.mark.parametrize("lo, hi", list(zip(
+        [1009] + TIER_BOUNDS, TIER_BOUNDS + [10 ** 26])))
+    def test_matches_all_bases_in_each_tier(self, lo, hi):
+        # The last range straddles _MR_LIMIT, so it also samples refusals.
+        rng = random.Random(lo)
+        primes = 0
+        for _ in range(300):
+            n = no_small_factor(rng, lo, hi)
+            expected = verdict(is_prime_all_bases, n)
+            assert verdict(arith._is_prime, n) == expected, n
+            primes += expected is True
+        assert primes > 0
+
+
+class TestTrialDivisionByGcd:
+    def test_matches_trial_loop_below_2e5(self):
+        factorize = arith._factorize.__wrapped__
+        for n in range(1, 2 * 10 ** 5):
+            assert factorize(n) == factorize_trial(n), n
+
+    def test_matches_trial_loop_on_smooth_times_prime(self):
+        # The closed-route shape: a smooth part up to 1000 times one prime
+        # between 10^6 and 10^12.
+        rng = random.Random(24)
+        factorize = arith._factorize.__wrapped__
+        for _ in range(400):
+            smooth = 1
+            for _ in range(rng.randint(0, 4)):
+                p = rng.choice(arith._SMALL_PRIMES)
+                if smooth * p <= 1000:
+                    smooth *= p
+            big = rng.randrange(10 ** 6, 10 ** 12) | 1
+            while not is_prime_all_bases(big):
+                big += 2
+            g = smooth * big
+            assert factorize(g) == factorize_trial(g), g
+
+    @pytest.mark.parametrize("p", [983, 991, 997, 1009, 1013])
+    def test_matches_trial_loop_on_prime_powers(self, p):
+        factorize = arith._factorize.__wrapped__
+        for e in range(1, 9):
+            for n in (p ** e, 2 * p ** e, 2 ** 40 * p ** e, 997 * p ** e,
+                      p ** e * 1009):
+                assert factorize(n) == factorize_trial(n), n
+
+    @pytest.mark.parametrize("n, visited", [
+        (10 ** 12 + 39, 1),        # no small prime divides n: stop at 2
+        (2 * 3 * 1000003, 3),      # 2 and 3 divide n: stop at 5
+        (997, 12),                 # stop at 37, the first prime past sqrt(n)
+        (2 ** 40 * 997, 12),       # past sqrt(997) once 2^40 is divided out
+        (991 * 997, 168),          # every small prime
+    ])
+    def test_scan_stops_past_gcd_or_square_root(self, monkeypatch, n,
+                                                visited):
+        seen = []
+
+        class Visits:
+            def __iter__(self):
+                for p in arith._primes_below(arith._TRIAL_LIMIT):
+                    seen.append(p)
+                    yield p
+
+        monkeypatch.setattr(arith, "_SMALL_PRIMES", Visits())
+        assert arith._factorize.__wrapped__(n) == factorize_trial(n)
+        assert len(seen) == visited
+
+    @pytest.mark.parametrize("n", [
+        2 ** 89 - 1,
+        1000003 * (2 ** 89 - 1),
+        6 * 997 ** 3 * (2 ** 89 - 1),
+        100000007 * 100000037,
+    ])
+    def test_same_refusal(self, n):
+        factorize = arith._factorize.__wrapped__
+        message = verdict(factorize_trial, n)
+        assert isinstance(message, str)
+        assert verdict(factorize, n) == message
 
 
 class TestSublatticeCount:
