@@ -22,6 +22,8 @@ __all__ = [
     "sublattice_counts",
     "aut_weight_sum",
     "aut_weight_sum_closed",
+    "aut_weight_total",
+    "aut_weight_total_closed",
     "CesaroCheck",
     "cesaro_check",
 ]
@@ -215,36 +217,47 @@ def _weight_terms(g: int) -> tuple[tuple[int, int], ...]:
                  for f, gw in weights)
 
 
-def aut_weight_sum(m: int, n: int) -> Fraction:
-    """Total reciprocal automorphism weight of the genus-one components.
+def aut_weight_total(m: int, n: int) -> int:
+    """g times the total reciprocal automorphism weight of the genus-one
+    components, g = gcd(m, n): an integer, since every order divides g.
 
     Evaluates, exactly,
 
-        sum over d | gcd(m, n), k = 1..d, l = 1..|m|/d of
-            1 / gcd(gcd(m, n), (m k + n l) / d)
+        g * sum over d | g, k = 1..d, l = 1..|m|/d of
+            1 / gcd(g, (m k + n l) / d)
 
     with the conventions gcd(x, 0) = |x| and gcd of absolute values.  The
     summand is the reciprocal of the automorphism order of the torus
     component labelled (d, k, l) in the class with invariants (m, n).
 
-    With g = gcd(m, n), 1 / gcd(g, v) is the sum of w(f) over f | gcd(g, v),
-    and the labels of d with f | (m k + n l) / d number exactly
-    C(d, f) = |m| gcd(f, g/d) / f, since k and l each run over whole
-    periods of the congruence.  So the sum costs sigma_0(g)^2 pairs (f, d),
-    not |m| sigma_0(g) labels.
+    1 / gcd(g, v) is the sum of w(f) over f | gcd(g, v), and the labels of
+    d with f | (m k + n l) / d number exactly C(d, f) = |m| gcd(f, g/d) / f,
+    since k and l each run over whole periods of the congruence.  So the sum
+    costs sigma_0(g)^2 pairs (f, d), not |m| sigma_0(g) labels.
     """
     if m == 0:
         raise ValueError("m must be nonzero")
-    g, span = math.gcd(m, n), abs(m)
-    return Fraction(sum(c * (span // f) for f, c in _weight_terms(g)), g)
+    span = abs(m)
+    return sum(c * (span // f) for f, c in _weight_terms(math.gcd(m, n)))
+
+
+def aut_weight_total_closed(m: int, n: int) -> int:
+    """Closed form |m| / g * sigma_2(g) of aut_weight_total, g = gcd(m, n)."""
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    g = math.gcd(m, n)
+    return abs(m) // g * sigma(2, g)
+
+
+def aut_weight_sum(m: int, n: int) -> Fraction:
+    """Total reciprocal automorphism weight of the genus-one components:
+    aut_weight_total(m, n) / gcd(m, n), by Moebius pairs."""
+    return Fraction(aut_weight_total(m, n), math.gcd(m, n))
 
 
 def aut_weight_sum_closed(m: int, n: int) -> Fraction:
     """Closed form |m| * sigma_2(gcd(m, n)) / gcd(m, n)^2 of aut_weight_sum."""
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    g = math.gcd(m, n)
-    return Fraction(abs(m) * sigma(2, g), g * g)
+    return Fraction(aut_weight_total_closed(m, n), math.gcd(m, n))
 
 
 CesaroCheck = namedtuple("CesaroCheck", ("lhs", "rhs", "equal"))
@@ -259,8 +272,7 @@ def cesaro_check(f: Callable[[int], int], n: int) -> CesaroCheck:
     if n < 1:
         raise ValueError(f"cesaro_check requires n >= 1, got {n}")
     divs = divisors(n)
-    lhs = 0
-    for d in divs:
-        lhs += sum(f(math.gcd(i, d)) for i in range(1, d + 1))
+    lhs = sum(sum(map(f, map(math.gcd, range(1, d + 1), repeat(d))))
+              for d in divs)
     rhs = sum(f(n // d) * d for d in divs)
     return CesaroCheck(lhs, rhs, lhs == rhs)

@@ -10,6 +10,8 @@ from ktgw.arith import (
     _moebius_weights,
     aut_weight_sum,
     aut_weight_sum_closed,
+    aut_weight_total,
+    aut_weight_total_closed,
     cesaro_check,
     divisors,
     sigma,
@@ -160,9 +162,13 @@ class TestMillerRabinBySize:
 
     @pytest.mark.parametrize("bound", TIER_BOUNDS + [arith._MR_LIMIT])
     def test_largest_prime_below_bound(self, bound):
-        p = bound - 2
-        while not is_prime_all_bases(p):
-            p -= 2
+        # From the largest odd number below the bound, search at most 1000
+        # odd numbers (the widest gap here takes 84), so that no bound,
+        # even or far from a prime, can make the search hang.
+        start = bound - 1 if bound % 2 == 0 else bound - 2
+        p = next((p for p in range(start, start - 2000, -2)
+                  if is_prime_all_bases(p)), None)
+        assert p is not None, f"no prime among 1000 odd numbers below {bound}"
         assert arith._is_prime(p) is True
 
     @pytest.mark.parametrize("n", [
@@ -360,6 +366,29 @@ class TestWeightSum:
             aut_weight_sum_closed(0, 3)
 
 
+class TestWeightTotal:
+    """The integer totals g times each side of the weight-sum identity."""
+
+    def test_matches_label_loop(self):
+        for m in [v for v in range(-30, 31) if v]:
+            for n in range(-30, 31):
+                g = math.gcd(m, n)
+                assert (aut_weight_total(m, n)
+                        == g * aut_weight_sum_labels(m, n))
+
+    def test_closed_matches_fraction(self):
+        for m in [v for v in range(-40, 41) if v]:
+            for n in range(-40, 41):
+                total = aut_weight_total_closed(m, n)
+                assert type(total) is int
+                assert total == math.gcd(m, n) * aut_weight_sum_closed(m, n)
+
+    def test_rejects_zero_m(self):
+        for total in (aut_weight_total, aut_weight_total_closed):
+            with pytest.raises(ValueError, match="m must be nonzero"):
+                total(0, 3)
+
+
 class TestWeightSumCache:
     """`aut_weight_sum` caches what depends on gcd(m, n) alone, in a
     bounded cache that no refused class fills."""
@@ -402,6 +431,18 @@ class TestCesaro:
         for f in funcs:
             for n in range(1, 401):
                 assert cesaro_check(f, n).equal
+
+    def test_matches_nested_loop(self):
+        def nested(f, n):
+            divs = divisors(n)
+            lhs = sum(f(math.gcd(i, d)) for d in divs for i in range(1, d + 1))
+            rhs = sum(f(n // d) * d for d in divs)
+            return (lhs, rhs, lhs == rhs)
+
+        funcs = (lambda v: 1, lambda v: v, lambda v: v * v, lambda v: v % 3)
+        for f in funcs:
+            for n in range(1, 61):
+                assert cesaro_check(f, n) == nested(f, n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

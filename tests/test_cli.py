@@ -436,6 +436,15 @@ class TestModuliCommand:
                 assert err == ("error: the Cauchy-Riemann defect of this "
                                "torus passes the largest float\n")
 
+    def test_budget_at_literal_edge(self, capsys):
+        # README documents 10^4 components: |m| sigma_0(gcd(m, 1)) = |m|.
+        code, out, err = run(capsys, "moduli", "10000", "1")
+        assert (code, err) == (0, "")
+        assert "(10000 components)" in out
+        code, out, err = run(capsys, "moduli", "10001", "1")
+        assert (code, out) == (2, "")
+        assert "moduli budget of 10000" in err
+
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "moduli", "2", "2", "--format", "csv")
         assert code == 0
@@ -463,10 +472,10 @@ class TestVerifyCommand:
         assert "geometry/eval-cycle" in out
 
     def test_failed_identity_exit_1(self, capsys, monkeypatch):
-        real_weight = cli.aut_weight_sum_closed
+        real_weight = cli.aut_weight_total_closed
         real_counts = cli.sublattice_counts
         monkeypatch.setattr(
-            cli, "aut_weight_sum_closed",
+            cli, "aut_weight_total_closed",
             lambda m, n: real_weight(m, n) + ((m, n) in ((2, 1), (3, 3))))
         monkeypatch.setattr(cli, "sublattice_counts",
                             lambda lmax: [c + (ell == 2) for ell, c
@@ -477,6 +486,42 @@ class TestVerifyCommand:
                        "identities/hnf-sigma1: 3 checks, 1 failures [FAIL]\n"
                        "identities/cesaro: 9 checks, 0 failures [ok]\n")
         assert err == "first counterexample: weight sum mismatch at m=2 n=1\n"
+
+    def test_component_weight_defect_exit_1(self, capsys, monkeypatch):
+        # List the first component twice in place of the first one with
+        # another |Aut|: the count holds and every listed |Aut| matches its
+        # Smith index, so only the sum of the listed weights sees it.
+        real = cli.moduli_components
+
+        def doubled(m, n):
+            comps = real(m, n)
+            for i, comp in enumerate(comps):
+                if comp.aut_size != comps[0].aut_size:
+                    comps[i] = comps[0]
+                    break
+            return comps
+
+        monkeypatch.setattr(cli, "moduli_components", doubled)
+        code, out, err = run(capsys, "verify", "oracle", "--max", "6")
+        assert code == 1
+        assert out == (
+            "oracle/closed-vs-enumerated: 156 checks, 62 failures [FAIL]\n"
+            "oracle/aut-formula-vs-smith: 894 checks, 0 failures [ok]\n"
+            "oracle/component-count: 156 checks, 0 failures [ok]\n")
+        assert err == ("first counterexample: component weight sum "
+                       "mismatch at m=-6 n=-6\n")
+
+    def test_invariant_mismatch_reported_before_weights(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(
+            cli, "gw_closed_form",
+            lambda A: GWResult(0, 0, H3Class(A.a13, 0, 0), "closed"))
+        code, out, err = run(capsys, "verify", "oracle", "--max", "1")
+        assert code == 1
+        assert out.startswith(
+            "oracle/closed-vs-enumerated: 6 checks, 6 failures [FAIL]\n")
+        assert err == ("first counterexample: invariant mismatch at "
+                       "m=-1 n=-1\n")
 
     def test_sieve_catches_factoring_defect(self, capsys):
         # With every exponent read as 1, sigma(1, 4) = 3; the sieve, which
@@ -531,6 +576,18 @@ class TestVerifyCommand:
         assert out == ""
         assert f"limit of {IDENTITIES_MAX}" in err
 
+    def test_identities_limit_at_literal_edge(self, capsys, monkeypatch):
+        # README documents --max 400; the sweep is stubbed, as only the
+        # gate is under test.
+        seen = []
+        monkeypatch.setitem(cli._SUITES, "identities",
+                            lambda max_n: seen.append(max_n) or [])
+        assert run(capsys, "verify", "identities", "--max", "400") == \
+            (0, "", "")
+        code, out, err = run(capsys, "verify", "identities", "--max", "401")
+        assert (code, out, seen) == (2, "", [400])
+        assert "limit of 400" in err
+
     def test_format_flag_rejected(self, capsys):
         # verify prints text only, so it takes no --format.
         with pytest.raises(SystemExit) as exc:
@@ -569,6 +626,15 @@ class TestBaselineCommand:
     def test_bad_lmax(self, capsys):
         code, _, _ = run(capsys, "baseline", "0")
         assert code == 2
+
+    def test_limit_at_literal_edge(self, capsys):
+        # README documents LMAX up to 5000.
+        code, out, err = run(capsys, "baseline", "5000", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.count(",true") == 5000
+        code, out, err = run(capsys, "baseline", "5001")
+        assert (code, out) == (2, "")
+        assert "baseline limit of 5000" in err
 
     def test_over_limit_exit_2(self, capsys):
         code, out, err = run(capsys, "baseline", str(BASELINE_LMAX + 1),
