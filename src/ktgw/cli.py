@@ -15,6 +15,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import re
 import sys
 from collections.abc import Callable, Iterator, Sequence
@@ -78,13 +79,18 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 # Each command builds one leaf tuple per record, in the order of its column
 # tuple, and prints them as text itself or as CSV or JSON by its _Output.
 # The JSON document comes from two %-templates that json.dumps(shape,
-# indent=2) builds at import from the schema-v1 shape: one list item, at its
-# indent, where a rational column has the holes col.num and col.den; and one
-# envelope, whose list is the single hole items and whose other holes name
-# the command's arguments.  The lists are never empty, and every filled value
-# is a decimal integer, a float or a fixed word, so no hole needs escaping.
+# indent=2) builds at import from the schema-v1 shape, with holes named by
+# the columns, where a rational column has the holes col.num and col.den.
+# One is a list item, at its indent, whose named holes then become
+# positional %s in template order; each row is filled from a flat tuple of
+# its leaves by one itemgetter built at import, so no row builds a dict.
+# The other is the envelope, whose list is the single hole items and whose
+# other holes name the command's arguments.  The lists are never empty, and
+# every filled value is a decimal integer, a float or a fixed word, so no
+# hole needs escaping.
 
 _hole = "%({})s".format
+_NAMED_HOLE = re.compile(r"%\(([\w.]+)\)s")
 # The repr of each non-finite float, as json.dumps spells it.
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -103,7 +109,11 @@ def _unquote(text: str, *names: str) -> str:
 class _Output:
     """A command's CSV columns, JSON templates and printer.  item is the
     item shape, or an _Output whose columns and item this one shares.  An
-    item column whose hole is an approx value is a float; bare ones bare."""
+    item column whose hole is an approx value is a float; bare ones bare.
+
+    A row's flat leaves are its columns, then the numerator and denominator
+    of each rational column, then the JSON word of each float column; holes
+    names the leaf of each positional hole of item, and pick picks them."""
 
     def __init__(self, command: str, fields: dict[str, object],
                  columns: Sequence[str], item: dict[str, object] | _Output,
@@ -112,29 +122,38 @@ class _Output:
             vars(self).update(vars(item))
         else:
             text = json.dumps(item, indent=2)
+            floats = [col for col in columns
+                      if f'"value": "{_hole(col)}"' in text]
+            fracs = [col for col in columns if _hole(col + ".num") in text]
+            # A float column's hole takes its JSON word, the later leaf of
+            # that name.
+            leaves = {leaf: i for i, leaf in enumerate(
+                [*columns, *(col + part for col in fracs
+                             for part in (".num", ".den")), *floats])}
+            text = _unquote(text, *bare, *floats)
             self.columns = columns
-            self.floats = [col for col in columns
-                           if f'"value": "{_hole(col)}"' in text]
-            self.fracs = [(col, col + ".num", col + ".den")
-                          for col in columns if _hole(col + ".num") in text]
-            self.item = _unquote(text, *bare, *self.floats).replace(
-                "\n", "\n    ")
+            self.fracs = [columns.index(col) for col in fracs]
+            self.floats = [columns.index(col) for col in floats]
+            self.holes = [m[1] for m in _NAMED_HOLE.finditer(text)]
+            self.pick = operator.itemgetter(*map(leaves.__getitem__,
+                                                 self.holes))
+            self.item = _NAMED_HOLE.sub("%s", text).replace("\n", "\n    ")
         self.envelope = _unquote(json.dumps(
             {"schema_version": SCHEMA_VERSION, "command": command, **fields},
             indent=2), "items", "agrees")
 
     def fill(self, rows: list[tuple]) -> list[str]:
-        """The JSON list items of rows, each filled from a plain dict."""
+        """The JSON list items of rows, each filled from its flat leaves."""
         filled = []
         for row in rows:
-            leaves = dict(zip(self.columns, row))
-            for col, num, den in self.fracs:
-                v = leaves[col]
-                leaves[num], leaves[den] = v.numerator, v.denominator
-            for col in self.floats:
-                text = repr(leaves[col])
-                leaves[col] = _FLOAT_WORDS.get(text, text)
-            filled.append(self.item % leaves)
+            leaves = list(row)
+            for i in self.fracs:
+                v = row[i]
+                leaves += v.numerator, v.denominator
+            for i in self.floats:
+                text = repr(row[i])
+                leaves.append(_FLOAT_WORDS.get(text, text))
+            filled.append(self.item % self.pick(leaves))
         return filled
 
     def print(self, fmt: str, rows: list[tuple], **holes: object) -> None:
@@ -196,6 +215,12 @@ def _check_printable(results: list[GWResult]) -> None:
                          f"interpreter's limit for printing an integer")
 
 
+def _agree(closed: GWResult, enumerated: GWResult) -> bool:
+    """Whether the two routes found the same (m, n) and invariant."""
+    return ((closed.m, closed.n, closed.gw)
+            == (enumerated.m, enumerated.n, enumerated.gw))
+
+
 def _cmd_gw(args: argparse.Namespace) -> int:
     A = HomologyClass(args.a13, args.a23, args.a14, args.a24)
     results: list[GWResult] = []
@@ -204,8 +229,7 @@ def _cmd_gw(args: argparse.Namespace) -> int:
     if args.method in ("enumerate", "both"):
         results.append(gw_enumerated(A))
     _check_printable(results)
-    flag = ("" if len(results) == 1
-            else str(results[0].gw == results[1].gw).lower())
+    flag = "" if len(results) == 1 else str(_agree(*results)).lower()
     rows = [(*A.coords(), r.method, r.m, r.n, *r.gw.coords(), flag)
             for r in results]
     if args.format == "text":
@@ -320,7 +344,7 @@ def _verify_oracle(max_n: int) -> list[_Sweep]:
     for m, n in _sweep_classes(max_n):
         A = HomologyClass(m, m, n, n)
         comps = moduli_components(m, n)
-        if gw_closed_form(A).gw != gw_enumerated(A).gw:
+        if not _agree(gw_closed_form(A), gw_enumerated(A)):
             gw.check(False, "invariant mismatch at m={} n={}", m, n)
         else:
             # The listed components' weights g / |Aut| add up to g times the

@@ -12,7 +12,14 @@ with weight 1 / |Aut|, and the weighted total collapses to the closed form
 
     (m^2 + n^2) sigma_2(gcd(m, n)) / gcd(m, n)^3 (a13 E134 + a23 E234).
 
-Both routes are implemented and cross-checked exactly.
+Both routes are implemented and cross-checked exactly, on (m, n) as well as
+on the invariant.  The closed route reads (m, n) from the class itself and
+evaluates the divisor sum; the enumerated route finds (m, n) with the
+normalizing matrix of `homs.normalize_class`, sums the component weights
+over divisor pairs and pushes the total back along that matrix.  Neither
+builds a Fraction inside its formula: each keeps its exact values as
+integers, the enumerated route reading the numerator and denominator of
+its evaluation class, and builds one Fraction per coefficient it returns.
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import aut_weight_sum, divisors, sigma
-from .homs import HomDerivs, normalize_class
-from .nilalg import H3_ZERO, H3Class, HomologyClass, Record, h3_pushforward
+from .arith import aut_weight_total, divisors, sigma
+from .homs import HomDerivs, normalize_class, require_plucker
+from .nilalg import H3_ZERO, H3Class, HomologyClass, Record
 
 __all__ = [
     "ModuliComponent",
@@ -195,47 +202,55 @@ class GWResult(Record):
 def gw_closed_form(A: HomologyClass) -> GWResult:
     """Closed-form invariant (m^2+n^2) sigma_2(g)/g^3 (a13 E134 + a23 E234).
 
-    Here m, n are the gcds of the coordinate pairs and g = gcd(m, n).
-    Classes with m = 0 (including A = 0) have obstructed moduli and count
-    zero.
+    Here m, n are the invariants of A's diagonal shape and g = gcd(m, n),
+    read without the normalizing matrix: the Plücker relation makes
+    (a14, a24) proportional to (a13, a23), so m = gcd(a13, a23) and
+    n = m a14 / a13, or m a24 / a23 when a13 = 0.  Classes with m = 0
+    (including A = 0) have n = gcd(a14, a24) and obstructed moduli, and
+    count zero.
     """
-    _, norm = normalize_class(A)
-    m, n = norm.a13, norm.a14
+    require_plucker(A)
+    m = math.gcd(A.a13, A.a23)
     if m == 0:
-        gw = H3_ZERO
-    else:
-        g = math.gcd(m, n)
-        num, den = (m * m + n * n) * sigma(2, g), g ** 3
-        gw = H3Class(Fraction(num * A.a13, den),
-                     Fraction(num * A.a23, den), 0)
+        return GWResult(0, math.gcd(A.a14, A.a24), H3_ZERO, "closed")
+    n = m * A.a14 // A.a13 if A.a13 else m * A.a24 // A.a23
+    g = math.gcd(m, n)
+    num, den = (m * m + n * n) * sigma(2, g), g ** 3
+    gw = H3Class(Fraction(num * A.a13, den), Fraction(num * A.a23, den), 0)
     return GWResult(m, n, gw, "closed")
 
 
 def gw_enumerated(A: HomologyClass) -> GWResult:
     """Invariant as the weighted sum of evaluation classes over components.
 
-    Moves A to diagonal shape [m, m, n, n], scales the evaluation class all
-    components carry by `aut_weight_sum`, the exact sum of 1 / |Aut| over
-    the component labels taken as sigma_0(g)^2 divisor pairs of
-    g = gcd(m, n), and pushes the total back along the inverse of the
-    normalizing matrix, its adjugate.  Refuses g with more than
+    Moves A to diagonal shape [m, m, n, n] by the matrix M of
+    `normalize_class`.  Every component carries the evaluation class
+    sgn(m) (m^2 + n^2) / g (E134 + E234) of `component_eval_class`,
+    g = gcd(m, n), and the weights 1 / |Aut| add up to
+    `aut_weight_total(m, n)` / g, summed over sigma_0(g)^2 divisor pairs of
+    g.  The weighted total, t (E134 + E234) with t the product of the two,
+    is kept as an integer numerator and denominator and pushed back along
+    the inverse of M, its adjugate ((d, -b), (-c, a)), to the one returned
+    class ((d - b) t, (a - c) t, 0).  Refuses g with more than
     ENUMERATION_GCD_BITS bits, and more than ENUMERATION_BUDGET pairs,
     before summing any.  Must agree exactly with `gw_closed_form`.
     """
     M, norm = normalize_class(A)
     m, n = norm.a13, norm.a14
     if m == 0:
-        gw = H3_ZERO
-    else:
-        g = math.gcd(m, n)
-        if g.bit_length() > ENUMERATION_GCD_BITS:
-            raise ValueError(f"gcd(m, n) has {g.bit_length()} bits, over the "
-                             f"enumeration limit of {ENUMERATION_GCD_BITS}")
-        pairs = sigma(0, g) ** 2
-        if pairs > ENUMERATION_BUDGET:
-            raise ValueError(f"{pairs} divisor pairs exceed the enumeration "
-                             f"budget of {ENUMERATION_BUDGET}")
-        total = component_eval_class(m, n).scale(aut_weight_sum(m, n))
-        (a, b), (c, d) = M
-        gw = h3_pushforward(((d, -b), (-c, a)), total)
+        return GWResult(m, n, H3_ZERO, "enumerated")
+    g = math.gcd(m, n)
+    if g.bit_length() > ENUMERATION_GCD_BITS:
+        raise ValueError(f"gcd(m, n) has {g.bit_length()} bits, over the "
+                         f"enumeration limit of {ENUMERATION_GCD_BITS}")
+    pairs = sigma(0, g) ** 2
+    if pairs > ENUMERATION_BUDGET:
+        raise ValueError(f"{pairs} divisor pairs exceed the enumeration "
+                         f"budget of {ENUMERATION_BUDGET}")
+    coeff = component_eval_class(m, n).e134
+    num = coeff.numerator * aut_weight_total(m, n)
+    den = coeff.denominator * g
+    (a, b), (c, d) = M
+    gw = H3Class(Fraction((d - b) * num, den), Fraction((a - c) * num, den),
+                 0)
     return GWResult(m, n, gw, "enumerated")

@@ -20,7 +20,10 @@ The moduli component labels, and the one fully reduced homomorphism of
 each, live in `gwcount`.  `fully_reduce`, which reduces any homomorphism of
 an orbit, lives in `tests/oracles.py` as the reference for those.
 `normalize_class` moves a class to diagonal shape with one SL(2,Z) matrix
-from extended Euclid.
+from extended Euclid; the enumerated route pushes its total back along that
+matrix.  The closed route reads the diagonal shape without the matrix, and
+of this module uses only `require_plucker`, the refusal of a class that
+carries no torus.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "HomDerivs",
     "homology_class",
     "plucker_holds",
+    "require_plucker",
     "normalize_class",
 ]
 
@@ -78,6 +82,12 @@ def plucker_holds(A: HomologyClass) -> bool:
     return A.a13 * A.a24 == A.a14 * A.a23
 
 
+def require_plucker(A: HomologyClass) -> None:
+    """Refuse with ValueError a class that violates `plucker_holds`."""
+    if not plucker_holds(A):
+        raise ValueError("class not representable by tori (Plücker)")
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with a s + b t = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -105,8 +115,7 @@ def normalize_class(A: HomologyClass) -> tuple[Sl2zMatrix, HomologyClass]:
     identity a13 a24 = a14 a23 makes the other pair proportional to (u, v),
     so M moves it to the diagonal too; classes violating it are rejected.
     """
-    if not plucker_holds(A):
-        raise ValueError("class not representable by tori (Plücker)")
+    require_plucker(A)
     u, v = (A.a13, A.a23) if (A.a13, A.a23) != (0, 0) else (A.a14, A.a24)
     g, s, t = _xgcd(u, v)
     M = ((s, t), (s - v // g, t + u // g)) if g else IDENTITY_2X2

@@ -29,7 +29,13 @@ A lattice automorphism acts on both coefficient vectors through one matrix
 matrix is written in the basis (n1, n2) = (d/dy, d/dx) of those pairs, so an
 automorphism that moves the (x, y) plane by M acts here by J M J, with J the
 swap ((0, 1), (1, 0)).  `sl2z_entries` is the one check that such a matrix
-is well formed.
+is well formed.  `h2_pushforward` moves a degree-two class.  The one
+degree-three class the library moves, `gwcount.gw_enumerated`'s weighted
+total, is moved in integers inside that function, and its class-by-class
+reference `h3_pushforward` lives in `tests/oracles.py`.
+
+Each coefficient of an `H3Class` is a Fraction; a zero one is the one
+shared Fraction(0), so a class with a zero E124 builds no Fraction for it.
 
 `Record` is the immutable value base of the package's six records, here and
 in `homs`, `geometry` and `gwcount`.
@@ -49,15 +55,18 @@ __all__ = [
     "Sl2zMatrix",
     "sl2z_entries",
     "h2_pushforward",
-    "h3_pushforward",
 ]
+
+
+# The one Fraction that a zero coefficient becomes.
+_ZERO = Fraction(0)
 
 
 def _frac(value: Rat) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(value) if value else _ZERO
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -157,11 +166,6 @@ class H3Class(Record):
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.e134, self.e234, self.e124)
 
-    def scale(self, r: Rat) -> "H3Class":
-        rn, rd = _frac(r).as_integer_ratio()
-        return H3Class(*(Fraction(rn * v.numerator, rd * v.denominator)
-                         for v in self.coords()))
-
 
 H3_ZERO = H3Class(0, 0, 0)
 
@@ -174,15 +178,3 @@ def h2_pushforward(M: Sl2zMatrix, A: HomologyClass) -> HomologyClass:
     a, b, c, d = sl2z_entries(M)
     return HomologyClass(a * A.a13 + b * A.a23, c * A.a13 + d * A.a23,
                          a * A.a14 + b * A.a24, c * A.a14 + d * A.a24)
-
-
-def h3_pushforward(M: Sl2zMatrix, C: H3Class) -> H3Class:
-    """Push a degree-three class with no E124 part along a lattice automorphism."""
-    if C.e124 != 0:
-        raise ValueError("pushforward is only defined for classes with zero "
-                         "E124 component")
-    a, b, c, d = sl2z_entries(M)
-    (n1, d1), (n2, d2) = C.e134.as_integer_ratio(), C.e234.as_integer_ratio()
-    u, v, den = n1 * d2, n2 * d1, d1 * d2  # over the common denominator
-    return H3Class(Fraction(a * u + b * v, den),
-                   Fraction(c * u + d * v, den), 0)

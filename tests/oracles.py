@@ -23,6 +23,12 @@ live here:
   and the `moduli` columns, which stay in integers; `lie_columns` wraps
   its columns as `LieAlgElem`s.
 * `from_rows` builds a `HomDerivs` from four Lie rows (dp h_i, dq h_i).
+* `h3_scale` and `h3_pushforward` scale a degree-three class and push it
+  along a lattice automorphism, one `H3Class` per step; chained as
+  `h3_pushforward(adjugate(M), h3_scale(component_eval_class(m, n),
+  aut_weight_sum(m, n)))` they are the reference for
+  `gwcount.gw_enumerated`, which keeps the weighted total in integers up
+  to its one returned class.
 * `sl2z_act` reparametrises a homomorphism by right multiplication with an
   SL(2,Z) matrix, and `fully_reduce` moves any homomorphism of an orbit with
   nonzero first invariant to its fully reduced representative; they are
@@ -262,6 +268,25 @@ def adjugate(M: Mat2) -> Mat2:
     """Inverse of a determinant-one 2x2 matrix."""
     (a, b), (c, d) = M
     return ((d, -b), (-c, a))
+
+
+def h3_scale(C: H3Class, r: Rat) -> H3Class:
+    """The degree-three class r C, one Fraction per coordinate."""
+    rn, rd = _frac(r).as_integer_ratio()
+    return H3Class(*(Fraction(rn * v.numerator, rd * v.denominator)
+                     for v in C.coords()))
+
+
+def h3_pushforward(M: Sl2zMatrix, C: H3Class) -> H3Class:
+    """Push a degree-three class with no E124 part along a lattice automorphism."""
+    if C.e124 != 0:
+        raise ValueError("pushforward is only defined for classes with zero "
+                         "E124 component")
+    a, b, c, d = sl2z_entries(M)
+    (n1, d1), (n2, d2) = C.e134.as_integer_ratio(), C.e234.as_integer_ratio()
+    u, v, den = n1 * d2, n2 * d1, d1 * d2  # over the common denominator
+    return H3Class(Fraction(a * u + b * v, den),
+                   Fraction(c * u + d * v, den), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from ktgw.gwcount import (
     moduli_components,
 )
 from ktgw.homs import homology_class
-from ktgw.nilalg import H3_ZERO, HomologyClass, h2_pushforward, h3_pushforward
+from ktgw.nilalg import H3_ZERO, HomologyClass, h2_pushforward
 from oracles import (
     aut_apply,
     group_mul_oracle,
+    h3_pushforward,
     random_group,
     random_lattice_group,
     random_plucker_class,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktgw import arith, cli
+from ktgw import arith, cli, gwcount
 from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
 from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
@@ -32,6 +32,14 @@ def run(capsys, *argv):
 
 def frac_of(obj):
     return Fraction(int(obj["num"]), int(obj["den"]))
+
+
+def flip_normalized_n(normalize_class):
+    """normalize_class with the sign of the n it returns flipped."""
+    def flipped(A):
+        M, out = normalize_class(A)
+        return M, HomologyClass(out.a13, out.a23, -out.a14, -out.a24)
+    return flipped
 
 
 class TestGwCommand:
@@ -145,6 +153,67 @@ class TestGwCommand:
                            "--method", "closed")
         assert code == 0
         assert out
+
+    def test_enumeration_gcd_bits_at_literal_edge(self, capsys):
+        # README documents 1024 bits.  3^646 has exactly 1024 and 647
+        # divisors, so its class answers with sigma_2(3^646); 2 * 3^646 has
+        # 1025 and is refused before anything is printed.
+        g = 3 ** 646
+        assert (g.bit_length(), (2 * g).bit_length()) == (1024, 1025)
+        code, out, err = run(capsys, "gw", str(g), str(g), "0", "0",
+                             "--method", "enumerate")
+        sigma2 = (3 ** 1294 - 1) // 8
+        assert (code, err) == (0, "")
+        assert out.endswith(f"enumerated: e134={sigma2} e234={sigma2} "
+                            f"e124=0\n")
+        code, out, err = run(capsys, "gw", str(2 * g), str(2 * g), "0", "0",
+                             "--method", "enumerate")
+        assert (code, out) == (2, "")
+        assert err == ("error: gcd(m, n) has 1025 bits, over the enumeration "
+                       "limit of 1024\n")
+
+    def test_split_refusal_names_literal_limit(self, capsys):
+        # README documents the 10^7 split limit; the refusal names it.
+        g = 10000019 * 10000079
+        code, out, err = run(capsys, "gw", str(g), str(g), "0", "0",
+                             "--method", "closed")
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot split {g}: it is composite with no "
+                       f"prime factor up to 10000000\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_normalization_sign_defect_exit_1(self, capsys, monkeypatch,
+                                              fmt):
+        # The invariant reads n only through n^2, so a wrong sign of n on
+        # the enumerated route shows only in the (m, n) the routes compare.
+        monkeypatch.setattr(gwcount, "normalize_class",
+                            flip_normalized_n(gwcount.normalize_class))
+        code, out, err = run(capsys, "gw", "-6", "4", "9", "-6",
+                             "--method", "both", "--format", fmt)
+        assert code == 1
+        assert out
+        assert err == "error: closed and enumerated invariants disagree\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("method, made", [("both", 5), ("closed", 2)])
+    def test_fractions_per_op(self, capsys, monkeypatch, fmt, method, made):
+        # Each route builds a Fraction only for a coefficient it returns,
+        # and the enumerated route reads one from its evaluation class.
+        counts = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            counts[-1] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        for A in [(-6, 4, 9, -6), (0, 5, 0, -15), (1200, 0, 600, 0),
+                  (2 ** 70, 2 ** 71, 3, 6)]:
+            counts.append(0)
+            code, _, _ = run(capsys, "gw", *map(str, A), "--method", method,
+                             "--format", fmt)
+            assert code == 0
+        assert counts == [made] * 4
 
     def test_enumeration_answers_large_gcd(self, capsys):
         # 2^61 - 1 is prime (4 divisor pairs) and 10^9 has 100^2 pairs,
@@ -295,14 +364,21 @@ def ref_gw_payload(A, method):
                                         *r.gw.coords(), ""))
                            for r in results]}
     if method == "both":
-        payload["agrees"] = results[0].gw == results[1].gw
+        payload["agrees"] = ((results[0].m, results[0].n, results[0].gw)
+                             == (results[1].m, results[1].n, results[1].gw))
     return payload
 
 
 class TestJsonTemplates:
     @pytest.mark.parametrize("command", sorted(_HOLES))
     def test_holes_name_columns(self, command):
+        # An item's holes are positional: naming each by the leaf it is
+        # filled from must give one hole per leaf name, each a column leaf.
         template, names = _HOLES[command]
+        if not command.endswith("envelope"):
+            items = _TEMPLATES[command][0]
+            assert "%(" not in template
+            template = template % tuple(f"%({leaf})s" for leaf in items.holes)
         hole = re.compile(r"%\((\w+)(\.num|\.den)?\)s")
         assert {m[1] for m in hole.finditer(template)} <= names
         assert "%" not in hole.sub("", template)
@@ -522,6 +598,17 @@ class TestVerifyCommand:
             "oracle/closed-vs-enumerated: 6 checks, 6 failures [FAIL]\n")
         assert err == ("first counterexample: invariant mismatch at "
                        "m=-1 n=-1\n")
+
+    def test_normalization_sign_defect_exit_1(self, capsys, monkeypatch):
+        # n = 0 keeps its sign, so the six classes with n = 0 pass.
+        monkeypatch.setattr(gwcount, "normalize_class",
+                            flip_normalized_n(gwcount.normalize_class))
+        code, out, err = run(capsys, "verify", "oracle", "--max", "3")
+        assert code == 1
+        assert out.startswith(
+            "oracle/closed-vs-enumerated: 42 checks, 36 failures [FAIL]\n")
+        assert err == ("first counterexample: invariant mismatch at "
+                       "m=-3 n=-3\n")
 
     def test_sieve_catches_factoring_defect(self, capsys):
         # With every exponent read as 1, sigma(1, 4) = 3; the sieve, which

@@ -17,17 +17,14 @@ from ktgw.gwcount import (
     moduli_component,
     moduli_components,
 )
-from ktgw.homs import HomDerivs
-from ktgw.nilalg import (
-    H3_ZERO,
-    H3Class,
-    HomologyClass,
-    h2_pushforward,
-    h3_pushforward,
-)
+from ktgw.homs import HomDerivs, normalize_class
+from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass, h2_pushforward
 from oracles import (
     LieAlgElem,
+    adjugate,
     from_rows,
+    h3_pushforward,
+    h3_scale,
     hom_from_lie,
     in_lowest_terms,
     random_plucker_class,
@@ -269,6 +266,95 @@ class TestEnumerated:
         monkeypatch.setattr(gwcount, "sigma", refuse)
         with pytest.raises(ValueError, match="enumeration limit of 3"):
             gw_enumerated(HomologyClass(8, 8, 0, 0))
+
+
+def large_class(rng, bits=70):
+    """[s p, s q, t p, t q] with coprime p, q of up to `bits` bits, whose
+    g = gcd(s, t) is a product of primes below 20 times a small cofactor."""
+    p, q = rng.getrandbits(bits) - 2 ** (bits - 1), rng.getrandbits(bits)
+    g = math.gcd(p, q) or 1
+    g0 = math.prod(rng.choice((2, 3, 5, 7, 11, 13, 17, 19))
+                   for _ in range(rng.randint(0, 8)))
+    s = g0 * rng.choice((-1, 1)) * rng.randint(1, 1000)
+    t = g0 * rng.randint(-1000, 1000)
+    return HomologyClass(s * p // g, s * q // g, t * p // g, t * q // g)
+
+
+def invariants_examples(rng):
+    """Plücker classes with entries up to 10^12: random ones, ones with
+    a13 = 0, ones with m = 0, the zero class, and the CI step's class for
+    each branch."""
+    span = 10 ** 6
+    for _ in range(400):
+        p, q, s, t = (rng.randint(-span, span) for _ in range(4))
+        yield HomologyClass(s * p, s * q, t * p, t * q)
+        yield HomologyClass(0, s * q, 0, t * q)
+        yield HomologyClass(0, 0, t * p, t * q)
+    for A in [(0, 0, 0, 0), (0, 0, 6, -4), (0, 5, 0, -15), (-6, 4, 9, -6),
+              (0, -7, 0, 0), (10 ** 12, 0, -10 ** 12, 0)]:
+        yield HomologyClass(*A)
+
+
+class TestClosedInvariants:
+    """The closed route reads (m, n) from the class itself; the matrix of
+    `normalize_class` is the reference."""
+
+    def test_matches_normalize_class(self):
+        rng = random.Random(46)
+        seen = {"random": 0, "a13 = 0": 0, "m = 0": 0}
+        for A in invariants_examples(rng):
+            _, norm = normalize_class(A)
+            result = gw_closed_form(A)
+            assert (result.m, result.n) == (norm.a13, norm.a14), A
+            if (A.a13, A.a23) == (0, 0):
+                seen["m = 0"] += 1
+            else:
+                seen["a13 = 0" if A.a13 == 0 else "random"] += 1
+        assert min(seen.values()) >= 300
+
+    def test_plucker_refusal_first(self, monkeypatch):
+        def refuse(k, n):
+            raise AssertionError("a refused class must not be factored")
+
+        monkeypatch.setattr(gwcount, "sigma", refuse)
+        for A in [(1, 0, 0, 1), (2, 4, 1, 3), (0, 1, 1, 0)]:
+            with pytest.raises(ValueError, match=r"^class not representable "
+                                                 r"by tori \(Plücker\)$"):
+                gw_closed_form(HomologyClass(*A))
+
+
+def oracle_chain(A):
+    """`gw_enumerated`'s invariant as the chain of one class per step:
+    the evaluation class scaled by the weight sum, pushed along the adjugate
+    of the normalizing matrix."""
+    M, norm = normalize_class(A)
+    m, n = norm.a13, norm.a14
+    if m == 0:
+        return H3_ZERO
+    total = h3_scale(component_eval_class(m, n), aut_weight_sum(m, n))
+    return h3_pushforward(adjugate(M), total)
+
+
+class TestEnumeratedOracleChain:
+    def test_small_classes(self):
+        rng = random.Random(47)
+        for m in range(-30, 31):
+            for n in range(-30, 31):
+                M = word_matrix(random_word(rng))
+                A = h2_pushforward(M, HomologyClass(m, m, n, n))
+                result = gw_enumerated(A)
+                assert result.gw == oracle_chain(A), (m, n, A)
+                assert all(map(in_lowest_terms, result.gw.coords()))
+
+    def test_random_large_classes(self):
+        rng = random.Random(48)
+        for _ in range(300):
+            A = large_class(rng)
+            result = gw_enumerated(A)
+            _, norm = normalize_class(A)
+            assert (result.m, result.n) == (norm.a13, norm.a14)
+            assert result.gw == oracle_chain(A), A
+            assert all(map(in_lowest_terms, result.gw.coords()))
 
 
 class TestEquivariance:
