@@ -10,14 +10,12 @@ num/den string pairs; floating geometry fields carry an "approx" marker.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
-import json
 import math
 import operator
 import re
 import sys
+import types
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
@@ -79,18 +77,19 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 # Each command builds one leaf tuple per record, in the order of its column
 # tuple, and prints them as text itself or as CSV or JSON by its _Output.
 # The JSON document comes from two %-templates that json.dumps(shape,
-# indent=2) builds at import from the schema-v1 shape, with holes named by
-# the columns, where a rational column has the holes col.num and col.den.
-# One is a list item, at its indent, whose named holes then become
-# positional %s in template order; each row is filled from a flat tuple of
-# its leaves by one itemgetter built at import, so no row builds a dict.
+# indent=2) builds from the schema-v1 shape at the first JSON output, with
+# holes named by the columns, where a rational column has the holes col.num
+# and col.den.  One is a list item, at its indent, whose named holes then
+# become positional %s in template order; each row is filled from a flat
+# tuple of its leaves by one itemgetter built with it, so no row builds a
+# dict.
 # The other is the envelope, whose list is the single hole items and whose
 # other holes name the command's arguments.  The lists are never empty, and
 # every filled value is a decimal integer, a float or a fixed word, so no
 # hole needs escaping.
 
 _hole = "%({})s".format
-_NAMED_HOLE = re.compile(r"%\(([\w.]+)\)s")
+_NAMED_HOLE = r"%\(([\w.]+)\)s"
 # The repr of each non-finite float, as json.dumps spells it.
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -111,54 +110,74 @@ class _Output:
     item shape, or an _Output whose columns and item this one shares.  An
     item column whose hole is an approx value is a float; bare ones bare.
 
-    A row's flat leaves are its columns, then the numerator and denominator
-    of each rational column, then the JSON word of each float column; holes
-    names the leaf of each positional hole of item, and pick picks them."""
+    The JSON templates are built the first time they are read, so a text
+    or CSV command never imports json.  A row's flat leaves are its
+    columns, then the numerator and denominator of each rational column,
+    then the JSON word of each float column; holes names the leaf of each
+    positional hole of item."""
 
     def __init__(self, command: str, fields: dict[str, object],
                  columns: Sequence[str], item: dict[str, object] | _Output,
                  *bare: str) -> None:
-        if isinstance(item, _Output):
-            vars(self).update(vars(item))
-        else:
-            text = json.dumps(item, indent=2)
-            floats = [col for col in columns
-                      if f'"value": "{_hole(col)}"' in text]
-            fracs = [col for col in columns if _hole(col + ".num") in text]
-            # A float column's hole takes its JSON word, the later leaf of
-            # that name.
-            leaves = {leaf: i for i, leaf in enumerate(
-                [*columns, *(col + part for col in fracs
-                             for part in (".num", ".den")), *floats])}
-            text = _unquote(text, *bare, *floats)
-            self.columns = columns
-            self.fracs = [columns.index(col) for col in fracs]
-            self.floats = [columns.index(col) for col in floats]
-            self.holes = [m[1] for m in _NAMED_HOLE.finditer(text)]
-            self.pick = operator.itemgetter(*map(leaves.__getitem__,
-                                                 self.holes))
-            self.item = _NAMED_HOLE.sub("%s", text).replace("\n", "\n    ")
-        self.envelope = _unquote(json.dumps(
-            {"schema_version": SCHEMA_VERSION, "command": command, **fields},
-            indent=2), "items", "agrees")
+        self.columns = columns
+        self._item_shape, self._bare = item, bare
+        self._envelope_shape = {"schema_version": SCHEMA_VERSION,
+                                "command": command, **fields}
+
+    @functools.cached_property
+    def _items(self) -> tuple[str, list[str], Callable, list[int],
+                              list[int]]:
+        """item, holes, the itemgetter of the holes' leaves, and the
+        indices of the rational and of the float columns."""
+        if isinstance(self._item_shape, _Output):
+            return self._item_shape._items
+        import json
+        text = json.dumps(self._item_shape, indent=2)
+        columns = self.columns
+        floats = [col for col in columns
+                  if f'"value": "{_hole(col)}"' in text]
+        fracs = [col for col in columns if _hole(col + ".num") in text]
+        # A float column's hole takes its JSON word, the later leaf of that
+        # name.
+        leaves = {leaf: i for i, leaf in enumerate(
+            [*columns, *(col + part for col in fracs
+                         for part in (".num", ".den")), *floats])}
+        text = _unquote(text, *self._bare, *floats)
+        holes = [m[1] for m in re.finditer(_NAMED_HOLE, text)]
+        item = re.sub(_NAMED_HOLE, "%s", text).replace("\n", "\n    ")
+        return (item, holes,
+                operator.itemgetter(*map(leaves.__getitem__, holes)),
+                [columns.index(col) for col in fracs],
+                [columns.index(col) for col in floats])
+
+    item = property(lambda self: self._items[0])
+    holes = property(lambda self: self._items[1])
+
+    @functools.cached_property
+    def envelope(self) -> str:
+        import json
+        return _unquote(json.dumps(self._envelope_shape, indent=2),
+                        "items", "agrees")
 
     def fill(self, rows: list[tuple]) -> list[str]:
         """The JSON list items of rows, each filled from its flat leaves."""
+        item, _, pick, fracs, floats = self._items
         filled = []
         for row in rows:
             leaves = list(row)
-            for i in self.fracs:
+            for i in fracs:
                 v = row[i]
                 leaves += v.numerator, v.denominator
-            for i in self.floats:
+            for i in floats:
                 text = repr(row[i])
                 leaves.append(_FLOAT_WORDS.get(text, text))
-            filled.append(self.item % self.pick(leaves))
+            filled.append(item % pick(leaves))
         return filled
 
     def print(self, fmt: str, rows: list[tuple], **holes: object) -> None:
         """Write rows to stdout as fmt, csv or json, with holes filled."""
         if fmt == "csv":
+            import csv
             csv.writer(sys.stdout).writerows([self.columns, *rows])
         else:
             holes["items"] = ",\n    ".join(self.fill(rows))
@@ -207,8 +226,16 @@ def _check_printable(results: list[GWResult]) -> None:
     limit of 0, or an interpreter without one, prints any int.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    widest = max(max(abs(v.numerator), v.denominator)
-                 for r in results for v in r.gw.coords())
+    widest = 0
+    for r in results:
+        for v in r.gw.coords():
+            num, den = v.as_integer_ratio()
+            if num < 0:
+                num = -num
+            if num > widest:
+                widest = num
+            if den > widest:
+                widest = den
     # 2^(3 limit) < 10^limit, so the power is only built for very long ints.
     if limit and widest.bit_length() > 3 * limit and widest >= 10 ** limit:
         raise ValueError(f"the invariant has over {limit} digits, past this "
@@ -452,11 +479,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The plain spelling of an int: int() also reads "+5", "1_0", " 5" and
-# non-ASCII digits, which are left to argparse.
-_PLAIN_INT = re.compile("-?[0-9]+")
-
-
 class _Arg:
     """An argument of a command: a positional named by its dest, or an
     option by its --flag.  Its value is an int, or one of its choices."""
@@ -470,7 +492,11 @@ class _Arg:
     def read(self, token: str) -> object:
         """The value argparse reads from a plain token; else ValueError."""
         if self.choices is None:
-            if _PLAIN_INT.fullmatch(token):
+            # The plain spelling of an int, an optional - then ASCII digits:
+            # int() also reads "+5", "1_0", " 5" and non-ASCII digits, which
+            # are left to argparse.
+            digits = token[1:] if token[:1] == "-" else token
+            if digits.isdigit() and digits.isascii():
                 return int(token)
         elif token in self.choices:
             return token
@@ -511,7 +537,9 @@ _GRAMMAR = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `ktgw` parser, built once; parsing does not change it."""
+    """The `ktgw` parser, built once; parsing does not change it.  Only a
+    command line that _read refuses imports argparse."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ktgw",
         description="Exact genus-one family curve counts for the "
@@ -529,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace of a plain command line, equal to argparse's, or None.
+def _read(argv: Sequence[str]) -> types.SimpleNamespace | None:
+    """The namespace of a plain command line, whose vars() equal those of
+    argparse's, or None.
 
     A plain command line is a command, exactly its positionals, then pairs
     of a full --flag and a legal value, where the last pair of a flag wins.
@@ -550,16 +579,17 @@ def _read(argv: Sequence[str]) -> argparse.Namespace | None:
             values[arg.dest] = arg.read(token)
     except ValueError:
         return None
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command line, by default sys.argv[1:], and return its exit
     code.
 
-    A plain command line (see _read) is read directly.  Any other, and
-    every request for help, goes through argparse, which prints its help
-    and usage errors (exit 2) as it always has.
+    A plain command line (see _read) is read directly, without importing
+    argparse.  Any other, and every request for help, goes through
+    argparse, which prints its help and usage errors (exit 2) as it always
+    has.
     """
     if argv is None:
         argv = sys.argv[1:]

@@ -800,6 +800,8 @@ class TestCommandLineReader:
         ["moduli", "1_000", "0"],
         ["moduli", " 3", "0"],
         ["moduli", "\u0663", "0"],
+        ["moduli", "\u00b2", "0"],
+        ["moduli", "-", "0"],
         ["moduli", "--", "-1", "0"],
     ])
     def test_refused_lines_fall_back_to_argparse(self, argv, monkeypatch):
@@ -868,3 +870,27 @@ class TestEntryPoint:
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ([], []),
+        (["gw", "2", "4", "1", "2"], []),
+        (["verify", "identities", "--max", "3"], []),
+        (["gw", "2", "4", "1", "2", "--format", "json"], ["json"]),
+        (["gw", "2", "4", "1", "2", "--format", "csv"], ["csv"]),
+    ])
+    def test_loads_argparse_csv_json_only_when_needed(self, argv, loaded):
+        """Importing ktgw.cli, then running argv if it is not empty, loads
+        exactly the loaded ones of argparse, csv, json and gettext: a plain
+        command line never reads argparse, and only its output format's
+        module is loaded.  -I -S keeps site hooks that import them out."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import ktgw.cli; argv = sys.argv[2:]; "
+                "rc = ktgw.cli.main(argv) if argv else 0; print(sorted("
+                "{'argparse', 'csv', 'gettext', 'json'} & set(sys.modules))); "
+                "sys.exit(rc)")
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code,
+                               str(src), *argv], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loaded)
