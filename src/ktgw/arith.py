@@ -1,10 +1,11 @@
 """Divisor sums and the exact gcd identities behind the torus counts.
 
-Everything here is pure integer or rational arithmetic.  The two headline
-items are a divisor sieve counting the finite-index sublattices of Z^2 (it
-never factors, so it checks sigma_1) and the sum of reciprocal automorphism
-orders over the component labels, evaluated as a sum over pairs of divisors
-of gcd(m, n), together with its closed form |m| sigma_2(gcd(m,n)) / gcd(m,n)^2.
+Everything here is pure integer arithmetic.  The two headline items are a
+divisor sieve counting the finite-index sublattices of Z^2 (it never
+factors, so it checks sigma_1) and g = gcd(m, n) times the sum of
+reciprocal automorphism orders over the component labels, an integer,
+evaluated as a sum over pairs of divisors of g, together with its closed
+form |m| sigma_2(g) / g.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Callable
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
@@ -20,8 +20,6 @@ __all__ = [
     "divisors",
     "sigma",
     "sublattice_counts",
-    "aut_weight_sum",
-    "aut_weight_sum_closed",
     "aut_weight_total",
     "aut_weight_total_closed",
     "CesaroCheck",
@@ -247,17 +245,6 @@ def aut_weight_total_closed(m: int, n: int) -> int:
         raise ValueError("m must be nonzero")
     g = math.gcd(m, n)
     return abs(m) // g * sigma(2, g)
-
-
-def aut_weight_sum(m: int, n: int) -> Fraction:
-    """Total reciprocal automorphism weight of the genus-one components:
-    aut_weight_total(m, n) / gcd(m, n), by Moebius pairs."""
-    return Fraction(aut_weight_total(m, n), math.gcd(m, n))
-
-
-def aut_weight_sum_closed(m: int, n: int) -> Fraction:
-    """Closed form |m| * sigma_2(gcd(m, n)) / gcd(m, n)^2 of aut_weight_sum."""
-    return Fraction(aut_weight_total_closed(m, n), math.gcd(m, n))
 
 
 CesaroCheck = namedtuple("CesaroCheck", ("lhs", "rhs", "equal"))

@@ -13,11 +13,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import re
 import sys
 import types
 from collections.abc import Callable, Iterator, Sequence
-from fractions import Fraction
 
 from .arith import (
     aut_weight_total,
@@ -43,7 +41,7 @@ from .gwcount import (
     moduli_components,
 )
 from .homs import homology_class
-from .nilalg import HomologyClass
+from .nilalg import HomologyClass, Rational
 
 SCHEMA_VERSION = "1"
 # Largest `verify identities --max`, 0.3-0.5 s and quadratic in it, and
@@ -132,6 +130,7 @@ class _Output:
         if isinstance(self._item_shape, _Output):
             return self._item_shape._items
         import json
+        import re
         text = json.dumps(self._item_shape, indent=2)
         columns = self.columns
         floats = [col for col in columns
@@ -166,8 +165,7 @@ class _Output:
         for row in rows:
             leaves = list(row)
             for i in fracs:
-                v = row[i]
-                leaves += v.numerator, v.denominator
+                leaves += row[i].numerator, row[i].denominator
             for i in floats:
                 text = repr(row[i])
                 leaves.append(_FLOAT_WORDS.get(text, text))
@@ -229,9 +227,7 @@ def _check_printable(results: list[GWResult]) -> None:
     widest = 0
     for r in results:
         for v in r.gw.coords():
-            num, den = v.as_integer_ratio()
-            if num < 0:
-                num = -num
+            num, den = abs(v.numerator), v.denominator
             if num > widest:
                 widest = num
             if den > widest:
@@ -289,12 +285,11 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
     rows = []
     for comp in comps:
         sol = solve_torus_data(comp.hom)
-        # dp is reduced, so it is its own Lie column; t / 2 is dq's Lie h4.
+        # dp is reduced, so it is its own Lie column; dq's Lie h4 is z - ab/2.
         a, b, q3, z = comp.hom.dq
-        t = 2 * z - a * b
         rows.append((comp.d, comp.k, comp.ell, *comp.hom.dp, a, b, q3,
-                     t // 2 if t % 2 == 0 else Fraction(t, 2), sol.tau1,
-                     sol.tau2, sol.theta(), sol.c0_n2, comp.aut_size, *ev,
+                     Rational(2 * z - a * b, 2), sol.tau1, sol.tau2,
+                     sol.theta(), sol.c0_n2, comp.aut_size, *ev,
                      cr_residual(sol)))
     if args.format == "text":
         print(f"moduli components of [{args.m}, {args.m}, {args.n}, {args.n}]"

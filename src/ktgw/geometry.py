@@ -30,10 +30,9 @@ have a closed form.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .homs import HomDerivs
-from .nilalg import H3Class, HomologyClass, Record
+from .nilalg import H3Class, HomologyClass, Rational, Record
 
 __all__ = [
     "CR_GRID",
@@ -65,7 +64,7 @@ class TorusSolution(Record):
     fields = ("h", "tau1", "tau2", "cos_theta", "sin_theta", "c0_n2")
 
     def __init__(self, h: HomDerivs, tau1: float, tau2: float,
-                 cos_theta: float, sin_theta: float, c0_n2: Fraction) -> None:
+                 cos_theta: float, sin_theta: float, c0_n2: Rational) -> None:
         if not tau2 > 0:
             raise ValueError("tau2 must be positive")
         if abs(cos_theta ** 2 + sin_theta ** 2 - 1.0) > 1e-12:
@@ -105,11 +104,11 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     # Rotation taking u = (c, e) to w / tau2 with w = (a, b); both have the
     # same norm, so cos and sin come from the dot and cross products.
     den = norm_a * norm_z
-    # + 0.0 turns the -0.0 of 0 / c, c < 0, into float(Fraction(0, c)).
+    # + 0.0 turns the -0.0 of 0 / c, c < 0, into 0.0, the float of exact 0.
     return TorusSolution(h, q3 / c + 0.0, norm_a / norm_z,
                          float(c * a + e * b) / den,
                          float(c * b - e * a) / den,
-                         Fraction((2 * z - a * b) * c - 2 * q3 * e, 2 * c * a))
+                         Rational((2 * z - a * b) * c - 2 * q3 * e, 2 * c * a))
 
 
 def cr_residual(s: TorusSolution) -> float:
@@ -125,8 +124,8 @@ def cr_residual(s: TorusSolution) -> float:
     the rotation of (c, e) into (n1, n2).  So the defect depends on q
     alone, only its n4 component varies, and the residual is sqrt of the
     three fixed squares plus the largest n4 square over the grid (sum and
-    sqrt are monotone).  Each exact coefficient is rounded as
-    float(Fraction) would round it, by one integer true division.  Raises
+    sqrt are monotone).  Each exact coefficient is rounded correctly, by
+    one integer true division of its numerator by its denominator.  Raises
     ValueError when a square passes the largest float.
     """
     _, _, c, e = s.h.dp
@@ -190,4 +189,4 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
     _, _, c, dd = s.h.dp  # reduced, so dd is dp h4
     a, b = s.h.dq[:2]
     num, den = -(c * c + dd * dd), math.gcd(c, dd)
-    return H3Class(Fraction(num * a, den), Fraction(num * b, den), 0)
+    return H3Class(Rational(num * a, den), Rational(num * b, den), 0)

@@ -16,20 +16,19 @@ Both routes are implemented and cross-checked exactly, on (m, n) as well as
 on the invariant.  The closed route reads (m, n) from the class itself and
 evaluates the divisor sum; the enumerated route finds (m, n) with the
 normalizing matrix of `homs.normalize_class`, sums the component weights
-over divisor pairs and pushes the total back along that matrix.  Neither
-builds a Fraction inside its formula: each keeps its exact values as
-integers, the enumerated route reading the numerator and denominator of
-its evaluation class, and builds one Fraction per coefficient it returns.
+over divisor pairs and pushes the total back along that matrix.  Each
+keeps its exact values as integers, the enumerated route reading the
+numerator and denominator of its evaluation class, and builds one
+`nilalg.Rational` for each E134 and E234 coefficient it returns.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .arith import aut_weight_total, divisors, sigma
 from .homs import HomDerivs, normalize_class, require_plucker
-from .nilalg import H3_ZERO, H3Class, HomologyClass, Record
+from .nilalg import H3_ZERO, H3Class, HomologyClass, Rational, Record
 
 __all__ = [
     "ModuliComponent",
@@ -158,7 +157,7 @@ def component_eval_class(m: int, n: int) -> H3Class:
     if m == 0:
         raise ValueError("m must be nonzero")
     g = math.gcd(m, n)
-    coeff = Fraction((1 if m > 0 else -1) * (m * m + n * n), g)
+    coeff = Rational((1 if m > 0 else -1) * (m * m + n * n), g)
     return H3Class(coeff, coeff, 0)
 
 
@@ -216,7 +215,7 @@ def gw_closed_form(A: HomologyClass) -> GWResult:
     n = m * A.a14 // A.a13 if A.a13 else m * A.a24 // A.a23
     g = math.gcd(m, n)
     num, den = (m * m + n * n) * sigma(2, g), g ** 3
-    gw = H3Class(Fraction(num * A.a13, den), Fraction(num * A.a23, den), 0)
+    gw = H3Class(Rational(num * A.a13, den), Rational(num * A.a23, den), 0)
     return GWResult(m, n, gw, "closed")
 
 
@@ -251,6 +250,6 @@ def gw_enumerated(A: HomologyClass) -> GWResult:
     num = coeff.numerator * aut_weight_total(m, n)
     den = coeff.denominator * g
     (a, b), (c, d) = M
-    gw = H3Class(Fraction((d - b) * num, den), Fraction((a - c) * num, den),
+    gw = H3Class(Rational((d - b) * num, den), Rational((a - c) * num, den),
                  0)
     return GWResult(m, n, gw, "enumerated")

@@ -20,8 +20,8 @@ map is written once, as its logarithm, in `geometry`.
 
 The module hosts the two homology coefficient vectors that the lattice
 automorphisms act on: degree-two classes as integer 4-vectors in the basis
-E13, E23, E14, E24, and degree-three classes as rational coefficients of
-E134, E234, E124.
+E13, E23, E14, E24, and degree-three classes as `Rational` coefficients of
+E134, E234, E124, a zero one being the one shared Rational(0).
 
 A lattice automorphism acts on both coefficient vectors through one matrix
 ((a, b), (c, d)) in SL(2, Z), an `Sl2zMatrix`, which moves the column pairs
@@ -34,21 +34,18 @@ degree-three class the library moves, `gwcount.gw_enumerated`'s weighted
 total, is moved in integers inside that function, and its class-by-class
 reference `h3_pushforward` lives in `tests/oracles.py`.
 
-Each coefficient of an `H3Class` is a Fraction; a zero one is the one
-shared Fraction(0), so a class with a zero E124 builds no Fraction for it.
-
-`Record` is the immutable value base of the package's six records, here and
-in `homs`, `geometry` and `gwcount`.
+`Record` is the immutable value base of the package's records, here and in
+`homs`, `geometry` and `gwcount`.  `Rational` holds each exact rational the
+package returns, which it only reduces, compares and prints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-Rat = int | Fraction
+import math
 
 __all__ = [
     "Record",
+    "Rational",
     "HomologyClass",
     "H3Class",
     "H3_ZERO",
@@ -56,18 +53,6 @@ __all__ = [
     "sl2z_entries",
     "h2_pushforward",
 ]
-
-
-# The one Fraction that a zero coefficient becomes.
-_ZERO = Fraction(0)
-
-
-def _frac(value: Rat) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value) if value else _ZERO
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class Record:
@@ -103,10 +88,46 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def replace(self, **changes: object) -> Record:
-        """A copy with the given fields changed, built by the constructor, so
-        that every check of the constructor runs again."""
-        return type(self)(**dict(zip(self.fields, self._values())) | changes)
+
+class Rational(Record):
+    """numerator / denominator in lowest terms, denominator > 0.  Equal to,
+    and hashed as, an int of its value; printed as by fractions.Fraction."""
+
+    fields = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1) -> None:
+        if not denominator:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        g = math.gcd(numerator, denominator) * (1 if denominator > 0 else -1)
+        self.__dict__.update(numerator=numerator // g,
+                             denominator=denominator // g)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            return self.denominator == 1 and self.numerator == other
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.numerator == other.numerator
+                and self.denominator == other.denominator)
+
+    def __hash__(self) -> int:
+        return hash(self.numerator) ^ hash(self.denominator - 1)
+
+    def __str__(self) -> str:
+        text = str(self.numerator)
+        return text if self.denominator == 1 else f"{text}/{self.denominator}"
+
+
+# The one Rational that a zero coefficient becomes.
+_ZERO = Rational(0)
+
+
+def _rational(value: int | Rational) -> Rational:
+    if isinstance(value, Rational):
+        return value
+    if isinstance(value, int):
+        return Rational(value) if value else _ZERO
+    raise TypeError(f"expected int or Rational, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +157,6 @@ def sl2z_entries(M: Sl2zMatrix) -> tuple[int, int, int, int]:
 def _int(value) -> int:
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
     raise TypeError(f"expected an integer, got {value!r}")
 
 
@@ -159,11 +178,12 @@ class H3Class(Record):
 
     fields = ("e134", "e234", "e124")
 
-    def __init__(self, e134: Rat, e234: Rat, e124: Rat) -> None:
-        self.__dict__.update(e134=_frac(e134), e234=_frac(e234),
-                             e124=_frac(e124))
+    def __init__(self, e134: int | Rational, e234: int | Rational,
+                 e124: int | Rational) -> None:
+        self.__dict__.update(e134=_rational(e134), e234=_rational(e234),
+                             e124=_rational(e124))
 
-    def coords(self) -> tuple[Fraction, Fraction, Fraction]:
+    def coords(self) -> tuple[Rational, Rational, Rational]:
         return (self.e134, self.e234, self.e124)
 
 

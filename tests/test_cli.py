@@ -20,8 +20,8 @@ from ktgw.cli import _check_sweep_budget as check_sweep_budget
 from ktgw.geometry import cr_residual, solve_torus_data
 from ktgw.gwcount import (GWResult, component_eval_class, gw_closed_form,
                           gw_enumerated, moduli_components)
-from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass
-from oracles import hnf_matrices, lie
+from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass, Rational
+from oracles import fraction, hnf_matrices, lie, rational, replace
 
 
 def run(capsys, *argv):
@@ -63,8 +63,8 @@ class TestGwCommand:
         payload = json.loads(out)
         expected = gw_closed_form(HomologyClass(2, 4, 1, 2)).gw
         got = payload["results"][0]["gw"]
-        assert frac_of(got["e134"]) == expected.e134
-        assert frac_of(got["e234"]) == expected.e234
+        assert frac_of(got["e134"]) == fraction(expected.e134)
+        assert frac_of(got["e234"]) == fraction(expected.e234)
         assert [int(v) for v in payload["results"][0]["normalized"]] == \
             [2, 2, 1, 1]
 
@@ -197,16 +197,17 @@ class TestGwCommand:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("method, made", [("both", 5), ("closed", 2)])
     def test_fractions_per_op(self, capsys, monkeypatch, fmt, method, made):
-        # Each route builds a Fraction only for a coefficient it returns,
-        # and the enumerated route reads one from its evaluation class.
+        # Each route builds a Rational only for the E134 and E234
+        # coefficients it returns, and the enumerated route reads one from
+        # its evaluation class.
         counts = []
-        new = Fraction.__new__
+        init = Rational.__init__
 
-        def counted(cls, *args, **kwargs):
+        def counted(self, *args, **kwargs):
             counts[-1] += 1
-            return new(cls, *args, **kwargs)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Fraction, "__new__", counted)
+        monkeypatch.setattr(Rational, "__init__", counted)
         for A in [(-6, 4, 9, -6), (0, 5, 0, -15), (1200, 0, 600, 0),
                   (2 ** 70, 2 ** 71, 3, 6)]:
             counts.append(0)
@@ -248,16 +249,16 @@ class TestGwCommand:
             return GWResult(0, 0, H3Class(*gw), "closed")
 
         most = 10 ** limit - 1
-        check_printable([result(-most, 1, Fraction(1, most))])
+        check_printable([result(-most, 1, Rational(1, most))])
         for gw in [(10 ** limit, 0, 0), (0, -(10 ** limit), 0),
-                   (0, 0, Fraction(1, 10 ** limit))]:
+                   (0, 0, Rational(1, 10 ** limit))]:
             with pytest.raises(ValueError, match="invariant has over"):
                 check_printable([result(1, 1, 1), result(*gw)])
 
     def test_disagreeing_routes_exit_1(self, capsys, monkeypatch):
         real = cli.gw_enumerated
         monkeypatch.setattr(cli, "gw_enumerated",
-                            lambda A: real(A).replace(gw=H3_ZERO))
+                            lambda A: replace(real(A), gw=H3_ZERO))
         for fmt in ("text", "json", "csv"):
             code, out, err = run(capsys, "gw", "2", "4", "1", "2",
                                  "--format", fmt)
@@ -270,7 +271,7 @@ class TestGwCommand:
 # schema rules: integers are decimal strings, rationals {"num", "den"}
 # string pairs, floats {"value", "approx": true}, and booleans bare.
 def ref_frac(v):
-    v = Fraction(v)
+    v = fraction(v)
     return {"num": str(v.numerator), "den": str(v.denominator)}
 
 
@@ -314,7 +315,8 @@ def ref_item_text(item):
 _INTS = (st.integers()
          | st.integers(min_value=2 ** 64, max_value=2 ** 200)
          | st.integers(min_value=-2 ** 200, max_value=-2 ** 64))
-_RATS = _INTS | st.fractions() | st.builds(Fraction, _INTS, _INTS.filter(bool))
+_RATS = _INTS | (st.fractions() | st.builds(Fraction, _INTS,
+                                            _INTS.filter(bool))).map(rational)
 _FLOATS = st.floats() | st.sampled_from(
     [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.1e138])
 _BOOLS = st.sampled_from(["true", "false"])
@@ -396,11 +398,11 @@ class TestJsonTemplates:
     def test_special_leaves(self):
         big, nan, inf = 2 ** 70, float("nan"), float("inf")
         rows = {
-            "gw": [(-big, big, 0, 1, "closed", big, -big, Fraction(-1, 3),
-                    Fraction(big, 7), 0, "false")],
-            "moduli": [(1, big, -big, 0, 0, 1, Fraction(-3, 2), -1, big, 0,
-                        Fraction(-big, 3), nan, inf, -inf, Fraction(-1, 2),
-                        big, Fraction(big, 3), -big, 0, -0.0),
+            "gw": [(-big, big, 0, 1, "closed", big, -big, Rational(-1, 3),
+                    Rational(big, 7), 0, "false")],
+            "moduli": [(1, big, -big, 0, 0, 1, Rational(-3, 2), -1, big, 0,
+                        Rational(-big, 3), nan, inf, -inf, Rational(-1, 2),
+                        big, Rational(big, 3), -big, 0, -0.0),
                        (1, 2, 3, 0, 0, 1, 0, 1, 1, 0, 1, 5e-324, 2.1e138,
                         -2.1e138, 0, 1, 1, 1, 0, 0.5)],
             "baseline": [(big, big, big + 1, "false")],
@@ -875,19 +877,29 @@ class TestEntryPoint:
         ([], []),
         (["gw", "2", "4", "1", "2"], []),
         (["verify", "identities", "--max", "3"], []),
-        (["gw", "2", "4", "1", "2", "--format", "json"], ["json"]),
-        (["gw", "2", "4", "1", "2", "--format", "csv"], ["csv"]),
+        (["gw", "2", "4", "1", "2", "--format", "json"], ["json", "re"]),
+        (["gw", "2", "4", "1", "2", "--format", "csv"], ["csv", "re"]),
+        (["moduli", "-3", "2"], []),
+        (["moduli", "-3", "2", "--format", "csv"], ["csv", "re"]),
+        (["moduli", "-3", "2", "--format", "json"], ["json", "re"]),
+        (["verify", "all", "--max", "2"], []),
+        (["baseline", "20"], []),
+        (["baseline", "20", "--format", "csv"], ["csv", "re"]),
+        (["baseline", "20", "--format", "json"], ["json", "re"]),
     ])
     def test_loads_argparse_csv_json_only_when_needed(self, argv, loaded):
         """Importing ktgw.cli, then running argv if it is not empty, loads
-        exactly the loaded ones of argparse, csv, json and gettext: a plain
-        command line never reads argparse, and only its output format's
-        module is loaded.  -I -S keeps site hooks that import them out."""
+        exactly the loaded ones of argparse, csv, json, gettext, fractions,
+        decimal, numbers and re: a plain command line never reads argparse,
+        only its output format's module is loaded, no command line loads
+        fractions or what it imports, and re comes only with csv or json,
+        which import it.  -I -S keeps site hooks that import them out."""
         src = Path(__file__).resolve().parents[1] / "src"
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "import ktgw.cli; argv = sys.argv[2:]; "
                 "rc = ktgw.cli.main(argv) if argv else 0; print(sorted("
-                "{'argparse', 'csv', 'gettext', 'json'} & set(sys.modules))); "
+                "{'argparse', 'csv', 'gettext', 'json', 'fractions', "
+                "'decimal', 'numbers', 're'} & set(sys.modules))); "
                 "sys.exit(rc)")
         proc = subprocess.run([sys.executable, "-I", "-S", "-c", code,
                                str(src), *argv], capture_output=True,

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ktgw import gwcount
-from ktgw.arith import aut_weight_sum, aut_weight_sum_closed, sigma
+from ktgw.arith import sigma
 from ktgw.gwcount import (
     aut_size_smith,
     component_count,
@@ -22,7 +22,11 @@ from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass, h2_pushforward
 from oracles import (
     LieAlgElem,
     adjugate,
+    aut_weight_sum,
+    aut_weight_sum_closed,
+    fraction,
     from_rows,
+    h3,
     h3_pushforward,
     h3_scale,
     hom_from_lie,
@@ -204,7 +208,8 @@ class TestClosedForm:
         assume(r.m != 0)
         g = math.gcd(r.m, r.n)
         coeff = Fraction((r.m ** 2 + r.n ** 2) * sigma(2, g), g ** 3)
-        assert r.gw.coords() == (coeff * A.a13, coeff * A.a23, 0)
+        assert tuple(map(fraction, r.gw.coords())) == (coeff * A.a13,
+                                                       coeff * A.a23, 0)
         assert all(map(in_lowest_terms, r.gw.coords()))
 
 
@@ -408,4 +413,4 @@ class TestClosedFormKnownFactorization:
         assert result.m == abs(s)
         assert abs(result.n) == abs(t)
         coeff = Fraction((s * s + t * t) * sigma2, g ** 3)
-        assert result.gw == H3Class(coeff * A.a13, coeff * A.a23, 0)
+        assert result.gw == h3(coeff * A.a13, coeff * A.a23, 0)

@@ -17,10 +17,12 @@ from oracles import (
     exp_oracle,
     from_rows,
     fully_reduce,
+    homology_class_of,
     lie,
     lie_columns,
     random_plucker_class,
     random_sl2z,
+    replace,
     sl2z_act,
 )
 
@@ -62,7 +64,7 @@ class TestValidate:
     def test_lie_oracle_reads_each_record(self):
         h = REDUCED_110
         # replace builds a fresh record, so its Lie columns are its own.
-        moved = h.replace(dq=(-1, -1, 1, 2))
+        moved = replace(h, dq=(-1, -1, 1, 2))
         assert lie(moved) == (lie(h)[0], (-1, -1, 1, Fraction(3, 2)))
         assert lie(h)[1] == (-1, -1, 0, Fraction(1, 2))
         assert "lie" not in vars(h) and not hasattr(h, "lie")
@@ -132,11 +134,11 @@ class TestHomologyClass:
 
 
 def lie_minors(h):
-    """The 2x2 minors of the Lie derivative matrix of h, in Fractions; the
-    HomologyClass constructor refuses an entry that is not an integer."""
+    """The 2x2 minors of the Lie derivative matrix of h, in Fractions;
+    `homology_class_of` refuses an entry that is not an integer."""
     (p1, p2, p3, p4), (q1, q2, q3, q4) = lie(h)
-    return HomologyClass(p1 * q3 - q1 * p3, p2 * q3 - q2 * p3,
-                         p1 * q4 - q1 * p4, p2 * q4 - q2 * p4)
+    return homology_class_of(p1 * q3 - q1 * p3, p2 * q3 - q2 * p3,
+                             p1 * q4 - q1 * p4, p2 * q4 - q2 * p4)
 
 
 class TestHomologyClassExact:

@@ -11,10 +11,12 @@ from ktgw.geometry import TorusSolution
 from ktgw.gwcount import GWResult, ModuliComponent
 from ktgw.homs import HomDerivs
 from ktgw.nilalg import (
+    H3_ZERO,
     H3Class,
     HomologyClass,
-    _frac,
+    Rational,
     _int,
+    _rational,
     h2_pushforward,
     sl2z_entries,
 )
@@ -26,11 +28,14 @@ from oracles import (
     aut_apply,
     commutator_oracle,
     exp_oracle,
+    fraction,
     from_rows,
     group_mul_oracle,
+    h3,
     h3_pushforward,
     h3_scale,
     hom_from_lie,
+    homology_class_of,
     in_lowest_terms,
     invert_word,
     lie_columns,
@@ -41,6 +46,7 @@ from oracles import (
     random_plucker_class,
     random_sl2z,
     random_word,
+    replace,
     sl2z_act,
     word_matrix,
 )
@@ -361,25 +367,27 @@ class TestH3Pushforward:
             mat = word_matrix(random_word(rng))
             e134 = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
             e234 = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
-            out = h3_pushforward(mat, H3Class(e134, e234, 0))
-            assert out.e134 == mat[0][0] * e134 + mat[0][1] * e234
-            assert out.e234 == mat[1][0] * e134 + mat[1][1] * e234
+            out = h3_pushforward(mat, h3(e134, e234, 0))
+            assert fraction(out.e134) == mat[0][0] * e134 + mat[0][1] * e234
+            assert fraction(out.e234) == mat[1][0] * e134 + mat[1][1] * e234
 
     @given(st.lists(token_st, max_size=12), big_rat_st, big_rat_st)
     def test_matches_fraction_arithmetic(self, word, e134, e234):
         (a, b), (c, d) = mat = word_matrix(word)
         e134, e234 = Fraction(e134), Fraction(e234)
-        out = h3_pushforward(mat, H3Class(e134, e234, 0))
-        assert out.coords() == (a * e134 + b * e234, c * e134 + d * e234, 0)
+        out = h3_pushforward(mat, h3(e134, e234, 0))
+        assert tuple(map(fraction, out.coords())) == (
+            a * e134 + b * e234, c * e134 + d * e234, 0)
         assert all(map(in_lowest_terms, out.coords()))
 
 
 class TestH3Scale:
     @given(big_rat_st, big_rat_st, big_rat_st, big_rat_st)
     def test_matches_fraction_arithmetic(self, r, e134, e234, e124):
-        out = h3_scale(H3Class(e134, e234, e124), r)
+        out = h3_scale(h3(e134, e234, e124), r)
         r = Fraction(r)
-        assert out.coords() == (r * e134, r * e234, r * e124)
+        assert tuple(map(fraction, out.coords())) == (r * e134, r * e234,
+                                                      r * e124)
         assert all(map(in_lowest_terms, out.coords()))
 
     def test_refuses_non_rationals(self):
@@ -428,26 +436,69 @@ class TestSl2zEntries:
 
 
 class TestCoercions:
-    """`_int` and `_frac`, the coercions of the homology records."""
+    """`_int` and `_rational`, the coercions of the homology records.  An
+    integral Fraction is an int only to the test helper `homology_class_of`."""
 
     def test_int(self):
-        assert type(_int(Fraction(4, 2))) is int and _int(Fraction(4, 2)) == 2
         assert _int(One.ONE) is One.ONE and _int(True) is True
-        for bad in [Fraction(1, 2), 1.0, "1", None]:
+        for bad in [Fraction(4, 2), Rational(2), Fraction(1, 2), 1.0, "1",
+                    None]:
             with pytest.raises(TypeError, match="^" + re.escape(
                     f"expected an integer, got {bad!r}") + "$"):
                 _int(bad)
+        a13 = homology_class_of(Fraction(4, 2), 0, 0, 0).a13
+        assert type(a13) is int and a13 == 2
 
     def test_frac(self):
-        half = Fraction(1, 2)
-        assert _frac(half) is half
+        half = Rational(1, 2)
+        assert _rational(half) is half
+        assert _rational(0) is _rational(False) is H3_ZERO.e134
         for value in [3, True, One.ONE]:
-            out = _frac(value)
-            assert type(out) is Fraction and out == value
-        for bad in [0.5, "1", None, [1]]:
-            with pytest.raises(TypeError, match="^expected int or Fraction, "
+            out = _rational(value)
+            assert type(out) is Rational and out == value
+        for bad in [0.5, "1", None, [1], Fraction(1, 2)]:
+            with pytest.raises(TypeError, match="^expected int or Rational, "
                                f"got {type(bad).__name__}$"):
-                _frac(bad)
+                _rational(bad)
+
+
+# Signed numerators, zero among them, and signed nonzero denominators, small
+# enough to meet and up to 200 bits.
+num_st = st.just(0) | st.integers(-6, 6) | big_int_st
+den_st = (st.integers(-6, 6) | big_int_st).filter(bool)
+
+
+class TestRational:
+    """`Rational` against `fractions.Fraction` built from the same pair."""
+
+    @given(num_st, den_st, num_st, den_st, st.integers(-9, 9).filter(bool),
+           st.booleans())
+    def test_matches_fraction(self, n1, d1, n2, d2, k, scaled):
+        if scaled:
+            n2, d2 = k * n1, k * d1
+        r, f = Rational(n1, d1), Fraction(n1, d1)
+        r2, f2 = Rational(n2, d2), Fraction(n2, d2)
+        for got, ref in ((r, f), (r2, f2)):
+            assert (got.numerator, got.denominator) == (ref.numerator,
+                                                        ref.denominator)
+            assert type(got.numerator) is type(got.denominator) is int
+            assert str(got) == str(ref)
+        assert (r == r2) == (f == f2) and (r != r2) == (f != f2)
+        if r == r2:
+            assert hash(r) == hash(r2)
+        for v in (n1, n2, f.numerator, -f.numerator, 0, 1, True):
+            assert (r == v) == (f == v) and (v == r) == (v == f)
+            assert (r != v) == (f != v)
+            if r == v:
+                assert hash(r) == hash(v)
+
+    @given(num_st)
+    def test_integer_default_and_zero_denominator(self, n):
+        assert Rational(n) == n and str(Rational(n)) == str(n)
+        with pytest.raises(ZeroDivisionError):
+            Rational(n, 0)
+        with pytest.raises(ZeroDivisionError):
+            Fraction(n, 0)
 
 
 class TestRunLetters:
@@ -467,7 +518,7 @@ class TestRunLetters:
         bare = before + [token] * e + after
         run = word_matrix(bare)
         A = step_A = HomologyClass(*coords)
-        C = step_C = H3Class(e134, e234, 0)
+        C = step_C = h3(e134, e234, 0)
         for letter in bare:
             step_A = h2_pushforward(word_matrix([letter]), step_A)
             step_C = h3_pushforward(word_matrix([letter]), step_C)
@@ -515,27 +566,30 @@ def _hom():
 RECORDS = [
     (lambda: HomologyClass(1, 2, 3, 4),
      "HomologyClass(a13=1, a23=2, a14=3, a24=4)"),
-    (lambda: H3Class(1, HALF, 0),
-     "H3Class(e134=Fraction(1, 1), e234=Fraction(1, 2), "
-     "e124=Fraction(0, 1))"),
+    (lambda: H3Class(1, Rational(1, 2), 0),
+     "H3Class(e134=Rational(numerator=1, denominator=1), "
+     "e234=Rational(numerator=1, denominator=2), "
+     "e124=Rational(numerator=0, denominator=1))"),
     (_hom, "HomDerivs(dp=(0, 0, 1, 0), dq=(-1, -1, 0, 1))"),
-    (lambda: TorusSolution(_hom(), 0.0, 1.0, 1.0, 0.0, HALF),
+    (lambda: TorusSolution(_hom(), 0.0, 1.0, 1.0, 0.0, Rational(1, 2)),
      "TorusSolution(h=HomDerivs(dp=(0, 0, 1, 0), dq=(-1, -1, 0, 1)), "
      "tau1=0.0, tau2=1.0, cos_theta=1.0, sin_theta=0.0, "
-     "c0_n2=Fraction(1, 2))"),
+     "c0_n2=Rational(numerator=1, denominator=2))"),
     (lambda: ModuliComponent(1, 1, 1, _hom(), 1),
      "ModuliComponent(d=1, k=1, ell=1, "
      "hom=HomDerivs(dp=(0, 0, 1, 0), dq=(-1, -1, 0, 1)), aut_size=1)"),
     (lambda: GWResult(1, 0, H3Class(1, 1, 0), "closed"),
-     "GWResult(m=1, n=0, gw=H3Class(e134=Fraction(1, 1), "
-     "e234=Fraction(1, 1), e124=Fraction(0, 1)), method='closed')"),
+     "GWResult(m=1, n=0, gw=H3Class(e134=Rational(numerator=1, "
+     "denominator=1), e234=Rational(numerator=1, denominator=1), "
+     "e124=Rational(numerator=0, denominator=1)), method='closed')"),
+    (lambda: Rational(6, -4), "Rational(numerator=-3, denominator=2)"),
 ]
 
 
 class TestRecord:
-    """The contract of the six value records: equality and hashing by type
-    and value, immutability, the repr, and a replace that builds through the
-    constructor."""
+    """The contract of the seven value records: equality and hashing by
+    type and value, immutability, the repr, and the test helper `replace`,
+    which builds through the constructor."""
 
     @pytest.mark.parametrize("build, text", RECORDS)
     def test_equal_values_equal_records(self, build, text):
@@ -543,7 +597,7 @@ class TestRecord:
         assert a is not b
         assert a == b and not a != b
         assert hash(a) == hash(b)
-        assert a.replace() == a
+        assert replace(a) == a
 
     @pytest.mark.parametrize("build, text", RECORDS)
     def test_unequal_to_tuple_and_other_records(self, build, text):
@@ -573,20 +627,23 @@ class TestRecord:
         assert repr(build()) == text
 
     def test_replace_reruns_checks(self):
+        half = Rational(1, 2)
         with pytest.raises(ValueError):
-            _hom().replace(dp=(0, 1, 1, 0))
-        e124 = H3Class(1, 1, HALF).replace(e124=0).e124
-        assert type(e124) is Fraction and e124 == 0
-        a13 = HomologyClass(1, 2, 3, 4).replace(a13=Fraction(2)).a13
-        assert type(a13) is int and a13 == 2
+            replace(_hom(), dp=(0, 1, 1, 0))
+        e124 = replace(H3Class(1, 1, half), e124=0).e124
+        assert type(e124) is Rational and e124 == 0
+        for bad in (Fraction(2), HALF, half):
+            with pytest.raises(TypeError):
+                replace(HomologyClass(1, 2, 3, 4), a13=bad)
+        for bad in (0.5, HALF):
+            with pytest.raises(TypeError):
+                H3Class(bad, 0, 0)
+            with pytest.raises(TypeError):
+                replace(H3Class(1, 1, half), e134=bad)
         with pytest.raises(TypeError):
-            HomologyClass(1, 2, 3, 4).replace(a13=HALF)
-        with pytest.raises(TypeError):
-            H3Class(0.5, 0, 0)
-        with pytest.raises(TypeError):
-            H3Class(1, 1, HALF).replace(e134=0.5)
-        with pytest.raises(TypeError):
-            HomologyClass(1, 2, 3, 4).replace(a12=0)
+            replace(HomologyClass(1, 2, 3, 4), a12=0)
+        with pytest.raises(ZeroDivisionError):
+            replace(half, denominator=0)
 
     def test_equality_reads_only_the_fields(self):
         a, b = _hom(), _hom()
