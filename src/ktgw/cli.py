@@ -74,93 +74,75 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 # ---------------------------------------------------------------------------
 # Each command builds one leaf tuple per record, in the order of its column
 # tuple, and prints them as text itself or as CSV or JSON by its _Output.
-# The JSON document comes from two %-templates that json.dumps(shape,
-# indent=2) builds from the schema-v1 shape at the first JSON output, with
-# holes named by the columns, where a rational column has the holes col.num
-# and col.den.  One is a list item, at its indent, whose named holes then
-# become positional %s in template order; each row is filled from a flat
-# tuple of its leaves by one itemgetter built with it, so no row builds a
-# dict.
-# The other is the envelope, whose list is the single hole items and whose
-# other holes name the command's arguments.  The lists are never empty, and
-# every filled value is a decimal integer, a float or a fixed word, so no
-# hole needs escaping.
+# A CSV row is its leaves joined by commas, as csv.writer writes them, for
+# no leaf holds a comma, a quote or a line break.
+# The JSON document comes from two %-templates that _layout writes at
+# import, as json.dumps(shape, indent=2) lays out the schema-v1 shape, whose
+# every str is a %s hole named by the leaf that fills it: a column, col.num
+# and col.den of a rational column, or col.value of a float column.  One is
+# a list item, at its indent; each row fills it from a flat tuple of its
+# leaves by one itemgetter built with it, so no row builds a dict.  The
+# other is the envelope, whose list is the single hole items and whose other
+# holes are schema_version and the command's arguments.  The lists are
+# never empty, and every filled value is a decimal integer, a float or a
+# fixed word, so no hole needs escaping.
 
-_hole = "%({})s".format
-_NAMED_HOLE = r"%\(([\w.]+)\)s"
 # The repr of each non-finite float, as json.dumps spells it.
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _frac(col: str) -> dict[str, str]:
-    return {"num": _hole(col + ".num"), "den": _hole(col + ".den")}
+    return {"num": col + ".num", "den": col + ".den"}
 
 
-def _unquote(text: str, *names: str) -> str:
-    """JSON text with the holes of names out of their string quotes."""
-    for name in names:
-        text = text.replace(f'"{_hole(name)}"', _hole(name))
-    return text
+def _layout(shape: object, bare: set[str], holes: list[str],
+            pad: str) -> str:
+    """shape as json.dumps(shape, indent=2) writes it at indent pad, with
+    each str a %s hole, quoted unless it is in bare, appended to holes."""
+    if shape is True:
+        return "true"
+    if isinstance(shape, str):
+        holes.append(shape)
+        return "%s" if shape in bare else '"%s"'
+    inner = pad + "  "
+    if isinstance(shape, dict):
+        return "{%s\n%s}" % (",".join(
+            f'\n{inner}"{key}": {_layout(value, bare, holes, inner)}'
+            for key, value in shape.items()), pad)
+    return "[%s\n%s]" % (",".join(
+        f"\n{inner}{_layout(value, bare, holes, inner)}" for value in shape),
+        pad)
 
 
 class _Output:
-    """A command's CSV columns, JSON templates and printer.  item is the
-    item shape, or an _Output whose columns and item this one shares.  An
-    item column whose hole is an approx value is a float; bare ones bare.
+    """A command's CSV columns, JSON templates and printer.  bare are the
+    item columns written as JSON words, as is each float's col.value.
 
-    The JSON templates are built the first time they are read, so a text
-    or CSV command never imports json.  A row's flat leaves are its
-    columns, then the numerator and denominator of each rational column,
-    then the JSON word of each float column; holes names the leaf of each
-    positional hole of item."""
+    A row's flat leaves are its columns, then the numerator and denominator
+    of each rational column, then the JSON word of each float column; holes
+    and envelope_holes name the leaves of the holes of item and envelope."""
 
-    def __init__(self, command: str, fields: dict[str, object],
-                 columns: Sequence[str], item: dict[str, object] | _Output,
-                 *bare: str) -> None:
-        self.columns = columns
-        self._item_shape, self._bare = item, bare
-        self._envelope_shape = {"schema_version": SCHEMA_VERSION,
-                                "command": command, **fields}
-
-    @functools.cached_property
-    def _items(self) -> tuple[str, list[str], Callable, list[int],
-                              list[int]]:
-        """item, holes, the itemgetter of the holes' leaves, and the
-        indices of the rational and of the float columns."""
-        if isinstance(self._item_shape, _Output):
-            return self._item_shape._items
-        import json
-        import re
-        text = json.dumps(self._item_shape, indent=2)
-        columns = self.columns
-        floats = [col for col in columns
-                  if f'"value": "{_hole(col)}"' in text]
-        fracs = [col for col in columns if _hole(col + ".num") in text]
-        # A float column's hole takes its JSON word, the later leaf of that
-        # name.
-        leaves = {leaf: i for i, leaf in enumerate(
-            [*columns, *(col + part for col in fracs
-                         for part in (".num", ".den")), *floats])}
-        text = _unquote(text, *self._bare, *floats)
-        holes = [m[1] for m in re.finditer(_NAMED_HOLE, text)]
-        item = re.sub(_NAMED_HOLE, "%s", text).replace("\n", "\n    ")
-        return (item, holes,
-                operator.itemgetter(*map(leaves.__getitem__, holes)),
-                [columns.index(col) for col in fracs],
-                [columns.index(col) for col in floats])
-
-    item = property(lambda self: self._items[0])
-    holes = property(lambda self: self._items[1])
-
-    @functools.cached_property
-    def envelope(self) -> str:
-        import json
-        return _unquote(json.dumps(self._envelope_shape, indent=2),
-                        "items", "agrees")
+    def __init__(self, fields: dict[str, object], columns: Sequence[str],
+                 item: dict[str, object], *bare: str) -> None:
+        self.columns, self.holes, self.envelope_holes = columns, [], []
+        bare = {*bare, *(col + ".value" for col in columns)}
+        self.item = _layout(item, bare, self.holes, "    ")
+        self._fracs, self._floats = (
+            [i for i, col in enumerate(columns) if col + leaf in self.holes]
+            for leaf in (".num", ".value"))
+        leaves = [*columns, *(columns[i] + part for i in self._fracs
+                              for part in (".num", ".den")),
+                  *(columns[i] + ".value" for i in self._floats)]
+        self._pick = operator.itemgetter(*map(leaves.index, self.holes))
+        self.envelope = _layout({"schema_version": "schema_version",
+                                 "command": "command", **fields},
+                                {"items", "agrees"}, self.envelope_holes, "")
+        self._pick_envelope = operator.itemgetter(*self.envelope_holes)
 
     def fill(self, rows: list[tuple]) -> list[str]:
         """The JSON list items of rows, each filled from its flat leaves."""
-        item, _, pick, fracs, floats = self._items
+        item, pick, fracs, floats = (self.item, self._pick, self._fracs,
+                                     self._floats)
         filled = []
         for row in rows:
             leaves = list(row)
@@ -173,43 +155,39 @@ class _Output:
         return filled
 
     def print(self, fmt: str, rows: list[tuple], **holes: object) -> None:
-        """Write rows to stdout as fmt, csv or json, with holes filled."""
+        """Write rows to stdout as fmt, csv or json, with the envelope's
+        holes filled from holes."""
         if fmt == "csv":
-            import csv
-            csv.writer(sys.stdout).writerows([self.columns, *rows])
+            sys.stdout.writelines(",".join(map(str, row)) + "\r\n"
+                                  for row in (self.columns, *rows))
         else:
+            holes["schema_version"] = SCHEMA_VERSION
             holes["items"] = ",\n    ".join(self.fill(rows))
-            print(self.envelope % holes)
+            print(self.envelope % self._pick_envelope(holes))
 
 
-_GW_FIELDS = {
-    "class": [_hole(col) for col in _GW_COLUMNS[:4]],
-    "method": _hole("method"),
-    "results": [_hole("items")],
-}
-_GW = _Output("gw", _GW_FIELDS, _GW_COLUMNS, {
-    "input_class": [_hole(col) for col in _GW_COLUMNS[:4]],
-    "normalized": [_hole(col) for col in ("m", "m", "n", "n")],
-    **{col: _hole(col) for col in ("m", "n", "method")},
-    "gw": {col: _frac(col) for col in _GW_COLUMNS[7:10]},
-})
-_GW_AGREES = _Output("gw", {**_GW_FIELDS, "agrees": _hole("agrees")},
-                     _GW_COLUMNS, _GW)
-_MODULI = _Output("moduli", {"m": _hole("m"), "n": _hole("n"),
-                             "components": [_hole("items")]},
+_GW_FIELDS = {"class": [*_GW_COLUMNS[:4]], "method": "method",
+              "results": ["items"]}
+_GW_ITEM = {"input_class": [*_GW_COLUMNS[:4]],
+            "normalized": ["m", "m", "n", "n"], "m": "m", "n": "n",
+            "method": "method",
+            "gw": {col: _frac(col) for col in _GW_COLUMNS[7:10]}}
+_GW = _Output(_GW_FIELDS, _GW_COLUMNS, _GW_ITEM)
+_GW_AGREES = _Output({**_GW_FIELDS, "agrees": "agrees"}, _GW_COLUMNS, _GW_ITEM)
+_MODULI = _Output({"m": "m", "n": "n", "components": ["items"]},
                   _MODULI_COLUMNS, {
-    **{col: _hole(col) for col in _MODULI_COLUMNS[:3]},
+    **{col: col for col in _MODULI_COLUMNS[:3]},
     "hom": {"dp": [_frac(col) for col in _MODULI_COLUMNS[3:7]],
             "dq": [_frac(col) for col in _MODULI_COLUMNS[7:11]]},
-    **{col: {"value": _hole(col), "approx": True}
+    **{col: {"value": col + ".value", "approx": True}
        for col in _MODULI_COLUMNS[11:14]},
     "c0_n2": _frac("c0_n2"),
-    "aut_size": _hole("aut_size"),
+    "aut_size": "aut_size",
     "eval_class": {col[3:]: _frac(col) for col in _MODULI_COLUMNS[16:19]},
-    "cr_residual": {"value": _hole("cr_residual"), "approx": True},
+    "cr_residual": {"value": "cr_residual.value", "approx": True},
 })
-_BASELINE = _Output("baseline", {"rows": [_hole("items")]}, _BASELINE_COLUMNS,
-                    {col: _hole(col) for col in _BASELINE_COLUMNS}, "equal")
+_BASELINE = _Output({"rows": ["items"]}, _BASELINE_COLUMNS,
+                    {col: col for col in _BASELINE_COLUMNS}, "equal")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +443,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         for ell, count, s1, equal in rows:
             print(f"{ell:>5} {count:>8} {s1:>8} {equal:>6}")
     else:
-        _BASELINE.print(args.format, rows)
+        _BASELINE.print(args.format, rows, **vars(args))
     return 0
 
 

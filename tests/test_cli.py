@@ -332,17 +332,36 @@ _TEMPLATES = {
     "moduli": (cli._MODULI, ref_moduli_item),
     "baseline": (cli._BASELINE, ref_baseline_item),
 }
-# The holes each template may have: an item's name its columns, and an
-# envelope's name the command's arguments, the items and the gw flag agrees.
-_GW_ARGS = {"a13", "a23", "a14", "a24", "method"}
+# The holes each template may have.  An item's name its leaves: a column,
+# col.num and col.den of a rational column, and col.value of a float
+# column.  An envelope's name schema_version, the command's arguments, the
+# items and the gw flag agrees.
+_RATIONAL_COLUMNS = {*cli._GW_COLUMNS[7:10], *cli._MODULI_COLUMNS[3:11],
+                     "c0_n2", *cli._MODULI_COLUMNS[16:19]}
+_FLOAT_COLUMNS = {"tau1", "tau2", "theta", "cr_residual"}
+
+
+def item_leaves(columns):
+    return {*columns,
+            *(col + part for col in _RATIONAL_COLUMNS & set(columns)
+              for part in (".num", ".den")),
+            *(col + ".value" for col in _FLOAT_COLUMNS & set(columns))}
+
+
+_GW_ARGS = {"command", "a13", "a23", "a14", "a24", "method"}
 _HOLES = {
-    **{command: (items.item, set(items.columns))
+    **{command: (items.item, items.holes, item_leaves(items.columns))
        for command, (items, _) in _TEMPLATES.items()},
-    "gw-envelope": (cli._GW.envelope, _GW_ARGS | {"items"}),
+    "gw-envelope": (cli._GW.envelope, cli._GW.envelope_holes,
+                    _GW_ARGS | {"schema_version", "items"}),
     "gw-agrees-envelope": (cli._GW_AGREES.envelope,
-                           _GW_ARGS | {"items", "agrees"}),
-    "moduli-envelope": (cli._MODULI.envelope, {"m", "n", "items"}),
-    "baseline-envelope": (cli._BASELINE.envelope, {"items"}),
+                           cli._GW_AGREES.envelope_holes,
+                           _GW_ARGS | {"schema_version", "items", "agrees"}),
+    "moduli-envelope": (cli._MODULI.envelope, cli._MODULI.envelope_holes,
+                        {"command", "m", "n", "schema_version", "items"}),
+    "baseline-envelope": (cli._BASELINE.envelope,
+                          cli._BASELINE.envelope_holes,
+                          {"command", "schema_version", "items"}),
 }
 
 
@@ -374,18 +393,13 @@ def ref_gw_payload(A, method):
 class TestJsonTemplates:
     @pytest.mark.parametrize("command", sorted(_HOLES))
     def test_holes_name_columns(self, command):
-        # An item's holes are positional: naming each by the leaf it is
-        # filled from must give one hole per leaf name, each a column leaf.
-        template, names = _HOLES[command]
-        if not command.endswith("envelope"):
-            items = _TEMPLATES[command][0]
-            assert "%(" not in template
-            template = template % tuple(f"%({leaf})s" for leaf in items.holes)
-        hole = re.compile(r"%\((\w+)(\.num|\.den)?\)s")
-        assert {m[1] for m in hole.finditer(template)} <= names
-        assert "%" not in hole.sub("", template)
+        # Each %s of a template is one hole, named by its leaf in holes.
+        template, holes, names = _HOLES[command]
+        assert template.count("%s") == len(holes)
+        assert "%" not in template.replace("%s", "")
+        assert set(holes) <= names
         if command.endswith("envelope"):
-            assert template.count("%(items)s") == 1
+            assert holes.count("items") == 1
 
     @pytest.mark.parametrize("command", sorted(_TEMPLATES))
     @given(data=st.data())
@@ -394,6 +408,11 @@ class TestJsonTemplates:
         row = data.draw(_ROWS[command])
         assert len(row) == len(items.columns)
         assert items.fill([row]) == [ref_item_text(ref_item(row))]
+        ref, out = io.StringIO(), io.StringIO()
+        csv.writer(ref).writerows([items.columns, row])
+        with redirect_stdout(out):
+            items.print("csv", [row])
+        assert out.getvalue() == ref.getvalue()
 
     def test_special_leaves(self):
         big, nan, inf = 2 ** 70, float("nan"), float("inf")
@@ -877,23 +896,26 @@ class TestEntryPoint:
         ([], []),
         (["gw", "2", "4", "1", "2"], []),
         (["verify", "identities", "--max", "3"], []),
-        (["gw", "2", "4", "1", "2", "--format", "json"], ["json", "re"]),
-        (["gw", "2", "4", "1", "2", "--format", "csv"], ["csv", "re"]),
+        (["gw", "2", "4", "1", "2", "--format", "json"], []),
+        (["gw", "2", "4", "1", "2", "--format", "csv"], []),
         (["moduli", "-3", "2"], []),
-        (["moduli", "-3", "2", "--format", "csv"], ["csv", "re"]),
-        (["moduli", "-3", "2", "--format", "json"], ["json", "re"]),
+        (["moduli", "-3", "2", "--format", "csv"], []),
+        (["moduli", "-3", "2", "--format", "json"], []),
         (["verify", "all", "--max", "2"], []),
         (["baseline", "20"], []),
-        (["baseline", "20", "--format", "csv"], ["csv", "re"]),
-        (["baseline", "20", "--format", "json"], ["json", "re"]),
+        (["baseline", "20", "--format", "csv"], []),
+        (["baseline", "20", "--format", "json"], []),
+        (["gw", "2", "4", "1", "2", "--format=json"],
+         ["argparse", "gettext", "re"]),
     ])
     def test_loads_argparse_csv_json_only_when_needed(self, argv, loaded):
         """Importing ktgw.cli, then running argv if it is not empty, loads
         exactly the loaded ones of argparse, csv, json, gettext, fractions,
-        decimal, numbers and re: a plain command line never reads argparse,
-        only its output format's module is loaded, no command line loads
-        fractions or what it imports, and re comes only with csv or json,
-        which import it.  -I -S keeps site hooks that import them out."""
+        decimal, numbers and re.  A plain command line, in every format,
+        loads none of them: ktgw writes JSON and CSV itself and never needs
+        fractions.  A command line that is not plain reads argparse, which
+        brings gettext and re.  -I -S keeps site hooks that import them
+        out."""
         src = Path(__file__).resolve().parents[1] / "src"
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "import ktgw.cli; argv = sys.argv[2:]; "

@@ -69,6 +69,10 @@ def golden_argvs():
     # with a negative m.
     yield ["moduli", "1", str(10 ** 12), "--format", "json"]
     yield ["moduli", "12", "12", "--format", "json"]
+    # The same two as CSV, whose floats are their repr: the residual takes
+    # its exponent form.
+    yield ["moduli", "1", str(10 ** 12), "--format", "csv"]
+    yield ["moduli", "12", "12", "--format", "csv"]
     yield ["moduli", "-7", "3", "--format", "json"]
     # A refusal: e134 has about 4500 digits, past the interpreter's limit
     # for printing an int.
@@ -607,6 +611,10 @@ GOLDEN = {
         "4a46042090e838ecff781bef73e02f4b5785bb3aec4916697dab540d7ac26ec1",
     "moduli 12 12 --format json":
         "a90254088a2f893506c65e2328f56447bf65af5ec856ae28a3c3fdff66924f47",
+    "moduli 1 1000000000000 --format csv":
+        "399a04c45b6e46b857c1bf2428cb4c123b54d78ffbd9bb0c035ba4b15101a31c",
+    "moduli 12 12 --format csv":
+        "4bbd49619ccc9fa4b938748120a8f800cbb3353daab9a5472858e0aefdd8066c",
     "moduli -7 3 --format json":
         "31ec1d4b2232b7dc888d6954ef79e20924be4c3889325dfffa13126b2c64e578",
     "gw 1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 1 1 --method closed --format text":
