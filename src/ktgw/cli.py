@@ -11,6 +11,7 @@ num/den string pairs; floating geometry fields carry an "approx" marker.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -25,14 +26,17 @@ from .arith import (
     sublattice_counts,
 )
 from .geometry import (
-    cr_residual,
+    TorusSolution,
+    divisor_residual,
     eval_class_integrate,
+    solve_label,
     solve_torus_data,
     symplectic_area,
 )
 from .gwcount import (
     MODULI_BUDGET,
     GWResult,
+    ModuliComponent,
     aut_size_smith,
     component_count,
     component_eval_class,
@@ -86,6 +90,11 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 # holes are schema_version and the command's arguments.  The lists are
 # never empty, and every filled value is a decimal integer, a float or a
 # fixed word, so no hole needs escaping.
+# moduli fills its item in two stages (_Stages), since a component's d, dp,
+# dq h1, dq h2, tau2, theta and evaluation class are those of its divisor.
+# At import, the divisor template is the item with each hole of a label
+# column written %%s.  Once per divisor, its 21 divisor leaves fill it to a
+# label template, whose 11 holes each label then fills.
 
 # The repr of each non-finite float, as json.dumps spells it.
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -114,26 +123,44 @@ def _layout(shape: object, bare: set[str], holes: list[str],
         pad)
 
 
+class _Leaves:
+    """Picks the leaves named by holes from a row over columns.
+
+    A row's flat leaves are its columns, then the numerator and denominator
+    of each rational column, then the JSON word of each float column."""
+
+    def __init__(self, columns: Sequence[str], holes: list[str]) -> None:
+        self._fracs, self._floats = (
+            [i for i, col in enumerate(columns) if col + leaf in holes]
+            for leaf in (".num", ".value"))
+        leaves = [*columns, *(columns[i] + part for i in self._fracs
+                              for part in (".num", ".den")),
+                  *(columns[i] + ".value" for i in self._floats)]
+        self._pick = operator.itemgetter(*map(leaves.index, holes))
+
+    def __call__(self, row: tuple) -> tuple:
+        leaves = list(row)
+        for i in self._fracs:
+            leaves += row[i].numerator, row[i].denominator
+        for i in self._floats:
+            text = repr(row[i])
+            leaves.append(_FLOAT_WORDS.get(text, text))
+        return self._pick(leaves)
+
+
 class _Output:
     """A command's CSV columns, JSON templates and printer.  bare are the
     item columns written as JSON words, as is each float's col.value.
 
-    A row's flat leaves are its columns, then the numerator and denominator
-    of each rational column, then the JSON word of each float column; holes
-    and envelope_holes name the leaves of the holes of item and envelope."""
+    holes and envelope_holes name the leaves of the holes of item and
+    envelope."""
 
     def __init__(self, fields: dict[str, object], columns: Sequence[str],
                  item: dict[str, object], *bare: str) -> None:
         self.columns, self.holes, self.envelope_holes = columns, [], []
         bare = {*bare, *(col + ".value" for col in columns)}
         self.item = _layout(item, bare, self.holes, "    ")
-        self._fracs, self._floats = (
-            [i for i, col in enumerate(columns) if col + leaf in self.holes]
-            for leaf in (".num", ".value"))
-        leaves = [*columns, *(columns[i] + part for i in self._fracs
-                              for part in (".num", ".den")),
-                  *(columns[i] + ".value" for i in self._floats)]
-        self._pick = operator.itemgetter(*map(leaves.index, self.holes))
+        self._leaves = _Leaves(columns, self.holes)
         self.envelope = _layout({"schema_version": "schema_version",
                                  "command": "command", **fields},
                                 {"items", "agrees"}, self.envelope_holes, "")
@@ -141,29 +168,64 @@ class _Output:
 
     def fill(self, rows: list[tuple]) -> list[str]:
         """The JSON list items of rows, each filled from its flat leaves."""
-        item, pick, fracs, floats = (self.item, self._pick, self._fracs,
-                                     self._floats)
-        filled = []
-        for row in rows:
-            leaves = list(row)
-            for i in fracs:
-                leaves += row[i].numerator, row[i].denominator
-            for i in floats:
-                text = repr(row[i])
-                leaves.append(_FLOAT_WORDS.get(text, text))
-            filled.append(item % pick(leaves))
-        return filled
+        item, leaves = self.item, self._leaves
+        return [item % leaves(row) for row in rows]
 
     def print(self, fmt: str, rows: list[tuple], **holes: object) -> None:
         """Write rows to stdout as fmt, csv or json, with the envelope's
         holes filled from holes."""
         if fmt == "csv":
-            sys.stdout.writelines(",".join(map(str, row)) + "\r\n"
-                                  for row in (self.columns, *rows))
+            self.print_csv(rows)
         else:
-            holes["schema_version"] = SCHEMA_VERSION
-            holes["items"] = ",\n    ".join(self.fill(rows))
-            print(self.envelope % self._pick_envelope(holes))
+            self.print_json(self.fill(rows), **holes)
+
+    def print_csv(self, rows: list[tuple]) -> None:
+        sys.stdout.writelines(",".join(map(str, row)) + "\r\n"
+                              for row in (self.columns, *rows))
+
+    def print_json(self, items: list[str], **holes: object) -> None:
+        """Write the envelope around the filled items."""
+        holes["schema_version"] = SCHEMA_VERSION
+        holes["items"] = ",\n    ".join(items)
+        print(self.envelope % self._pick_envelope(holes))
+
+
+class _Stages:
+    """The item of an _Output filled in two stages, for rows that come in
+    groups sharing the values of every column outside row_columns.
+
+    item is the output's item with each hole of a row column written %%s,
+    so that filling its group holes, named by group_holes, gives a template
+    whose holes, named by row_holes, take a row's leaves.  A group's leaves
+    come from its columns, group_columns, in the output's order; a row's
+    from row_columns."""
+
+    def __init__(self, output: _Output, row_columns: Sequence[str]) -> None:
+        in_row = [hole.partition(".")[0] in row_columns
+                  for hole in output.holes]
+        parts = output.item.split("%s")
+        self.item = parts[0] + "".join(
+            ("%%s" if row else "%s") + part
+            for row, part in zip(in_row, parts[1:]))
+        self.row_holes = [hole for hole, row in zip(output.holes, in_row)
+                          if row]
+        self.group_holes = [hole for hole, row in zip(output.holes, in_row)
+                            if not row]
+        self.group_columns = tuple(col for col in output.columns
+                                   if col not in row_columns)
+        self._group_leaves = _Leaves(self.group_columns, self.group_holes)
+        self._row_leaves = _Leaves(row_columns, self.row_holes)
+        # A group's values and a row's, joined, in the output's columns.
+        self.join = operator.itemgetter(*map(
+            (*self.group_columns, *row_columns).index, output.columns))
+
+    def fill(self, groups: list[tuple[tuple, list[tuple]]]) -> list[str]:
+        """The JSON list items of the rows of each (group, rows) pair."""
+        row_leaves, filled = self._row_leaves, []
+        for group, rows in groups:
+            item = self.item % self._group_leaves(group)
+            filled += [item % row_leaves(row) for row in rows]
+        return filled
 
 
 _GW_FIELDS = {"class": [*_GW_COLUMNS[:4]], "method": "method",
@@ -188,6 +250,12 @@ _MODULI = _Output({"m": "m", "n": "n", "components": ["items"]},
 })
 _BASELINE = _Output({"rows": ["items"]}, _BASELINE_COLUMNS,
                     {col: col for col in _BASELINE_COLUMNS}, "equal")
+
+
+# A moduli component's columns that depend on more than its divisor d.
+_MODULI_LABEL_COLUMNS = ("k", "l", "dq3", "dq4", "tau1", "c0_n2",
+                         "aut_size", "cr_residual")
+_MODULI_STAGES = _Stages(_MODULI, _MODULI_LABEL_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +325,47 @@ def _cmd_gw(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_moduli(args: argparse.Namespace) -> int:
-    comps = moduli_components(args.m, args.n)
-    ev = component_eval_class(args.m, args.n).coords()
-    rows = []
-    for comp in comps:
-        sol = solve_torus_data(comp.hom)
+def _solved_divisors(comps: list[ModuliComponent]) -> Iterator[
+        tuple[TorusSolution, list[ModuliComponent]]]:
+    """Each divisor's components, of one class in (d, l, k) order, with the
+    torus of its first component: its tau2 and theta, and the columns
+    they read, are those of every component of the divisor."""
+    for _, run in itertools.groupby(comps, operator.attrgetter("d")):
+        run = list(run)
+        yield solve_torus_data(run[0].hom), run
+
+
+def _moduli_groups(comps: list[ModuliComponent],
+                   ev: tuple) -> list[tuple[tuple, list[tuple]]]:
+    """(divisor row, label rows) of each divisor of comps, the divisor row
+    over _MODULI_STAGES.group_columns, with evaluation class ev, and each
+    label row over _MODULI_LABEL_COLUMNS."""
+    groups = []
+    for s, run in _solved_divisors(comps):
+        residual = divisor_residual(s)
         # dp is reduced, so it is its own Lie column; dq's Lie h4 is z - ab/2.
-        a, b, q3, z = comp.hom.dq
-        rows.append((comp.d, comp.k, comp.ell, *comp.hom.dp, a, b, q3,
-                     Rational(2 * z - a * b, 2), sol.tau1, sol.tau2,
-                     sol.theta(), sol.c0_n2, comp.aut_size, *ev,
-                     cr_residual(sol)))
+        a, b = s.h.dq[:2]
+        labels = []
+        for comp in run:
+            _, _, q3, z = comp.hom.dq
+            tau1, c0_n2 = solve_label(comp.hom)
+            labels.append((comp.k, comp.ell, q3, Rational(2 * z - a * b, 2),
+                           tau1, c0_n2, comp.aut_size,
+                           residual(comp.hom, tau1, c0_n2)))
+        groups.append(((run[0].d, *s.h.dp, a, b, s.tau2, s.theta(), *ev),
+                       labels))
+    return groups
+
+
+def _cmd_moduli(args: argparse.Namespace) -> int:
+    groups = _moduli_groups(moduli_components(args.m, args.n),
+                            component_eval_class(args.m, args.n).coords())
+    if args.format == "json":
+        _MODULI.print_json(_MODULI_STAGES.fill(groups), **vars(args))
+        return 0
+    join = _MODULI_STAGES.join
+    rows = [join(group + label) for group, labels in groups
+            for label in labels]
     if args.format == "text":
         print(f"moduli components of [{args.m}, {args.m}, {args.n}, {args.n}]"
               f" ({len(rows)} components)")
@@ -282,7 +379,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
                   f"{tau2:>9.5f} {theta:>9.5f} {str(c0):>7} {aut:>5} "
                   f"{str(ev134):>9} {res:>9.2e}")
     else:
-        _MODULI.print(args.format, rows, **vars(args))
+        _MODULI.print_csv(rows)
     return 0
 
 
@@ -368,16 +465,21 @@ def _verify_geometry(max_n: int) -> list[_Sweep]:
     at = " at m={} n={} (d,k,l)=({},{},{})"
     for m, n in _sweep_classes(max_n):
         expected = component_eval_class(m, n)
-        for comp in moduli_components(m, n):
-            where = (m, n, comp.d, comp.k, comp.ell)
-            sol = solve_torus_data(comp.hom)
-            res = cr_residual(sol)
-            residual.check(res < 1e-9, "residual {:g}" + at, res, *where)
-            cls = homology_class(comp.hom)
-            ar = symplectic_area(cls, sol.cos_theta, sol.sin_theta)
-            area.check(ar > 0, "area {:g}" + at, ar, *where)
-            cycle.check(eval_class_integrate(sol) == expected,
-                        "cycle class mismatch" + at, *where)
+        for s, run in _solved_divisors(moduli_components(m, n)):
+            defect = divisor_residual(s)
+            for comp in run:
+                where = (m, n, comp.d, comp.k, comp.ell)
+                tau1, c0_n2 = solve_label(comp.hom)
+                res = defect(comp.hom, tau1, c0_n2)
+                residual.check(res < 1e-9, "residual {:g}" + at, res, *where)
+                cls = homology_class(comp.hom)
+                ar = symplectic_area(cls, s.cos_theta, s.sin_theta)
+                area.check(ar > 0, "area {:g}" + at, ar, *where)
+                # The class reads the component's own columns, not s's.
+                sol = TorusSolution(comp.hom, tau1, s.tau2, s.cos_theta,
+                                    s.sin_theta, c0_n2)
+                cycle.check(eval_class_integrate(sol) == expected,
+                            "cycle class mismatch" + at, *where)
     return [residual, area, cycle]
 
 

@@ -16,6 +16,14 @@ floating evaluations per grid value of q.
 A solved torus is one flat `TorusSolution` of h, tau, theta and c0_n2;
 the central period 1 / gcd(dp h3, dp h4) is read off h where it is needed.
 
+The moduli components with label (d, k, l) of one class share, for each
+divisor d, the columns (dq h1, dq h2) and (dp h3, dp h4), and so tau2,
+theta and the terms of the defect that read only those.  Per label remain
+dq h3, dq h4, tau1, c0_n2 and the rest of the defect: `solve_label` and
+the function that `divisor_residual` returns.  `solve_torus_data` and
+`cr_residual` solve and check one torus from both parts, and a caller
+that walks a divisor's labels forms the divisor's part once.
+
 Combinatorial data stays exact: the homomorphism in integers and the
 translation constant c0_n2 n2 as a rational.  tau and theta live in
 quadratic extensions, so they are carried in double precision and every
@@ -30,6 +38,7 @@ have a closed form.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .homs import HomDerivs
 from .nilalg import H3Class, HomologyClass, Rational, Record
@@ -38,7 +47,9 @@ __all__ = [
     "CR_GRID",
     "TorusSolution",
     "solve_torus_data",
+    "solve_label",
     "cr_residual",
+    "divisor_residual",
     "symplectic_area",
     "eval_class_integrate",
 ]
@@ -85,6 +96,9 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     points along n2 with coefficient (z - a b / 2 - tau1 e) / a.  Raises
     ValueError when the squared norm of (a, b) or (c, e) passes the largest
     float, as it does once |dp h4| exceeds about 1.34e154.
+
+    tau2 and the rotation read only the columns (a, b) and (c, e); tau1 and
+    c0_n2 are `solve_label(h)`.
     """
     if not h.is_reduced():
         raise ValueError("homomorphism must be reduced (dp h1 = dp h2 = 0)")
@@ -94,7 +108,7 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     if h.dq[0] == 0:
         raise ValueError("dq h1 must be nonzero")
     _, _, c, e = h.dp
-    a, b, q3, z = h.dq
+    a, b = h.dq[:2]
     try:
         norm_a = math.sqrt(float(a * a + b * b))
         norm_z = math.sqrt(float(c * c + e * e))
@@ -104,11 +118,22 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     # Rotation taking u = (c, e) to w / tau2 with w = (a, b); both have the
     # same norm, so cos and sin come from the dot and cross products.
     den = norm_a * norm_z
-    # + 0.0 turns the -0.0 of 0 / c, c < 0, into 0.0, the float of exact 0.
-    return TorusSolution(h, q3 / c + 0.0, norm_a / norm_z,
+    tau1, c0_n2 = solve_label(h)
+    return TorusSolution(h, tau1, norm_a / norm_z,
                          float(c * a + e * b) / den,
-                         float(c * b - e * a) / den,
-                         Rational((2 * z - a * b) * c - 2 * q3 * e, 2 * c * a))
+                         float(c * b - e * a) / den, c0_n2)
+
+
+def solve_label(h: HomDerivs) -> tuple[float, Rational]:
+    """tau1 and c0_n2 of `solve_torus_data(h)`, which h does not share with
+    the other tori of its columns (a, b) = (dq h1, dq h2) and (c, e) =
+    (dp h3, dp h4): tau1 = dq h3 / c and c0_n2 = (z - a b / 2 - tau1 e) / a
+    with z = dq h4.  h must be one that `solve_torus_data` solves."""
+    _, _, c, e = h.dp
+    a, b, q3, z = h.dq
+    # + 0.0 turns the -0.0 of 0 / c, c < 0, into 0.0, the float of exact 0.
+    return (q3 / c + 0.0,
+            Rational((2 * z - a * b) * c - 2 * q3 * e, 2 * c * a))
 
 
 def cr_residual(s: TorusSolution) -> float:
@@ -127,28 +152,59 @@ def cr_residual(s: TorusSolution) -> float:
     sqrt are monotone).  Each exact coefficient is rounded correctly, by
     one integer true division of its numerator by its denominator.  Raises
     ValueError when a square passes the largest float.
+
+    It is `divisor_residual(s)(s.h, s.tau1, s.c0_n2)`.
+    """
+    return divisor_residual(s)(s.h, s.tau1, s.c0_n2)
+
+
+_RESIDUAL_OVERFLOW = ("the Cauchy-Riemann defect of this torus passes the "
+                      "largest float")
+
+
+def divisor_residual(
+        s: TorusSolution) -> Callable[[HomDerivs, float, Rational], float]:
+    """The residual of `cr_residual` as a function of h, tau1 and c0_n2,
+    for the tori that share the columns (a, b) and (c, e) of s.h and the
+    tau2 and theta of s.
+
+    The terms that read only those are formed once, here: du_b's n1 and n2
+    parts b1, b2, the two fixed squares of the n1 and n2 defect, and the
+    term b2 a q of each grid row of the n4 defect.  The returned function
+    forms the rest from dq h3, dq h4, tau1 and c0_n2, with the same
+    operations in the same order, so its floats are those of `cr_residual`
+    to the last bit.  Each part raises ValueError when a square passes the
+    largest float.
     """
     _, _, c, e = s.h.dp
-    a, b, q3, z = s.h.dq
-    c0n, c0d = s.c0_n2.numerator, s.c0_n2.denominator
-    tau1, tau2, cos, sin = s.tau1, s.tau2, s.cos_theta, s.sin_theta
+    a, b = s.h.dq[:2]
+    tau2, cos, sin = s.tau2, s.cos_theta, s.sin_theta
     try:
         fc, fe = float(c), float(e)
         # du_b; its n1 and n2 parts have no tau1 term, since dw/dp has none.
         b1, b2 = a / tau2, b / tau2
-        b3 = (q3 - tau1 * fc) / tau2
-        b4 = (((2 * z - a * b) * c0d - a * c0n) / (2 * c0d)
-              - tau1 * fe) / tau2
         fixed = ((cos * fc - sin * fe - b1) ** 2,
-                 (sin * fc + cos * fe - b2) ** 2, b3 ** 2)
-        bd = b * c0d
-        worst = max((b4 - ((c0n * den + bd * num) / (c0d * den) * b1
-                           - b2 * (a * num / den)) / 2) ** 2
-                    for num, den in _CR_ROWS)
+                 (sin * fc + cos * fe - b2) ** 2)
+        rows = [(num, den, b2 * (a * num / den)) for num, den in _CR_ROWS]
     except OverflowError:
-        raise ValueError("the Cauchy-Riemann defect of this torus passes "
-                         "the largest float") from None
-    return math.sqrt(sum((*fixed, worst)))
+        raise ValueError(_RESIDUAL_OVERFLOW) from None
+
+    def residual(h: HomDerivs, tau1: float, c0_n2: Rational) -> float:
+        _, _, q3, z = h.dq
+        c0n, c0d = c0_n2.numerator, c0_n2.denominator
+        try:
+            b3 = (q3 - tau1 * fc) / tau2
+            b4 = (((2 * z - a * b) * c0d - a * c0n) / (2 * c0d)
+                  - tau1 * fe) / tau2
+            bd = b * c0d
+            squares = (*fixed, b3 ** 2, max([
+                (b4 - ((c0n * den + bd * num) / (c0d * den) * b1 - row) / 2)
+                ** 2 for num, den, row in rows]))
+        except OverflowError:
+            raise ValueError(_RESIDUAL_OVERFLOW) from None
+        return math.sqrt(sum(squares))
+
+    return residual
 
 
 def symplectic_area(A: HomologyClass, cos_theta: float,

@@ -6,7 +6,12 @@ obstructed and contribute nothing.  For m != 0 the components are labelled
 by (d, k, l) with d | gcd(m, n), k = 1..d, l = 1..|m|/d.  This module owns
 the label rules: `moduli_component` refuses labels outside that range and
 gives each label its one fully reduced homomorphism and its automorphism
-order, and `moduli_components` lists them all once.  Each component carries
+order, and `moduli_components` lists them all once.  Per divisor d are
+gcd(m, n), sgn(m), the span |m|/d of l, the dp column, dq h1 = dq h2 and
+the closure d (d - 1) / 2 of dq h4; per label are dq h3, dq h4 and
+|Aut|.  `moduli_components` forms each divisor's part once, and it and
+`moduli_component` build each label from that part by one label rule.
+Each component carries
 the evaluation-cycle class sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234)
 with weight 1 / |Aut|, and the weighted total collapses to the closed form
 
@@ -100,17 +105,32 @@ def moduli_component(m: int, n: int, d: int, k: int,
     g = math.gcd(m, n)
     if d < 1 or g % d != 0:
         raise ValueError(f"{d} does not divide gcd({m}, {n})")
-    span = abs(m) // d
+    divisor = _divisor(m, n, g, d)
+    span = divisor[4]
     if not 1 <= k <= d:
         raise ValueError(f"k = {k} is outside 1..{d}")
     if not 1 <= ell <= span:
         raise ValueError(f"l = {ell} is outside 1..{span}")
+    return _label(divisor, k, ell)
+
+
+def _divisor(m: int, n: int, g: int, d: int) -> tuple:
+    """What the labels (d, k, l) of (m, n) share, g = gcd(m, n): m, n, g,
+    d, the span |m|/d of l, the dp column (0, 0, |m|/d, -n / (sgn(m) d)),
+    dq h1 = dq h2 = -sgn(m) d and the closure d (d - 1) / 2 of dq h4."""
     sgn = 1 if m > 0 else -1
-    dp4 = -n // (sgn * d)
-    dq3, k_red = (0, (k - dp4 - 1) % d + 1) if ell == span else (ell, k)
-    hom = HomDerivs((0, 0, span, dp4),
-                    (-sgn * d, -sgn * d, dq3, k_red + d * (d - 1) // 2))
-    return ModuliComponent(d, k, ell, hom,
+    span = abs(m) // d
+    return (m, n, g, d, span, (0, 0, span, -n // (sgn * d)), -sgn * d,
+            d * (d - 1) // 2)
+
+
+def _label(divisor: tuple, k: int, ell: int) -> ModuliComponent:
+    """The component (d, k, l) of the divisor data of `_divisor`, by the
+    rule of `moduli_component`, which checks the label first."""
+    m, n, g, d, span, dp, dq1, closure = divisor
+    dq3, k_red = (0, (k - dp[3] - 1) % d + 1) if ell == span else (ell, k)
+    return ModuliComponent(d, k, ell,
+                           HomDerivs(dp, (dq1, dq1, dq3, k_red + closure)),
                            math.gcd(g, (m * k + n * ell) // d))
 
 
@@ -180,10 +200,14 @@ def moduli_components(m: int, n: int) -> list[ModuliComponent]:
     if components > MODULI_BUDGET:
         raise ValueError(f"{components} moduli components exceed the "
                          f"moduli budget of {MODULI_BUDGET}")
-    return [moduli_component(m, n, d, k, ell)
-            for d in divisors(math.gcd(m, n))
-            for ell in range(1, abs(m) // d + 1)
-            for k in range(1, d + 1)]
+    g = math.gcd(m, n)
+    comps = []
+    for d in divisors(g):
+        divisor = _divisor(m, n, g, d)
+        comps += [_label(divisor, k, ell)
+                  for ell in range(1, divisor[4] + 1)
+                  for k in range(1, d + 1)]
+    return comps
 
 
 class GWResult(Record):

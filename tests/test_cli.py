@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
 from ktgw.geometry import cr_residual, solve_torus_data
 from ktgw.gwcount import (GWResult, component_eval_class, gw_closed_form,
-                          gw_enumerated, moduli_components)
+                          gw_enumerated, moduli_component, moduli_components)
 from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass, Rational
 from oracles import fraction, hnf_matrices, lie, rational, replace
 
@@ -288,6 +289,27 @@ def ref_gw_item(row):
                    "e124": ref_frac(e124)}}
 
 
+def component_rows(comps, ev):
+    """The moduli row of each component, solved and checked on its own by
+    `solve_torus_data` and `cr_residual`, with evaluation class ev."""
+    rows = []
+    for comp in comps:
+        sol = solve_torus_data(comp.hom)
+        dp, dq = lie(comp.hom)
+        rows.append((comp.d, comp.k, comp.ell, *dp, *dq, sol.tau1, sol.tau2,
+                     sol.theta(), sol.c0_n2, comp.aut_size, *ev,
+                     cr_residual(sol)))
+    return rows
+
+
+def divisor_loop_rows(comps, ev):
+    """The moduli rows that the command's divisor loop builds."""
+    join = cli._MODULI_STAGES.join
+    return [join(group + label)
+            for group, labels in cli._moduli_groups(comps, ev)
+            for label in labels]
+
+
 def ref_moduli_item(row):
     d, k, ell, *h, tau1, tau2, theta, c0, aut, e134, e234, e124, res = row
     return {"d": str(d), "k": str(k), "l": str(ell),
@@ -362,7 +384,24 @@ _HOLES = {
     "baseline-envelope": (cli._BASELINE.envelope,
                           cli._BASELINE.envelope_holes,
                           {"command", "schema_version", "items"}),
+    "moduli-divisor": (cli._MODULI_STAGES.item,
+                       cli._MODULI_STAGES.group_holes,
+                       item_leaves(cli._MODULI_STAGES.group_columns)),
 }
+# The %%s holes of a template filled in two stages, and the leaves they may
+# name: those of the label columns.
+_LABEL_HOLES = {
+    "moduli-divisor": (cli._MODULI_STAGES.row_holes,
+                       item_leaves(cli._MODULI_LABEL_COLUMNS)),
+}
+_SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
+
+
+def split_moduli_row(row):
+    """(divisor part, label part) of a full moduli row."""
+    stages, columns = cli._MODULI_STAGES, cli._MODULI_COLUMNS
+    return tuple(tuple(row[columns.index(col)] for col in part)
+                 for part in (stages.group_columns, cli._MODULI_LABEL_COLUMNS))
 
 
 def json_out(*argv):
@@ -393,8 +432,14 @@ def ref_gw_payload(A, method):
 class TestJsonTemplates:
     @pytest.mark.parametrize("command", sorted(_HOLES))
     def test_holes_name_columns(self, command):
-        # Each %s of a template is one hole, named by its leaf in holes.
+        # Each %s of a template is one hole, named by its leaf in holes.  In
+        # a template filled in two stages, each %%s is a hole of the second,
+        # named by a label leaf.
         template, holes, names = _HOLES[command]
+        label_holes, label_names = _LABEL_HOLES.get(command, ([], set()))
+        assert template.count("%%s") == len(label_holes)
+        assert set(label_holes) <= label_names
+        template = template.replace("%%s", "")
         assert template.count("%s") == len(holes)
         assert "%" not in template.replace("%s", "")
         assert set(holes) <= names
@@ -430,18 +475,44 @@ class TestJsonTemplates:
             assert items.fill(rows[command]) == [
                 ref_item_text(ref_item(row)) for row in rows[command]]
 
+    @pytest.mark.parametrize("special", _SPECIAL_FLOATS)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_stages_match_one_stage_fill(self, special, data):
+        # Rows that share a divisor part, special in tau2 and theta, fill
+        # the same items in two stages as in one.
+        rows = data.draw(st.lists(_ROWS["moduli"], min_size=1, max_size=4))
+        group, _ = split_moduli_row(rows[0])
+        group = group[:7] + (special, data.draw(st.sampled_from(
+            _SPECIAL_FLOATS))) + group[9:]
+        join = cli._MODULI_STAGES.join
+        rows = [join(group + split_moduli_row(row)[1]) for row in rows]
+        labels = [split_moduli_row(row)[1] for row in rows]
+        assert cli._MODULI_STAGES.fill([(group, labels)]) == \
+            cli._MODULI.fill(rows)
+
+    def test_divisor_holes_are_leaves_constant_per_divisor(self):
+        # A column is a divisor column when each of its leaves takes one
+        # value on all components of each divisor of each class.  (dq3 and
+        # dq4 vary with the label, though each keeps one denominator.)
+        holes, varies = cli._MODULI.holes, set()
+        for m, n in cli._sweep_classes(12):
+            first = {}
+            for row in component_rows(moduli_components(m, n),
+                                      component_eval_class(m, n).coords()):
+                leaves = cli._MODULI._leaves(row)
+                varies |= {hole.partition(".")[0] for hole, a, b in zip(
+                    holes, first.setdefault(row[0], leaves), leaves)
+                    if a != b}
+        assert cli._MODULI_STAGES.group_holes == [
+            hole for hole in holes if hole.partition(".")[0] not in varies]
+        assert len(cli._MODULI_STAGES.group_holes) == 21
+
     @settings(max_examples=15, deadline=None)
     @given(m=st.integers(-12, 12).filter(bool), n=st.integers(-12, 12))
     def test_moduli_command_matches_reference(self, m, n):
-        ev = component_eval_class(m, n).coords()
-        items = []
-        for comp in moduli_components(m, n):
-            sol = solve_torus_data(comp.hom)
-            dp, dq = lie(comp.hom)
-            items.append(ref_moduli_item((
-                comp.d, comp.k, comp.ell, *dp, *dq, sol.tau1, sol.tau2,
-                sol.theta(), sol.c0_n2, comp.aut_size, *ev,
-                cr_residual(sol))))
+        items = [ref_moduli_item(row) for row in component_rows(
+            moduli_components(m, n), component_eval_class(m, n).coords())]
         payload = {"schema_version": "1", "command": "moduli",
                    "m": str(m), "n": str(n), "components": items}
         assert json_out("moduli", str(m), str(n)) == \
@@ -548,6 +619,53 @@ class TestModuliCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 1 + 4
         assert rows[0][:3] == ["d", "k", "l"]
+
+
+def exact(row):
+    """row with each float as its hex and each rational as a Fraction."""
+    return tuple(v.hex() if isinstance(v, float) else fraction(v)
+                 for v in row)
+
+
+class TestDivisorLoop:
+    """The moduli rows solved once per divisor are those solved per
+    component, to the last bit."""
+
+    def test_small_classes_bitwise(self):
+        for m, n in cli._sweep_classes(12):
+            comps = moduli_components(m, n)
+            ev = component_eval_class(m, n).coords()
+            assert list(map(exact, divisor_loop_rows(comps, ev))) == \
+                list(map(exact, component_rows(comps, ev))), (m, n)
+
+    @pytest.mark.parametrize("m, n, d", [
+        (1200, 23757, 3), (10 ** 9, 10 ** 9, 40000), (-123456, 7890, 6)])
+    def test_sampled_labels_bitwise(self, m, n, d):
+        rng = random.Random(m + n + d)
+        span = abs(m) // d
+        # The last label has l = |m|/d, whose hom is reparametrised.
+        labels = sorted((rng.randint(1, span), rng.randint(1, d))
+                        for _ in range(39)) + [(span, rng.randint(1, d))]
+        comps = [moduli_component(m, n, d, k, ell) for ell, k in labels]
+        ev = component_eval_class(m, n).coords()
+        assert list(map(exact, divisor_loop_rows(comps, ev))) == \
+            list(map(exact, component_rows(comps, ev)))
+
+    @pytest.mark.parametrize("m, n, refusal", [
+        (1, 2 * 10 ** 154, "a column of the homomorphism is too long for a "
+                           "floating tau and theta"),
+        (2, 10 ** 154, "the Cauchy-Riemann defect of this torus passes the "
+                       "largest float"),
+        (7, 10 ** 153 + 3, "the Cauchy-Riemann defect of this torus passes "
+                           "the largest float"),
+    ])
+    def test_refusals_keep_their_text(self, m, n, refusal):
+        comps = moduli_components(m, n)
+        ev = component_eval_class(m, n).coords()
+        for build in (divisor_loop_rows, component_rows):
+            with pytest.raises(ValueError) as exc:
+                build(comps, ev)
+            assert str(exc.value) == refusal
 
 
 class TestVerifyCommand:

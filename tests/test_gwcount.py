@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ktgw import gwcount
-from ktgw.arith import sigma
+from ktgw.arith import divisors, sigma
 from ktgw.gwcount import (
     aut_size_smith,
     component_count,
@@ -171,12 +171,31 @@ class TestModuliComponents:
         monkeypatch.setattr(gwcount, "MODULI_BUDGET", 4)
         assert len(moduli_components(2, 0)) == 4
 
-        def refuse(m, n, d, k, ell):
+        def refuse(*args):
             raise AssertionError("over-budget moduli must build nothing")
 
-        monkeypatch.setattr(gwcount, "moduli_component", refuse)
+        # The listing builds every label through _label, as
+        # moduli_component does after its range checks.
+        for builder in ("moduli_component", "_label"):
+            monkeypatch.setattr(gwcount, builder, refuse)
+        with pytest.raises(AssertionError, match="must build nothing"):
+            moduli_components(2, 0)
         with pytest.raises(ValueError, match="moduli budget"):
             moduli_components(3, 0)
+
+    @pytest.mark.parametrize("classes", [
+        [(m, n) for m in range(-30, 31) if m for n in range(-30, 31)],
+        [(360, 360), (-360, 0), (9973, 1)],
+    ])
+    def test_listing_matches_checked_labels(self, classes):
+        # The divisor loop gives each label what the checked per-label
+        # builder gives it, in (d, l, k) order.
+        for m, n in classes:
+            assert moduli_components(m, n) == [
+                moduli_component(m, n, d, k, ell)
+                for d in divisors(math.gcd(m, n))
+                for ell in range(1, abs(m) // d + 1)
+                for k in range(1, d + 1)], (m, n)
 
 
 class TestClosedForm:
