@@ -123,29 +123,31 @@ def _layout(shape: object, bare: set[str], holes: list[str],
         pad)
 
 
-class _Leaves:
-    """Picks the leaves named by holes from a row over columns.
+def _leaves(columns: Sequence[str],
+            holes: list[str]) -> Callable[[tuple], tuple]:
+    """The function that picks the leaves named by holes from a row over
+    columns.
 
     A row's flat leaves are its columns, then the numerator and denominator
     of each rational column, then the JSON word of each float column."""
+    fracs, floats = (
+        [i for i, col in enumerate(columns) if col + leaf in holes]
+        for leaf in (".num", ".value"))
+    names = [*columns, *(columns[i] + part for i in fracs
+                         for part in (".num", ".den")),
+             *(columns[i] + ".value" for i in floats)]
+    pick = operator.itemgetter(*map(names.index, holes))
 
-    def __init__(self, columns: Sequence[str], holes: list[str]) -> None:
-        self._fracs, self._floats = (
-            [i for i, col in enumerate(columns) if col + leaf in holes]
-            for leaf in (".num", ".value"))
-        leaves = [*columns, *(columns[i] + part for i in self._fracs
-                              for part in (".num", ".den")),
-                  *(columns[i] + ".value" for i in self._floats)]
-        self._pick = operator.itemgetter(*map(leaves.index, holes))
-
-    def __call__(self, row: tuple) -> tuple:
+    def leaves_of(row: tuple) -> tuple:
         leaves = list(row)
-        for i in self._fracs:
+        for i in fracs:
             leaves += row[i].numerator, row[i].denominator
-        for i in self._floats:
+        for i in floats:
             text = repr(row[i])
             leaves.append(_FLOAT_WORDS.get(text, text))
-        return self._pick(leaves)
+        return pick(leaves)
+
+    return leaves_of
 
 
 class _Output:
@@ -160,7 +162,7 @@ class _Output:
         self.columns, self.holes, self.envelope_holes = columns, [], []
         bare = {*bare, *(col + ".value" for col in columns)}
         self.item = _layout(item, bare, self.holes, "    ")
-        self._leaves = _Leaves(columns, self.holes)
+        self._leaves = _leaves(columns, self.holes)
         self.envelope = _layout({"schema_version": "schema_version",
                                  "command": "command", **fields},
                                 {"items", "agrees"}, self.envelope_holes, "")
@@ -177,14 +179,15 @@ class _Output:
         if fmt == "csv":
             self.print_csv(rows)
         else:
-            self.print_json(self.fill(rows), **holes)
+            self.print_json(self.fill(rows), holes)
 
     def print_csv(self, rows: list[tuple]) -> None:
         sys.stdout.writelines(",".join(map(str, row)) + "\r\n"
                               for row in (self.columns, *rows))
 
-    def print_json(self, items: list[str], **holes: object) -> None:
-        """Write the envelope around the filled items."""
+    def print_json(self, items: list[str], holes: dict[str, object]) -> None:
+        """Write the envelope around the filled items, with its other holes
+        filled from holes, which gets schema_version and items."""
         holes["schema_version"] = SCHEMA_VERSION
         holes["items"] = ",\n    ".join(items)
         print(self.envelope % self._pick_envelope(holes))
@@ -213,8 +216,8 @@ class _Stages:
                             if not row]
         self.group_columns = tuple(col for col in output.columns
                                    if col not in row_columns)
-        self._group_leaves = _Leaves(self.group_columns, self.group_holes)
-        self._row_leaves = _Leaves(row_columns, self.row_holes)
+        self._group_leaves = _leaves(self.group_columns, self.group_holes)
+        self._row_leaves = _leaves(row_columns, self.row_holes)
         # A group's values and a row's, joined, in the output's columns.
         self.join = operator.itemgetter(*map(
             (*self.group_columns, *row_columns).index, output.columns))
@@ -361,7 +364,7 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
     groups = _moduli_groups(moduli_components(args.m, args.n),
                             component_eval_class(args.m, args.n).coords())
     if args.format == "json":
-        _MODULI.print_json(_MODULI_STAGES.fill(groups), **vars(args))
+        _MODULI.print_json(_MODULI_STAGES.fill(groups), {**vars(args)})
         return 0
     join = _MODULI_STAGES.join
     rows = [join(group + label) for group, labels in groups
