@@ -130,13 +130,15 @@ def _leaves(columns: Sequence[str],
 
     A row's flat leaves are its columns, then the numerator and denominator
     of each rational column, then the JSON word of each float column."""
+    named = set(holes)
     fracs, floats = (
-        [i for i, col in enumerate(columns) if col + leaf in holes]
+        [i for i, col in enumerate(columns) if col + leaf in named]
         for leaf in (".num", ".value"))
     names = [*columns, *(columns[i] + part for i in fracs
                          for part in (".num", ".den")),
              *(columns[i] + ".value" for i in floats)]
-    pick = operator.itemgetter(*map(names.index, holes))
+    index = {name: i for i, name in enumerate(names)}
+    pick = operator.itemgetter(*map(index.__getitem__, holes))
 
     def leaves_of(row: tuple) -> tuple:
         leaves = list(row)

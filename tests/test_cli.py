@@ -482,9 +482,12 @@ class TestJsonTemplates:
         # Rows that share a divisor part, special in tau2 and theta, fill
         # the same items in two stages as in one.
         rows = data.draw(st.lists(_ROWS["moduli"], min_size=1, max_size=4))
-        group, _ = split_moduli_row(rows[0])
-        group = group[:7] + (special, data.draw(st.sampled_from(
-            _SPECIAL_FLOATS))) + group[9:]
+        group = list(split_moduli_row(rows[0])[0])
+        columns = cli._MODULI_STAGES.group_columns
+        group[columns.index("tau2")] = special
+        group[columns.index("theta")] = data.draw(
+            st.sampled_from(_SPECIAL_FLOATS))
+        group = tuple(group)
         join = cli._MODULI_STAGES.join
         rows = [join(group + split_moduli_row(row)[1]) for row in rows]
         labels = [split_moduli_row(row)[1] for row in rows]
