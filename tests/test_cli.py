@@ -488,9 +488,8 @@ class TestJsonTemplates:
         group[columns.index("theta")] = data.draw(
             st.sampled_from(_SPECIAL_FLOATS))
         group = tuple(group)
-        join = cli._MODULI_STAGES.join
-        rows = [join(group + split_moduli_row(row)[1]) for row in rows]
         labels = [split_moduli_row(row)[1] for row in rows]
+        rows = [cli._MODULI_STAGES.join(group + label) for label in labels]
         assert cli._MODULI_STAGES.fill([(group, labels)]) == \
             cli._MODULI.fill(rows)
 
