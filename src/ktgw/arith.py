@@ -235,8 +235,19 @@ def aut_weight_total(m: int, n: int) -> int:
     """
     if m == 0:
         raise ValueError("m must be nonzero")
-    span = abs(m)
-    return sum(c * (span // f) for f, c in _weight_terms(math.gcd(m, n)))
+    span, total = abs(m), 0
+    # A plain loop: for the few terms of a small g it costs about half of
+    # a generator's or a map's set-up.
+    for f, c in _weight_terms(math.gcd(m, n)):
+        total += c * (span // f)
+    return total
+
+
+@lru_cache(maxsize=1024)
+def _sigma_2(g: int) -> int:
+    """sigma_2(g), cached: a `verify identities` sweep meets each g many
+    times."""
+    return sigma(2, g)
 
 
 def aut_weight_total_closed(m: int, n: int) -> int:
@@ -244,7 +255,7 @@ def aut_weight_total_closed(m: int, n: int) -> int:
     if m == 0:
         raise ValueError("m must be nonzero")
     g = math.gcd(m, n)
-    return abs(m) // g * sigma(2, g)
+    return abs(m) // g * _sigma_2(g)
 
 
 CesaroCheck = namedtuple("CesaroCheck", ("lhs", "rhs", "equal"))

@@ -11,12 +11,11 @@ num/den string pairs; floating geometry fields carry an "approx" marker.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import sys
 import types
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .arith import (
     aut_weight_total,
@@ -26,26 +25,24 @@ from .arith import (
     sublattice_counts,
 )
 from .geometry import (
-    TorusSolution,
-    divisor_residual,
     eval_class_integrate,
-    solve_label,
+    label_solver,
     solve_torus_data,
     symplectic_area,
 )
 from .gwcount import (
     MODULI_BUDGET,
     GWResult,
-    ModuliComponent,
     aut_size_smith,
     component_count,
     component_eval_class,
     gw_closed_form,
     gw_enumerated,
     moduli_components,
+    moduli_divisors,
 )
 from .homs import homology_class
-from .nilalg import HomologyClass, Rational
+from .nilalg import HomologyClass
 
 SCHEMA_VERSION = "1"
 # Largest `verify identities --max`, 0.3-0.5 s and quadratic in it, and
@@ -90,11 +87,17 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 # holes are schema_version and the command's arguments.  The lists are
 # never empty, and every filled value is a decimal integer, a float or a
 # fixed word, so no hole needs escaping.
-# moduli fills its item in two stages (_Stages), since a component's d, dp,
-# dq h1, dq h2, tau2, theta and evaluation class are those of its divisor.
-# At import, the divisor template is the item with each hole of a label
-# column written %%s.  Once per divisor, its 21 divisor leaves fill it to a
-# label template, whose 11 holes each label then fills.
+# moduli walks its components one divisor at a time
+# (gwcount.moduli_divisors) and builds, in one pass over each divisor's
+# labels, one row per label that all three formats print: the label's
+# leaves _MODULI_LABEL_LEAVES, in the order of their holes in the item.
+# The rest of a component is its divisor's, the denominators of dq3
+# (always 1) and dq4 (1 or 2 by the parity of dq h1 dq h2) included: one
+# divisor row over _MODULI_STAGES.group_columns.  The JSON item is filled
+# in two stages (_Stages): at import, each label hole is written %%s; once
+# per divisor, its 23 divisor leaves fill it to a label template, whose 9
+# holes each label row fills as it stands.  CSV and text write a divisor's
+# values into a line template once, and each label row into that.
 
 # The repr of each non-finite float, as json.dumps spells it.
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -145,11 +148,17 @@ def _leaves(columns: Sequence[str],
         for i in fracs:
             leaves += row[i].numerator, row[i].denominator
         for i in floats:
-            text = repr(row[i])
-            leaves.append(_FLOAT_WORDS.get(text, text))
+            leaves.append(_json_float(row[i]))
         return pick(leaves)
 
     return leaves_of
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes it: its repr, or the word of a non-finite
+    float."""
+    text = repr(x)
+    return _FLOAT_WORDS.get(text, text)
 
 
 class _Output:
@@ -179,13 +188,15 @@ class _Output:
         """Write rows to stdout as fmt, csv or json, with the envelope's
         holes filled from holes."""
         if fmt == "csv":
-            self.print_csv(rows)
+            self.print_csv(",".join(map(str, row)) for row in rows)
         else:
             self.print_json(self.fill(rows), holes)
 
-    def print_csv(self, rows: list[tuple]) -> None:
-        sys.stdout.writelines(",".join(map(str, row)) + "\r\n"
-                              for row in (self.columns, *rows))
+    def print_csv(self, lines: Iterable[str]) -> None:
+        """Write the header and then lines, the text of each row, as CSV
+        lines."""
+        sys.stdout.writelines(line + "\r\n"
+                              for line in (",".join(self.columns), *lines))
 
     def print_json(self, items: list[str], holes: dict[str, object]) -> None:
         """Write the envelope around the filled items, with its other holes
@@ -197,17 +208,18 @@ class _Output:
 
 class _Stages:
     """The item of an _Output filled in two stages, for rows that come in
-    groups sharing the values of every column outside row_columns.
+    groups sharing every leaf outside row_holes.
 
-    item is the output's item with each hole of a row column written %%s,
-    so that filling its group holes, named by group_holes, gives a template
-    whose holes, named by row_holes, take a row's leaves.  A group's leaves
-    come from its columns, group_columns, in the output's order; a row's
-    from row_columns."""
+    item is the output's item with each hole named in row_holes written
+    %%s.  Filling its other holes, group_holes, from a group's leaves gives
+    a template that a row fills from its leaves as they stand, in the order
+    row_holes has in the item.  A group's leaves are picked by group_leaves
+    from its values over group_columns, in the item's order: each column
+    with no leaf in row_holes, and each other leaf of a column that has
+    one, as a column of its own."""
 
-    def __init__(self, output: _Output, row_columns: Sequence[str]) -> None:
-        in_row = [hole.partition(".")[0] in row_columns
-                  for hole in output.holes]
+    def __init__(self, output: _Output, row_holes: Sequence[str]) -> None:
+        in_row = [hole in row_holes for hole in output.holes]
         parts = output.item.split("%s")
         self.item = parts[0] + "".join(
             ("%%s" if row else "%s") + part
@@ -216,21 +228,11 @@ class _Stages:
                           if row]
         self.group_holes = [hole for hole, row in zip(output.holes, in_row)
                             if not row]
-        self.group_columns = tuple(col for col in output.columns
-                                   if col not in row_columns)
-        self._group_leaves = _leaves(self.group_columns, self.group_holes)
-        self._row_leaves = _leaves(row_columns, self.row_holes)
-        # A group's values and a row's, joined, in the output's columns.
-        self.join = operator.itemgetter(*map(
-            (*self.group_columns, *row_columns).index, output.columns))
-
-    def fill(self, groups: list[tuple[tuple, list[tuple]]]) -> list[str]:
-        """The JSON list items of the rows of each (group, rows) pair."""
-        row_leaves, filled = self._row_leaves, []
-        for group, rows in groups:
-            item = self.item % self._group_leaves(group)
-            filled += [item % row_leaves(row) for row in rows]
-        return filled
+        split = {hole.partition(".")[0] for hole in row_holes}
+        self.group_columns = tuple(dict.fromkeys(
+            hole if column in split else column for hole, column in (
+                (hole, hole.partition(".")[0]) for hole in self.group_holes)))
+        self.group_leaves = _leaves(self.group_columns, self.group_holes)
 
 
 _GW_FIELDS = {"class": [*_GW_COLUMNS[:4]], "method": "method",
@@ -257,10 +259,12 @@ _BASELINE = _Output({"rows": ["items"]}, _BASELINE_COLUMNS,
                     {col: col for col in _BASELINE_COLUMNS}, "equal")
 
 
-# A moduli component's columns that depend on more than its divisor d.
-_MODULI_LABEL_COLUMNS = ("k", "l", "dq3", "dq4", "tau1", "c0_n2",
-                         "aut_size", "cr_residual")
-_MODULI_STAGES = _Stages(_MODULI, _MODULI_LABEL_COLUMNS)
+# The leaves of a moduli label row, in the order of their holes in the
+# item: those of a component that depend on more than its divisor d.
+_MODULI_LABEL_LEAVES = ("k", "l", "dq3.num", "dq4.num", "tau1.value",
+                        "c0_n2.num", "c0_n2.den", "aut_size",
+                        "cr_residual.value")
+_MODULI_STAGES = _Stages(_MODULI, _MODULI_LABEL_LEAVES)
 
 
 # ---------------------------------------------------------------------------
@@ -330,61 +334,90 @@ def _cmd_gw(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _solved_divisors(comps: list[ModuliComponent]) -> Iterator[
-        tuple[TorusSolution, list[ModuliComponent]]]:
-    """Each divisor's components, of one class in (d, l, k) order, with the
-    torus of its first component: its tau2 and theta, and the columns
-    they read, are those of every component of the divisor."""
-    for _, run in itertools.groupby(comps, operator.attrgetter("d")):
-        run = list(run)
-        yield solve_torus_data(run[0].hom), run
+def _moduli_rows(d: int, dp: tuple, a: int, labels: list[tuple],
+                 ev: tuple) -> tuple[tuple, list[tuple]]:
+    """The divisor row and the label rows of the labels of one divisor d
+    of `gwcount.moduli_divisors`, with dp column dp, dq h1 = dq h2 = a and
+    the evaluation class ev, in one pass over the labels.
+
+    The divisor row is over _MODULI_STAGES.group_columns, with the tau2 and
+    theta of the first label's torus.  A label row's leaves are
+    _MODULI_LABEL_LEAVES; one call of the divisor's `label_solver` gives
+    its tau1, c0_n2 and residual.
+    """
+    s = solve_torus_data(labels[0][5])
+    solve = label_solver(s)
+    # dp is reduced, so it is its own Lie column.  dq's Lie h4 is z - a^2/2:
+    # over 2 when a is odd, else over 1.
+    den4 = 2 if a % 2 else 1
+    shift = den4 * a * a // 2
+    rows = []
+    for k, ell, q3, z, aut_size, _ in labels:
+        tau1, c0n, c0d, res = solve(q3, z)
+        rows.append((k, ell, q3, den4 * z - shift, tau1, c0n, c0d, aut_size,
+                     res))
+    return (d, *dp, a, a, 1, den4, s.tau2, s.theta(), *ev), rows
 
 
-def _moduli_groups(comps: list[ModuliComponent],
-                   ev: tuple) -> list[tuple[tuple, list[tuple]]]:
-    """(divisor row, label rows) of each divisor of comps, the divisor row
-    over _MODULI_STAGES.group_columns, with evaluation class ev, and each
-    label row over _MODULI_LABEL_COLUMNS."""
-    groups = []
-    for s, run in _solved_divisors(comps):
-        residual = divisor_residual(s)
-        # dp is reduced, so it is its own Lie column; dq's Lie h4 is z - ab/2.
-        a, b = s.h.dq[:2]
-        labels = []
-        for comp in run:
-            _, _, q3, z = comp.hom.dq
-            tau1, c0_n2 = solve_label(comp.hom)
-            labels.append((comp.k, comp.ell, q3, Rational(2 * z - a * b, 2),
-                           tau1, c0_n2, comp.aut_size,
-                           residual(comp.hom, tau1, c0_n2)))
-        groups.append(((run[0].d, *s.h.dp, a, b, s.tau2, s.theta(), *ev),
-                       labels))
-    return groups
+def _ratio(num: object, den: int) -> str:
+    """num / den as a rational prints: num alone when den is 1."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def _moduli_json(divisor: tuple, rows: list[tuple]) -> list[str]:
+    """The JSON list items of one divisor's label rows."""
+    item = _MODULI_STAGES.item % _MODULI_STAGES.group_leaves(divisor)
+    # A row's floats are tau1 and the residual, its fifth and last leaves.
+    # Their sum is finite only if both are; else each float gets its word.
+    return [item % (row if math.isfinite(row[4] + row[-1]) else tuple(
+        _json_float(v) if type(v) is float else v for v in row))
+        for row in rows]
+
+
+def _moduli_csv(divisor: tuple, rows: list[tuple]) -> list[str]:
+    """The CSV lines of one divisor's label rows."""
+    (d, p1, p2, p3, p4, a, b, den3, den4, tau2, theta, e134, e234,
+     e124) = divisor
+    line = (f"{d},%s,%s,{p1},{p2},{p3},{p4},{a},{b},{_ratio('%s', den3)},"
+            f"{_ratio('%s', den4)},%s,{tau2},{theta},%s,%s,{e134},{e234},"
+            f"{e124},%s")
+    return [line % (k, ell, q3, z, tau1, _ratio(c0n, c0d), aut_size, res)
+            for k, ell, q3, z, tau1, c0n, c0d, aut_size, res in rows]
+
+
+def _moduli_text(divisor: tuple, rows: list[tuple]) -> list[str]:
+    """The text table lines of one divisor's label rows."""
+    d, p1, p2, p3, p4, a, b, den3, den4, tau2, theta, e134, _, _ = divisor
+    mat = (f"[{p1},{p2},{p3},{p4} | {a},{b},{_ratio('%s', den3)},"
+           f"{_ratio('%s', den4)}]")
+    angles = f"{tau2:>9.5f} {theta:>9.5f}"
+    return [f"{d:>3} {k:>3} {ell:>3} {mat % (q3, z):<26} {tau1:>9.5f} "
+            f"{angles} {_ratio(c0n, c0d):>7} {aut_size:>5} {str(e134):>9} "
+            f"{res:>9.2e}"
+            for k, ell, q3, z, tau1, c0n, c0d, aut_size, res in rows]
+
+
+_MODULI_WRITERS = {"json": _moduli_json, "csv": _moduli_csv,
+                   "text": _moduli_text}
 
 
 def _cmd_moduli(args: argparse.Namespace) -> int:
-    groups = _moduli_groups(moduli_components(args.m, args.n),
-                            component_eval_class(args.m, args.n).coords())
+    divisors = moduli_divisors(args.m, args.n)
+    ev = component_eval_class(args.m, args.n).coords()
+    write, lines = _MODULI_WRITERS[args.format], []
+    for d, dp, a, labels in divisors:
+        lines += write(*_moduli_rows(d, dp, a, labels, ev))
     if args.format == "json":
-        _MODULI.print_json(_MODULI_STAGES.fill(groups), {**vars(args)})
-        return 0
-    join = _MODULI_STAGES.join
-    rows = [join(group + label) for group, labels in groups
-            for label in labels]
-    if args.format == "text":
-        print(f"moduli components of [{args.m}, {args.m}, {args.n}, {args.n}]"
-              f" ({len(rows)} components)")
+        _MODULI.print_json(lines, {**vars(args)})
+    elif args.format == "csv":
+        _MODULI.print_csv(lines)
+    else:
+        print(f"moduli components of [{args.m}, {args.m}, {args.n}, "
+              f"{args.n}] ({len(lines)} components)")
         print(f"{'d':>3} {'k':>3} {'l':>3} {'matrix (dp | dq)':<26} "
               f"{'tau1':>9} {'tau2':>9} {'theta':>9} {'c0':>7} "
               f"{'|Aut|':>5} {'eval':>9} {'residual':>9}")
-        for (d, k, ell, *h, tau1, tau2, theta, c0, aut, ev134, _, _,
-             res) in rows:
-            mat = "[%s,%s,%s,%s | %s,%s,%s,%s]" % tuple(h)
-            print(f"{d:>3} {k:>3} {ell:>3} {mat:<26} {tau1:>9.5f} "
-                  f"{tau2:>9.5f} {theta:>9.5f} {str(c0):>7} {aut:>5} "
-                  f"{str(ev134):>9} {res:>9.2e}")
-    else:
-        _MODULI.print_csv(rows)
+        print("\n".join(lines))
     return 0
 
 
@@ -470,20 +503,18 @@ def _verify_geometry(max_n: int) -> list[_Sweep]:
     at = " at m={} n={} (d,k,l)=({},{},{})"
     for m, n in _sweep_classes(max_n):
         expected = component_eval_class(m, n)
-        for s, run in _solved_divisors(moduli_components(m, n)):
-            defect = divisor_residual(s)
-            for comp in run:
-                where = (m, n, comp.d, comp.k, comp.ell)
-                tau1, c0_n2 = solve_label(comp.hom)
-                res = defect(comp.hom, tau1, c0_n2)
+        for d, _, _, labels in moduli_divisors(m, n):
+            s = solve_torus_data(labels[0][5])
+            solve = label_solver(s)
+            for k, ell, q3, z, _, hom in labels:
+                where = (m, n, d, k, ell)
+                res = solve(q3, z)[3]
                 residual.check(res < 1e-9, "residual {:g}" + at, res, *where)
-                cls = homology_class(comp.hom)
-                ar = symplectic_area(cls, s.cos_theta, s.sin_theta)
+                ar = symplectic_area(homology_class(hom), s.cos_theta,
+                                     s.sin_theta)
                 area.check(ar > 0, "area {:g}" + at, ar, *where)
-                # The class reads the component's own columns, not s's.
-                sol = TorusSolution(comp.hom, tau1, s.tau2, s.cos_theta,
-                                    s.sin_theta, c0_n2)
-                cycle.check(eval_class_integrate(sol) == expected,
+                # The class reads the component's own columns.
+                cycle.check(eval_class_integrate(hom) == expected,
                             "cycle class mismatch" + at, *where)
     return [residual, area, cycle]
 

@@ -19,10 +19,11 @@ the central period 1 / gcd(dp h3, dp h4) is read off h where it is needed.
 The moduli components with label (d, k, l) of one class share, for each
 divisor d, the columns (dq h1, dq h2) and (dp h3, dp h4), and so tau2,
 theta and the terms of the defect that read only those.  Per label remain
-dq h3, dq h4, tau1, c0_n2 and the rest of the defect: `solve_label` and
-the function that `divisor_residual` returns.  `solve_torus_data` and
-`cr_residual` solve and check one torus from both parts, and a caller
-that walks a divisor's labels forms the divisor's part once.
+dq h3, dq h4, tau1, c0_n2 and the rest of the defect.  `label_solver`
+forms a divisor's part once and returns the per-label function, which
+gives tau1, c0_n2 and the residual from (dq h3, dq h4) in one call.
+`solve_torus_data`, `solve_label` and `cr_residual` solve and check one
+torus by the same arithmetic.
 
 Combinatorial data stays exact: the homomorphism in integers and the
 translation constant c0_n2 n2 as a rational.  tau and theta live in
@@ -49,7 +50,7 @@ __all__ = [
     "solve_torus_data",
     "solve_label",
     "cr_residual",
-    "divisor_residual",
+    "label_solver",
     "symplectic_area",
     "eval_class_integrate",
 ]
@@ -131,9 +132,20 @@ def solve_label(h: HomDerivs) -> tuple[float, Rational]:
     with z = dq h4.  h must be one that `solve_torus_data` solves."""
     _, _, c, e = h.dp
     a, b, q3, z = h.dq
+    tau1, c0n, c0d = _label_terms(a, b, c, e, q3, z)
+    return tau1, Rational(c0n, c0d)
+
+
+def _label_terms(a: int, b: int, c: int, e: int, q3: int,
+                 z: int) -> tuple[float, int, int]:
+    """tau1 of `solve_label`, and the numerator and denominator of its
+    c0_n2 in lowest terms, the denominator positive."""
+    num, den = (2 * z - a * b) * c - 2 * q3 * e, 2 * c * a
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
     # + 0.0 turns the -0.0 of 0 / c, c < 0, into 0.0, the float of exact 0.
-    return (q3 / c + 0.0,
-            Rational((2 * z - a * b) * c - 2 * q3 * e, 2 * c * a))
+    return q3 / c + 0.0, num // g, den // g
 
 
 def cr_residual(s: TorusSolution) -> float:
@@ -153,27 +165,32 @@ def cr_residual(s: TorusSolution) -> float:
     one integer true division of its numerator by its denominator.  Raises
     ValueError when a square passes the largest float.
 
-    It is `divisor_residual(s)(s.h, s.tau1, s.c0_n2)`.
+    It is the residual that `label_solver(s)` gives for s's own dq h3,
+    dq h4, tau1 and c0_n2.
     """
-    return divisor_residual(s)(s.h, s.tau1, s.c0_n2)
+    _, _, q3, z = s.h.dq
+    return label_solver(s)(q3, z, s.tau1, s.c0_n2)[3]
 
 
 _RESIDUAL_OVERFLOW = ("the Cauchy-Riemann defect of this torus passes the "
                       "largest float")
 
 
-def divisor_residual(
-        s: TorusSolution) -> Callable[[HomDerivs, float, Rational], float]:
-    """The residual of `cr_residual` as a function of h, tau1 and c0_n2,
-    for the tori that share the columns (a, b) and (c, e) of s.h and the
-    tau2 and theta of s.
+def label_solver(s: TorusSolution) -> Callable[..., tuple[float, int, int,
+                                                           float]]:
+    """The per-label function of the tori that share the columns (a, b)
+    and (c, e) of s.h and the tau2 and theta of s.
 
-    The terms that read only those are formed once, here: du_b's n1 and n2
-    parts b1, b2, the two fixed squares of the n1 and n2 defect, and the
-    term b2 a q of each grid row of the n4 defect.  The returned function
-    forms the rest from dq h3, dq h4, tau1 and c0_n2, with the same
-    operations in the same order, so its floats are those of `cr_residual`
-    to the last bit.  Each part raises ValueError when a square passes the
+    It takes dq h3 and dq h4 of one such torus and returns its tau1, the
+    numerator and denominator of its c0_n2, by `solve_label`'s arithmetic,
+    and its `cr_residual`.  Passed a tau1 and a c0_n2 as well, it returns
+    those, and the residual of the torus with them in place of its own.
+
+    The terms of the residual that read only the shared data are formed
+    once, here: du_b's n1 and n2 parts b1, b2, the two fixed squares of
+    the n1 and n2 defect, and the term b2 a q of each grid row of the n4
+    defect.  The returned function forms the rest from dq h3, dq h4, tau1
+    and c0_n2.  Each part raises ValueError when a square passes the
     largest float.
     """
     _, _, c, e = s.h.dp
@@ -189,9 +206,12 @@ def divisor_residual(
     except OverflowError:
         raise ValueError(_RESIDUAL_OVERFLOW) from None
 
-    def residual(h: HomDerivs, tau1: float, c0_n2: Rational) -> float:
-        _, _, q3, z = h.dq
-        c0n, c0d = c0_n2.numerator, c0_n2.denominator
+    def label(q3: int, z: int, tau1: float | None = None,
+              c0_n2: Rational | None = None) -> tuple[float, int, int, float]:
+        if tau1 is None:
+            tau1, c0n, c0d = _label_terms(a, b, c, e, q3, z)
+        else:
+            c0n, c0d = c0_n2.numerator, c0_n2.denominator
         try:
             b3 = (q3 - tau1 * fc) / tau2
             b4 = (((2 * z - a * b) * c0d - a * c0n) / (2 * c0d)
@@ -202,9 +222,9 @@ def divisor_residual(
                 ** 2 for num, den, row in rows]))
         except OverflowError:
             raise ValueError(_RESIDUAL_OVERFLOW) from None
-        return math.sqrt(sum(squares))
+        return tau1, c0n, c0d, math.sqrt(sum(squares))
 
-    return residual
+    return label
 
 
 def symplectic_area(A: HomologyClass, cos_theta: float,
@@ -218,8 +238,9 @@ def symplectic_area(A: HomologyClass, cos_theta: float,
     return -(cos_theta * (A.a23 + A.a14) + sin_theta * (A.a13 - A.a24))
 
 
-def eval_class_integrate(s: TorusSolution) -> H3Class:
-    """Class of the evaluation cycle by exact pullback integration.
+def eval_class_integrate(h: HomDerivs) -> H3Class:
+    """Class of the evaluation cycle of a solved torus of the reduced
+    homomorphism h, by exact pullback integration.
 
     Pulls the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy) back along
     the evaluation map (lam, p, q) -> exp(w) exp(lam (dp_h4 n3 - dp_h3 n4)),
@@ -238,11 +259,11 @@ def eval_class_integrate(s: TorusSolution) -> H3Class:
 
         -(dp h3^2 + dp h4^2) / gcd(dp h3, dp h4) (a E134 + b E234),
 
-    independent of the translation constant.  Cycle coefficients carry the
-    pairing convention under which the one-component class with invariants
-    (1, 0) comes out as +E134 + E234.
+    independent of the translation constant, so h is all it reads.  Cycle
+    coefficients carry the pairing convention under which the
+    one-component class with invariants (1, 0) comes out as +E134 + E234.
     """
-    _, _, c, dd = s.h.dp  # reduced, so dd is dp h4
-    a, b = s.h.dq[:2]
+    _, _, c, dd = h.dp  # reduced, so dd is dp h4
+    a, b = h.dq[:2]
     num, den = -(c * c + dd * dd), math.gcd(c, dd)
     return H3Class(Rational(num * a, den), Rational(num * b, den), 0)

@@ -6,14 +6,15 @@ obstructed and contribute nothing.  For m != 0 the components are labelled
 by (d, k, l) with d | gcd(m, n), k = 1..d, l = 1..|m|/d.  This module owns
 the label rules: `moduli_component` refuses labels outside that range and
 gives each label its one fully reduced homomorphism and its automorphism
-order, and `moduli_components` lists them all once.  Per divisor d are
+order.  `moduli_divisors` walks the labels once, one divisor at a time,
+and `moduli_components` flattens that walk.  Per divisor d are
 gcd(m, n), sgn(m), the span |m|/d of l, the dp column, dq h1 = dq h2 and
-the closure d (d - 1) / 2 of dq h4; per label are dq h3, dq h4 and
-|Aut|.  `moduli_components` forms each divisor's part once, and it and
-`moduli_component` build each label from that part by one label rule.
-Each component carries
-the evaluation-cycle class sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234)
-with weight 1 / |Aut|, and the weighted total collapses to the closed form
+the closure d (d - 1) / 2 of dq h4; per label are dq h3, dq h4, |Aut| and
+the checked homomorphism.  The walk forms each divisor's part once, and
+it and `moduli_component` build each label from that part by one label
+rule.  Each component carries the evaluation-cycle class
+sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234) with weight 1 / |Aut|, and
+the weighted total collapses to the closed form
 
     (m^2 + n^2) sigma_2(gcd(m, n)) / gcd(m, n)^3 (a13 E134 + a23 E234).
 
@@ -42,6 +43,7 @@ __all__ = [
     "aut_size_smith",
     "component_count",
     "component_eval_class",
+    "moduli_divisors",
     "moduli_components",
     "gw_closed_form",
     "gw_enumerated",
@@ -52,7 +54,7 @@ __all__ = [
 # divisors: about 3.3 s at both limits (Intel Xeon, Python 3.11).
 ENUMERATION_BUDGET = 4 * 10 ** 6
 ENUMERATION_GCD_BITS = 1024
-# Most components that `moduli_components` lists.
+# Most components that `moduli_divisors` and `moduli_components` list.
 MODULI_BUDGET = 10 ** 4
 
 
@@ -111,7 +113,8 @@ def moduli_component(m: int, n: int, d: int, k: int,
         raise ValueError(f"k = {k} is outside 1..{d}")
     if not 1 <= ell <= span:
         raise ValueError(f"l = {ell} is outside 1..{span}")
-    return _label(divisor, k, ell)
+    _, _, _, _, aut_size, hom = _label(divisor, k, ell)
+    return ModuliComponent(d, k, ell, hom, aut_size)
 
 
 def _divisor(m: int, n: int, g: int, d: int) -> tuple:
@@ -124,14 +127,15 @@ def _divisor(m: int, n: int, g: int, d: int) -> tuple:
             d * (d - 1) // 2)
 
 
-def _label(divisor: tuple, k: int, ell: int) -> ModuliComponent:
-    """The component (d, k, l) of the divisor data of `_divisor`, by the
-    rule of `moduli_component`, which checks the label first."""
+def _label(divisor: tuple, k: int, ell: int) -> tuple:
+    """(k, l, dq h3, dq h4, |Aut|, hom) of the component (d, k, l) of the
+    divisor data of `_divisor`, by the rule of `moduli_component`, which
+    checks the label first.  Building hom is the lattice check."""
     m, n, g, d, span, dp, dq1, closure = divisor
     dq3, k_red = (0, (k - dp[3] - 1) % d + 1) if ell == span else (ell, k)
-    return ModuliComponent(d, k, ell,
-                           HomDerivs(dp, (dq1, dq1, dq3, k_red + closure)),
-                           math.gcd(g, (m * k + n * ell) // d))
+    dq4 = k_red + closure
+    return (k, ell, dq3, dq4, math.gcd(g, (m * k + n * ell) // d),
+            HomDerivs(dp, (dq1, dq1, dq3, dq4)))
 
 
 def aut_size_smith(h: HomDerivs) -> int:
@@ -181,14 +185,19 @@ def component_eval_class(m: int, n: int) -> H3Class:
     return H3Class(coeff, coeff, 0)
 
 
-def moduli_components(m: int, n: int) -> list[ModuliComponent]:
-    """All moduli components of the diagonal class with invariants (m, n).
+def moduli_divisors(m: int, n: int) -> list[tuple[int, tuple, int,
+                                                   list[tuple]]]:
+    """All moduli components of the diagonal class with invariants (m, n),
+    one divisor d of gcd(m, n) at a time, in increasing d.
 
-    One per label (d, k, l), in lexicographic (d, l, k) order, |m|
-    sigma_0(gcd(m, n)) in all.  Refuses m = 0, whose components are
-    obstructed, and more than MODULI_BUDGET components, before building
-    any homomorphism; |m| past the budget already proves that, so it is
-    refused before gcd(m, n) is factored.
+    Each divisor gives (d, dp, dq h1, labels): the dp column and dq h1 =
+    dq h2 that its components share, and one (k, l, dq h3, dq h4, |Aut|,
+    hom) per label in lexicographic (l, k) order, hom the label's checked
+    fully reduced homomorphism, as `moduli_component` builds it.  |m|
+    sigma_0(gcd(m, n)) labels in all.  Refuses m = 0, whose components
+    are obstructed, and more than MODULI_BUDGET components, before
+    building any homomorphism; |m| past the budget already proves that, so
+    it is refused before gcd(m, n) is factored.
     """
     if m == 0:
         raise ValueError("moduli with m = 0 are obstructed and do not "
@@ -201,13 +210,21 @@ def moduli_components(m: int, n: int) -> list[ModuliComponent]:
         raise ValueError(f"{components} moduli components exceed the "
                          f"moduli budget of {MODULI_BUDGET}")
     g = math.gcd(m, n)
-    comps = []
+    walk = []
     for d in divisors(g):
         divisor = _divisor(m, n, g, d)
-        comps += [_label(divisor, k, ell)
-                  for ell in range(1, divisor[4] + 1)
-                  for k in range(1, d + 1)]
-    return comps
+        walk.append((d, divisor[5], divisor[6], [
+            _label(divisor, k, ell) for ell in range(1, divisor[4] + 1)
+            for k in range(1, d + 1)]))
+    return walk
+
+
+def moduli_components(m: int, n: int) -> list[ModuliComponent]:
+    """The labels of `moduli_divisors(m, n)` as one list of components,
+    in lexicographic (d, l, k) order, with its refusals."""
+    return [ModuliComponent(d, k, ell, hom, aut_size)
+            for d, _, _, labels in moduli_divisors(m, n)
+            for k, ell, _, _, aut_size, hom in labels]
 
 
 class GWResult(Record):

@@ -56,8 +56,11 @@ class HomDerivs(Record):
     fields = ("dp", "dq")
 
     def __init__(self, dp: Column, dq: Column) -> None:
+        # One chain of `is` tests: every entry's type is exactly int.
         if not (type(dp) is type(dq) is tuple and len(dp) == len(dq) == 4
-                and set(map(type, dp + dq)) == {int}
+                and type(dp[0]) is type(dp[1]) is type(dp[2])
+                is type(dp[3]) is type(dq[0]) is type(dq[1])
+                is type(dq[2]) is type(dq[3]) is int
                 and dp[0] * dq[1] == dq[0] * dp[1]):
             raise ValueError("not a lattice-compatible homomorphism")
         self.__dict__.update(dp=dp, dq=dq)

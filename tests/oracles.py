@@ -28,6 +28,8 @@ live here:
   and the `moduli` columns, which stay in integers; `lie_columns` wraps
   its columns as `LieAlgElem`s.
 * `from_rows` builds a `HomDerivs` from four Lie rows (dp h_i, dq h_i).
+* `homderivs_accepts` is the `HomDerivs` lattice check written over the
+  set of entry types, the reference for the constructor's unrolled chain.
 * `h3_scale` and `h3_pushforward` scale a degree-three class and push it
   along a lattice automorphism, one `H3Class` per step; chained as
   `h3_pushforward(adjugate(M), h3_scale(component_eval_class(m, n),
@@ -351,6 +353,15 @@ def hom_from_lie(dp: LieAlgElem, dq: LieAlgElem) -> HomDerivs:
         return tuple(v.numerator if v.denominator == 1 else v
                      for v in (g.y, g.x, g.logt, g.z))
     return HomDerivs(closed(dp), closed(dq))
+
+
+def homderivs_accepts(dp: object, dq: object) -> bool:
+    """Whether `HomDerivs(dp, dq)` is a lattice homomorphism, by the set of
+    entry types: two 4-tuples of exact ints whose columns commute.  The
+    reference for the constructor's unrolled chain of type tests."""
+    return (type(dp) is type(dq) is tuple and len(dp) == len(dq) == 4
+            and set(map(type, dp + dq)) == {int}
+            and dp[0] * dq[1] == dq[0] * dp[1])
 
 
 def lie(h: HomDerivs) -> Tuple[Tuple[Rat, ...], Tuple[Rat, ...]]:

@@ -183,7 +183,7 @@ def test_ac07_evaluation_cycle_oracle():
             expected = component_eval_class(m, n)
             for comp in moduli_components(m, n):
                 checked += 1
-                got = eval_class_integrate(solve_torus_data(comp.hom))
+                got = eval_class_integrate(comp.hom)
                 if got != expected or got.e124 != 0:
                     failures.append(
                         f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell}):"

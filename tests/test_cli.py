@@ -20,7 +20,8 @@ from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
 from ktgw.geometry import cr_residual, solve_torus_data
 from ktgw.gwcount import (GWResult, component_eval_class, gw_closed_form,
-                          gw_enumerated, moduli_component, moduli_components)
+                          gw_enumerated, moduli_component, moduli_components,
+                          moduli_divisors)
 from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass, Rational
 from oracles import fraction, hnf_matrices, lie, rational, replace
 
@@ -302,12 +303,48 @@ def component_rows(comps, ev):
     return rows
 
 
-def divisor_loop_rows(comps, ev):
-    """The moduli rows that the command's divisor loop builds."""
-    join = cli._MODULI_STAGES.join
-    return [join(group + label)
-            for group, labels in cli._moduli_groups(comps, ev)
-            for label in labels]
+def stage_values(row, names):
+    """The values of a full moduli row named by names: a column's value, or
+    the numerator or denominator of a rational column, col.num or col.den,
+    or the float of col.value."""
+    values = []
+    for name in names:
+        col, _, leaf = name.partition(".")
+        value = row[cli._MODULI_COLUMNS.index(col)]
+        values.append(value.numerator if leaf == "num" else
+                      value.denominator if leaf == "den" else value)
+    return tuple(values)
+
+
+def full_moduli_row(divisor, label):
+    """The full moduli row of a divisor row and a label row of the
+    command's pass, each rational a Fraction."""
+    value = dict(zip(cli._MODULI_STAGES.group_columns, divisor))
+    value.update(zip(cli._MODULI_LABEL_LEAVES, label))
+    for col in ("dq3", "dq4", "c0_n2"):
+        value[col] = Fraction(value.pop(col + ".num"),
+                              value.pop(col + ".den"))
+    for col in ("tau1", "cr_residual"):
+        value[col] = value.pop(col + ".value")
+    return tuple(value[col] for col in cli._MODULI_COLUMNS)
+
+
+def pass_rows(m, n, labelled):
+    """The full moduli rows of the command's one pass over the labels of
+    each (d, dp, dq h1, labels) of labelled, in the class (m, n)."""
+    ev = component_eval_class(m, n).coords()
+    return [full_moduli_row(divisor, label)
+            for d, dp, a, labels in labelled
+            for divisor, rows in [cli._moduli_rows(d, dp, a, labels, ev)]
+            for label in rows]
+
+
+def component_labels(comps):
+    """The labels of components of one divisor, as `moduli_divisors` gives
+    them: (d, dp, dq h1, labels)."""
+    hom = comps[0].hom
+    return (comps[0].d, hom.dp, hom.dq[0],
+            [(c.k, c.ell, *c.hom.dq[2:], c.aut_size, c.hom) for c in comps])
 
 
 def ref_moduli_item(row):
@@ -389,19 +426,21 @@ _HOLES = {
                        item_leaves(cli._MODULI_STAGES.group_columns)),
 }
 # The %%s holes of a template filled in two stages, and the leaves they may
-# name: those of the label columns.
+# name: the leaves of a label row.
 _LABEL_HOLES = {
     "moduli-divisor": (cli._MODULI_STAGES.row_holes,
-                       item_leaves(cli._MODULI_LABEL_COLUMNS)),
+                       set(cli._MODULI_LABEL_LEAVES)),
 }
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
 
 
-def split_moduli_row(row):
-    """(divisor part, label part) of a full moduli row."""
-    stages, columns = cli._MODULI_STAGES, cli._MODULI_COLUMNS
-    return tuple(tuple(row[columns.index(col)] for col in part)
-                 for part in (stages.group_columns, cli._MODULI_LABEL_COLUMNS))
+def ref_moduli_text(row):
+    """A moduli text table line of a full row, formatted column by column."""
+    d, k, ell, *h, tau1, tau2, theta, c0, aut, ev134, _, _, res = row
+    mat = "[%s,%s,%s,%s | %s,%s,%s,%s]" % tuple(map(str, h))
+    return (f"{d:>3} {k:>3} {ell:>3} {mat:<26} {tau1:>9.5f} {tau2:>9.5f} "
+            f"{theta:>9.5f} {str(c0):>7} {aut:>5} {str(ev134):>9} "
+            f"{res:>9.2e}")
 
 
 def json_out(*argv):
@@ -479,36 +518,60 @@ class TestJsonTemplates:
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_stages_match_one_stage_fill(self, special, data):
-        # Rows that share a divisor part, special in tau2 and theta, fill
-        # the same items in two stages as in one.
+        # Rows that share a divisor part, special in tau2 and theta, give
+        # from their divisor row and label rows the JSON items, CSV lines
+        # and text lines of the full rows.  Within the divisor, dq3 and dq4
+        # each keep one denominator.
+        stages, columns = cli._MODULI_STAGES, cli._MODULI_COLUMNS
         rows = data.draw(st.lists(_ROWS["moduli"], min_size=1, max_size=4))
-        group = list(split_moduli_row(rows[0])[0])
-        columns = cli._MODULI_STAGES.group_columns
-        group[columns.index("tau2")] = special
-        group[columns.index("theta")] = data.draw(
-            st.sampled_from(_SPECIAL_FLOATS))
-        group = tuple(group)
-        labels = [split_moduli_row(row)[1] for row in rows]
-        rows = [cli._MODULI_STAGES.join(group + label) for label in labels]
-        assert cli._MODULI_STAGES.fill([(group, labels)]) == \
-            cli._MODULI.fill(rows)
+        shared = {col: rows[0][columns.index(col)]
+                  for col in stages.group_columns if col in columns}
+        shared["tau2"] = special
+        shared["theta"] = data.draw(st.sampled_from(_SPECIAL_FLOATS))
+        dens = {"dq3": data.draw(st.integers(1, 5)),
+                "dq4": data.draw(st.integers(1, 5))}
+        full = []
+        for row in rows:
+            value = dict(zip(columns, row)) | shared
+            for col, den in dens.items():
+                # den t + 1 is prime to den.
+                value[col] = Rational(den * data.draw(_INTS) + 1, den)
+            full.append(tuple(value[col] for col in columns))
+        divisor = stage_values(full[0], stages.group_columns)
+        labels = [stage_values(row, cli._MODULI_LABEL_LEAVES)
+                  for row in full]
+        assert cli._moduli_json(divisor, labels) == cli._MODULI.fill(full)
+        ref = io.StringIO()
+        csv.writer(ref).writerows(full)
+        assert "".join(line + "\r\n" for line in
+                       cli._moduli_csv(divisor, labels)) == ref.getvalue()
+        assert cli._moduli_text(divisor, labels) == \
+            list(map(ref_moduli_text, full))
+
+    def test_label_leaves_in_item_order(self):
+        # A label row fills its template as it stands, so its leaves come
+        # in the order of their holes in the item.
+        assert cli._MODULI_STAGES.row_holes == list(cli._MODULI_LABEL_LEAVES)
+        assert cli._MODULI_STAGES.group_columns == (
+            "d", "dp1", "dp2", "dp3", "dp4", "dq1", "dq2", "dq3.den",
+            "dq4.den", "tau2", "theta", "ev_e134", "ev_e234", "ev_e124")
 
     def test_divisor_holes_are_leaves_constant_per_divisor(self):
-        # A column is a divisor column when each of its leaves takes one
-        # value on all components of each divisor of each class.  (dq3 and
-        # dq4 vary with the label, though each keeps one denominator.)
+        # A hole is a divisor hole when its leaf takes one value on all
+        # components of each divisor of each class.  dq3 and dq4 vary with
+        # the label, but each keeps one denominator.
         holes, varies = cli._MODULI.holes, set()
         for m, n in cli._sweep_classes(12):
             first = {}
             for row in component_rows(moduli_components(m, n),
                                       component_eval_class(m, n).coords()):
                 leaves = cli._MODULI._leaves(row)
-                varies |= {hole.partition(".")[0] for hole, a, b in zip(
+                varies |= {hole for hole, a, b in zip(
                     holes, first.setdefault(row[0], leaves), leaves)
                     if a != b}
         assert cli._MODULI_STAGES.group_holes == [
-            hole for hole in holes if hole.partition(".")[0] not in varies]
-        assert len(cli._MODULI_STAGES.group_holes) == 21
+            hole for hole in holes if hole not in varies]
+        assert len(cli._MODULI_STAGES.group_holes) == 23
 
     @settings(max_examples=15, deadline=None)
     @given(m=st.integers(-12, 12).filter(bool), n=st.integers(-12, 12))
@@ -630,15 +693,15 @@ def exact(row):
 
 
 class TestDivisorLoop:
-    """The moduli rows solved once per divisor are those solved per
-    component, to the last bit."""
+    """The moduli rows of the command's one pass per divisor are those
+    solved and checked per component, to the last bit."""
 
     def test_small_classes_bitwise(self):
         for m, n in cli._sweep_classes(12):
             comps = moduli_components(m, n)
             ev = component_eval_class(m, n).coords()
-            assert list(map(exact, divisor_loop_rows(comps, ev))) == \
-                list(map(exact, component_rows(comps, ev))), (m, n)
+            assert list(map(exact, pass_rows(m, n, moduli_divisors(m, n)))) \
+                == list(map(exact, component_rows(comps, ev))), (m, n)
 
     @pytest.mark.parametrize("m, n, d", [
         (1200, 23757, 3), (10 ** 9, 10 ** 9, 40000), (-123456, 7890, 6)])
@@ -650,8 +713,8 @@ class TestDivisorLoop:
                         for _ in range(39)) + [(span, rng.randint(1, d))]
         comps = [moduli_component(m, n, d, k, ell) for ell, k in labels]
         ev = component_eval_class(m, n).coords()
-        assert list(map(exact, divisor_loop_rows(comps, ev))) == \
-            list(map(exact, component_rows(comps, ev)))
+        assert list(map(exact, pass_rows(m, n, [component_labels(comps)]))) \
+            == list(map(exact, component_rows(comps, ev)))
 
     @pytest.mark.parametrize("m, n, refusal", [
         (1, 2 * 10 ** 154, "a column of the homomorphism is too long for a "
@@ -661,13 +724,18 @@ class TestDivisorLoop:
         (7, 10 ** 153 + 3, "the Cauchy-Riemann defect of this torus passes "
                            "the largest float"),
     ])
-    def test_refusals_keep_their_text(self, m, n, refusal):
+    def test_refusals_keep_their_text(self, m, n, refusal, capsys):
         comps = moduli_components(m, n)
         ev = component_eval_class(m, n).coords()
-        for build in (divisor_loop_rows, component_rows):
-            with pytest.raises(ValueError) as exc:
-                build(comps, ev)
-            assert str(exc.value) == refusal
+        with pytest.raises(ValueError) as exc:
+            component_rows(comps, ev)
+        assert str(exc.value) == refusal
+        with pytest.raises(ValueError) as exc:
+            pass_rows(m, n, moduli_divisors(m, n))
+        assert str(exc.value) == refusal
+        for fmt in ["text", "json", "csv"]:
+            assert run(capsys, "moduli", str(m), str(n), "--format", fmt) \
+                == (2, "", f"error: {refusal}\n")
 
 
 class TestVerifyCommand:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ktgw.arith import divisors
 from ktgw.geometry import (
     CR_GRID,
-    TorusSolution,
     cr_residual,
     eval_class_integrate,
     solve_torus_data,
@@ -356,15 +355,15 @@ class TestSymplecticArea:
 class TestEvalClass:
     def test_simple_instance(self):
         s = first_solution(1, 0)
-        assert eval_class_integrate(s) == H3Class(1, 1, 0)
+        assert eval_class_integrate(s.h) == H3Class(1, 1, 0)
 
     def test_two_two_components(self):
         for s in solutions(2, 0):
-            assert eval_class_integrate(s) == H3Class(2, 2, 0)
+            assert eval_class_integrate(s.h) == H3Class(2, 2, 0)
 
     def test_matches_closed_class(self):
         for m, n, comp in small_sweep(3):
-            got = eval_class_integrate(solve_torus_data(comp.hom))
+            got = eval_class_integrate(comp.hom)
             assert got == component_eval_class(m, n)
             assert got.e124 == 0
 
@@ -373,20 +372,21 @@ class TestEvalClass:
         # components, with a random other c0_n2, and on random reduced
         # lattice maps with dq h1 != dq h2, which no solved component of a
         # diagonal class has.  Both take the central period from h, so the
-        # random maps keep dp h3 != 0, as solve_torus_data requires.
+        # random maps keep dp h3 != 0, as solve_torus_data requires.  The
+        # integration reads only h; the pullback reads all of s.
         rng = random.Random(53)
         for _, _, comp in small_sweep(4):
             s = solve_torus_data(comp.hom)
-            assert eval_class_integrate(s) == eval_class_pullback(s)
+            assert eval_class_integrate(s.h) == eval_class_pullback(s)
             bent = replace(s, c0_n2=rational(random_fraction(rng, 9, 7)))
-            assert eval_class_integrate(bent) == eval_class_pullback(bent)
+            assert eval_class_integrate(bent.h) == eval_class_pullback(bent)
             dp = (0, 0, rng.choice((*range(-9, 0), *range(1, 10))),
                   rng.randint(-9, 9))
             dq = tuple(rng.randint(-9, 9) for _ in range(4))
             if dq[0] == dq[1]:
                 dq = (dq[0], dq[1] + 1, *dq[2:])
             bent = replace(bent, h=HomDerivs(dp, dq))
-            assert eval_class_integrate(bent) == eval_class_pullback(bent)
+            assert eval_class_integrate(bent.h) == eval_class_pullback(bent)
 
     @given(st.lists(st.integers(-2 ** 200, 2 ** 200), min_size=6,
                     max_size=6))
@@ -394,9 +394,8 @@ class TestEvalClass:
         # The class reads only dp h3, dp h4, dq h1 and dq h2 of a reduced h.
         c, e, a, b, q3, z = entries
         assume(c != 0 or e != 0)
-        s = TorusSolution(HomDerivs((0, 0, c, e), (a, b, q3, z)), 0.0, 1.0,
-                          1.0, 0.0, Rational(0))
+        h = HomDerivs((0, 0, c, e), (a, b, q3, z))
         scale = Fraction(-(c ** 2 + e ** 2), math.gcd(c, e))
-        got = eval_class_integrate(s)
+        got = eval_class_integrate(h)
         assert tuple(map(fraction, got.coords())) == (scale * a, scale * b, 0)
         assert all(map(in_lowest_terms, got.coords()))

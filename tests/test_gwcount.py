@@ -16,6 +16,7 @@ from ktgw.gwcount import (
     gw_enumerated,
     moduli_component,
     moduli_components,
+    moduli_divisors,
 )
 from ktgw.homs import HomDerivs, normalize_class
 from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass, h2_pushforward
@@ -174,14 +175,16 @@ class TestModuliComponents:
         def refuse(*args):
             raise AssertionError("over-budget moduli must build nothing")
 
-        # The listing builds every label through _label, as
-        # moduli_component does after its range checks.
+        # The divisor walk, and the listing that flattens it, build every
+        # label through _label, as moduli_component does after its range
+        # checks.
         for builder in ("moduli_component", "_label"):
             monkeypatch.setattr(gwcount, builder, refuse)
-        with pytest.raises(AssertionError, match="must build nothing"):
-            moduli_components(2, 0)
-        with pytest.raises(ValueError, match="moduli budget"):
-            moduli_components(3, 0)
+        for walk in (moduli_divisors, moduli_components):
+            with pytest.raises(AssertionError, match="must build nothing"):
+                walk(2, 0)
+            with pytest.raises(ValueError, match="moduli budget"):
+                walk(3, 0)
 
     @pytest.mark.parametrize("classes", [
         [(m, n) for m in range(-30, 31) if m for n in range(-30, 31)],
@@ -189,13 +192,17 @@ class TestModuliComponents:
     ])
     def test_listing_matches_checked_labels(self, classes):
         # The divisor loop gives each label what the checked per-label
-        # builder gives it, in (d, l, k) order.
+        # builder gives it, in (d, l, k) order, and the walk's shared dp,
+        # dq h1 and per-label dq h3, dq h4 are those of each label's hom.
         for m, n in classes:
             assert moduli_components(m, n) == [
                 moduli_component(m, n, d, k, ell)
                 for d in divisors(math.gcd(m, n))
                 for ell in range(1, abs(m) // d + 1)
                 for k in range(1, d + 1)], (m, n)
+            for d, dp, a, labels in moduli_divisors(m, n):
+                for _, _, q3, z, _, hom in labels:
+                    assert (hom.dp, hom.dq) == (dp, (a, a, q3, z)), (m, n)
 
 
 class TestClosedForm:

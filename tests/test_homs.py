@@ -5,7 +5,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktgw.arith import sigma
@@ -17,11 +17,13 @@ from oracles import (
     exp_oracle,
     from_rows,
     fully_reduce,
+    homderivs_accepts,
     homology_class_of,
     lie,
     lie_columns,
     random_plucker_class,
     random_sl2z,
+    rational,
     replace,
     sl2z_act,
 )
@@ -37,6 +39,30 @@ REDUCED_110 = rows((0, -1), (0, -1), (1, 0), (0, Fraction(1, 2)))
 
 
 NOT_LATTICE = "not a lattice-compatible homomorphism"
+
+
+@st.composite
+def column_pairs(draw):
+    """Two columns for the lattice check: int 4-tuples, commuting or not,
+    with some entries swapped for a bool, a float, a Fraction or a
+    Rational, and some columns made lists or 3- or 5-tuples."""
+    ints = st.integers(-6, 6)
+    if draw(st.booleans()):
+        # Top blocks proportional to one (u, v), so the columns commute.
+        u, v = draw(ints), draw(ints)
+        cols = [[x * u, x * v, draw(ints), draw(ints)]
+                for x in (draw(ints), draw(ints))]
+    else:
+        cols = [draw(st.lists(ints, min_size=4, max_size=4))
+                for _ in range(2)]
+    bad = st.one_of(st.booleans(), st.floats(-6, 6),
+                    st.fractions(max_denominator=3),
+                    st.fractions(max_denominator=3).map(rational))
+    for i in draw(st.lists(st.integers(0, 7), max_size=2)):
+        cols[i // 4][i % 4] = draw(bad)
+    shapes = [tuple, tuple, tuple, list, lambda c: tuple(c[:3]),
+              lambda c: (*c, 0)]
+    return tuple(draw(st.sampled_from(shapes))(col) for col in cols)
 
 
 class TestValidate:
@@ -90,6 +116,21 @@ class TestValidate:
         with pytest.raises(ValueError, match=NOT_LATTICE):
             HomDerivs((2, 3, 0, 0), (4, 5, 0, 0))
         assert HomDerivs((2, 3, 0, 0), (4, 6, 0, 0)).dq == (4, 6, 0, 0)
+
+    @settings(max_examples=400)
+    @given(column_pairs())
+    def test_type_chain_accepts_what_the_type_set_accepts(self, pair):
+        # The constructor's chain of type tests accepts exactly the pairs
+        # of columns that the set of entry types accepts, and refuses the
+        # rest in the same words.
+        try:
+            h = HomDerivs(*pair)
+        except ValueError as exc:
+            assert str(exc) == NOT_LATTICE
+            assert not homderivs_accepts(*pair), pair
+        else:
+            assert homderivs_accepts(*pair), pair
+            assert (h.dp, h.dq) == pair
 
     def test_lie_view_matches_exp_oracle(self):
         # exp of each Lie column has the stored integers as coordinates
