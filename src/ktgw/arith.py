@@ -5,13 +5,15 @@ divisor sieve counting the finite-index sublattices of Z^2 (it never
 factors, so it checks sigma_1) and g = gcd(m, n) times the sum of
 reciprocal automorphism orders over the component labels, an integer,
 evaluated as a sum over pairs of divisors of g, together with its closed
-form |m| sigma_2(g) / g.
+form |m| sigma_2(g) / g.  `cesaro_check` evaluates both sides of Cesaro's
+divisor identity; a sweep over many n reads the gcds of its left side from
+one `gcd_tally`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import repeat
@@ -23,6 +25,7 @@ __all__ = [
     "aut_weight_total",
     "aut_weight_total_closed",
     "CesaroCheck",
+    "gcd_tally",
     "cesaro_check",
 ]
 
@@ -261,16 +264,36 @@ def aut_weight_total_closed(m: int, n: int) -> int:
 CesaroCheck = namedtuple("CesaroCheck", ("lhs", "rhs", "equal"))
 
 
-def cesaro_check(f: Callable[[int], int], n: int) -> CesaroCheck:
+def gcd_tally(max_d: int) -> list[tuple[tuple[int, int], ...]]:
+    """tally[d] for d = 0..max_d: one pair (v, c) per value v of gcd(i, d)
+    over i = 1..d, c the number of such i; tally[0] is empty.  Counted from
+    the gcds themselves, never from the Euler phi of d / v."""
+    tally = [()]
+    for d in range(1, max_d + 1):
+        tally.append(tuple(
+            Counter(map(math.gcd, range(1, d + 1), repeat(d))).items()))
+    return tally
+
+
+def cesaro_check(f: Callable[[int], int], n: int,
+                 tally: list[tuple[tuple[int, int], ...]] | None = None
+                 ) -> CesaroCheck:
     """Evaluate both sides of Cesaro's divisor identity for an arithmetic f.
 
     lhs = sum over d | n of sum_{i=1..d} f(gcd(i, d));
     rhs = sum over d | n of f(n / d) * d.
+
+    Given a `gcd_tally` that reaches n, lhs reads each d's gcd counts from
+    it instead of taking d gcds, so a sweep over many n and f counts each
+    gcd once.
     """
     if n < 1:
         raise ValueError(f"cesaro_check requires n >= 1, got {n}")
     divs = divisors(n)
-    lhs = sum(sum(map(f, map(math.gcd, range(1, d + 1), repeat(d))))
-              for d in divs)
+    if tally is None:
+        lhs = sum(sum(map(f, map(math.gcd, range(1, d + 1), repeat(d))))
+                  for d in divs)
+    else:
+        lhs = sum(f(v) * c for d in divs for v, c in tally[d])
     rhs = sum(f(n // d) * d for d in divs)
     return CesaroCheck(lhs, rhs, lhs == rhs)

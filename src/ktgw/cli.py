@@ -21,13 +21,14 @@ from .arith import (
     aut_weight_total,
     aut_weight_total_closed,
     cesaro_check,
+    gcd_tally,
     sigma,
     sublattice_counts,
 )
 from .geometry import (
     eval_class_integrate,
     label_solver,
-    solve_torus_data,
+    solve_columns,
     symplectic_area,
 )
 from .gwcount import (
@@ -38,14 +39,13 @@ from .gwcount import (
     component_eval_class,
     gw_closed_form,
     gw_enumerated,
-    moduli_components,
     moduli_divisors,
 )
 from .homs import homology_class
 from .nilalg import HomologyClass
 
 SCHEMA_VERSION = "1"
-# Largest `verify identities --max`, 0.3-0.5 s and quadratic in it, and
+# Largest `verify identities --max`, about 0.15 s and quadratic in it, and
 # `baseline LMAX`, about 0.05 s by its sieve but kept so that no refusal
 # changes (Intel Xeon, Python 3.11).  `verify oracle|geometry|all` are
 # bounded instead by the moduli budget on the components they sweep.
@@ -341,12 +341,13 @@ def _moduli_rows(d: int, dp: tuple, a: int, labels: list[tuple],
     the evaluation class ev, in one pass over the labels.
 
     The divisor row is over _MODULI_STAGES.group_columns, with the tau2 and
-    theta of the first label's torus.  A label row's leaves are
-    _MODULI_LABEL_LEAVES; one call of the divisor's `label_solver` gives
-    its tau1, c0_n2 and residual.
+    theta that `solve_columns` forms from the divisor's columns.  A label
+    row's leaves are _MODULI_LABEL_LEAVES; one call of the divisor's
+    `label_solver` gives its tau1, c0_n2 and residual.
     """
-    s = solve_torus_data(labels[0][5])
-    solve = label_solver(s)
+    c, e = dp[2:]
+    tau2, cos, sin = solve_columns(c, e, a, a)
+    solve = label_solver(c, e, a, a, tau2, cos, sin)
     # dp is reduced, so it is its own Lie column.  dq's Lie h4 is z - a^2/2:
     # over 2 when a is odd, else over 1.
     den4 = 2 if a % 2 else 1
@@ -356,7 +357,7 @@ def _moduli_rows(d: int, dp: tuple, a: int, labels: list[tuple],
         tau1, c0n, c0d, res = solve(q3, z)
         rows.append((k, ell, q3, den4 * z - shift, tau1, c0n, c0d, aut_size,
                      res))
-    return (d, *dp, a, a, 1, den4, s.tau2, s.theta(), *ev), rows
+    return (d, *dp, a, a, 1, den4, tau2, math.atan2(sin, cos), *ev), rows
 
 
 def _ratio(num: object, den: int) -> str:
@@ -455,10 +456,12 @@ def _verify_identities(max_n: int) -> list[_Sweep]:
         hnf.check(counts[ell] == sigma(1, ell),
                   "sublattice count mismatch at ell={}", ell)
     ces = _Sweep("identities/cesaro")
+    # Each i <= d <= max_n meets one gcd, whatever the function and n.
+    tally = gcd_tally(max_n)
     funcs = {"one": lambda v: 1, "id": lambda v: v, "square": lambda v: v * v}
     for fname, f in funcs.items():
         for n in range(1, max_n + 1):
-            ok = cesaro_check(f, n).equal
+            ok = cesaro_check(f, n, tally).equal
             ces.check(ok, "cesaro mismatch at f={} n={}", fname, n)
     return [weight, hnf, ces]
 
@@ -477,22 +480,27 @@ def _verify_oracle(max_n: int) -> list[_Sweep]:
     auts = _Sweep("oracle/aut-formula-vs-smith")
     counts = _Sweep("oracle/component-count")
     for m, n in _sweep_classes(max_n):
+        # One pass over the walk checks each label's |Aut| against its
+        # Smith index and counts the labels and their weights g / |Aut|.
+        g = math.gcd(m, n)
+        listed = weights = 0
+        for d, _, _, labels in moduli_divisors(m, n):
+            listed += len(labels)
+            for k, ell, _, _, aut_size, hom in labels:
+                weights += g // aut_size
+                auts.check(aut_size == aut_size_smith(hom),
+                           "aut mismatch at m={} n={} (d,k,l)=({},{},{})",
+                           m, n, d, k, ell)
         A = HomologyClass(m, m, n, n)
-        comps = moduli_components(m, n)
         if not _agree(gw_closed_form(A), gw_enumerated(A)):
             gw.check(False, "invariant mismatch at m={} n={}", m, n)
         else:
-            # The listed components' weights g / |Aut| add up to g times the
-            # pair sum, in the same check as the invariants.
-            g = math.gcd(m, n)
-            ok = sum(g // c.aut_size for c in comps) == aut_weight_total(m, n)
-            gw.check(ok, "component weight sum mismatch at m={} n={}", m, n)
-        counts.check(len(comps) == component_count(m, n),
+            # The walked weights add up to g times the pair sum, in the same
+            # check as the invariants.
+            gw.check(weights == aut_weight_total(m, n),
+                     "component weight sum mismatch at m={} n={}", m, n)
+        counts.check(listed == component_count(m, n),
                      "component count mismatch at m={} n={}", m, n)
-        for comp in comps:
-            ok = comp.aut_size == aut_size_smith(comp.hom)
-            auts.check(ok, "aut mismatch at m={} n={} (d,k,l)=({},{},{})",
-                       m, n, comp.d, comp.k, comp.ell)
     return [gw, auts, counts]
 
 
@@ -503,15 +511,15 @@ def _verify_geometry(max_n: int) -> list[_Sweep]:
     at = " at m={} n={} (d,k,l)=({},{},{})"
     for m, n in _sweep_classes(max_n):
         expected = component_eval_class(m, n)
-        for d, _, _, labels in moduli_divisors(m, n):
-            s = solve_torus_data(labels[0][5])
-            solve = label_solver(s)
+        for d, dp, a, labels in moduli_divisors(m, n):
+            c, e = dp[2:]
+            tau2, cos, sin = solve_columns(c, e, a, a)
+            solve = label_solver(c, e, a, a, tau2, cos, sin)
             for k, ell, q3, z, _, hom in labels:
                 where = (m, n, d, k, ell)
                 res = solve(q3, z)[3]
                 residual.check(res < 1e-9, "residual {:g}" + at, res, *where)
-                ar = symplectic_area(homology_class(hom), s.cos_theta,
-                                     s.sin_theta)
+                ar = symplectic_area(homology_class(hom), cos, sin)
                 area.check(ar > 0, "area {:g}" + at, ar, *where)
                 # The class reads the component's own columns.
                 cycle.check(eval_class_integrate(hom) == expected,

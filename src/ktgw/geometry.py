@@ -19,11 +19,12 @@ the central period 1 / gcd(dp h3, dp h4) is read off h where it is needed.
 The moduli components with label (d, k, l) of one class share, for each
 divisor d, the columns (dq h1, dq h2) and (dp h3, dp h4), and so tau2,
 theta and the terms of the defect that read only those.  Per label remain
-dq h3, dq h4, tau1, c0_n2 and the rest of the defect.  `label_solver`
-forms a divisor's part once and returns the per-label function, which
-gives tau1, c0_n2 and the residual from (dq h3, dq h4) in one call.
-`solve_torus_data`, `solve_label` and `cr_residual` solve and check one
-torus by the same arithmetic.
+dq h3, dq h4, tau1, c0_n2 and the rest of the defect.  `solve_columns`
+forms a divisor's tau2 and rotation from its columns alone, and
+`label_solver` its part of the defect once; it returns the per-label
+function, which gives tau1, c0_n2 and the residual from (dq h3, dq h4) in
+one call.  `solve_torus_data`, `solve_label` and `cr_residual` solve and
+check one torus by the same arithmetic.
 
 Combinatorial data stays exact: the homomorphism in integers and the
 translation constant c0_n2 n2 as a rational.  tau and theta live in
@@ -48,6 +49,7 @@ __all__ = [
     "CR_GRID",
     "TorusSolution",
     "solve_torus_data",
+    "solve_columns",
     "solve_label",
     "cr_residual",
     "label_solver",
@@ -98,8 +100,8 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     ValueError when the squared norm of (a, b) or (c, e) passes the largest
     float, as it does once |dp h4| exceeds about 1.34e154.
 
-    tau2 and the rotation read only the columns (a, b) and (c, e); tau1 and
-    c0_n2 are `solve_label(h)`.
+    tau2 and the rotation are `solve_columns` of the columns (c, e) and
+    (a, b); tau1 and c0_n2 are `solve_label(h)`.
     """
     if not h.is_reduced():
         raise ValueError("homomorphism must be reduced (dp h1 = dp h2 = 0)")
@@ -110,6 +112,17 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
         raise ValueError("dq h1 must be nonzero")
     _, _, c, e = h.dp
     a, b = h.dq[:2]
+    tau2, cos, sin = solve_columns(c, e, a, b)
+    tau1, c0_n2 = solve_label(h)
+    return TorusSolution(h, tau1, tau2, cos, sin, c0_n2)
+
+
+def solve_columns(c: int, e: int, a: int, b: int) -> tuple[float, float,
+                                                           float]:
+    """tau2, cos theta and sin theta of `solve_torus_data`, which every
+    torus with the columns (c, e) = (dp h3, dp h4), c != 0, and (a, b) =
+    (dq h1, dq h2), a != 0, shares.  Raises ValueError when the squared
+    norm of (a, b) or (c, e) passes the largest float."""
     try:
         norm_a = math.sqrt(float(a * a + b * b))
         norm_z = math.sqrt(float(c * c + e * e))
@@ -119,10 +132,8 @@ def solve_torus_data(h: HomDerivs) -> TorusSolution:
     # Rotation taking u = (c, e) to w / tau2 with w = (a, b); both have the
     # same norm, so cos and sin come from the dot and cross products.
     den = norm_a * norm_z
-    tau1, c0_n2 = solve_label(h)
-    return TorusSolution(h, tau1, norm_a / norm_z,
-                         float(c * a + e * b) / den,
-                         float(c * b - e * a) / den, c0_n2)
+    return (norm_a / norm_z, float(c * a + e * b) / den,
+            float(c * b - e * a) / den)
 
 
 def solve_label(h: HomDerivs) -> tuple[float, Rational]:
@@ -165,21 +176,24 @@ def cr_residual(s: TorusSolution) -> float:
     one integer true division of its numerator by its denominator.  Raises
     ValueError when a square passes the largest float.
 
-    It is the residual that `label_solver(s)` gives for s's own dq h3,
-    dq h4, tau1 and c0_n2.
+    It is the residual that `label_solver` gives, for the columns, tau2
+    and theta of s, to s's own dq h3, dq h4, tau1 and c0_n2.
     """
-    _, _, q3, z = s.h.dq
-    return label_solver(s)(q3, z, s.tau1, s.c0_n2)[3]
+    _, _, c, e = s.h.dp
+    a, b, q3, z = s.h.dq
+    solve = label_solver(c, e, a, b, s.tau2, s.cos_theta, s.sin_theta)
+    return solve(q3, z, s.tau1, s.c0_n2)[3]
 
 
 _RESIDUAL_OVERFLOW = ("the Cauchy-Riemann defect of this torus passes the "
                       "largest float")
 
 
-def label_solver(s: TorusSolution) -> Callable[..., tuple[float, int, int,
-                                                           float]]:
-    """The per-label function of the tori that share the columns (a, b)
-    and (c, e) of s.h and the tau2 and theta of s.
+def label_solver(c: int, e: int, a: int, b: int, tau2: float, cos: float,
+                 sin: float) -> Callable[..., tuple[float, int, int, float]]:
+    """The per-label function of the tori that share the columns (c, e) =
+    (dp h3, dp h4) and (a, b) = (dq h1, dq h2), the modulus part tau2 and
+    the rotation (cos, sin) of theta.
 
     It takes dq h3 and dq h4 of one such torus and returns its tau1, the
     numerator and denominator of its c0_n2, by `solve_label`'s arithmetic,
@@ -193,9 +207,6 @@ def label_solver(s: TorusSolution) -> Callable[..., tuple[float, int, int,
     and c0_n2.  Each part raises ValueError when a square passes the
     largest float.
     """
-    _, _, c, e = s.h.dp
-    a, b = s.h.dq[:2]
-    tau2, cos, sin = s.tau2, s.cos_theta, s.sin_theta
     try:
         fc, fe = float(c), float(e)
         # du_b; its n1 and n2 parts have no tau1 term, since dw/dp has none.

@@ -12,9 +12,13 @@ gcd(m, n), sgn(m), the span |m|/d of l, the dp column, dq h1 = dq h2 and
 the closure d (d - 1) / 2 of dq h4; per label are dq h3, dq h4, |Aut| and
 the checked homomorphism.  The walk forms each divisor's part once, and
 it and `moduli_component` build each label from that part by one label
-rule.  Each component carries the evaluation-cycle class
-sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234) with weight 1 / |Aut|, and
-the weighted total collapses to the closed form
+rule.  The `moduli` command and the geometry and oracle `verify` sweeps
+read the walk; the oracle checks each label's |Aut| against
+`aut_size_smith` of its homomorphism and counts the labels and their
+weights against `component_count` and `aut_weight_total`.  Each component
+carries the evaluation-cycle class sgn(m) (m^2 + n^2) / gcd(m, n)
+(E134 + E234) with weight 1 / |Aut|, and the weighted total collapses to
+the closed form
 
     (m^2 + n^2) sigma_2(gcd(m, n)) / gcd(m, n)^3 (a13 E134 + a23 E234).
 

@@ -12,9 +12,11 @@ from ktgw.arith import (
     aut_weight_total_closed,
     cesaro_check,
     divisors,
+    gcd_tally,
     sigma,
     sublattice_counts,
 )
+from ktgw.cli import IDENTITIES_MAX
 from ktgw.gwcount import gw_enumerated
 from ktgw.nilalg import HomologyClass
 from oracles import (
@@ -447,3 +449,33 @@ class TestCesaro:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cesaro_check(lambda v: v, 0)
+
+    def test_tally_counts_each_gcd(self):
+        # Each d's pairs (v, c) are its gcd values, each counted once per i.
+        tally = gcd_tally(60)
+        assert tally[0] == ()
+        assert tally[6] == ((1, 2), (2, 2), (3, 1), (6, 1))
+        for d in range(1, 61):
+            counts = {}
+            for i in range(1, d + 1):
+                v = math.gcd(i, d)
+                counts[v] = counts.get(v, 0) + 1
+            assert dict(tally[d]) == counts
+            assert len(tally[d]) == len(counts)
+
+    def test_tally_matches_direct_count(self):
+        # The three functions of the verify sweep, at every n it can reach.
+        tally = gcd_tally(IDENTITIES_MAX)
+        assert len(tally) == IDENTITIES_MAX + 1
+        for f in (lambda v: 1, lambda v: v, lambda v: v * v):
+            for n in range(1, IDENTITIES_MAX + 1):
+                assert cesaro_check(f, n, tally) == cesaro_check(f, n)
+
+    def test_tally_count_reaches_lhs(self):
+        # One i too many with gcd(i, 6) = 2 adds f(2) to the left side of
+        # each multiple of 6, and nothing to the right side.
+        tally = gcd_tally(12)
+        tally[6] = ((1, 2), (2, 3), (3, 1), (6, 1))
+        for n, off in [(5, False), (6, True), (12, True)]:
+            lhs, rhs, equal = cesaro_check(lambda v: v * v, n, tally)
+            assert (lhs - rhs, equal) == ((4, False) if off else (0, True))

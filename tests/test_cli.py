@@ -773,20 +773,22 @@ class TestVerifyCommand:
         assert err == "first counterexample: weight sum mismatch at m=2 n=1\n"
 
     def test_component_weight_defect_exit_1(self, capsys, monkeypatch):
-        # List the first component twice in place of the first one with
-        # another |Aut|: the count holds and every listed |Aut| matches its
-        # Smith index, so only the sum of the listed weights sees it.
-        real = cli.moduli_components
+        # Walk the first label twice in place of the first one with another
+        # |Aut|: the count holds and every walked |Aut| matches its Smith
+        # index, so only the sum of the walked weights sees it.
+        real = cli.moduli_divisors
 
         def doubled(m, n):
-            comps = real(m, n)
-            for i, comp in enumerate(comps):
-                if comp.aut_size != comps[0].aut_size:
-                    comps[i] = comps[0]
-                    break
-            return comps
+            walk = real(m, n)
+            first = walk[0][3][0]
+            for _, _, _, labels in walk:
+                for i, label in enumerate(labels):
+                    if label[4] != first[4]:
+                        labels[i] = first
+                        return walk
+            return walk
 
-        monkeypatch.setattr(cli, "moduli_components", doubled)
+        monkeypatch.setattr(cli, "moduli_divisors", doubled)
         code, out, err = run(capsys, "verify", "oracle", "--max", "6")
         assert code == 1
         assert out == (
@@ -795,6 +797,77 @@ class TestVerifyCommand:
             "oracle/component-count: 156 checks, 0 failures [ok]\n")
         assert err == ("first counterexample: component weight sum "
                        "mismatch at m=-6 n=-6\n")
+
+    def test_dropped_label_fails_only_count(self, capsys, monkeypatch):
+        # A walk that loses the last label of d = 2 of (4, 6), and a pair
+        # sum that loses that label's weight g / |Aut| with it: every check
+        # but the label count sees a consistent class.
+        real_walk, real_total = cli.moduli_divisors, cli.aut_weight_total
+
+        def dropped(m, n):
+            walk = real_walk(m, n)
+            if (m, n) == (4, 6):
+                assert walk[-1][0] == 2
+                walk[-1][3].pop()
+            return walk
+
+        def total(m, n):
+            if (m, n) != (4, 6):
+                return real_total(m, n)
+            return real_total(m, n) - 2 // real_walk(m, n)[-1][3][-1][4]
+
+        monkeypatch.setattr(cli, "moduli_divisors", dropped)
+        monkeypatch.setattr(cli, "aut_weight_total", total)
+        code, out, err = run(capsys, "verify", "oracle", "--max", "6")
+        assert code == 1
+        assert out == (
+            "oracle/closed-vs-enumerated: 156 checks, 0 failures [ok]\n"
+            "oracle/aut-formula-vs-smith: 893 checks, 0 failures [ok]\n"
+            "oracle/component-count: 156 checks, 1 failures [FAIL]\n")
+        assert err == ("first counterexample: component count mismatch at "
+                       "m=4 n=6\n")
+
+    def test_wrong_aut_names_its_label(self, capsys, monkeypatch):
+        # One label of (4, 6) walked with |Aut| one too large; its Smith
+        # index is read from its hom, which is untouched.
+        real = cli.moduli_divisors
+
+        def wrong(m, n):
+            walk = real(m, n)
+            if (m, n) == (4, 6):
+                labels = walk[1][3]
+                k, ell, q3, z, aut_size, hom = labels[3]
+                labels[3] = (k, ell, q3, z, aut_size + 1, hom)
+            return walk
+
+        monkeypatch.setattr(cli, "moduli_divisors", wrong)
+        _, auts, counts = cli._verify_oracle(6)
+        assert (auts.checked, auts.failed) == (894, 1)
+        assert auts.first_failure == "aut mismatch at m=4 n=6 (d,k,l)=(2,2,2)"
+        assert (counts.checked, counts.failed) == (156, 0)
+        code, out, _ = run(capsys, "verify", "oracle", "--max", "6")
+        assert code == 1
+        assert ("oracle/aut-formula-vs-smith: 894 checks, 1 failures "
+                "[FAIL]\n") in out
+
+    def test_cesaro_tally_defect_exit_1(self, capsys, monkeypatch):
+        # One more i counted with gcd(i, 4) = 1 adds f(1) = 1 to the left
+        # side of every n that 4 divides, for each of the three functions.
+        real = cli.gcd_tally
+
+        def off_by_one(max_d):
+            tally = real(max_d)
+            assert tally[4][0] == (1, 2)
+            tally[4] = ((1, 3), *tally[4][1:])
+            return tally
+
+        monkeypatch.setattr(cli, "gcd_tally", off_by_one)
+        code, out, err = run(capsys, "verify", "identities", "--max", "10")
+        assert code == 1
+        assert out == ("identities/weight-sum: 110 checks, 0 failures [ok]\n"
+                       "identities/hnf-sigma1: 10 checks, 0 failures [ok]\n"
+                       "identities/cesaro: 30 checks, 6 failures [FAIL]\n")
+        assert err == "first counterexample: cesaro mismatch at f=one n=4\n"
 
     def test_invariant_mismatch_reported_before_weights(self, capsys,
                                                          monkeypatch):

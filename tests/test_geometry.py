@@ -11,6 +11,7 @@ from ktgw.geometry import (
     CR_GRID,
     cr_residual,
     eval_class_integrate,
+    solve_columns,
     solve_torus_data,
     symplectic_area,
 )
@@ -137,6 +138,31 @@ class TestSolve:
         for m, n in [(1, 2 * 10 ** 154), (1, -10 ** 200), (2, 2 * 10 ** 200)]:
             with pytest.raises(ValueError, match="too long for a floating"):
                 solve_torus_data(moduli_component(m, n, 1, 1, 1).hom)
+
+    def test_refusals_in_order(self):
+        # Each hom fails its own check and every later one: reduced, then
+        # dp h3 = 0, then dq h1 = 0, then the column overflow.
+        big = 10 ** 200
+        for dp, dq, refusal in [
+                ((1, 0, 0, 0), (0, 0, 0, 0), "must be reduced"),
+                ((0, 0, 0, big), (0, 0, 0, 0), "dp h3 = 0: modulus"),
+                ((0, 0, big, 0), (0, 0, 0, 0), "dq h1 must be nonzero"),
+                ((0, 0, big, 0), (1, 0, 0, 0), "too long for a floating"),
+                ((0, 0, 1, 0), (big, 0, 0, 0), "too long for a floating")]:
+            with pytest.raises(ValueError, match=refusal):
+                solve_torus_data(HomDerivs(dp, dq))
+
+    def test_columns_match_fraction_reference_bitwise(self):
+        # solve_columns reads the columns (c, e) and (a, b) alone, and gives
+        # each torus the tau2, cos and sin of its own reference solve.
+        homs = [comp.hom for _, _, comp in small_sweep(8)]
+        homs += sampled_homs(random.Random(97), [
+            (1, 10 ** 12), (1200, 23757), (1, 10 ** 154)], 10)
+        for h in homs:
+            ref = solve_torus_fractions(h)
+            got = solve_columns(h.dp[2], h.dp[3], h.dq[0], h.dq[1])
+            assert [x.hex() for x in got] == [
+                ref.tau2.hex(), ref.cos_theta.hex(), ref.sin_theta.hex()]
 
     def test_matches_fraction_reference_bitwise(self):
         # Every float to the last bit, signs of zero included, and c0_n2
