@@ -6,8 +6,8 @@ factors, so it checks sigma_1) and g = gcd(m, n) times the sum of
 reciprocal automorphism orders over the component labels, an integer,
 evaluated as a sum over pairs of divisors of g, together with its closed
 form |m| sigma_2(g) / g.  `cesaro_check` evaluates both sides of Cesaro's
-divisor identity; a sweep over many n reads the gcds of its left side from
-one `gcd_tally`.
+divisor identity, reading the gcds of its left side from one `gcd_tally`,
+so that a sweep over many n counts each gcd once.
 """
 
 from __future__ import annotations
@@ -276,24 +276,19 @@ def gcd_tally(max_d: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 def cesaro_check(f: Callable[[int], int], n: int,
-                 tally: list[tuple[tuple[int, int], ...]] | None = None
-                 ) -> CesaroCheck:
+                 tally: list[tuple[tuple[int, int], ...]]) -> CesaroCheck:
     """Evaluate both sides of Cesaro's divisor identity for an arithmetic f.
 
     lhs = sum over d | n of sum_{i=1..d} f(gcd(i, d));
     rhs = sum over d | n of f(n / d) * d.
 
-    Given a `gcd_tally` that reaches n, lhs reads each d's gcd counts from
-    it instead of taking d gcds, so a sweep over many n and f counts each
-    gcd once.
+    lhs reads each d's gcd counts from tally, a `gcd_tally` that reaches n,
+    instead of taking d gcds, so a sweep over many n and f counts each gcd
+    once.
     """
     if n < 1:
         raise ValueError(f"cesaro_check requires n >= 1, got {n}")
     divs = divisors(n)
-    if tally is None:
-        lhs = sum(sum(map(f, map(math.gcd, range(1, d + 1), repeat(d))))
-                  for d in divs)
-    else:
-        lhs = sum(f(v) * c for d in divs for v, c in tally[d])
+    lhs = sum(f(v) * c for d in divs for v, c in tally[d])
     rhs = sum(f(n // d) * d for d in divs)
     return CesaroCheck(lhs, rhs, lhs == rhs)

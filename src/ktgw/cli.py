@@ -3,7 +3,8 @@
 `_GRAMMAR` declares each subcommand with its handler and arguments; `main`
 dispatches through it, and `ktgw --help` and `ktgw COMMAND --help` print it.
 
-Exit codes: 0 success, 1 internal cross-check failure, 2 invalid input.
+Exit codes: 0 success, 1 internal cross-check failure, 2 invalid input,
+3 stdout could not be written (`main_entry`).
 Diagnostics go to stderr, data to stdout.  Exact rationals are serialised as
 num/den string pairs; floating geometry fields carry an "approx" marker.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 import sys
 import types
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -723,7 +725,21 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    """Exit with main's code, or with 3 and one line on stderr when stdout
+    is closed or a write to it fails, as into a closed pipe or a full
+    device."""
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None:
+            # The flush at exit then writes what is left to devnull.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = 3
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

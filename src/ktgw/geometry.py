@@ -8,13 +8,10 @@ family D(lambda) sweeps out the rest of the moduli component.
 
 The torus map is exp of its logarithm h + C + [h, C]/2, C = c0_n2 n2, times
 exp(lam (dp_h4 n3 - dp_h3 n4)) at (lam, p, q).  The logarithm is affine in
-(p, q), and `cr_residual` forms its exact coefficients from the eight
-integers of h and c0_n2.  The Cauchy-Riemann defect of an affine map with
-dp h1 = dp h2 = 0 depends on q alone, so the residual costs one row of
-floating evaluations per grid value of q.
-
-A solved torus is one flat `TorusSolution` of h, tau, theta and c0_n2;
-the central period 1 / gcd(dp h3, dp h4) is read off h where it is needed.
+(p, q), with exact coefficients formed from the eight integers of h and
+c0_n2.  The Cauchy-Riemann defect of an affine map with dp h1 = dp h2 = 0
+depends on q alone, so the residual costs one row of floating evaluations
+per grid value of q.
 
 The moduli components with label (d, k, l) of one class share, for each
 divisor d, the columns (dq h1, dq h2) and (dp h3, dp h4), and so tau2,
@@ -23,13 +20,13 @@ dq h3, dq h4, tau1, c0_n2 and the rest of the defect.  `solve_columns`
 forms a divisor's tau2 and rotation from its columns alone, and
 `label_solver` its part of the defect once; it returns the per-label
 function, which gives tau1, c0_n2 and the residual from (dq h3, dq h4) in
-one call.  `solve_torus_data`, `solve_label` and `cr_residual` solve and
-check one torus by the same arithmetic.
+one call.  The central period 1 / gcd(dp h3, dp h4) is read off h where
+it is needed.
 
 Combinatorial data stays exact: the homomorphism in integers and the
 translation constant c0_n2 n2 as a rational.  tau and theta live in
 quadratic extensions, so they are carried in double precision and every
-solution is checked numerically through `cr_residual`.  The
+solution is checked numerically through its residual.  The
 evaluation-cycle class is obtained by pulling the three generating 3-forms
 back along the evaluation map.  On a reduced torus every pulled-back
 1-form has constant coefficients, so each integral is an exact 3x3
@@ -43,15 +40,11 @@ import math
 from collections.abc import Callable
 
 from .homs import HomDerivs
-from .nilalg import H3Class, HomologyClass, Rational, Record
+from .nilalg import H3Class, HomologyClass, Rational
 
 __all__ = [
     "CR_GRID",
-    "TorusSolution",
-    "solve_torus_data",
     "solve_columns",
-    "solve_label",
-    "cr_residual",
     "label_solver",
     "symplectic_area",
     "eval_class_integrate",
@@ -65,64 +58,13 @@ _CR_ROWS = tuple((j / (CR_GRID - 1)).as_integer_ratio()
                  for j in range(CR_GRID))
 
 
-class TorusSolution(Record):
-    """A reduced homomorphism together with its forced geometric data.
-
-    tau = tau1 + i tau2 is the modulus, in the upper half-plane.  The
-    twistor structure is the rotation [[cos, -sin], [sin, cos]], which
-    carries the central directions (n3, n4) to (n1, n2); the complementary
-    block is forced to be minus its inverse, which makes the induced 4x4 map
-    square to -Id.  The translation constant is c0_n2 n2.
-    """
-
-    fields = ("h", "tau1", "tau2", "cos_theta", "sin_theta", "c0_n2")
-
-    def __init__(self, h: HomDerivs, tau1: float, tau2: float,
-                 cos_theta: float, sin_theta: float, c0_n2: Rational) -> None:
-        if not tau2 > 0:
-            raise ValueError("tau2 must be positive")
-        if abs(cos_theta ** 2 + sin_theta ** 2 - 1.0) > 1e-12:
-            raise ValueError("(cos, sin) must lie on the unit circle")
-        self.__dict__.update(h=h, tau1=tau1, tau2=tau2, cos_theta=cos_theta,
-                             sin_theta=sin_theta, c0_n2=c0_n2)
-
-    def theta(self) -> float:
-        return math.atan2(self.sin_theta, self.cos_theta)
-
-
-def solve_torus_data(h: HomDerivs) -> TorusSolution:
-    """Solve the Cauchy-Riemann constraints for a reduced homomorphism.
-
-    With (a, b, q3, z) = dq and (c, e) = (dp h3, dp h4): tau2 is the norm
-    ratio |(a, b)| / |(c, e)|, tau1 is q3 / c, the rotation is the unique
-    one carrying (c, e) to (a, b) / tau2, and the translation constant
-    points along n2 with coefficient (z - a b / 2 - tau1 e) / a.  Raises
-    ValueError when the squared norm of (a, b) or (c, e) passes the largest
-    float, as it does once |dp h4| exceeds about 1.34e154.
-
-    tau2 and the rotation are `solve_columns` of the columns (c, e) and
-    (a, b); tau1 and c0_n2 are `solve_label(h)`.
-    """
-    if not h.is_reduced():
-        raise ValueError("homomorphism must be reduced (dp h1 = dp h2 = 0)")
-    if h.dp[2] == 0:
-        raise ValueError("dp h3 = 0: modulus is undetermined and the "
-                         "component is obstructed")
-    if h.dq[0] == 0:
-        raise ValueError("dq h1 must be nonzero")
-    _, _, c, e = h.dp
-    a, b = h.dq[:2]
-    tau2, cos, sin = solve_columns(c, e, a, b)
-    tau1, c0_n2 = solve_label(h)
-    return TorusSolution(h, tau1, tau2, cos, sin, c0_n2)
-
-
 def solve_columns(c: int, e: int, a: int, b: int) -> tuple[float, float,
                                                            float]:
-    """tau2, cos theta and sin theta of `solve_torus_data`, which every
-    torus with the columns (c, e) = (dp h3, dp h4), c != 0, and (a, b) =
-    (dq h1, dq h2), a != 0, shares.  Raises ValueError when the squared
-    norm of (a, b) or (c, e) passes the largest float."""
+    """tau2 = |(a, b)| / |(c, e)| and the rotation (cos theta, sin theta)
+    carrying (c, e) to (a, b) / tau2, shared by every torus with columns
+    (c, e) = (dp h3, dp h4), c != 0, and (a, b) = (dq h1, dq h2), a != 0.
+    Raises ValueError when the squared norm of (a, b) or (c, e) passes the
+    largest float, as it does once |dp h4| exceeds about 1.34e154."""
     try:
         norm_a = math.sqrt(float(a * a + b * b))
         norm_z = math.sqrt(float(c * c + e * e))
@@ -136,21 +78,12 @@ def solve_columns(c: int, e: int, a: int, b: int) -> tuple[float, float,
             float(c * b - e * a) / den)
 
 
-def solve_label(h: HomDerivs) -> tuple[float, Rational]:
-    """tau1 and c0_n2 of `solve_torus_data(h)`, which h does not share with
-    the other tori of its columns (a, b) = (dq h1, dq h2) and (c, e) =
-    (dp h3, dp h4): tau1 = dq h3 / c and c0_n2 = (z - a b / 2 - tau1 e) / a
-    with z = dq h4.  h must be one that `solve_torus_data` solves."""
-    _, _, c, e = h.dp
-    a, b, q3, z = h.dq
-    tau1, c0n, c0d = _label_terms(a, b, c, e, q3, z)
-    return tau1, Rational(c0n, c0d)
-
-
 def _label_terms(a: int, b: int, c: int, e: int, q3: int,
                  z: int) -> tuple[float, int, int]:
-    """tau1 of `solve_label`, and the numerator and denominator of its
-    c0_n2 in lowest terms, the denominator positive."""
+    """tau1 = q3 / c, and the numerator and denominator of the translation
+    constant c0_n2 = (z - a b / 2 - tau1 e) / a in lowest terms, the
+    denominator positive: what a torus does not share with the others of
+    its columns, read from its dq h3 = q3 and dq h4 = z."""
     num, den = (2 * z - a * b) * c - 2 * q3 * e, 2 * c * a
     g = math.gcd(num, den)
     if den < 0:
@@ -159,53 +92,40 @@ def _label_terms(a: int, b: int, c: int, e: int, q3: int,
     return q3 / c + 0.0, num // g, den // g
 
 
-def cr_residual(s: TorusSolution) -> float:
-    """Max norm of the Cauchy-Riemann defect on a CR_GRID x CR_GRID grid.
-
-    The defect at (p, q) is psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2
-    where psi is the twistor structure, w the logarithm of the torus,
-    du_a = dw/dp and du_b = (dw/dq - tau1 dw/dp) / tau2, with tau1, tau2 and
-    theta read from s.  In the names of `solve_torus_data`, w1 = a q,
-    w2 = c0_n2 + b q, w3 = c p + q3 q and w4 = e p + (z - a b/2 - a c0_n2/2) q.
-    [w, X] = (w2 X1 - X2 w1) n4 reads only w1 and w2, which have no p
-    term, and du_a has no n1 or n2 part, so [w, du_a] = 0 and psi(du_a) is
-    the rotation of (c, e) into (n1, n2).  So the defect depends on q
-    alone, only its n4 component varies, and the residual is sqrt of the
-    three fixed squares plus the largest n4 square over the grid (sum and
-    sqrt are monotone).  Each exact coefficient is rounded correctly, by
-    one integer true division of its numerator by its denominator.  Raises
-    ValueError when a square passes the largest float.
-
-    It is the residual that `label_solver` gives, for the columns, tau2
-    and theta of s, to s's own dq h3, dq h4, tau1 and c0_n2.
-    """
-    _, _, c, e = s.h.dp
-    a, b, q3, z = s.h.dq
-    solve = label_solver(c, e, a, b, s.tau2, s.cos_theta, s.sin_theta)
-    return solve(q3, z, s.tau1, s.c0_n2)[3]
-
-
 _RESIDUAL_OVERFLOW = ("the Cauchy-Riemann defect of this torus passes the "
                       "largest float")
 
 
 def label_solver(c: int, e: int, a: int, b: int, tau2: float, cos: float,
-                 sin: float) -> Callable[..., tuple[float, int, int, float]]:
+                 sin: float) -> Callable[[int, int],
+                                         tuple[float, int, int, float]]:
     """The per-label function of the tori that share the columns (c, e) =
     (dp h3, dp h4) and (a, b) = (dq h1, dq h2), the modulus part tau2 and
     the rotation (cos, sin) of theta.
 
     It takes dq h3 and dq h4 of one such torus and returns its tau1, the
-    numerator and denominator of its c0_n2, by `solve_label`'s arithmetic,
-    and its `cr_residual`.  Passed a tau1 and a c0_n2 as well, it returns
-    those, and the residual of the torus with them in place of its own.
+    numerator and denominator of its c0_n2, by `_label_terms`, and its
+    Cauchy-Riemann residual: the max norm of the defect on a CR_GRID x
+    CR_GRID grid.
+
+    The defect at (p, q) is psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2
+    where psi is the twistor structure, w the logarithm of the torus,
+    du_a = dw/dp and du_b = (dw/dq - tau1 dw/dp) / tau2.  With q3, z =
+    dq h3, dq h4: w1 = a q, w2 = c0_n2 + b q, w3 = c p + q3 q and
+    w4 = e p + (z - a b/2 - a c0_n2/2) q.  [w, X] = (w2 X1 - X2 w1) n4
+    reads only w1 and w2, which have no p term, and du_a has no n1 or n2
+    part, so [w, du_a] = 0 and psi(du_a) is the rotation of (c, e) into
+    (n1, n2).  So the defect depends on q alone, only its n4 component
+    varies, and the residual is sqrt of the three fixed squares plus the
+    largest n4 square over the grid (sum and sqrt are monotone).  Each
+    exact coefficient is rounded correctly, by one integer true division
+    of its numerator by its denominator.
 
     The terms of the residual that read only the shared data are formed
     once, here: du_b's n1 and n2 parts b1, b2, the two fixed squares of
     the n1 and n2 defect, and the term b2 a q of each grid row of the n4
-    defect.  The returned function forms the rest from dq h3, dq h4, tau1
-    and c0_n2.  Each part raises ValueError when a square passes the
-    largest float.
+    defect.  The returned function forms the rest.  Each part raises
+    ValueError when a square passes the largest float.
     """
     try:
         fc, fe = float(c), float(e)
@@ -217,12 +137,8 @@ def label_solver(c: int, e: int, a: int, b: int, tau2: float, cos: float,
     except OverflowError:
         raise ValueError(_RESIDUAL_OVERFLOW) from None
 
-    def label(q3: int, z: int, tau1: float | None = None,
-              c0_n2: Rational | None = None) -> tuple[float, int, int, float]:
-        if tau1 is None:
-            tau1, c0n, c0d = _label_terms(a, b, c, e, q3, z)
-        else:
-            c0n, c0d = c0_n2.numerator, c0_n2.denominator
+    def label(q3: int, z: int) -> tuple[float, int, int, float]:
+        tau1, c0n, c0d = _label_terms(a, b, c, e, q3, z)
         try:
             b3 = (q3 - tau1 * fc) / tau2
             b4 = (((2 * z - a * b) * c0d - a * c0n) / (2 * c0d)

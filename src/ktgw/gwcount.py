@@ -4,21 +4,18 @@ A torus-representable degree-two class is moved to diagonal shape
 [m, m, n, n] by a lattice automorphism.  For m = 0 the moduli components are
 obstructed and contribute nothing.  For m != 0 the components are labelled
 by (d, k, l) with d | gcd(m, n), k = 1..d, l = 1..|m|/d.  This module owns
-the label rules: `moduli_component` refuses labels outside that range and
-gives each label its one fully reduced homomorphism and its automorphism
-order.  `moduli_divisors` walks the labels once, one divisor at a time,
-and `moduli_components` flattens that walk.  Per divisor d are
-gcd(m, n), sgn(m), the span |m|/d of l, the dp column, dq h1 = dq h2 and
-the closure d (d - 1) / 2 of dq h4; per label are dq h3, dq h4, |Aut| and
-the checked homomorphism.  The walk forms each divisor's part once, and
-it and `moduli_component` build each label from that part by one label
-rule.  The `moduli` command and the geometry and oracle `verify` sweeps
-read the walk; the oracle checks each label's |Aut| against
-`aut_size_smith` of its homomorphism and counts the labels and their
-weights against `component_count` and `aut_weight_total`.  Each component
-carries the evaluation-cycle class sgn(m) (m^2 + n^2) / gcd(m, n)
-(E134 + E234) with weight 1 / |Aut|, and the weighted total collapses to
-the closed form
+the label rule: `_label` gives each label its one fully reduced
+homomorphism and its automorphism order.  `moduli_divisors` walks the
+labels once, one divisor at a time: per divisor d are gcd(m, n), sgn(m),
+the span |m|/d of l, the dp column, dq h1 = dq h2 and the closure
+d (d - 1) / 2 of dq h4, formed once by `_divisor`; per label are dq h3,
+dq h4, |Aut| and the checked homomorphism.  The `moduli` command and the
+geometry and oracle `verify` sweeps read the walk; the oracle checks each
+label's |Aut| against `aut_size_smith` of its homomorphism and counts the
+labels and their weights against `component_count` and
+`aut_weight_total`.  Each component carries the evaluation-cycle class
+sgn(m) (m^2 + n^2) / gcd(m, n) (E134 + E234) with weight 1 / |Aut|, and the
+weighted total collapses to the closed form
 
     (m^2 + n^2) sigma_2(gcd(m, n)) / gcd(m, n)^3 (a13 E134 + a23 E234).
 
@@ -41,14 +38,11 @@ from .homs import HomDerivs, normalize_class, require_plucker
 from .nilalg import H3_ZERO, H3Class, HomologyClass, Rational, Record
 
 __all__ = [
-    "ModuliComponent",
     "GWResult",
-    "moduli_component",
     "aut_size_smith",
     "component_count",
     "component_eval_class",
     "moduli_divisors",
-    "moduli_components",
     "gw_closed_form",
     "gw_enumerated",
 ]
@@ -58,67 +52,13 @@ __all__ = [
 # divisors: about 3.3 s at both limits (Intel Xeon, Python 3.11).
 ENUMERATION_BUDGET = 4 * 10 ** 6
 ENUMERATION_GCD_BITS = 1024
-# Most components that `moduli_divisors` and `moduli_components` list.
+# Most components that `moduli_divisors` walks.
 MODULI_BUDGET = 10 ** 4
 
 
 def component_count(m: int, n: int) -> int:
     """Number |m| sigma_0(gcd(m, n)) of moduli components of (m, n), m != 0."""
     return abs(m) * sigma(0, math.gcd(m, n))
-
-
-class ModuliComponent(Record):
-    """One connected moduli component with its counting data.
-
-    Built by `moduli_component` from its label (d, k, ell): hom is the
-    label's fully reduced homomorphism, and aut_size its lattice index.  Its
-    torus geometry is `geometry.solve_torus_data(hom)`, and its
-    evaluation-cycle class, the same for every component of the class, is
-    `component_eval_class(m, n)`.
-    """
-
-    fields = ("d", "k", "ell", "hom", "aut_size")
-
-    def __init__(self, d: int, k: int, ell: int, hom: HomDerivs,
-                 aut_size: int) -> None:
-        self.__dict__.update(d=d, k=k, ell=ell, hom=hom, aut_size=aut_size)
-
-
-def moduli_component(m: int, n: int, d: int, k: int,
-                     ell: int) -> ModuliComponent:
-    """The moduli component (d, k, l) of the class (m, n).
-
-    Requires m != 0, d | gcd(m, n), 1 <= k <= d and 1 <= l <= |m|/d, and
-    raises ValueError otherwise.  The label (d, k, l) names the torus
-
-        dq h1 = dq h2 = -sgn(m) d,   dp h3 = |m|/d,   dp h4 = -n / (sgn(m) d),
-        dq h3 = l,                   dq h4 = k - d/2,
-
-    whose lattice index is the automorphism order gcd(gcd(m, n),
-    (m k + n l)/d), with gcd(x, 0) = |x| and the second argument taken in
-    absolute value.  For l < |m|/d that torus is already fully reduced.  For
-    l = |m|/d the reparametrisation q -> q - p takes dq h3 to 0 and dq h4 to
-    k - d/2 - dp h4, and conjugation by a lattice element adds multiples of
-    dq h1 = -sgn(m) d to dq h4, so dq h4 only matters mod d.  The result is
-    then dq h3 = 0, dq h4 = k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.
-    The stored closed entry is dq h4 + dq h1 dq h2 / 2 = k' + d (d - 1) / 2.
-
-    Sign convention: by its sign of dp h4, every component of (m, n) pairs
-    to the class [m, m, -n, -n], not [m, m, n, n].
-    """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    g = math.gcd(m, n)
-    if d < 1 or g % d != 0:
-        raise ValueError(f"{d} does not divide gcd({m}, {n})")
-    divisor = _divisor(m, n, g, d)
-    span = divisor[4]
-    if not 1 <= k <= d:
-        raise ValueError(f"k = {k} is outside 1..{d}")
-    if not 1 <= ell <= span:
-        raise ValueError(f"l = {ell} is outside 1..{span}")
-    _, _, _, _, aut_size, hom = _label(divisor, k, ell)
-    return ModuliComponent(d, k, ell, hom, aut_size)
 
 
 def _divisor(m: int, n: int, g: int, d: int) -> tuple:
@@ -133,8 +73,18 @@ def _divisor(m: int, n: int, g: int, d: int) -> tuple:
 
 def _label(divisor: tuple, k: int, ell: int) -> tuple:
     """(k, l, dq h3, dq h4, |Aut|, hom) of the component (d, k, l) of the
-    divisor data of `_divisor`, by the rule of `moduli_component`, which
-    checks the label first.  Building hom is the lattice check."""
+    divisor data of `_divisor`, 1 <= k <= d and 1 <= l <= |m|/d.
+
+    hom is the fully reduced form of the torus with dq h3 = l and
+    dq h4 = k - d/2, and |Aut| = gcd(gcd(m, n), (m k + n l)/d) its lattice
+    index.  For l < |m|/d that torus is already fully reduced.  For
+    l = |m|/d, q -> q - p takes dq h3 to 0 and dq h4 to k - d/2 - dp h4,
+    which lattice conjugation moves by multiples of dq h1 = -sgn(m) d, to
+    k' - d/2 with k' = ((k - dp h4 - 1) mod d) + 1.  The stored closed
+    entry dq h4 + dq h1 dq h2 / 2 is k' + d (d - 1) / 2.  Building hom is
+    the lattice check.  By its sign of dp h4, every component of (m, n)
+    pairs to the class [m, m, -n, -n], not [m, m, n, n].
+    """
     m, n, g, d, span, dp, dq1, closure = divisor
     dq3, k_red = (0, (k - dp[3] - 1) % d + 1) if ell == span else (ell, k)
     dq4 = k_red + closure
@@ -155,8 +105,8 @@ def aut_size_smith(h: HomDerivs) -> int:
     where (a2, b2) = (dq h1, dq h2), g2 = gcd(a2, b2), abar = a2/g2,
     bbar = b2/g2, (c1, c2) = (dp h3, dq h3) and (d1, d2) is the dh4 row with
     its half-integer closure, the stored integers dp[3] and dq[3].  This is
-    an oracle for `moduli_component`'s aut_size, independent of its closed
-    k, l bookkeeping.  Refuses with ValueError a homomorphism that is not
+    an oracle for the |Aut| of each label of `moduli_divisors`, independent
+    of its closed k, l bookkeeping.  Refuses with ValueError a homomorphism that is not
     reduced or has dq h1 = 0.
     """
     if not h.is_reduced():
@@ -197,11 +147,11 @@ def moduli_divisors(m: int, n: int) -> list[tuple[int, tuple, int,
     Each divisor gives (d, dp, dq h1, labels): the dp column and dq h1 =
     dq h2 that its components share, and one (k, l, dq h3, dq h4, |Aut|,
     hom) per label in lexicographic (l, k) order, hom the label's checked
-    fully reduced homomorphism, as `moduli_component` builds it.  |m|
-    sigma_0(gcd(m, n)) labels in all.  Refuses m = 0, whose components
-    are obstructed, and more than MODULI_BUDGET components, before
-    building any homomorphism; |m| past the budget already proves that, so
-    it is refused before gcd(m, n) is factored.
+    fully reduced homomorphism by `_label`.  |m| sigma_0(gcd(m, n)) labels
+    in all.  Refuses m = 0, whose components are obstructed, and more than
+    MODULI_BUDGET components, before building any homomorphism; |m| past
+    the budget already proves that, so it is refused before gcd(m, n) is
+    factored.
     """
     if m == 0:
         raise ValueError("moduli with m = 0 are obstructed and do not "
@@ -221,14 +171,6 @@ def moduli_divisors(m: int, n: int) -> list[tuple[int, tuple, int,
             _label(divisor, k, ell) for ell in range(1, divisor[4] + 1)
             for k in range(1, d + 1)]))
     return walk
-
-
-def moduli_components(m: int, n: int) -> list[ModuliComponent]:
-    """The labels of `moduli_divisors(m, n)` as one list of components,
-    in lexicographic (d, l, k) order, with its refusals."""
-    return [ModuliComponent(d, k, ell, hom, aut_size)
-            for d, _, _, labels in moduli_divisors(m, n)
-            for k, ell, _, _, aut_size, hom in labels]
 
 
 class GWResult(Record):

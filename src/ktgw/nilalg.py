@@ -35,8 +35,8 @@ total, is moved in integers inside that function, and its class-by-class
 reference `h3_pushforward` lives in `tests/oracles.py`.
 
 `Record` is the immutable value base of the package's records, here and in
-`homs`, `geometry` and `gwcount`.  `Rational` holds each exact rational the
-package returns, which it only reduces, compares and prints.
+`homs` and `gwcount`.  `Rational` holds each exact rational the package
+returns, which it only reduces, compares and prints.
 """
 
 from __future__ import annotations

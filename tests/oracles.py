@@ -38,8 +38,18 @@ live here:
   to its one returned class.
 * `sl2z_act` reparametrises a homomorphism by right multiplication with an
   SL(2,Z) matrix, and `fully_reduce` moves any homomorphism of an orbit with
-  nonzero first invariant to its fully reduced representative; they are
-  the reference for `gwcount.moduli_component`'s canonical form.
+  nonzero first invariant to its fully reduced representative; applied to
+  `raw_representative`, the torus that a label (d, k, l) counts, they are
+  the reference for the canonical form of each label of
+  `gwcount.moduli_divisors`.
+* `ModuliComponent` is one label of that walk with its homomorphism and
+  |Aut|: `walk_components` flattens the walk, and `label_component` builds
+  one label of a class past the moduli budget by the walk's own rule,
+  after the range checks that the walk needs no longer.  They give the
+  tests their components; they check nothing about them.
+* `cesaro_nested` takes each gcd of the left side of Cesaro's identity on
+  its own; it is the reference for `arith.cesaro_check`, which reads them
+  from one `gcd_tally`.
 * `aut_weight_sum_labels` sums the reciprocal automorphism orders label by
   label, one gcd per component; it is the reference for `aut_weight_sum`,
   the Fraction `arith.aut_weight_total(m, n) / gcd(m, n)`, which sums over
@@ -53,16 +63,21 @@ live here:
   references for `arith._is_prime`, which runs only the bases the size of
   n needs, and `arith._factorize`, which finds the small primes dividing n
   by one gcd.
-* `twistor_apply` is the full 4x4 action of a solved torus's twistor
-  structure; the library applies it only to vectors with no n1 or n2 part.
+* `TorusSolution` is one solved torus: h, tau, theta and c0_n2, with
+  tau2 > 0 and (cos, sin) on the unit circle.  `twistor_apply` is the full
+  4x4 action of its twistor structure; the library applies it only to
+  vectors with no n1 or n2 part.
 * `solve_torus_fractions` solves the torus geometry through `lie` and
-  Fractions; it is the bitwise reference for
-  `geometry.solve_torus_data`, which forms every float from integers.
+  Fractions; it is the bitwise reference for `geometry.solve_columns` and
+  the per-label function of `geometry.label_solver`, which form every
+  float from integers.
 * `log_coordinates` writes the torus logarithm as exact affine
   coefficients in (p, q), for the curve-point tests and the residual rows.
 * `cr_residual_rows` rounds each row of the Cauchy-Riemann residual from
   `log_coordinates` with `_affine_float`, building every integer afresh;
-  it is the bitwise reference for `geometry.cr_residual`.
+  it is the bitwise reference for the residual of `label_solver`.
+* `bent_label_terms` plants a wrong tau1 or c0_n2 in the command path, in
+  place of `geometry._label_terms`, for the perturbation tests.
 """
 
 from __future__ import annotations
@@ -84,7 +99,7 @@ from ktgw.arith import (
     aut_weight_total_closed,
     divisors,
 )
-from ktgw.geometry import TorusSolution
+from ktgw.gwcount import _divisor, _label, moduli_divisors
 from ktgw.homs import HomDerivs, _xgcd, homology_class
 from ktgw.nilalg import (
     H3Class,
@@ -426,6 +441,76 @@ def fully_reduce(h: HomDerivs) -> Tuple[Sl2zMatrix, HomDerivs]:
         phi = mat2_mul(phi, step)
         cur = sl2z_act(cur, step)
     return phi, cur
+
+
+def raw_representative(m: int, n: int, d: int, k: int,
+                       ell: int) -> HomDerivs:
+    """The torus that the label (d, k, l) of (m, n) counts, with dq h3 = l
+    and dq h4 = k - d/2, before any reduction."""
+    sgn = 1 if m > 0 else -1
+    return from_rows([(0, -sgn * d), (0, -sgn * d), (abs(m) // d, ell),
+                      (Fraction(-n, sgn * d), Fraction(2 * k - d, 2))])
+
+
+# ---------------------------------------------------------------------------
+# The labels of the walk, one record each
+# ---------------------------------------------------------------------------
+
+
+class ModuliComponent(Record):
+    """The label (d, k, ell) of a class with its homomorphism hom and
+    automorphism order aut_size, as the walk gives them."""
+
+    fields = ("d", "k", "ell", "hom", "aut_size")
+
+    def __init__(self, d: int, k: int, ell: int, hom: HomDerivs,
+                 aut_size: int) -> None:
+        self.__dict__.update(d=d, k=k, ell=ell, hom=hom, aut_size=aut_size)
+
+
+def walk_components(m: int, n: int) -> List[ModuliComponent]:
+    """The labels of `gwcount.moduli_divisors(m, n)` as one list, in
+    lexicographic (d, l, k) order, with the walk's refusals."""
+    return [ModuliComponent(d, k, ell, hom, aut_size)
+            for d, _, _, labels in moduli_divisors(m, n)
+            for k, ell, _, _, aut_size, hom in labels]
+
+
+def label_component(m: int, n: int, d: int, k: int,
+                    ell: int) -> ModuliComponent:
+    """The label (d, k, l) of (m, n) by the walk's rule, `gwcount._divisor`
+    and `_label`, which reach classes past the moduli budget.
+
+    Refuses m = 0 and a label outside d | gcd(m, n), 1 <= k <= d and
+    1 <= l <= |m|/d, which `_label` does not check, with ValueError.
+    """
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    g = math.gcd(m, n)
+    if d < 1 or g % d != 0:
+        raise ValueError(f"{d} does not divide gcd({m}, {n})")
+    divisor = _divisor(m, n, g, d)
+    span = abs(m) // d
+    if not 1 <= k <= d:
+        raise ValueError(f"k = {k} is outside 1..{d}")
+    if not 1 <= ell <= span:
+        raise ValueError(f"l = {ell} is outside 1..{span}")
+    _, _, _, _, aut_size, hom = _label(divisor, k, ell)
+    return ModuliComponent(d, k, ell, hom, aut_size)
+
+
+# ---------------------------------------------------------------------------
+# Cesaro's identity, one gcd at a time
+# ---------------------------------------------------------------------------
+
+
+def cesaro_nested(f, n: int) -> Tuple[int, int, bool]:
+    """(lhs, rhs, lhs == rhs) of Cesaro's identity for f at n, with each
+    gcd(i, d) of lhs taken on its own."""
+    divs = divisors(n)
+    lhs = sum(f(math.gcd(i, d)) for d in divs for i in range(1, d + 1))
+    rhs = sum(f(n // d) * d for d in divs)
+    return lhs, rhs, lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +872,35 @@ def smith_matrix_rows(h: HomDerivs) -> List[List[int]]:
 # ---------------------------------------------------------------------------
 
 
+class TorusSolution(Record):
+    """A reduced homomorphism together with its forced geometric data.
+
+    tau = tau1 + i tau2 is the modulus, in the upper half-plane.  The
+    twistor structure is the rotation [[cos, -sin], [sin, cos]], which
+    carries the central directions (n3, n4) to (n1, n2); the complementary
+    block is forced to be minus its inverse, which makes the induced 4x4 map
+    square to -Id.  The translation constant is c0_n2 n2.
+    """
+
+    fields = ("h", "tau1", "tau2", "cos_theta", "sin_theta", "c0_n2")
+
+    def __init__(self, h: HomDerivs, tau1: float, tau2: float,
+                 cos_theta: float, sin_theta: float, c0_n2: Rational) -> None:
+        if not tau2 > 0:
+            raise ValueError("tau2 must be positive")
+        if abs(cos_theta ** 2 + sin_theta ** 2 - 1.0) > 1e-12:
+            raise ValueError("(cos, sin) must lie on the unit circle")
+        self.__dict__.update(h=h, tau1=tau1, tau2=tau2, cos_theta=cos_theta,
+                             sin_theta=sin_theta, c0_n2=c0_n2)
+
+    def theta(self) -> float:
+        return math.atan2(self.sin_theta, self.cos_theta)
+
+
 def solve_torus_fractions(h: HomDerivs) -> TorusSolution:
-    """`geometry.solve_torus_data` through Fractions, the bitwise reference.
+    """The torus geometry of h through Fractions, the bitwise reference for
+    `geometry.solve_columns` and the per-label function of
+    `geometry.label_solver`.
 
     tau2 is the norm ratio |(dq h1, dq h2)| / |(dp h3, dp h4)|, tau1 is
     float(Fraction(dq h3, dp h3)), the rotation is the unique one carrying
@@ -866,13 +978,13 @@ def twistor_apply(s: TorusSolution,
 def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
     """Cauchy-Riemann residual over every point of a grid x grid square.
 
-    The reference for `geometry.cr_residual`.  The torus logarithm is
-    w = C + X + [X, C]/2 with X = p dp + q dq; its derivatives
+    The reference for the residual of `geometry.label_solver`.  The torus
+    logarithm is w = C + X + [X, C]/2 with X = p dp + q dq; its derivatives
     dp + [dp, C]/2 and dq + [dq, C]/2 come from the matrix commutator, so no
-    coefficient of `log_coordinates` is used.  w is evaluated
-    exactly at each grid point and rounded once, and the defect
+    coefficient of `log_coordinates` is used.  w is evaluated exactly at
+    each grid point and rounded once, and the defect
     psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2 is formed in floats as
-    `cr_residual` specifies it.
+    `label_solver` specifies it.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -913,9 +1025,10 @@ def _affine_float(const: Rat, slope: Rat, q: float) -> float:
 def cr_residual_rows(s: TorusSolution, grid: int = 8) -> float:
     """Cauchy-Riemann residual, one row per grid q, each row from scratch.
 
-    The bitwise reference for `geometry.cr_residual`, which forms the
-    coefficients of `log_coordinates` from the integers of h and c0_n2,
-    squares only the varying n4 component of each row, and takes one sqrt.
+    The bitwise reference for the residual of `geometry.label_solver`,
+    which forms the coefficients of `log_coordinates` from the integers of
+    h and c0_n2, squares only the varying n4 component of each row, and
+    takes one sqrt.
     This one reads `log_coordinates` and rounds each row from scratch;
     `cr_residual_grid` is the reference that reads no coefficient of it.
     """
@@ -937,6 +1050,16 @@ def cr_residual_rows(s: TorusSolution, grid: int = 8) -> float:
         defect = math.sqrt(sum((*fixed, (pu[3] - v4) ** 2)))
         worst = max(worst, defect)
     return worst
+
+
+def bent_label_terms(terms, dtau1: float = 0.0, dc0: Rat = 0):
+    """`geometry._label_terms` with dtau1 added to each tau1 and dc0 to
+    each c0_n2, for planting a wrong torus in the command path."""
+    def bent(*args):
+        tau1, num, den = terms(*args)
+        c0 = Fraction(num, den) + dc0
+        return tau1 + dtau1, c0.numerator, c0.denominator
+    return bent
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,17 @@ import random
 import time
 from fractions import Fraction
 
+from ktgw import geometry
 from ktgw.arith import (
     cesaro_check,
+    gcd_tally,
     sigma,
     sublattice_counts,
 )
 from ktgw.geometry import (
-    cr_residual,
     eval_class_integrate,
-    solve_torus_data,
+    label_solver,
+    solve_columns,
     symplectic_area,
 )
 from ktgw.gwcount import (
@@ -26,7 +28,7 @@ from ktgw.gwcount import (
     component_eval_class,
     gw_closed_form,
     gw_enumerated,
-    moduli_components,
+    moduli_divisors,
 )
 from ktgw.homs import homology_class
 from ktgw.nilalg import H3_ZERO, HomologyClass, h2_pushforward
@@ -34,15 +36,14 @@ from oracles import (
     aut_apply,
     aut_weight_sum,
     aut_weight_sum_closed,
-    fraction,
+    bent_label_terms,
     group_mul_oracle,
     h3_pushforward,
     random_group,
     random_lattice_group,
     random_plucker_class,
     random_word,
-    rational,
-    replace,
+    walk_components,
     word_matrix,
 )
 
@@ -118,10 +119,11 @@ def test_ac04_cesaro_identity():
     started = time.perf_counter()
     failures, checked = [], 0
     funcs = {"one": lambda v: 1, "id": lambda v: v, "square": lambda v: v * v}
+    tally = gcd_tally(2000)
     for name, f in funcs.items():
         for n in range(1, 2001):
             checked += 1
-            if not cesaro_check(f, n).equal:
+            if not cesaro_check(f, n, tally).equal:
                 failures.append(f"f={name} n={n}")
     report("AC4 Cesaro identity (n <= 2000, three functions)", failures,
            checked, started)
@@ -132,7 +134,7 @@ def test_ac05_automorphism_oracle():
     failures, checked = [], 0
     for m in nonzero_range(10):
         for n in range(-10, 11):
-            for entry in moduli_components(m, n):
+            for entry in walk_components(m, n):
                 checked += 1
                 formula = entry.aut_size
                 smith = aut_size_smith(entry.hom)
@@ -144,33 +146,41 @@ def test_ac05_automorphism_oracle():
            failures, checked, started)
 
 
-def test_ac06_cauchy_riemann_validation():
+def test_ac06_cauchy_riemann_validation(monkeypatch):
+    # The residual of the command path: a wrong tau2 or rotation is passed
+    # to label_solver, a wrong c0_n2 or tau1 planted in its _label_terms.
     started = time.perf_counter()
     failures, checked = [], 0
+    real = geometry._label_terms
+    planted = {"c0": bent_label_terms(real, dc0=Fraction(1, 10)),
+               "tau1": bent_label_terms(real, dtau1=0.1)}
     for m in nonzero_range(4):
         for n in range(-4, 5):
-            for comp in moduli_components(m, n):
-                where = f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell})"
-                sol = solve_torus_data(comp.hom)
-                checked += 5
-                res = cr_residual(sol)
-                if not res < 1e-9:
-                    failures.append(f"{where}: residual {res:g}")
-                bad_c0 = replace(sol, c0_n2=rational(fraction(sol.c0_n2)
-                                                     + Fraction(1, 10)))
-                if not cr_residual(bad_c0) > 1e-3:
-                    failures.append(f"{where}: c0 perturbation undetected")
-                bad_tau = replace(sol, tau1=sol.tau1 + 0.1)
-                if not cr_residual(bad_tau) > 1e-3:
-                    failures.append(f"{where}: tau1 perturbation undetected")
-                bad_tau2 = replace(sol, tau2=sol.tau2 + 0.1)
-                if not cr_residual(bad_tau2) > 1e-3:
-                    failures.append(f"{where}: tau2 perturbation undetected")
-                theta = sol.theta() + 0.1
-                bad_psi = replace(sol, cos_theta=math.cos(theta),
-                                  sin_theta=math.sin(theta))
-                if not cr_residual(bad_psi) > 1e-3:
-                    failures.append(f"{where}: psi rotation undetected")
+            for d, dp, a, labels in moduli_divisors(m, n):
+                c, e = dp[2:]
+                tau2, cos, sin = solve_columns(c, e, a, a)
+                theta = math.atan2(sin, cos) + 0.1
+                solvers = {
+                    "": label_solver(c, e, a, a, tau2, cos, sin),
+                    "tau2": label_solver(c, e, a, a, tau2 + 0.1, cos, sin),
+                    "psi": label_solver(c, e, a, a, tau2, math.cos(theta),
+                                        math.sin(theta))}
+                for k, ell, q3, z, _, _ in labels:
+                    where = f"m={m} n={n} (d,k,l)=({d},{k},{ell})"
+                    checked += 5
+                    res = solvers[""](q3, z)[3]
+                    if not res < 1e-9:
+                        failures.append(f"{where}: residual {res:g}")
+                    bent = {name: solvers[name](q3, z)[3]
+                            for name in ("tau2", "psi")}
+                    for name, terms in planted.items():
+                        monkeypatch.setattr(geometry, "_label_terms", terms)
+                        bent[name] = solvers[""](q3, z)[3]
+                    monkeypatch.setattr(geometry, "_label_terms", real)
+                    for name, value in bent.items():
+                        if not value > 1e-3:
+                            failures.append(
+                                f"{where}: {name} perturbation undetected")
     report("AC6 Cauchy-Riemann residuals (|m|,|n| <= 4)", failures, checked,
            started)
 
@@ -181,7 +191,7 @@ def test_ac07_evaluation_cycle_oracle():
     for m in nonzero_range(4):
         for n in range(-4, 5):
             expected = component_eval_class(m, n)
-            for comp in moduli_components(m, n):
+            for comp in walk_components(m, n):
                 checked += 1
                 got = eval_class_integrate(comp.hom)
                 if got != expected or got.e124 != 0:
@@ -198,7 +208,7 @@ def test_ac08_component_count():
     for m in nonzero_range(12):
         for n in range(-12, 13):
             checked += 1
-            count = len(moduli_components(m, n))
+            count = len(walk_components(m, n))
             expected = abs(m) * sigma(0, math.gcd(m, n))
             if count != expected:
                 failures.append(f"m={m} n={n}: {count} != {expected}")
@@ -211,11 +221,11 @@ def test_ac09_area_positivity():
     failures, checked = [], 0
     for m in nonzero_range(4):
         for n in range(-4, 5):
-            for comp in moduli_components(m, n):
+            for comp in walk_components(m, n):
                 checked += 1
-                sol = solve_torus_data(comp.hom)
-                area = symplectic_area(homology_class(comp.hom),
-                                       sol.cos_theta, sol.sin_theta)
+                _, cos, sin = solve_columns(*comp.hom.dp[2:],
+                                            *comp.hom.dq[:2])
+                area = symplectic_area(homology_class(comp.hom), cos, sin)
                 if not area > 0:
                     failures.append(
                         f"m={m} n={n} (d,k,l)=({comp.d},{comp.k},{comp.ell}):"

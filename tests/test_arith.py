@@ -23,6 +23,7 @@ from oracles import (
     aut_weight_sum,
     aut_weight_sum_closed,
     aut_weight_sum_labels,
+    cesaro_nested,
     factorize_trial,
     hnf_matrices,
     is_prime_all_bases,
@@ -424,31 +425,28 @@ class TestWeightSumCache:
 
 class TestCesaro:
     def test_examples(self):
-        assert cesaro_check(lambda v: v, 4) == (12, 12, True)
-        assert cesaro_check(lambda v: v, 1) == (1, 1, True)
-        assert cesaro_check(lambda v: v * v, 6) == (72, 72, True)
+        tally = gcd_tally(6)
+        assert cesaro_check(lambda v: v, 4, tally) == (12, 12, True)
+        assert cesaro_check(lambda v: v, 1, tally) == (1, 1, True)
+        assert cesaro_check(lambda v: v * v, 6, tally) == (72, 72, True)
 
     def test_sweep_three_functions(self):
         funcs = (lambda v: 1, lambda v: v, lambda v: v * v)
+        tally = gcd_tally(400)
         for f in funcs:
             for n in range(1, 401):
-                assert cesaro_check(f, n).equal
+                assert cesaro_check(f, n, tally).equal
 
     def test_matches_nested_loop(self):
-        def nested(f, n):
-            divs = divisors(n)
-            lhs = sum(f(math.gcd(i, d)) for d in divs for i in range(1, d + 1))
-            rhs = sum(f(n // d) * d for d in divs)
-            return (lhs, rhs, lhs == rhs)
-
         funcs = (lambda v: 1, lambda v: v, lambda v: v * v, lambda v: v % 3)
+        tally = gcd_tally(60)
         for f in funcs:
             for n in range(1, 61):
-                assert cesaro_check(f, n) == nested(f, n)
+                assert cesaro_check(f, n, tally) == cesaro_nested(f, n)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            cesaro_check(lambda v: v, 0)
+            cesaro_check(lambda v: v, 0, gcd_tally(1))
 
     def test_tally_counts_each_gcd(self):
         # Each d's pairs (v, c) are its gcd values, each counted once per i.
@@ -464,12 +462,13 @@ class TestCesaro:
             assert len(tally[d]) == len(counts)
 
     def test_tally_matches_direct_count(self):
-        # The three functions of the verify sweep, at every n it can reach.
+        # The three functions of the verify sweep, at every n it can reach,
+        # against the left side with each gcd taken on its own.
         tally = gcd_tally(IDENTITIES_MAX)
         assert len(tally) == IDENTITIES_MAX + 1
         for f in (lambda v: 1, lambda v: v, lambda v: v * v):
             for n in range(1, IDENTITIES_MAX + 1):
-                assert cesaro_check(f, n, tally) == cesaro_check(f, n)
+                assert cesaro_check(f, n, tally) == cesaro_nested(f, n)
 
     def test_tally_count_reaches_lhs(self):
         # One i too many with gcd(i, 6) = 2 adds f(2) to the left side of

@@ -14,16 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktgw import arith, cli, gwcount
+from ktgw import arith, cli, geometry, gwcount
 from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
 from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
-from ktgw.geometry import cr_residual, solve_torus_data
+from ktgw.geometry import CR_GRID
 from ktgw.gwcount import (GWResult, component_eval_class, gw_closed_form,
-                          gw_enumerated, moduli_component, moduli_components,
-                          moduli_divisors)
+                          gw_enumerated, moduli_divisors)
 from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass, Rational
-from oracles import fraction, hnf_matrices, lie, rational, replace
+from oracles import (bent_label_terms, cr_residual_rows, fraction,
+                     hnf_matrices,
+                     label_component, lie, rational, replace,
+                     solve_torus_fractions, walk_components)
 
 
 def run(capsys, *argv):
@@ -291,15 +293,17 @@ def ref_gw_item(row):
 
 
 def component_rows(comps, ev):
-    """The moduli row of each component, solved and checked on its own by
-    `solve_torus_data` and `cr_residual`, with evaluation class ev."""
+    """The moduli row of each component by the references of
+    `tests/oracles.py`, with evaluation class ev: its Lie columns by `lie`,
+    its torus solved through Fractions by `solve_torus_fractions`, and its
+    residual rounded row by row by `cr_residual_rows`."""
     rows = []
     for comp in comps:
-        sol = solve_torus_data(comp.hom)
+        sol = solve_torus_fractions(comp.hom)
         dp, dq = lie(comp.hom)
         rows.append((comp.d, comp.k, comp.ell, *dp, *dq, sol.tau1, sol.tau2,
                      sol.theta(), sol.c0_n2, comp.aut_size, *ev,
-                     cr_residual(sol)))
+                     cr_residual_rows(sol, CR_GRID)))
     return rows
 
 
@@ -563,7 +567,7 @@ class TestJsonTemplates:
         holes, varies = cli._MODULI.holes, set()
         for m, n in cli._sweep_classes(12):
             first = {}
-            for row in component_rows(moduli_components(m, n),
+            for row in component_rows(walk_components(m, n),
                                       component_eval_class(m, n).coords()):
                 leaves = cli._MODULI._leaves(row)
                 varies |= {hole for hole, a, b in zip(
@@ -577,7 +581,7 @@ class TestJsonTemplates:
     @given(m=st.integers(-12, 12).filter(bool), n=st.integers(-12, 12))
     def test_moduli_command_matches_reference(self, m, n):
         items = [ref_moduli_item(row) for row in component_rows(
-            moduli_components(m, n), component_eval_class(m, n).coords())]
+            walk_components(m, n), component_eval_class(m, n).coords())]
         payload = {"schema_version": "1", "command": "moduli",
                    "m": str(m), "n": str(n), "components": items}
         assert json_out("moduli", str(m), str(n)) == \
@@ -693,12 +697,12 @@ def exact(row):
 
 
 class TestDivisorLoop:
-    """The moduli rows of the command's one pass per divisor are those
-    solved and checked per component, to the last bit."""
+    """The moduli rows of the command's one pass per divisor are those of
+    the references of `tests/oracles.py`, to the last bit."""
 
     def test_small_classes_bitwise(self):
         for m, n in cli._sweep_classes(12):
-            comps = moduli_components(m, n)
+            comps = walk_components(m, n)
             ev = component_eval_class(m, n).coords()
             assert list(map(exact, pass_rows(m, n, moduli_divisors(m, n)))) \
                 == list(map(exact, component_rows(comps, ev))), (m, n)
@@ -711,7 +715,7 @@ class TestDivisorLoop:
         # The last label has l = |m|/d, whose hom is reparametrised.
         labels = sorted((rng.randint(1, span), rng.randint(1, d))
                         for _ in range(39)) + [(span, rng.randint(1, d))]
-        comps = [moduli_component(m, n, d, k, ell) for ell, k in labels]
+        comps = [label_component(m, n, d, k, ell) for ell, k in labels]
         ev = component_eval_class(m, n).coords()
         assert list(map(exact, pass_rows(m, n, [component_labels(comps)]))) \
             == list(map(exact, component_rows(comps, ev)))
@@ -725,11 +729,11 @@ class TestDivisorLoop:
                            "the largest float"),
     ])
     def test_refusals_keep_their_text(self, m, n, refusal, capsys):
-        comps = moduli_components(m, n)
+        # The references cannot form these rows either.
+        comps = walk_components(m, n)
         ev = component_eval_class(m, n).coords()
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises((OverflowError, ValueError)):
             component_rows(comps, ev)
-        assert str(exc.value) == refusal
         with pytest.raises(ValueError) as exc:
             pass_rows(m, n, moduli_divisors(m, n))
         assert str(exc.value) == refusal
@@ -755,6 +759,24 @@ class TestVerifyCommand:
         assert code == 0
         assert "geometry/cr-residual" in out
         assert "geometry/eval-cycle" in out
+
+    @pytest.mark.parametrize("dtau1, dc0, worst", [
+        (0.1, 0, "1.27279"), (0.0, Fraction(1, 10), "0.3")])
+    def test_planted_torus_fails_residual(self, capsys, monkeypatch, dtau1,
+                                          dc0, worst):
+        # A wrong tau1 or c0_n2 in the per-label solve fails the residual
+        # gate of every component, and nothing else.
+        monkeypatch.setattr(geometry, "_label_terms", bent_label_terms(
+            geometry._label_terms, dtau1, dc0))
+        code, out, err = run(capsys, "verify", "geometry", "--max", "3")
+        assert code == 1
+        assert out == ("geometry/cr-residual: 114 checks, 114 failures "
+                       "[FAIL]\n"
+                       "geometry/area-positivity: 114 checks, 0 failures "
+                       "[ok]\n"
+                       "geometry/eval-cycle: 114 checks, 0 failures [ok]\n")
+        assert err == (f"first counterexample: residual {worst} at m=-3 "
+                       f"n=-3 (d,k,l)=(1,1,1)\n")
 
     def test_failed_identity_exit_1(self, capsys, monkeypatch):
         real_weight = cli.aut_weight_total_closed
@@ -1138,6 +1160,50 @@ class TestEntryPoint:
                 assert "agrees: true" in proc.stdout
             else:
                 assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv, stdout, reason", [
+        (["moduli", "9973", "1"], "pipe", "Broken pipe"),
+        (["moduli", "9973", "1", "--format", "json"], "pipe", "Broken pipe"),
+        (["gw", "2", "4", "1", "2"], "closed", "stdout is closed"),
+        (["gw", "2", "4", "1", "2"], "/dev/full", "No space left"),
+        (["verify", "all", "--max", "3"], "/dev/full", "No space left"),
+    ])
+    def test_unwritable_stdout_exit_3(self, argv, stdout, reason):
+        """A write to stdout that fails, or a closed stdout, exits 3 with
+        one line on stderr and no traceback."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        cmd = [sys.executable, "-m", "ktgw.cli", *argv]
+        if stdout == "pipe":
+            # The reader takes one line and closes the pipe.
+            proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        else:
+            if stdout == "/dev/full" and not os.path.exists(stdout):
+                pytest.skip("no /dev/full")
+            if stdout == "closed":
+                # The child starts with fd 1 closed.
+                cmd = ["/bin/sh", "-c", '"$@" >&-', "sh", *cmd]
+                target = None
+            else:
+                target = open(stdout, "w")
+            try:
+                proc = subprocess.run(cmd, env=env, stdout=target,
+                                      stderr=subprocess.PIPE, text=True,
+                                      timeout=60)
+            finally:
+                if target is not None:
+                    target.close()
+            code, err = proc.returncode, proc.stderr
+        assert code == 3, err
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1 and reason in err
+        assert "Traceback" not in err
 
     def test_import_loads_no_introspection_modules(self):
         """Importing ktgw.cli in a bare interpreter loads none of

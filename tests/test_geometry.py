@@ -6,35 +6,33 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ktgw import geometry
 from ktgw.arith import divisors
 from ktgw.geometry import (
     CR_GRID,
-    cr_residual,
     eval_class_integrate,
+    label_solver,
     solve_columns,
-    solve_torus_data,
     symplectic_area,
 )
-from ktgw.gwcount import (
-    component_eval_class,
-    moduli_component,
-    moduli_components,
-)
+from ktgw.gwcount import component_eval_class
 from ktgw.homs import HomDerivs, homology_class
 from ktgw.nilalg import H3Class, HomologyClass, Rational
 from oracles import (
     GroupElem,
     LieAlgElem,
     Poly,
+    TorusSolution,
     area_pullback,
+    bent_label_terms,
     cr_residual_grid,
     cr_residual_rows,
     eval_class_pullback,
     exp_oracle,
     fraction,
-    from_rows,
     group_mul_oracle,
     in_lowest_terms,
+    label_component,
     lie_columns,
     lie_comb,
     log_coordinates,
@@ -43,26 +41,44 @@ from oracles import (
     replace,
     solve_torus_fractions,
     twistor_apply,
+    walk_components,
 )
 
 
-def rows(*entries):
-    return from_rows(entries)
+def command_solution(h):
+    """The torus geometry of h on the command path: `solve_columns` of its
+    columns, then the per-label function of `label_solver`."""
+    _, _, c, e = h.dp
+    a, b, q3, z = h.dq
+    tau2, cos, sin = solve_columns(c, e, a, b)
+    tau1, c0n, c0d, _ = label_solver(c, e, a, b, tau2, cos, sin)(q3, z)
+    return TorusSolution(h, tau1, tau2, cos, sin, Rational(c0n, c0d))
+
+
+def command_residual(h, columns=None):
+    """The residual that the command path gives h: the per-label function
+    of `label_solver` at dq h3 and dq h4, with the (tau2, cos, sin) of
+    columns, or else those `solve_columns` forms.  tau1 and c0_n2 come
+    from `geometry._label_terms`."""
+    _, _, c, e = h.dp
+    a, b, q3, z = h.dq
+    tau2, cos, sin = columns or solve_columns(c, e, a, b)
+    return label_solver(c, e, a, b, tau2, cos, sin)(q3, z)[3]
 
 
 def first_solution(m, n):
-    return solve_torus_data(moduli_components(m, n)[0].hom)
+    return command_solution(walk_components(m, n)[0].hom)
 
 
 def small_sweep(bound=2):
     for m in [v for v in range(-bound, bound + 1) if v]:
         for n in range(-bound, bound + 1):
-            for comp in moduli_components(m, n):
+            for comp in walk_components(m, n):
                 yield m, n, comp
 
 
 def solutions(m, n):
-    return [solve_torus_data(comp.hom) for comp in moduli_components(m, n)]
+    return [command_solution(comp.hom) for comp in walk_components(m, n)]
 
 
 def sampled_homs(rng, classes, count):
@@ -72,8 +88,8 @@ def sampled_homs(rng, classes, count):
         ds = divisors(math.gcd(m, n))
         for _ in range(count):
             d = rng.choice(ds)
-            homs.append(moduli_component(m, n, d, rng.randint(1, d),
-                                         rng.randint(1, m // d)).hom)
+            homs.append(label_component(m, n, d, rng.randint(1, d),
+                                        rng.randint(1, m // d)).hom)
     return homs
 
 
@@ -106,7 +122,7 @@ class TestSolve:
 
     def test_rotation_condition(self):
         for _, _, comp in small_sweep(3):
-            s = solve_torus_data(comp.hom)
+            s = command_solution(comp.hom)
             _, _, c, d = s.h.dp
             a, b = s.h.dq[:2]
             t2 = s.tau2
@@ -116,41 +132,22 @@ class TestSolve:
 
     def test_tau2_positive(self):
         for _, _, comp in small_sweep(3):
-            assert solve_torus_data(comp.hom).tau2 > 0
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            solve_torus_data(rows((1, 0), (0, 1), (0, 0), (0, 0)))
-        non_reduced = rows((1, 0), (1, 0), (0, 1), (Fraction(1, 2), 0))
-        with pytest.raises(ValueError, match="must be reduced"):
-            solve_torus_data(non_reduced)
-        obstructed = rows((0, -1), (0, -1), (0, 0), (1, Fraction(1, 2)))
-        with pytest.raises(ValueError):
-            solve_torus_data(obstructed)
-        with pytest.raises(ValueError, match="dq h1 must be nonzero"):
-            solve_torus_data(HomDerivs((0, 0, 1, 0), (0, 0, 0, 0)))
+            assert command_solution(comp.hom).tau2 > 0
 
     def test_rejects_norm_beyond_float(self):
         # dp h4 = -n for the one component of [1, 1, n, n]; its squared norm
-        # passes the largest float once |n| exceeds about 1.34e154.
-        edge = solve_torus_data(moduli_component(1, 10 ** 154, 1, 1, 1).hom)
-        assert edge.tau2 > 0
-        for m, n in [(1, 2 * 10 ** 154), (1, -10 ** 200), (2, 2 * 10 ** 200)]:
-            with pytest.raises(ValueError, match="too long for a floating"):
-                solve_torus_data(moduli_component(m, n, 1, 1, 1).hom)
-
-    def test_refusals_in_order(self):
-        # Each hom fails its own check and every later one: reduced, then
-        # dp h3 = 0, then dq h1 = 0, then the column overflow.
+        # passes the largest float once |n| exceeds about 1.34e154.  A long
+        # dp h3 or dq h1 is refused alike.
+        edge = label_component(1, 10 ** 154, 1, 1, 1).hom
+        assert solve_columns(*edge.dp[2:], *edge.dq[:2])[0] > 0
         big = 10 ** 200
-        for dp, dq, refusal in [
-                ((1, 0, 0, 0), (0, 0, 0, 0), "must be reduced"),
-                ((0, 0, 0, big), (0, 0, 0, 0), "dp h3 = 0: modulus"),
-                ((0, 0, big, 0), (0, 0, 0, 0), "dq h1 must be nonzero"),
-                ((0, 0, big, 0), (1, 0, 0, 0), "too long for a floating"),
-                ((0, 0, 1, 0), (big, 0, 0, 0), "too long for a floating")]:
-            with pytest.raises(ValueError, match=refusal):
-                solve_torus_data(HomDerivs(dp, dq))
+        columns = [(big, 0, 1, 0), (1, 0, big, 0)]
+        for m, n in [(1, 2 * 10 ** 154), (1, -10 ** 200), (2, 2 * 10 ** 200)]:
+            h = label_component(m, n, 1, 1, 1).hom
+            columns.append((*h.dp[2:], *h.dq[:2]))
+        for c, e, a, b in columns:
+            with pytest.raises(ValueError, match="too long for a floating"):
+                solve_columns(c, e, a, b)
 
     def test_columns_match_fraction_reference_bitwise(self):
         # solve_columns reads the columns (c, e) and (a, b) alone, and gives
@@ -166,10 +163,10 @@ class TestSolve:
 
     def test_matches_fraction_reference_bitwise(self):
         # Every float to the last bit, signs of zero included, and c0_n2
-        # equal in value and type.  The random reduced lattice maps reach
-        # dp h3 < 0 and dq h3 = 0, where 0 / dp h3 is -0.0.
+        # equal.  The random reduced lattice maps reach dp h3 < 0 and
+        # dq h3 = 0, where 0 / dp h3 is -0.0.
         homs = [comp.hom for _, _, comp in small_sweep(14)]
-        homs += [comp.hom for comp in moduli_components(9973, 1)]
+        homs += [comp.hom for comp in walk_components(9973, 1)]
         homs += sampled_homs(random.Random(83), [
             (1, 10 ** 12), (1200, 23757), (10 ** 9, 10 ** 9),
             (1, 10 ** 154)], 40)
@@ -180,13 +177,18 @@ class TestSolve:
             b, q3, z, e = (rng.randint(-9, 9) for _ in range(4))
             homs.append(HomDerivs((0, 0, c, e), (a, b, q3, z)))
         for h in homs:
-            got, ref = solve_torus_data(h), solve_torus_fractions(h)
-            assert [got.tau1.hex(), got.tau2.hex(), got.cos_theta.hex(),
-                    got.sin_theta.hex()] == [
+            _, _, c, e = h.dp
+            a, b, q3, z = h.dq
+            tau2, cos, sin = solve_columns(c, e, a, b)
+            tau1, c0n, c0d, _ = label_solver(c, e, a, b, tau2, cos,
+                                             sin)(q3, z)
+            ref = solve_torus_fractions(h)
+            assert [tau1.hex(), tau2.hex(), cos.hex(), sin.hex()] == [
                 ref.tau1.hex(), ref.tau2.hex(), ref.cos_theta.hex(),
                 ref.sin_theta.hex()]
-            assert type(got.c0_n2) is type(ref.c0_n2) is Rational
-            assert got.c0_n2 == ref.c0_n2
+            # c0_n2 in lowest terms, its denominator positive.
+            assert (c0n, c0d) == (ref.c0_n2.numerator,
+                                  ref.c0_n2.denominator)
 
     def test_modulus_requires_upper_half_plane(self):
         s = first_solution(1, 0)
@@ -204,7 +206,7 @@ class TestTwistor:
 
     def test_square_is_minus_identity_and_orthogonal(self):
         for _, _, comp in small_sweep(2):
-            s = solve_torus_data(comp.hom)
+            s = command_solution(comp.hom)
             basis = [tuple(float(i == j) for j in range(4)) for i in range(4)]
             cols = [twistor_apply(s, v) for v in basis]
             for i in range(4):
@@ -286,36 +288,37 @@ class TestCurvePoint:
 
 
 class TestCrResidual:
+    """The residual that the commands print and check, against the
+    references of `tests/oracles.py`."""
+
     def test_vanishes_on_solutions(self):
         for _, _, comp in small_sweep(2):
-            assert cr_residual(solve_torus_data(comp.hom)) < 1e-9
+            assert command_residual(comp.hom) < 1e-9
 
-    def test_c0_perturbation_detected(self):
+    def test_c0_perturbation_detected(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_label_terms", bent_label_terms(
+            geometry._label_terms, dc0=Fraction(1, 10)))
         for m, n in [(1, 0), (2, 2)]:
-            s = first_solution(m, n)
-            bad = replace(s, c0_n2=rational(fraction(s.c0_n2)
-                                            + Fraction(1, 10)))
-            assert cr_residual(bad) > 1e-3
+            assert command_residual(walk_components(m, n)[0].hom) > 1e-3
 
-    def test_tau1_perturbation_detected(self):
+    def test_tau1_perturbation_detected(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_label_terms", bent_label_terms(
+            geometry._label_terms, dtau1=0.1))
         for m, n in [(1, 0), (2, 2)]:
-            s = first_solution(m, n)
-            bad = replace(s, tau1=s.tau1 + 0.1)
-            assert cr_residual(bad) > 1e-3
+            assert command_residual(walk_components(m, n)[0].hom) > 1e-3
 
     def test_tau2_perturbation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
-            bad = replace(s, tau2=s.tau2 + 0.1)
-            assert cr_residual(bad) > 1e-3
+            bent = (s.tau2 + 0.1, s.cos_theta, s.sin_theta)
+            assert command_residual(s.h, bent) > 1e-3
 
     def test_psi_rotation_detected(self):
         for m, n in [(1, 0), (2, 2)]:
             s = first_solution(m, n)
             theta = s.theta() + 0.1
-            bad = replace(s, cos_theta=math.cos(theta),
-                          sin_theta=math.sin(theta))
-            assert cr_residual(bad) > 1e-3
+            bent = (s.tau2, math.cos(theta), math.sin(theta))
+            assert command_residual(s.h, bent) > 1e-3
 
     def test_matches_grid_reference(self):
         # Float equality, no tolerance: one row per grid q rounds exactly as
@@ -323,35 +326,43 @@ class TestCrResidual:
         homs = [comp.hom for _, _, comp in small_sweep(4)]
         homs += sampled_homs(random.Random(29), [
             (5000, 3000), (50000, 30000), (10 ** 7, 3 * 10 ** 6)], 12)
-        for s in map(solve_torus_data, homs):
-            assert cr_residual(s) == cr_residual_grid(s, CR_GRID)
+        for h in homs:
+            assert command_residual(h) == cr_residual_grid(
+                solve_torus_fractions(h), CR_GRID)
 
-    def test_matches_row_reference_bitwise(self):
+    def test_matches_row_reference_bitwise(self, monkeypatch):
         # The coefficients come from the integers of h and c0_n2, and one
         # sqrt is taken of the largest row; the residual still equals the
-        # row-by-row reference to the last bit.
+        # row-by-row reference to the last bit.  A bent torus gets its
+        # c0_n2 or tau1 planted in `_label_terms`, its tau2 passed to
+        # `label_solver`.
         homs = [comp.hom for _, _, comp in small_sweep(8)]
         homs += sampled_homs(random.Random(71), [
             (1, 10 ** 12), (1200, 23757), (10 ** 9, 10 ** 9), (9973, 1),
             (1, 10 ** 154)], 12)
-        sols = list(map(solve_torus_data, homs))
-        bent = []
+        sols = list(map(solve_torus_fractions, homs))
+        real = geometry._label_terms
+        tiny = Fraction(1, 10 ** 12)
+        cases = [(s, 0.0, 0) for s in sols]
         for s in sols[::7]:
-            bent += [
-                replace(s, c0_n2=rational(fraction(s.c0_n2)
-                                          + Fraction(1, 10 ** 12))),
-                replace(s, tau1=s.tau1 + 1e-9),
-                replace(s, tau2=s.tau2 * 1.5),
+            cases += [
+                (replace(s, c0_n2=rational(fraction(s.c0_n2) + tiny)), 0.0,
+                 tiny),
+                (replace(s, tau1=s.tau1 + 1e-9), 1e-9, 0),
+                (replace(s, tau2=s.tau2 * 1.5), 0.0, 0),
             ]
-        for s in sols + bent:
+        for s, dtau1, dc0 in cases:
+            monkeypatch.setattr(geometry, "_label_terms",
+                                bent_label_terms(real, dtau1, dc0))
+            columns = (s.tau2, s.cos_theta, s.sin_theta)
             try:
                 expected = cr_residual_rows(s, CR_GRID).hex()
             except OverflowError:
                 # A bent (1, 10^154) torus squares past the largest float.
                 with pytest.raises(ValueError, match="the largest float"):
-                    cr_residual(s)
+                    command_residual(s.h, columns)
             else:
-                assert cr_residual(s).hex() == expected
+                assert command_residual(s.h, columns).hex() == expected
 
 
 class TestSymplecticArea:
@@ -367,13 +378,13 @@ class TestSymplecticArea:
     def test_positive_on_solved_components(self):
         for _, _, comp in small_sweep(2):
             A = homology_class(comp.hom)
-            s = solve_torus_data(comp.hom)
+            s = command_solution(comp.hom)
             assert symplectic_area(A, s.cos_theta, s.sin_theta) > 0
 
     def test_matches_pullback_integration(self):
         for _, _, comp in small_sweep(2):
             A = homology_class(comp.hom)
-            s = solve_torus_data(comp.hom)
+            s = command_solution(comp.hom)
             assert symplectic_area(A, s.cos_theta, s.sin_theta) == \
                 pytest.approx(area_pullback(s), rel=1e-12, abs=1e-12)
 
@@ -398,11 +409,11 @@ class TestEvalClass:
         # components, with a random other c0_n2, and on random reduced
         # lattice maps with dq h1 != dq h2, which no solved component of a
         # diagonal class has.  Both take the central period from h, so the
-        # random maps keep dp h3 != 0, as solve_torus_data requires.  The
+        # random maps keep dp h3 != 0, as every solved torus has.  The
         # integration reads only h; the pullback reads all of s.
         rng = random.Random(53)
         for _, _, comp in small_sweep(4):
-            s = solve_torus_data(comp.hom)
+            s = command_solution(comp.hom)
             assert eval_class_integrate(s.h) == eval_class_pullback(s)
             bent = replace(s, c0_n2=rational(random_fraction(rng, 9, 7)))
             assert eval_class_integrate(bent.h) == eval_class_pullback(bent)

@@ -14,8 +14,6 @@ from ktgw.gwcount import (
     component_eval_class,
     gw_closed_form,
     gw_enumerated,
-    moduli_component,
-    moduli_components,
     moduli_divisors,
 )
 from ktgw.homs import HomDerivs, normalize_class
@@ -27,47 +25,53 @@ from oracles import (
     aut_weight_sum_closed,
     fraction,
     from_rows,
+    fully_reduce,
     h3,
     h3_pushforward,
     h3_scale,
     hom_from_lie,
     in_lowest_terms,
+    label_component,
+    lie,
     random_plucker_class,
     random_word,
+    raw_representative,
     smith_diagonal,
     smith_matrix_rows,
+    walk_components,
     word_matrix,
 )
 
 
 class TestAutSizeFormula:
     def test_examples(self):
-        assert moduli_component(2, 0, 2, 1, 1).aut_size == 1
-        assert moduli_component(2, 0, 2, 2, 1).aut_size == 2
-        assert moduli_component(1, 1, 1, 1, 1).aut_size == 1
+        assert label_component(2, 0, 2, 1, 1).aut_size == 1
+        assert label_component(2, 0, 2, 2, 1).aut_size == 2
+        assert label_component(1, 1, 1, 1, 1).aut_size == 1
 
     def test_rejects_bad_divisor(self):
+        # The range checks of the oracle that builds single labels.
         with pytest.raises(ValueError):
-            moduli_component(2, 0, 3, 1, 1)
+            label_component(2, 0, 3, 1, 1)
         with pytest.raises(ValueError):
-            moduli_component(0, 2, 1, 1, 1)
+            label_component(0, 2, 1, 1, 1)
 
     def test_positive_and_divides_gcd(self):
         for m in [v for v in range(-8, 9) if v]:
             for n in range(-8, 9):
                 g = math.gcd(m, n)
-                for comp in moduli_components(m, n):
+                for comp in walk_components(m, n):
                     aut = comp.aut_size
                     assert aut >= 1 and g % aut == 0
 
 
 class TestAutSizeSmith:
     def test_simple_component(self):
-        entry = moduli_components(1, 0)[0]
+        entry = walk_components(1, 0)[0]
         assert aut_size_smith(entry.hom) == 1
 
     def test_two_zero_component(self):
-        entries = moduli_components(2, 0)
+        entries = walk_components(2, 0)
         by_label = {(e.d, e.k, e.ell): e for e in entries}
         assert aut_size_smith(by_label[(2, 2, 1)].hom) == 2
         assert aut_size_smith(by_label[(2, 1, 1)].hom) == 1
@@ -75,14 +79,14 @@ class TestAutSizeSmith:
     def test_matches_formula_on_sum_representatives(self):
         for m in [v for v in range(-6, 7) if v]:
             for n in range(-6, 7):
-                for entry in moduli_components(m, n):
+                for entry in walk_components(m, n):
                     assert aut_size_smith(entry.hom) == entry.aut_size
 
     def test_matches_elementary_divisor_product(self):
         rng = random.Random(41)
         pool = []
         for m, n in [(2, 2), (4, 2), (6, 4), (-3, 3), (5, 0), (6, -6)]:
-            pool.extend(e.hom for e in moduli_components(m, n))
+            pool.extend(e.hom for e in walk_components(m, n))
         for hom in rng.sample(pool, 40):
             diag = smith_diagonal(smith_matrix_rows(hom))
             assert diag[0] * diag[1] == aut_size_smith(hom)
@@ -137,14 +141,14 @@ class TestModuliComponents:
     def test_component_count(self):
         for m in [v for v in range(-8, 9) if v]:
             for n in range(-8, 9):
-                comps = moduli_components(m, n)
+                comps = walk_components(m, n)
                 assert len(comps) == abs(m) * sigma(0, math.gcd(m, n))
                 assert component_count(m, n) == len(comps)
 
     def test_aut_size_is_lattice_index_of_listed_hom(self):
         for m in [v for v in range(-8, 9) if v]:
             for n in range(-8, 9):
-                for comp in moduli_components(m, n):
+                for comp in walk_components(m, n):
                     assert comp.aut_size == aut_size_smith(comp.hom), \
                         (m, n, comp.d, comp.k, comp.ell)
 
@@ -153,7 +157,7 @@ class TestModuliComponents:
         # by.
         for m in [v for v in range(-6, 7) if v]:
             for n in range(-6, 7):
-                comps = moduli_components(m, n)
+                comps = walk_components(m, n)
                 labelled = sum(Fraction(1, c.aut_size) for c in comps)
                 intrinsic = sum(Fraction(1, aut_size_smith(c.hom))
                                 for c in comps)
@@ -164,45 +168,68 @@ class TestModuliComponents:
     def test_rejects_zero_m(self):
         with pytest.raises(ValueError, match="moduli with m = 0 are "
                                              "obstructed"):
-            moduli_components(0, 1)
+            walk_components(0, 1)
 
     def test_moduli_budget(self, monkeypatch):
         # [2, 2, 0, 0] has 4 components, [3, 3, 0, 0] has 6; the refusal
         # comes before any homomorphism is built.
         monkeypatch.setattr(gwcount, "MODULI_BUDGET", 4)
-        assert len(moduli_components(2, 0)) == 4
+        assert len(walk_components(2, 0)) == 4
 
         def refuse(*args):
             raise AssertionError("over-budget moduli must build nothing")
 
-        # The divisor walk, and the listing that flattens it, build every
-        # label through _label, as moduli_component does after its range
-        # checks.
-        for builder in ("moduli_component", "_label"):
-            monkeypatch.setattr(gwcount, builder, refuse)
-        for walk in (moduli_divisors, moduli_components):
-            with pytest.raises(AssertionError, match="must build nothing"):
-                walk(2, 0)
-            with pytest.raises(ValueError, match="moduli budget"):
-                walk(3, 0)
+        # The walk builds every label through _label.
+        monkeypatch.setattr(gwcount, "_label", refuse)
+        with pytest.raises(AssertionError, match="must build nothing"):
+            moduli_divisors(2, 0)
+        with pytest.raises(ValueError, match="moduli budget"):
+            moduli_divisors(3, 0)
 
     @pytest.mark.parametrize("classes", [
         [(m, n) for m in range(-30, 31) if m for n in range(-30, 31)],
         [(360, 360), (-360, 0), (9973, 1)],
     ])
     def test_listing_matches_checked_labels(self, classes):
-        # The divisor loop gives each label what the checked per-label
-        # builder gives it, in (d, l, k) order, and the walk's shared dp,
-        # dq h1 and per-label dq h3, dq h4 are those of each label's hom.
+        # The walk lists each label once, in (d, l, k) order.  Each label's
+        # hom has the Lie columns of the torus it counts, dq h3 = l and
+        # dq h4 = k - d/2; at l = |m|/d, those of its reparametrisation
+        # q -> q - p, with dq h4 up to the multiples of d that lattice
+        # conjugation adds.  Its |Aut| is the product of the Smith
+        # diagonal, and its shared dp, dq h1 and its dq h3, dq h4 are those
+        # of its hom.  The first and last label of each divisor of the
+        # classes past |m| = 30 also go through `fully_reduce`, whose
+        # Fraction arithmetic is too slow for every label; test_homs takes
+        # every label of |m|, |n| <= 8 through it.
         for m, n in classes:
-            assert moduli_components(m, n) == [
-                moduli_component(m, n, d, k, ell)
-                for d in divisors(math.gcd(m, n))
+            walk = moduli_divisors(m, n)
+            assert [(d, ell, k) for d, _, _, labels in walk
+                    for k, ell, *_ in labels] == [
+                (d, ell, k) for d in divisors(math.gcd(m, n))
                 for ell in range(1, abs(m) // d + 1)
                 for k in range(1, d + 1)], (m, n)
-            for d, dp, a, labels in moduli_divisors(m, n):
-                for _, _, q3, z, _, hom in labels:
-                    assert (hom.dp, hom.dq) == (dp, (a, a, q3, z)), (m, n)
+            sgn = 1 if m > 0 else -1
+            for d, dp, a, labels in walk:
+                span = abs(m) // d
+                raw_dp = (0, 0, span, Fraction(-n, sgn * d))
+                for k, ell, q3, z, aut_size, hom in labels:
+                    where = (m, n, d, k, ell)
+                    assert (hom.dp, hom.dq) == (dp, (a, a, q3, z)), where
+                    raw_dq = (-sgn * d, -sgn * d, ell, Fraction(2 * k - d, 2))
+                    if ell == span:
+                        raw_dq = tuple(x - y for x, y in zip(raw_dq, raw_dp))
+                    lie_dp, lie_dq = lie(hom)
+                    assert (lie_dp, lie_dq[:3]) == (raw_dp, raw_dq[:3]), where
+                    assert (lie_dq[3] - raw_dq[3]) % d == 0, where
+                    diag = smith_diagonal(smith_matrix_rows(hom))
+                    assert diag[0] * diag[1] == aut_size, where
+                if abs(m) <= 30:
+                    continue
+                for k, ell, _, _, _, hom in (labels[0], labels[-1]):
+                    _, red = fully_reduce(raw_representative(m, n, d, k,
+                                                             ell))
+                    assert (red.dp, red.dq[:3]) == (hom.dp, hom.dq[:3])
+                    assert (red.dq[3] - hom.dq[3]) % d == 0
 
 
 class TestClosedForm:
@@ -270,10 +297,10 @@ class TestEnumerated:
             gw_enumerated(HomologyClass(2, 0, 0, 3))
 
     def test_builds_no_representatives(self, monkeypatch):
-        def refuse(m, n, d, k, ell):
+        def refuse(*args):
             raise AssertionError("gw_enumerated must not build components")
 
-        monkeypatch.setattr(gwcount, "moduli_component", refuse)
+        monkeypatch.setattr(gwcount, "_label", refuse)
         assert gw_enumerated(HomologyClass(6, 6, 4, 4)).gw == \
             gw_closed_form(HomologyClass(6, 6, 4, 4)).gw
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktgw.arith import sigma
-from ktgw.gwcount import moduli_component, moduli_components
 from ktgw.homs import HomDerivs, homology_class, normalize_class, plucker_holds
 from ktgw.nilalg import HomologyClass, h2_pushforward
 from oracles import (
@@ -19,13 +18,18 @@ from oracles import (
     fully_reduce,
     homderivs_accepts,
     homology_class_of,
+    label_component,
     lie,
     lie_columns,
     random_plucker_class,
     random_sl2z,
     rational,
+    raw_representative,
     replace,
     sl2z_act,
+    smith_diagonal,
+    smith_matrix_rows,
+    walk_components,
 )
 
 IDENTITY = ((1, 0), (0, 1))
@@ -157,7 +161,7 @@ class TestHomologyClass:
         # n enters the normal form through dp h4 = -n / (sgn(m) d), which
         # pairs to a14 = a24 = -n; the n = 0 classes land on [m, m, 0, 0].
         for m, n in [(2, 2), (1, 1), (3, -3), (-2, 2), (4, 0)]:
-            for entry in moduli_components(m, n):
+            for entry in walk_components(m, n):
                 assert homology_class(entry.hom) == \
                     HomologyClass(m, m, -n, -n)
 
@@ -167,7 +171,7 @@ class TestHomologyClass:
 
     def test_class_entries_are_integers_on_random_orbit(self):
         rng = random.Random(21)
-        for entry in moduli_components(4, 2):
+        for entry in walk_components(4, 2):
             for _ in range(20):
                 moved = sl2z_act(entry.hom, random_sl2z(rng))
                 A = homology_class(moved)
@@ -191,7 +195,7 @@ class TestHomologyClassExact:
             if m == 0:
                 continue
             for n in range(-14, 15):
-                for entry in moduli_components(m, n):
+                for entry in walk_components(m, n):
                     A = homology_class(entry.hom)
                     assert A == lie_minors(entry.hom)
                     assert A == HomologyClass(m, m, -n, -n)
@@ -234,7 +238,7 @@ class TestPlucker:
     def test_classes_of_homomorphisms_satisfy_plucker(self):
         rng = random.Random(22)
         for m, n in [(1, 0), (2, 2), (3, 1), (-2, 4)]:
-            for entry in moduli_components(m, n):
+            for entry in walk_components(m, n):
                 for _ in range(10):
                     moved = sl2z_act(entry.hom, random_sl2z(rng))
                     assert plucker_holds(homology_class(moved))
@@ -246,7 +250,7 @@ class TestSl2zAction:
 
     def test_class_invariance(self):
         rng = random.Random(23)
-        for entry in moduli_components(6, 4):
+        for entry in walk_components(6, 4):
             A = homology_class(entry.hom)
             for _ in range(15):
                 phi = random_sl2z(rng)
@@ -254,7 +258,7 @@ class TestSl2zAction:
 
     def test_preserves_validity(self):
         rng = random.Random(24)
-        for entry in moduli_components(4, 2):
+        for entry in walk_components(4, 2):
             for _ in range(15):
                 # sl2z_act builds a HomDerivs, which refuses a non-lattice
                 # result; the inverse matrix brings the original back.
@@ -284,7 +288,7 @@ class TestFullyReduce:
     def test_uniqueness_over_random_orbit(self):
         rng = random.Random(25)
         for m, n in [(1, 0), (2, 2), (-3, 3), (4, 2), (2, -4)]:
-            for entry in moduli_components(m, n):
+            for entry in walk_components(m, n):
                 for _ in range(12):
                     phi = random_sl2z(rng)
                     moved = sl2z_act(entry.hom, phi)
@@ -306,13 +310,13 @@ class TestFullyReduce:
 
 class TestEnumerate:
     def test_counts_and_labels(self):
-        only = moduli_components(1, 0)
+        only = walk_components(1, 0)
         assert len(only) == 1
         assert (only[0].d, only[0].k, only[0].ell) == (1, 1, 1)
 
-        assert len(moduli_components(2, 0)) == 4
+        assert len(walk_components(2, 0)) == 4
 
-        entries = moduli_components(2, 2)
+        entries = walk_components(2, 2)
         assert [(e.d, e.ell, e.k) for e in entries] == \
             [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 1, 2)]
 
@@ -325,17 +329,17 @@ class TestEnumerate:
                     for ell in range(1, abs(m) // d + 1)
                     for k in range(1, d + 1))
                 assert [(e.d, e.ell, e.k)
-                        for e in moduli_components(m, n)] == labels
+                        for e in walk_components(m, n)] == labels
 
     def test_count_formula(self):
         for m in [v for v in range(-9, 10) if v]:
             for n in range(-9, 10):
-                entries = moduli_components(m, n)
+                entries = walk_components(m, n)
                 assert len(entries) == abs(m) * sigma(0, math.gcd(m, n))
 
     def test_entries_valid_and_fully_reduced(self):
         for m, n in [(3, 0), (2, 2), (-4, 2), (6, -4)]:
-            for entry in moduli_components(m, n):
+            for entry in walk_components(m, n):
                 h = entry.hom
                 assert h.is_reduced()
                 assert h.dp[2] > 0
@@ -345,7 +349,7 @@ class TestEnumerate:
         # Distinct components differ in (d, dq h3, dq h4 mod d).
         for m, n in [(4, 0), (2, 2), (6, 4), (-6, 6)]:
             seen = set()
-            for entry in moduli_components(m, n):
+            for entry in walk_components(m, n):
                 _, dq = lie(entry.hom)
                 key = (entry.d, dq[2], dq[3] % entry.d)
                 assert key not in seen
@@ -353,32 +357,30 @@ class TestEnumerate:
 
     def test_integrality_closure(self):
         for m, n in [(4, 2), (5, 5), (-3, 6)]:
-            for entry in moduli_components(m, n):
+            for entry in walk_components(m, n):
                 _, (a, b, _, h4) = lie(entry.hom)
                 assert h4 + Fraction(a * b, 2) == entry.hom.dq[3]
                 assert type(entry.hom.dq[3]) is int
 
 
-def raw_representative(m, n, d, k, ell):
-    """The torus the label (d, k, l) counts, with dq h3 = l unreduced."""
-    sgn = 1 if m > 0 else -1
-    return rows((0, -sgn * d), (0, -sgn * d), (abs(m) // d, ell),
-                (Fraction(-n, sgn * d), Fraction(2 * k - d, 2)))
-
-
 class TestSumRepresentative:
-    """`moduli_component`, the one representative of each summand label."""
+    """The one representative of each summand label that the walk lists,
+    against `fully_reduce` of the raw torus the label counts."""
 
     def test_matches_enumerated_away_from_wrap(self):
+        # Away from the wrap the raw torus is already fully reduced and is
+        # the listed hom; at the wrap the listed hom has dq h3 = 0.  Each
+        # |Aut| is the product of the Smith diagonal of its hom.
         for m, n in [(4, 2), (6, 4), (-6, 4)]:
-            for entry in moduli_components(m, n):
-                hom = moduli_component(m, n, entry.d, entry.k, entry.ell).hom
-                assert hom == entry.hom
+            for entry in walk_components(m, n):
+                raw = raw_representative(m, n, entry.d, entry.k, entry.ell)
                 if entry.ell < abs(m) // entry.d:
-                    assert hom == raw_representative(
-                        m, n, entry.d, entry.k, entry.ell)
+                    assert fully_reduce(raw) == (IDENTITY, raw)
+                    assert entry.hom == raw
                 else:
-                    assert hom.dq[2] == 0
+                    assert entry.hom.dq[2] == 0
+                diag = smith_diagonal(smith_matrix_rows(entry.hom))
+                assert diag[0] * diag[1] == entry.aut_size
 
     def test_wrap_is_fully_reduced_raw_representative(self):
         # At l = |m|/d the listed hom is the fully reduced form of the raw
@@ -386,7 +388,7 @@ class TestSumRepresentative:
         wrapped = shifted = 0
         for m in [v for v in range(-8, 9) if v]:
             for n in range(-8, 9):
-                for entry in moduli_components(m, n):
+                for entry in walk_components(m, n):
                     if entry.ell != abs(m) // entry.d:
                         continue
                     raw = raw_representative(m, n, entry.d, entry.k,
@@ -402,14 +404,15 @@ class TestSumRepresentative:
 
     def test_rejects_bad_divisor(self):
         with pytest.raises(ValueError):
-            moduli_component(4, 2, 3, 1, 1)
+            label_component(4, 2, 3, 1, 1)
         with pytest.raises(ValueError):
-            moduli_component(4, 2, 0, 1, 1)
+            label_component(4, 2, 0, 1, 1)
         with pytest.raises(ValueError):
-            moduli_component(0, 2, 1, 1, 1)
+            label_component(0, 2, 1, 1, 1)
 
     def test_rejects_labels_out_of_range(self):
-        # Each label is refused once, in the words of its first bad field.
+        # The range checks of the oracle that builds single labels: each
+        # label is refused once, in the words of its first bad field.
         for d, k, ell, message in [
                 (2, 0, 1, "k = 0 is outside 1..2"),
                 (2, 3, 1, "k = 3 is outside 1..2"),
@@ -420,9 +423,9 @@ class TestSumRepresentative:
                 (-2, 1, 1, "-2 does not divide gcd(4, 2)"),
                 (1, 5, 99, "k = 5 is outside 1..1")]:
             with pytest.raises(ValueError) as error:
-                moduli_component(4, 2, d, k, ell)
+                label_component(4, 2, d, k, ell)
             assert str(error.value) == message
-        comp = moduli_component(4, 2, 2, 2, 2)
+        comp = label_component(4, 2, 2, 2, 2)
         assert comp.hom.dq[2] == 0
         assert comp.aut_size == 2
 

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ktgw.geometry import TorusSolution
-from ktgw.gwcount import GWResult, ModuliComponent
+from ktgw.gwcount import GWResult
 from ktgw.homs import HomDerivs
 from ktgw.nilalg import (
     H3_ZERO,
@@ -24,6 +23,8 @@ from oracles import (
     GENERATORS,
     GroupElem,
     LieAlgElem,
+    ModuliComponent,
+    TorusSolution,
     adjugate,
     aut_apply,
     commutator_oracle,
@@ -103,7 +104,7 @@ class TestBracket:
 
     def test_matches_matrix_commutator(self):
         # [X, Y] = (X2 Y1 - Y2 X1) n4, the form `oracles.log_coordinates`
-        # and `geometry.cr_residual` use for [h, C].
+        # and the residual of `geometry.label_solver` use for [h, C].
         rng = random.Random(1)
         for _ in range(1000):
             X, Y = random_lie(rng), random_lie(rng)
@@ -587,9 +588,10 @@ RECORDS = [
 
 
 class TestRecord:
-    """The contract of the seven value records: equality and hashing by
-    type and value, immutability, the repr, and the test helper `replace`,
-    which builds through the constructor."""
+    """The contract of the value records, the library's five and the two
+    of `tests/oracles.py`: equality and hashing by type and value,
+    immutability, the repr, and the test helper `replace`, which builds
+    through the constructor."""
 
     @pytest.mark.parametrize("build, text", RECORDS)
     def test_equal_values_equal_records(self, build, text):
