@@ -75,31 +75,19 @@ Rationals are printed as num/den (or plain integers); floats are decimal.
 # ---------------------------------------------------------------------------
 # Output records
 # ---------------------------------------------------------------------------
-# Each command builds one leaf tuple per record, in the order of its column
-# tuple, and prints them as text itself or as CSV or JSON by its _Output.
-# A CSV row is its leaves joined by commas, as csv.writer writes them, for
-# no leaf holds a comma, a quote or a line break.
+# _write is the one writer of stdout.  Each command hands its records to its
+# _Output, which fills them into JSON list items or CSV lines; a text table
+# reads the CSV lines back by column name, so all three formats print the
+# same cells.  A CSV line is its cells joined by commas, as csv.writer
+# writes them, for no cell holds a comma, a quote or a line break.
 # The JSON document comes from two %-templates that _layout writes at
 # import, as json.dumps(shape, indent=2) lays out the schema-v1 shape, whose
 # every str is a %s hole named by the leaf that fills it: a column, col.num
 # and col.den of a rational column, or col.value of a float column.  One is
-# a list item, at its indent; each row fills it from a flat tuple of its
-# leaves by one itemgetter built with it, so no row builds a dict.  The
-# other is the envelope, whose list is the single hole items and whose other
-# holes are schema_version and the command's arguments.  The lists are
-# never empty, and every filled value is a decimal integer, a float or a
-# fixed word, so no hole needs escaping.
-# moduli walks its components one divisor at a time
-# (gwcount.moduli_divisors) and builds, in one pass over each divisor's
-# labels, one row per label that all three formats print: the label's
-# leaves _MODULI_LABEL_LEAVES, in the order of their holes in the item.
-# The rest of a component is its divisor's, the denominators of dq3
-# (always 1) and dq4 (1 or 2 by the parity of dq h1 dq h2) included: one
-# divisor row over _MODULI_STAGES.group_columns.  The JSON item is filled
-# in two stages (_Stages): at import, each label hole is written %%s; once
-# per divisor, its 23 divisor leaves fill it to a label template, whose 9
-# holes each label row fills as it stands.  CSV and text write a divisor's
-# values into a line template once, and each label row into that.
+# a list item, at its indent; the other is the envelope, whose list is the
+# single hole items.  The lists are never empty, and every filled value is a
+# decimal integer, a float or a fixed word, so no hole needs escaping.
+# Each template is filled once per group of records, then once per row.
 
 # The repr of each non-finite float, as json.dumps spells it.
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -129,28 +117,29 @@ def _layout(shape: object, bare: set[str], holes: list[str],
 
 
 def _leaves(columns: Sequence[str],
-            holes: list[str]) -> Callable[[tuple], tuple]:
-    """The function that picks the leaves named by holes from a row over
-    columns.
+            holes: list[str]) -> Callable[[dict], tuple]:
+    """The function that picks the leaves named by holes from a dict of the
+    values of columns.
 
-    A row's flat leaves are its columns, then the numerator and denominator
-    of each rational column, then the JSON word of each float column."""
+    A group's flat leaves are its columns (two or more), then the
+    numerator and denominator of each rational column, then the JSON word
+    of each float column."""
     named = set(holes)
-    fracs, floats = (
-        [i for i, col in enumerate(columns) if col + leaf in named]
-        for leaf in (".num", ".value"))
-    names = [*columns, *(columns[i] + part for i in fracs
+    fracs, floats = ([col for col in columns if col + leaf in named]
+                     for leaf in (".num", ".value"))
+    names = [*columns, *(col + part for col in fracs
                          for part in (".num", ".den")),
-             *(columns[i] + ".value" for i in floats)]
+             *(col + ".value" for col in floats)]
     index = {name: i for i, name in enumerate(names)}
+    get = operator.itemgetter(*columns)
     pick = operator.itemgetter(*map(index.__getitem__, holes))
 
-    def leaves_of(row: tuple) -> tuple:
-        leaves = list(row)
-        for i in fracs:
-            leaves += row[i].numerator, row[i].denominator
-        for i in floats:
-            leaves.append(_json_float(row[i]))
+    def leaves_of(values: dict) -> tuple:
+        leaves = [*get(values)]
+        for v in map(values.__getitem__, fracs):
+            leaves += v.numerator, v.denominator
+        for col in floats:
+            leaves.append(_json_float(values[col]))
         return pick(leaves)
 
     return leaves_of
@@ -163,78 +152,105 @@ def _json_float(x: float) -> str:
     return _FLOAT_WORDS.get(text, text)
 
 
-class _Output:
-    """A command's CSV columns, JSON templates and printer.  bare are the
-    item columns written as JSON words, as is each float's col.value.
+def _ratio(num: object, den: object) -> str:
+    """The CSV cell of the rational num / den: num alone when den is 1."""
+    return f"{num}/{den}" if den != 1 else str(num)
 
-    holes and envelope_holes name the leaves of the holes of item and
-    envelope."""
+
+def _write(lines: list[str], end: str = "\n") -> None:
+    """Write each of lines, ended by end, to stdout: its one writer.  The
+    last end is a write of its own, as print's newline is: an unbuffered
+    stdout loses, with no error, what a reader that exits mid-write left
+    unread, and only the next write fails."""
+    if lines:
+        sys.stdout.write(end.join(lines))
+        sys.stdout.write(end)
+
+
+class _Output:
+    """A command's CSV columns and JSON templates, and the writer of its
+    records in both.  bare are the item holes written as JSON words, as is
+    each float's col.value; holes and envelope_holes name the leaves of the
+    holes of the item and the envelope.
+
+    A group is a dict over group_columns: each column with no leaf in
+    varying, and each other leaf of a column that has one (col.den where
+    only col.num varies).  A row is a tuple of its varying leaves, in the
+    order row_leaves of their holes in the item.  gw and baseline vary no
+    leaf, so each of their records is a group of its own."""
 
     def __init__(self, fields: dict[str, object], columns: Sequence[str],
-                 item: dict[str, object], *bare: str) -> None:
+                 item: dict[str, object], varying: Iterable[str] = (),
+                 bare: Iterable[str] = ()) -> None:
         self.columns, self.holes, self.envelope_holes = columns, [], []
         bare = {*bare, *(col + ".value" for col in columns)}
-        self.item = _layout(item, bare, self.holes, "    ")
-        self._leaves = _leaves(columns, self.holes)
+        parts = _layout(item, bare, self.holes, "    ").split("%s")
+        # A varying leaf's hole is written %%s, for the row stage.
+        self.item = parts[0] + "".join(
+            ("%%s" if hole in varying else "%s") + part
+            for hole, part in zip(self.holes, parts[1:]))
+        self.row_leaves = tuple(h for h in self.holes if h in varying)
+        self.group_holes = [h for h in self.holes if h not in varying]
+        split = {leaf.partition(".")[0] for leaf in varying}
+        self.group_columns = tuple(dict.fromkeys(
+            hole if hole.partition(".")[0] in split else hole.partition(".")[0]
+            for hole in self.group_holes))
+        self._group_leaves = _leaves(self.group_columns, self.group_holes)
+        self._row_floats = [i for i, leaf in enumerate(self.row_leaves)
+                            if leaf.endswith(".value")]
+        # Each CSV column: whether it is rational and whether it varies; and
+        # the row leaves of each varying one, a rational's numerator and its
+        # denominator, or None where the group holds it.
+        index = {leaf: i for i, leaf in enumerate(self.row_leaves)}
+        self._cells = [(col, col + ".num" in self.holes, col in split)
+                       for col in columns]
+        self._row_cells = [
+            (index[col + ".num"], index.get(col + ".den")) if rational else
+            (index[col] if col in index else index[col + ".value"], None)
+            for col, rational, varies in self._cells if varies]
         self.envelope = _layout({"schema_version": "schema_version",
                                  "command": "command", **fields},
                                 {"items", "agrees"}, self.envelope_holes, "")
         self._pick_envelope = operator.itemgetter(*self.envelope_holes)
 
-    def fill(self, rows: list[tuple]) -> list[str]:
-        """The JSON list items of rows, each filled from its flat leaves."""
-        item, leaves = self.item, self._leaves
-        return [item % leaves(row) for row in rows]
+    def fill(self, fmt: str, group: dict) -> str:
+        """The JSON item of group, if fmt is json, else its CSV line, with a
+        %s hole for each varying leaf: the whole record when none varies."""
+        if fmt == "json":
+            return self.item % self._group_leaves(group)
+        return ",".join(
+            _ratio("%s", group.get(col + ".den", 1)) if varies else
+            _ratio(group[col].numerator, group[col].denominator) if rational
+            else str(group[col]) for col, rational, varies in self._cells)
 
-    def print(self, fmt: str, rows: list[tuple], **holes: object) -> None:
-        """Write rows to stdout as fmt, csv or json, with the envelope's
-        holes filled from holes."""
+    def fill_rows(self, fmt: str, group: dict, rows: list[tuple]) -> list[str]:
+        """The JSON items, if fmt is json, else the CSV lines, of the rows
+        of group: one fill of the group, then one % per row."""
+        line = self.fill(fmt, group)
+        if fmt == "json":
+            # Finite only if every float is; else each gets its JSON word.
+            if not math.isfinite(sum([row[i] for row in rows
+                                      for i in self._row_floats])):
+                rows = [tuple(_json_float(v) if type(v) is float else v
+                              for v in row) for row in rows]
+            return [line % row for row in rows]
+        return [line % tuple(row[i] if j is None else _ratio(row[i], row[j])
+                             for i, j in self._row_cells) for row in rows]
+
+    def named(self, lines: list[str]) -> list[dict[str, str]]:
+        """The cells of each CSV line by column name."""
+        return [dict(zip(self.columns, line.split(","))) for line in lines]
+
+    def print(self, fmt: str, lines: list[str], **holes: object) -> None:
+        """Write lines, the records filled as fmt, csv or json: under the
+        header, or as the envelope's items, with its other holes filled
+        from holes."""
         if fmt == "csv":
-            self.print_csv(",".join(map(str, row)) for row in rows)
+            _write([",".join(self.columns), *lines], "\r\n")
         else:
-            self.print_json(self.fill(rows), holes)
-
-    def print_csv(self, lines: Iterable[str]) -> None:
-        """Write the header and then lines, the text of each row, as CSV
-        lines."""
-        sys.stdout.writelines(line + "\r\n"
-                              for line in (",".join(self.columns), *lines))
-
-    def print_json(self, items: list[str], holes: dict[str, object]) -> None:
-        """Write the envelope around the filled items, with its other holes
-        filled from holes, which gets schema_version and items."""
-        holes["schema_version"] = SCHEMA_VERSION
-        holes["items"] = ",\n    ".join(items)
-        print(self.envelope % self._pick_envelope(holes))
-
-
-class _Stages:
-    """The item of an _Output filled in two stages, for rows that come in
-    groups sharing every leaf outside row_holes.
-
-    item is the output's item with each hole named in row_holes written
-    %%s.  Filling its other holes, group_holes, from a group's leaves gives
-    a template that a row fills from its leaves as they stand, in the order
-    row_holes has in the item.  A group's leaves are picked by group_leaves
-    from its values over group_columns, in the item's order: each column
-    with no leaf in row_holes, and each other leaf of a column that has
-    one, as a column of its own."""
-
-    def __init__(self, output: _Output, row_holes: Sequence[str]) -> None:
-        in_row = [hole in row_holes for hole in output.holes]
-        parts = output.item.split("%s")
-        self.item = parts[0] + "".join(
-            ("%%s" if row else "%s") + part
-            for row, part in zip(in_row, parts[1:]))
-        self.row_holes = [hole for hole, row in zip(output.holes, in_row)
-                          if row]
-        self.group_holes = [hole for hole, row in zip(output.holes, in_row)
-                            if not row]
-        split = {hole.partition(".")[0] for hole in row_holes}
-        self.group_columns = tuple(dict.fromkeys(
-            hole if column in split else column for hole, column in (
-                (hole, hole.partition(".")[0]) for hole in self.group_holes)))
-        self.group_leaves = _leaves(self.group_columns, self.group_holes)
+            holes["schema_version"] = SCHEMA_VERSION
+            holes["items"] = ",\n    ".join(lines)
+            _write([self.envelope % self._pick_envelope(holes)])
 
 
 _GW_FIELDS = {"class": [*_GW_COLUMNS[:4]], "method": "method",
@@ -245,8 +261,7 @@ _GW_ITEM = {"input_class": [*_GW_COLUMNS[:4]],
             "gw": {col: _frac(col) for col in _GW_COLUMNS[7:10]}}
 _GW = _Output(_GW_FIELDS, _GW_COLUMNS, _GW_ITEM)
 _GW_AGREES = _Output({**_GW_FIELDS, "agrees": "agrees"}, _GW_COLUMNS, _GW_ITEM)
-_MODULI = _Output({"m": "m", "n": "n", "components": ["items"]},
-                  _MODULI_COLUMNS, {
+_MODULI_ITEM = {
     **{col: col for col in _MODULI_COLUMNS[:3]},
     "hom": {"dp": [_frac(col) for col in _MODULI_COLUMNS[3:7]],
             "dq": [_frac(col) for col in _MODULI_COLUMNS[7:11]]},
@@ -256,17 +271,17 @@ _MODULI = _Output({"m": "m", "n": "n", "components": ["items"]},
     "aut_size": "aut_size",
     "eval_class": {col[3:]: _frac(col) for col in _MODULI_COLUMNS[16:19]},
     "cr_residual": {"value": "cr_residual.value", "approx": True},
-})
+}
+# The leaves of a moduli component that depend on more than its divisor d.
+# dq3 and dq4 vary with the label, but keep one denominator per divisor.
+_MODULI = _Output({"m": "m", "n": "n", "components": ["items"]},
+                  _MODULI_COLUMNS, _MODULI_ITEM, frozenset({
+                      "k", "l", "dq3.num", "dq4.num", "tau1.value",
+                      "c0_n2.num", "c0_n2.den", "aut_size",
+                      "cr_residual.value"}))
 _BASELINE = _Output({"rows": ["items"]}, _BASELINE_COLUMNS,
-                    {col: col for col in _BASELINE_COLUMNS}, "equal")
-
-
-# The leaves of a moduli label row, in the order of their holes in the
-# item: those of a component that depend on more than its divisor d.
-_MODULI_LABEL_LEAVES = ("k", "l", "dq3.num", "dq4.num", "tau1.value",
-                        "c0_n2.num", "c0_n2.den", "aut_size",
-                        "cr_residual.value")
-_MODULI_STAGES = _Stages(_MODULI, _MODULI_LABEL_LEAVES)
+                    {col: col for col in _BASELINE_COLUMNS},
+                    bare=("equal",))
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +325,23 @@ def _cmd_gw(args: argparse.Namespace) -> int:
         results.append(gw_enumerated(A))
     _check_printable(results)
     flag = "" if len(results) == 1 else str(_agree(*results)).lower()
-    rows = [(*A.coords(), r.method, r.m, r.n, *r.gw.coords(), flag)
-            for r in results]
+    output = _GW_AGREES if flag else _GW
+    lines = [output.fill(args.format, {
+        "a13": A.a13, "a23": A.a23, "a14": A.a14, "a24": A.a24,
+        "method": r.method, "m": r.m, "n": r.n, "e134": r.gw.e134,
+        "e234": r.gw.e234, "e124": r.gw.e124, "agrees": flag})
+        for r in results]
     if args.format == "text":
-        a13, a23, a14, a24, _, m, n = rows[0][:7]
-        lines = [f"class:      {[a13, a23, a14, a24]}",
-                 f"normalized: {[m, m, n, n]}   m={m} n={n}"]
-        for _, _, _, _, method, _, _, e134, e234, e124, _ in rows:
-            lines.append(f"{method:>10}: e134={e134} e234={e234} e124={e124}")
-        if flag:
-            lines.append(f"agrees: {flag}")
-        print("\n".join(lines))
+        rows = output.named(lines)
+        m, n = rows[0]["m"], rows[0]["n"]
+        cls = ", ".join(rows[0][col] for col in _GW_COLUMNS[:4])
+        _write([f"class:      [{cls}]",
+                f"normalized: [{m}, {m}, {n}, {n}]   m={m} n={n}",
+                *(f"{row['method']:>10}: e134={row['e134']} "
+                  f"e234={row['e234']} e124={row['e124']}" for row in rows),
+                *([f"agrees: {flag}"] if flag else [])])
     else:
-        (_GW_AGREES if flag else _GW).print(args.format, rows, **vars(args),
-                                            agrees=flag)
+        output.print(args.format, lines, **vars(args), agrees=flag)
     if flag == "false":
         print("error: closed and enumerated invariants disagree",
               file=sys.stderr)
@@ -337,16 +355,13 @@ def _cmd_gw(args: argparse.Namespace) -> int:
 
 
 def _moduli_rows(d: int, dp: tuple, a: int, labels: list[tuple],
-                 ev: tuple) -> tuple[tuple, list[tuple]]:
-    """The divisor row and the label rows of the labels of one divisor d
-    of `gwcount.moduli_divisors`, with dp column dp, dq h1 = dq h2 = a and
-    the evaluation class ev, in one pass over the labels.
+                 ev: tuple) -> tuple[dict, list[tuple]]:
+    """The _MODULI group and rows of the labels of one divisor d of
+    `gwcount.moduli_divisors`, with dp column dp, dq h1 = dq h2 = a and the
+    evaluation class ev, in one pass over the labels.
 
-    The divisor row is over _MODULI_STAGES.group_columns, with the tau2 and
-    theta that `solve_columns` forms from the divisor's columns.  A label
-    row's leaves are _MODULI_LABEL_LEAVES; one call of the divisor's
-    `label_solver` gives its tau1, c0_n2 and residual.
-    """
+    A row is in the order of _MODULI.row_leaves; one call of the divisor's
+    `label_solver` gives its tau1, c0_n2 and residual."""
     c, e = dp[2:]
     tau2, cos, sin = solve_columns(c, e, a, a)
     solve = label_solver(c, e, a, a, tau2, cos, sin)
@@ -359,68 +374,41 @@ def _moduli_rows(d: int, dp: tuple, a: int, labels: list[tuple],
         tau1, c0n, c0d, res = solve(q3, z)
         rows.append((k, ell, q3, den4 * z - shift, tau1, c0n, c0d, aut_size,
                      res))
-    return (d, *dp, a, a, 1, den4, tau2, math.atan2(sin, cos), *ev), rows
+    (p1, p2, p3, p4), (e134, e234, e124) = dp, ev
+    group = {"d": d, "dp1": p1, "dp2": p2, "dp3": p3, "dp4": p4, "dq1": a,
+             "dq2": a, "dq3.den": 1, "dq4.den": den4, "tau2": tau2,
+             "theta": math.atan2(sin, cos), "ev_e134": e134,
+             "ev_e234": e234, "ev_e124": e124}
+    return group, rows
 
 
-def _ratio(num: object, den: int) -> str:
-    """num / den as a rational prints: num alone when den is 1."""
-    return f"{num}/{den}" if den != 1 else str(num)
-
-
-def _moduli_json(divisor: tuple, rows: list[tuple]) -> list[str]:
-    """The JSON list items of one divisor's label rows."""
-    item = _MODULI_STAGES.item % _MODULI_STAGES.group_leaves(divisor)
-    # A row's floats are tau1 and the residual, its fifth and last leaves.
-    # Their sum is finite only if both are; else each float gets its word.
-    return [item % (row if math.isfinite(row[4] + row[-1]) else tuple(
-        _json_float(v) if type(v) is float else v for v in row))
-        for row in rows]
-
-
-def _moduli_csv(divisor: tuple, rows: list[tuple]) -> list[str]:
-    """The CSV lines of one divisor's label rows."""
-    (d, p1, p2, p3, p4, a, b, den3, den4, tau2, theta, e134, e234,
-     e124) = divisor
-    line = (f"{d},%s,%s,{p1},{p2},{p3},{p4},{a},{b},{_ratio('%s', den3)},"
-            f"{_ratio('%s', den4)},%s,{tau2},{theta},%s,%s,{e134},{e234},"
-            f"{e124},%s")
-    return [line % (k, ell, q3, z, tau1, _ratio(c0n, c0d), aut_size, res)
-            for k, ell, q3, z, tau1, c0n, c0d, aut_size, res in rows]
-
-
-def _moduli_text(divisor: tuple, rows: list[tuple]) -> list[str]:
-    """The text table lines of one divisor's label rows."""
-    d, p1, p2, p3, p4, a, b, den3, den4, tau2, theta, e134, _, _ = divisor
-    mat = (f"[{p1},{p2},{p3},{p4} | {a},{b},{_ratio('%s', den3)},"
-           f"{_ratio('%s', den4)}]")
-    angles = f"{tau2:>9.5f} {theta:>9.5f}"
-    return [f"{d:>3} {k:>3} {ell:>3} {mat % (q3, z):<26} {tau1:>9.5f} "
-            f"{angles} {_ratio(c0n, c0d):>7} {aut_size:>5} {str(e134):>9} "
-            f"{res:>9.2e}"
-            for k, ell, q3, z, tau1, c0n, c0d, aut_size, res in rows]
-
-
-_MODULI_WRITERS = {"json": _moduli_json, "csv": _moduli_csv,
-                   "text": _moduli_text}
+def _moduli_text(row: dict[str, str]) -> str:
+    """The text table line of a component, read from its CSV cells."""
+    mat = "[%s,%s,%s,%s | %s,%s,%s,%s]" % tuple(
+        row[col] for col in _MODULI_COLUMNS[3:11])
+    angles = " ".join(f"{float(row[col]):>9.5f}"
+                      for col in ("tau1", "tau2", "theta"))
+    return (f"{row['d']:>3} {row['k']:>3} {row['l']:>3} {mat:<26} {angles} "
+            f"{row['c0_n2']:>7} {row['aut_size']:>5} {row['ev_e134']:>9} "
+            f"{float(row['cr_residual']):>9.2e}")
 
 
 def _cmd_moduli(args: argparse.Namespace) -> int:
     divisors = moduli_divisors(args.m, args.n)
     ev = component_eval_class(args.m, args.n).coords()
-    write, lines = _MODULI_WRITERS[args.format], []
+    lines = []
     for d, dp, a, labels in divisors:
-        lines += write(*_moduli_rows(d, dp, a, labels, ev))
-    if args.format == "json":
-        _MODULI.print_json(lines, {**vars(args)})
-    elif args.format == "csv":
-        _MODULI.print_csv(lines)
-    else:
-        print(f"moduli components of [{args.m}, {args.m}, {args.n}, "
-              f"{args.n}] ({len(lines)} components)")
-        print(f"{'d':>3} {'k':>3} {'l':>3} {'matrix (dp | dq)':<26} "
-              f"{'tau1':>9} {'tau2':>9} {'theta':>9} {'c0':>7} "
-              f"{'|Aut|':>5} {'eval':>9} {'residual':>9}")
-        print("\n".join(lines))
+        lines += _MODULI.fill_rows(args.format,
+                                   *_moduli_rows(d, dp, a, labels, ev))
+    if args.format != "text":
+        _MODULI.print(args.format, lines, **vars(args))
+        return 0
+    _write([f"moduli components of [{args.m}, {args.m}, {args.n}, "
+            f"{args.n}] ({len(lines)} components)",
+            f"{'d':>3} {'k':>3} {'l':>3} {'matrix (dp | dq)':<26} "
+            f"{'tau1':>9} {'tau2':>9} {'theta':>9} {'c0':>7} "
+            f"{'|Aut|':>5} {'eval':>9} {'residual':>9}",
+            *map(_moduli_text, _MODULI.named(lines))])
     return 0
 
 
@@ -450,8 +438,10 @@ def _verify_identities(max_n: int) -> list[_Sweep]:
     weight = _Sweep("identities/weight-sum")
     for m in range(1, max_n + 1):
         for n in range(0, max_n + 1):
-            ok = aut_weight_total(m, n) == aut_weight_total_closed(m, n)
-            weight.check(ok, "weight sum mismatch at m={} n={}", m, n)
+            if aut_weight_total(m, n) != aut_weight_total_closed(m, n):
+                weight.check(False, "weight sum mismatch at m={} n={}", m, n)
+    # Only a mismatch calls check; every pair is one check.
+    weight.checked = max_n * (max_n + 1)
     hnf = _Sweep("identities/hnf-sigma1")
     counts = sublattice_counts(max_n)
     for ell in range(1, max_n + 1):
@@ -559,10 +549,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if suites != ["identities"]:
         _check_sweep_budget(args.max)
     sweeps = [sweep for suite in suites for sweep in _SUITES[suite](args.max)]
-    for sweep in sweeps:
-        status = "FAIL" if sweep.failed else "ok"
-        print(f"{sweep.name}: {sweep.checked} checks, "
-              f"{sweep.failed} failures [{status}]")
+    _write([f"{sweep.name}: {sweep.checked} checks, {sweep.failed} failures "
+            f"[{'FAIL' if sweep.failed else 'ok'}]" for sweep in sweeps])
     failed = [sweep for sweep in sweeps if sweep.failed]
     if failed:
         print(f"first counterexample: {failed[0].first_failure}",
@@ -582,16 +570,18 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         raise ValueError(f"lmax {args.lmax} exceeds the baseline limit of "
                          f"{BASELINE_LMAX}")
     counts = sublattice_counts(args.lmax)
-    rows = []
+    lines = []
     for ell in range(1, args.lmax + 1):
         s1 = sigma(1, ell)
-        rows.append((ell, counts[ell], s1, str(counts[ell] == s1).lower()))
+        lines.append(_BASELINE.fill(args.format, {
+            "ell": ell, "hnf_count": counts[ell], "sigma1": s1,
+            "equal": str(counts[ell] == s1).lower()}))
     if args.format == "text":
-        print(f"{'ell':>5} {'hnf':>8} {'sigma1':>8} {'equal':>6}")
-        for ell, count, s1, equal in rows:
-            print(f"{ell:>5} {count:>8} {s1:>8} {equal:>6}")
+        _write([f"{'ell':>5} {'hnf':>8} {'sigma1':>8} {'equal':>6}",
+                *(f"{row['ell']:>5} {row['hnf_count']:>8} {row['sigma1']:>8} "
+                  f"{row['equal']:>6}" for row in _BASELINE.named(lines))])
     else:
-        _BASELINE.print(args.format, rows, **vars(args))
+        _BASELINE.print(args.format, lines, **vars(args))
     return 0
 
 
@@ -661,7 +651,14 @@ def build_parser() -> argparse.ArgumentParser:
     """The `ktgw` parser, built once; parsing does not change it.  Only a
     command line that _read refuses imports argparse."""
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file: object = None) -> None:
+            """By _write and flushed: argparse's own write drops errors."""
+            _write(self.format_help().splitlines())
+            sys.stdout.flush()
+
+    parser = Parser(
         prog="ktgw",
         description="Exact genus-one family curve counts for the "
                     "Kodaira-Thurston manifold.",
@@ -709,8 +706,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     A plain command line (see _read) is read directly, without importing
     argparse.  Any other, and every request for help, goes through
-    argparse, which prints its help and usage errors (exit 2) as it always
-    has.
+    argparse, which prints usage errors (exit 2) as it always has, and its
+    help by _write.
     """
     if argv is None:
         argv = sys.argv[1:]

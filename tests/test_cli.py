@@ -320,11 +320,11 @@ def stage_values(row, names):
     return tuple(values)
 
 
-def full_moduli_row(divisor, label):
-    """The full moduli row of a divisor row and a label row of the
-    command's pass, each rational a Fraction."""
-    value = dict(zip(cli._MODULI_STAGES.group_columns, divisor))
-    value.update(zip(cli._MODULI_LABEL_LEAVES, label))
+def full_moduli_row(group, label):
+    """The full moduli row of a group and a row of the command's pass, each
+    rational a Fraction."""
+    value = dict(group)
+    value.update(zip(cli._MODULI.row_leaves, label))
     for col in ("dq3", "dq4", "c0_n2"):
         value[col] = Fraction(value.pop(col + ".num"),
                               value.pop(col + ".den"))
@@ -337,9 +337,9 @@ def pass_rows(m, n, labelled):
     """The full moduli rows of the command's one pass over the labels of
     each (d, dp, dq h1, labels) of labelled, in the class (m, n)."""
     ev = component_eval_class(m, n).coords()
-    return [full_moduli_row(divisor, label)
+    return [full_moduli_row(group, label)
             for d, dp, a, labels in labelled
-            for divisor, rows in [cli._moduli_rows(d, dp, a, labels, ev)]
+            for group, rows in [cli._moduli_rows(d, dp, a, labels, ev)]
             for label in rows]
 
 
@@ -390,9 +390,11 @@ _ROWS = {
                         _INTS, *[_RATS] * 3, _FLOATS),
     "baseline": st.tuples(*[_INTS] * 3, _BOOLS),
 }
+# moduli's items filled in one stage, each row a group of its own.
+_FLAT_MODULI = cli._Output({}, cli._MODULI_COLUMNS, cli._MODULI_ITEM)
 _TEMPLATES = {
     "gw": (cli._GW, ref_gw_item),
-    "moduli": (cli._MODULI, ref_moduli_item),
+    "moduli": (_FLAT_MODULI, ref_moduli_item),
     "baseline": (cli._BASELINE, ref_baseline_item),
 }
 # The holes each template may have.  An item's name its leaves: a column,
@@ -425,15 +427,14 @@ _HOLES = {
     "baseline-envelope": (cli._BASELINE.envelope,
                           cli._BASELINE.envelope_holes,
                           {"command", "schema_version", "items"}),
-    "moduli-divisor": (cli._MODULI_STAGES.item,
-                       cli._MODULI_STAGES.group_holes,
-                       item_leaves(cli._MODULI_STAGES.group_columns)),
+    "moduli-divisor": (cli._MODULI.item, cli._MODULI.group_holes,
+                       item_leaves(cli._MODULI.group_columns)),
 }
 # The %%s holes of a template filled in two stages, and the leaves they may
-# name: the leaves of a label row.
+# name: the leaves of a moduli column.
 _LABEL_HOLES = {
-    "moduli-divisor": (cli._MODULI_STAGES.row_holes,
-                       set(cli._MODULI_LABEL_LEAVES)),
+    "moduli-divisor": (cli._MODULI.row_leaves,
+                       item_leaves(cli._MODULI_COLUMNS)),
 }
 _SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
 
@@ -445,6 +446,11 @@ def ref_moduli_text(row):
     return (f"{d:>3} {k:>3} {ell:>3} {mat:<26} {tau1:>9.5f} {tau2:>9.5f} "
             f"{theta:>9.5f} {str(c0):>7} {aut:>5} {str(ev134):>9} "
             f"{res:>9.2e}")
+
+
+def fill(output, fmt, row):
+    """The JSON item or CSV line of a full row, a group of its own."""
+    return output.fill(fmt, dict(zip(output.columns, row)))
 
 
 def json_out(*argv):
@@ -495,11 +501,11 @@ class TestJsonTemplates:
         items, ref_item = _TEMPLATES[command]
         row = data.draw(_ROWS[command])
         assert len(row) == len(items.columns)
-        assert items.fill([row]) == [ref_item_text(ref_item(row))]
+        assert fill(items, "json", row) == ref_item_text(ref_item(row))
         ref, out = io.StringIO(), io.StringIO()
         csv.writer(ref).writerows([items.columns, row])
         with redirect_stdout(out):
-            items.print("csv", [row])
+            items.print("csv", [fill(items, "csv", row)])
         assert out.getvalue() == ref.getvalue()
 
     def test_special_leaves(self):
@@ -515,7 +521,7 @@ class TestJsonTemplates:
             "baseline": [(big, big, big + 1, "false")],
         }
         for command, (items, ref_item) in _TEMPLATES.items():
-            assert items.fill(rows[command]) == [
+            assert [fill(items, "json", row) for row in rows[command]] == [
                 ref_item_text(ref_item(row)) for row in rows[command]]
 
     @pytest.mark.parametrize("special", _SPECIAL_FLOATS)
@@ -523,13 +529,13 @@ class TestJsonTemplates:
     @given(data=st.data())
     def test_stages_match_one_stage_fill(self, special, data):
         # Rows that share a divisor part, special in tau2 and theta, give
-        # from their divisor row and label rows the JSON items, CSV lines
-        # and text lines of the full rows.  Within the divisor, dq3 and dq4
-        # each keep one denominator.
-        stages, columns = cli._MODULI_STAGES, cli._MODULI_COLUMNS
+        # from their group and rows the JSON items, CSV lines and text
+        # lines of the full rows, each filled in one stage.  Within the
+        # divisor, dq3 and dq4 each keep one denominator.
+        output, columns = cli._MODULI, cli._MODULI_COLUMNS
         rows = data.draw(st.lists(_ROWS["moduli"], min_size=1, max_size=4))
         shared = {col: rows[0][columns.index(col)]
-                  for col in stages.group_columns if col in columns}
+                  for col in output.group_columns if col in columns}
         shared["tau2"] = special
         shared["theta"] = data.draw(st.sampled_from(_SPECIAL_FLOATS))
         dens = {"dq3": data.draw(st.integers(1, 5)),
@@ -541,22 +547,28 @@ class TestJsonTemplates:
                 # den t + 1 is prime to den.
                 value[col] = Rational(den * data.draw(_INTS) + 1, den)
             full.append(tuple(value[col] for col in columns))
-        divisor = stage_values(full[0], stages.group_columns)
-        labels = [stage_values(row, cli._MODULI_LABEL_LEAVES)
-                  for row in full]
-        assert cli._moduli_json(divisor, labels) == cli._MODULI.fill(full)
+        group = dict(zip(output.group_columns,
+                         stage_values(full[0], output.group_columns)))
+        labels = [stage_values(row, output.row_leaves) for row in full]
+        staged = {fmt: output.fill_rows(fmt, group, labels)
+                  for fmt in ("json", "csv", "text")}
+        assert staged["json"] == [fill(_FLAT_MODULI, "json", row)
+                                  for row in full]
+        lines = [fill(_FLAT_MODULI, "csv", row) for row in full]
+        assert staged["csv"] == staged["text"] == lines
         ref = io.StringIO()
         csv.writer(ref).writerows(full)
-        assert "".join(line + "\r\n" for line in
-                       cli._moduli_csv(divisor, labels)) == ref.getvalue()
-        assert cli._moduli_text(divisor, labels) == \
+        assert "".join(line + "\r\n" for line in lines) == ref.getvalue()
+        assert list(map(cli._moduli_text, output.named(staged["text"]))) == \
             list(map(ref_moduli_text, full))
 
     def test_label_leaves_in_item_order(self):
-        # A label row fills its template as it stands, so its leaves come
-        # in the order of their holes in the item.
-        assert cli._MODULI_STAGES.row_holes == list(cli._MODULI_LABEL_LEAVES)
-        assert cli._MODULI_STAGES.group_columns == (
+        # A row fills its template as it stands, so its leaves come in the
+        # order of their holes in the item, which _moduli_rows follows.
+        assert cli._MODULI.row_leaves == (
+            "k", "l", "dq3.num", "dq4.num", "tau1.value", "c0_n2.num",
+            "c0_n2.den", "aut_size", "cr_residual.value")
+        assert cli._MODULI.group_columns == (
             "d", "dp1", "dp2", "dp3", "dp4", "dq1", "dq2", "dq3.den",
             "dq4.den", "tau2", "theta", "ev_e134", "ev_e234", "ev_e124")
 
@@ -564,18 +576,20 @@ class TestJsonTemplates:
         # A hole is a divisor hole when its leaf takes one value on all
         # components of each divisor of each class.  dq3 and dq4 vary with
         # the label, but each keeps one denominator.
-        holes, varies = cli._MODULI.holes, set()
+        holes, varies = _FLAT_MODULI.holes, set()
+        assert cli._MODULI.holes == holes
         for m, n in cli._sweep_classes(12):
             first = {}
             for row in component_rows(walk_components(m, n),
                                       component_eval_class(m, n).coords()):
-                leaves = cli._MODULI._leaves(row)
+                leaves = _FLAT_MODULI._group_leaves(
+                    dict(zip(cli._MODULI_COLUMNS, row)))
                 varies |= {hole for hole, a, b in zip(
                     holes, first.setdefault(row[0], leaves), leaves)
                     if a != b}
-        assert cli._MODULI_STAGES.group_holes == [
+        assert cli._MODULI.group_holes == [
             hole for hole in holes if hole not in varies]
-        assert len(cli._MODULI_STAGES.group_holes) == 23
+        assert len(cli._MODULI.group_holes) == 23
 
     @settings(max_examples=15, deadline=None)
     @given(m=st.integers(-12, 12).filter(bool), n=st.integers(-12, 12))
@@ -1167,10 +1181,13 @@ class TestEntryPoint:
         (["gw", "2", "4", "1", "2"], "closed", "stdout is closed"),
         (["gw", "2", "4", "1", "2"], "/dev/full", "No space left"),
         (["verify", "all", "--max", "3"], "/dev/full", "No space left"),
+        (["--help"], "/dev/full", "No space left"),
+        (["moduli", "--help"], "/dev/full", "No space left"),
     ])
     def test_unwritable_stdout_exit_3(self, argv, stdout, reason):
         """A write to stdout that fails, or a closed stdout, exits 3 with
-        one line on stderr and no traceback."""
+        one line on stderr and no traceback; so does argparse's help, which
+        argparse itself would drop."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         cmd = [sys.executable, "-m", "ktgw.cli", *argv]
