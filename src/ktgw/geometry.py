@@ -7,11 +7,11 @@ are forced by the Cauchy-Riemann equations, and the one-parameter central
 family D(lambda) sweeps out the rest of the moduli component.
 
 The torus map is exp of its logarithm h + C + [h, C]/2, C = c0_n2 n2, times
-exp(lam (dp_h4 n3 - dp_h3 n4)) at (lam, p, q).  The logarithm is affine in
-(p, q), with exact coefficients formed from the eight integers of h and
-c0_n2.  The Cauchy-Riemann defect of an affine map with dp h1 = dp h2 = 0
-depends on q alone, so the residual costs one row of floating evaluations
-per grid value of q.
+exp(lam (dp_h4 n3 - dp_h3 n4)) at (lam, p, q): a lattice homomorphism
+times exp of a constant.  The twistor structure is left-invariant, so the
+torus is pseudoholomorphic at one point exactly when it is at every point,
+and its Cauchy-Riemann defect is the same at every (p, q).  The residual
+is that defect at p = q = 0, formed from the eight integers of h and c0_n2.
 
 The moduli components with label (d, k, l) of one class share, for each
 divisor d, the columns (dq h1, dq h2) and (dp h3, dp h4), and so tau2,
@@ -43,19 +43,11 @@ from .homs import HomDerivs
 from .nilalg import H3Class, HomologyClass, Rational
 
 __all__ = [
-    "CR_GRID",
     "solve_columns",
     "label_solver",
     "symplectic_area",
     "eval_class_integrate",
 ]
-
-# The residual is the worst defect over CR_GRID x CR_GRID points of the unit
-# square; every printed and checked residual uses this grid.
-CR_GRID = 8
-# (num, den) of each grid value j / (CR_GRID - 1) of q, as an exact ratio.
-_CR_ROWS = tuple((j / (CR_GRID - 1)).as_integer_ratio()
-                 for j in range(CR_GRID))
 
 
 def solve_columns(c: int, e: int, a: int, b: int) -> tuple[float, float,
@@ -105,8 +97,7 @@ def label_solver(c: int, e: int, a: int, b: int, tau2: float, cos: float,
 
     It takes dq h3 and dq h4 of one such torus and returns its tau1, the
     numerator and denominator of its c0_n2, by `_label_terms`, and its
-    Cauchy-Riemann residual: the max norm of the defect on a CR_GRID x
-    CR_GRID grid.
+    Cauchy-Riemann residual: the norm of the defect at p = q = 0.
 
     The defect at (p, q) is psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2
     where psi is the twistor structure, w the logarithm of the torus,
@@ -115,17 +106,16 @@ def label_solver(c: int, e: int, a: int, b: int, tau2: float, cos: float,
     w4 = e p + (z - a b/2 - a c0_n2/2) q.  [w, X] = (w2 X1 - X2 w1) n4
     reads only w1 and w2, which have no p term, and du_a has no n1 or n2
     part, so [w, du_a] = 0 and psi(du_a) is the rotation of (c, e) into
-    (n1, n2).  So the defect depends on q alone, only its n4 component
-    varies, and the residual is sqrt of the three fixed squares plus the
-    largest n4 square over the grid (sum and sqrt are monotone).  Each
-    exact coefficient is rounded correctly, by one integer true division
-    of its numerator by its denominator.
+    (n1, n2).  du_b has n1 and n2 parts b1 = a / tau2 and b2 = b / tau2, so
+    the n4 part (c0_n2 + b q) b1 - b2 a q = c0_n2 b1 of [w, du_b] has no q
+    either: the defect is one constant vector, and one point gives the
+    residual.  Each exact coefficient is rounded correctly, by one integer
+    true division of its numerator by its denominator.
 
     The terms of the residual that read only the shared data are formed
-    once, here: du_b's n1 and n2 parts b1, b2, the two fixed squares of
-    the n1 and n2 defect, and the term b2 a q of each grid row of the n4
-    defect.  The returned function forms the rest.  Each part raises
-    ValueError when a square passes the largest float.
+    once, here: du_b's n1 and n2 parts b1, b2 and the two fixed squares of
+    the n1 and n2 defect.  The returned function forms the rest.  Each part
+    raises ValueError when a square passes the largest float.
     """
     try:
         fc, fe = float(c), float(e)
@@ -133,7 +123,6 @@ def label_solver(c: int, e: int, a: int, b: int, tau2: float, cos: float,
         b1, b2 = a / tau2, b / tau2
         fixed = ((cos * fc - sin * fe - b1) ** 2,
                  (sin * fc + cos * fe - b2) ** 2)
-        rows = [(num, den, b2 * (a * num / den)) for num, den in _CR_ROWS]
     except OverflowError:
         raise ValueError(_RESIDUAL_OVERFLOW) from None
 
@@ -143,10 +132,7 @@ def label_solver(c: int, e: int, a: int, b: int, tau2: float, cos: float,
             b3 = (q3 - tau1 * fc) / tau2
             b4 = (((2 * z - a * b) * c0d - a * c0n) / (2 * c0d)
                   - tau1 * fe) / tau2
-            bd = b * c0d
-            squares = (*fixed, b3 ** 2, max([
-                (b4 - ((c0n * den + bd * num) / (c0d * den) * b1 - row) / 2)
-                ** 2 for num, den, row in rows]))
+            squares = (*fixed, b3 ** 2, (b4 - c0n / c0d * b1 / 2) ** 2)
         except OverflowError:
             raise ValueError(_RESIDUAL_OVERFLOW) from None
         return tau1, c0n, c0d, math.sqrt(sum(squares))

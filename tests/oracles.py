@@ -72,10 +72,14 @@ live here:
   the per-label function of `geometry.label_solver`, which form every
   float from integers.
 * `log_coordinates` writes the torus logarithm as exact affine
-  coefficients in (p, q), for the curve-point tests and the residual rows.
-* `cr_residual_rows` rounds each row of the Cauchy-Riemann residual from
-  `log_coordinates` with `_affine_float`, building every integer afresh;
-  it is the bitwise reference for the residual of `label_solver`.
+  coefficients in (p, q), for the curve-point tests and the residual.
+* `cr_defect_exact` gives the Cauchy-Riemann defect at any (p, q) in
+  Fractions, by matrix commutators; the tests hold it to one vector over
+  the unit square, which is why `label_solver` reads the residual at one
+  point.  `cr_residual_affine` rounds that residual at p = q = 0 from
+  `log_coordinates`, building every integer afresh, and is the bitwise
+  reference for the residual of `label_solver`; `cr_residual_commutator`
+  forms it from the commutator alone.
 * `bent_label_terms` plants a wrong tau1 or c0_n2 in the command path, in
   place of `geometry._label_terms`, for the perturbation tests.
 """
@@ -84,7 +88,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -868,7 +872,7 @@ def smith_matrix_rows(h: HomDerivs) -> List[List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Cauchy-Riemann residual on the full grid
+# Cauchy-Riemann residual
 # ---------------------------------------------------------------------------
 
 
@@ -975,81 +979,96 @@ def twistor_apply(s: TorusSolution,
     )
 
 
-def cr_residual_grid(s: TorusSolution, grid: int = 8) -> float:
-    """Cauchy-Riemann residual over every point of a grid x grid square.
-
-    The reference for the residual of `geometry.label_solver`.  The torus
-    logarithm is w = C + X + [X, C]/2 with X = p dp + q dq; its derivatives
-    dp + [dp, C]/2 and dq + [dq, C]/2 come from the matrix commutator, so no
-    coefficient of `log_coordinates` is used.  w is evaluated exactly at
-    each grid point and rounded once, and the defect
-    psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2 is formed in floats as
-    `label_solver` specifies it.
-    """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+def _log_derivatives(s: TorusSolution) -> Tuple[LieAlgElem, ...]:
+    """C and the derivatives dp + [dp, C]/2 and dq + [dq, C]/2 of the torus
+    logarithm w = C + X + [X, C]/2, X = p dp + q dq, from the matrix
+    commutator, so that no coefficient of `log_coordinates` is used."""
     dp, dq, c0 = solution_lie(s)
     half = Fraction(1, 2)
-    dw_dp = lie_comb((1, dp), (half, commutator_oracle(dp, c0)))
-    dw_dq = lie_comb((1, dq), (half, commutator_oracle(dq, c0)))
-    # (const, p, q) coefficients of w1 and w2, the only parts the defect reads.
-    w12 = list(zip(c0.coords(), dw_dp.coords(), dw_dq.coords()))[:2]
+    return (c0, lie_comb((1, dp), (half, commutator_oracle(dp, c0))),
+            lie_comb((1, dq), (half, commutator_oracle(dq, c0))))
+
+
+def cr_defect_exact(s: TorusSolution) -> Callable[[Fraction, Fraction],
+                                                  Tuple[Fraction, ...]]:
+    """The Cauchy-Riemann defect psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2
+    of s, in exact arithmetic, as a function of the point (p, q).
+
+    tau1, tau2, cos and sin are read as the Fractions of their floats.
+    du_a = dw/dp and du_b = (dw/dq - tau1 dw/dp) / tau2 come from
+    `_log_derivatives`, and w = C + p dw/dp + q dw/dq is the torus
+    logarithm at (p, q).  The bracket is bilinear, so each matrix
+    commutator is taken once, with C, dw/dp and dw/dq in turn, and the
+    defect at (p, q) is its part at p = q = 0 plus p and q times the
+    parts those commutators give; nothing assumes which terms vanish.  The
+    tests hold it to one vector at every (p, q), the reason
+    `geometry.label_solver` reads the residual at one point.
+    """
+    c0, du_a, dw_dq = _log_derivatives(s)
+    tau1, tau2 = Fraction(s.tau1), Fraction(s.tau2)
+    du_b = lie_comb((1 / tau2, dw_dq), (-tau1 / tau2, du_a))
+    exact = replace(s, cos_theta=Fraction(s.cos_theta),
+                    sin_theta=Fraction(s.sin_theta))
+    half = Fraction(1, 2)
+
+    def part(w: LieAlgElem, base: int) -> LieAlgElem:
+        # The defect's part that is linear in w, plus base times its part
+        # that reads no w.
+        u = lie_comb((base, du_a), (-half, commutator_oracle(w, du_a)))
+        v = lie_comb((base, du_b), (-half, commutator_oracle(w, du_b)))
+        return lie_comb((1, LieAlgElem(*twistor_apply(exact, u.coords()))),
+                        (-1, v))
+
+    at_origin, along_p, along_q = (
+        part(w, base).coords()
+        for w, base in ((c0, 1), (du_a, 0), (dw_dq, 0)))
+    return lambda p, q: tuple(x + p * y + q * z for x, y, z in zip(
+        at_origin, along_p, along_q))
+
+
+def cr_residual_commutator(s: TorusSolution) -> float:
+    """Cauchy-Riemann residual at p = q = 0 from the matrix commutator.
+
+    The reference for the residual of `geometry.label_solver`.  It reads no
+    coefficient of `log_coordinates`: w = C at p = q = 0 and its
+    derivatives come from `_log_derivatives`, each rounded once, and the
+    defect psi(du_a - [w, du_a]/2) - du_b + [w, du_b]/2 is formed in
+    floats as `label_solver` specifies it.
+    """
+    c0, dw_dp, dw_dq = _log_derivatives(s)
     tau1, tau2 = s.tau1, s.tau2
     dpv = [float(c) for c in dw_dp.coords()]
     dqv = [float(c) for c in dw_dq.coords()]
     dbv = [(dqv[k] - tau1 * dpv[k]) / tau2 for k in range(4)]
-    worst = 0.0
-    for i in range(grid):
-        p = Fraction(i / (grid - 1))
-        for j in range(grid):
-            q = Fraction(j / (grid - 1))
-            wv = [float(c + p * x + q * y) for c, x, y in w12]
-            u = (dpv[0], dpv[1], dpv[2],
-                 dpv[3] - (wv[1] * dpv[0] - dpv[1] * wv[0]) / 2)
-            v = (dbv[0], dbv[1], dbv[2],
-                 dbv[3] - (wv[1] * dbv[0] - dbv[1] * wv[0]) / 2)
-            pu = twistor_apply(s, u)
-            defect = math.sqrt(sum((pu[k] - v[k]) ** 2 for k in range(4)))
-            worst = max(worst, defect)
-    return worst
+    wv = [float(c) for c in c0.coords()]
+    u = (dpv[0], dpv[1], dpv[2],
+         dpv[3] - (wv[1] * dpv[0] - dpv[1] * wv[0]) / 2)
+    v = (dbv[0], dbv[1], dbv[2],
+         dbv[3] - (wv[1] * dbv[0] - dbv[1] * wv[0]) / 2)
+    pu = twistor_apply(s, u)
+    return math.sqrt(sum((pu[k] - v[k]) ** 2 for k in range(4)))
 
 
-def _affine_float(const: Rat, slope: Rat, q: float) -> float:
-    """float(const + slope q), correctly rounded, by one integer division."""
-    num, den = q.as_integer_ratio()
-    return ((const.numerator * slope.denominator * den
-             + slope.numerator * const.denominator * num)
-            / (const.denominator * slope.denominator * den))
-
-
-def cr_residual_rows(s: TorusSolution, grid: int = 8) -> float:
-    """Cauchy-Riemann residual, one row per grid q, each row from scratch.
+def cr_residual_affine(s: TorusSolution) -> float:
+    """Cauchy-Riemann residual at p = q = 0 from `log_coordinates`.
 
     The bitwise reference for the residual of `geometry.label_solver`,
     which forms the coefficients of `log_coordinates` from the integers of
-    h and c0_n2, squares only the varying n4 component of each row, and
-    takes one sqrt.
-    This one reads `log_coordinates` and rounds each row from scratch;
-    `cr_residual_grid` is the reference that reads no coefficient of it.
+    h and c0_n2 and takes one sqrt of the three squares that read only
+    the shared data plus the n4 square.
+    This one rounds each coefficient of `log_coordinates` from scratch;
+    `cr_residual_commutator` is the reference that reads none of them.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
     w = log_coordinates(s.h, s.c0_n2)
     tau1, tau2 = s.tau1, s.tau2
     du_a = [float(dp) for _, dp, _ in w]
     du_b = [(float(dq) - tau1 * dpv) / tau2
             for (_, _, dq), dpv in zip(w, du_a)]
     pu = twistor_apply(s, du_a)
-    fixed = [(pu[k] - du_b[k]) ** 2 for k in range(3)]
-    (c1, _, a), (c2, _, b) = w[0], w[1]
-    worst = 0.0
-    for j in range(grid):
-        q = j / (grid - 1)
-        w1, w2 = _affine_float(c1, a, q), _affine_float(c2, b, q)
-        v4 = du_b[3] - (w2 * du_b[0] - du_b[1] * w1) / 2
-        defect = math.sqrt(sum((*fixed, (pu[3] - v4) ** 2)))
-        worst = max(worst, defect)
-    return worst
+    w1, w2 = float(w[0][0]), float(w[1][0])
+    v4 = du_b[3] - (w2 * du_b[0] - du_b[1] * w1) / 2
+    return math.sqrt(sum((*((pu[k] - du_b[k]) ** 2 for k in range(3)),
+                          (pu[3] - v4) ** 2)))
 
 
 def bent_label_terms(terms, dtau1: float = 0.0, dc0: Rat = 0):
@@ -1113,7 +1132,7 @@ def eval_class_pullback(s: TorusSolution) -> H3Class:
 
     The reference for `geometry.eval_class_integrate`.  The torus logarithm
     is w = C + X + [X, C]/2 with X = p dp + q dq, its derivatives taken from
-    the matrix commutator as in `cr_residual_grid`.  The evaluation map
+    the matrix commutator by `_log_derivatives`.  The evaluation map
     exp(w) exp(lam (dp_h4 n3 - dp_h3 n4)) has coordinates x = w2, y = w1,
     z = w4 + w1 w2 / 2 - lam dp_h3 and log t = w3 + lam dp_h4 as polynomials
     in (lam, p, q); the forms dy^dt^g, dx^dt^g and dy^dx^g (g = dz - x dy)
@@ -1121,10 +1140,8 @@ def eval_class_pullback(s: TorusSolution) -> H3Class:
     [0, 1 / gcd(dp h3, dp h4)] x [0, 1]^2, assuming nothing about which
     terms vanish.
     """
-    dp, dq, c0 = solution_lie(s)
-    half = Fraction(1, 2)
-    dw_dp = lie_comb((1, dp), (half, commutator_oracle(dp, c0)))
-    dw_dq = lie_comb((1, dq), (half, commutator_oracle(dq, c0)))
+    dp = lie_columns(s.h)[0]
+    c0, dw_dp, dw_dq = _log_derivatives(s)
     lam, p, q = Poly.var(0), Poly.var(1), Poly.var(2)
     w1, w2, w3, w4 = (Poly.const(c) + p.scale(x) + q.scale(y)
                       for c, x, y in zip(c0.coords(), dw_dp.coords(),

@@ -18,13 +18,11 @@ from ktgw import arith, cli, geometry, gwcount
 from ktgw.cli import BASELINE_LMAX, IDENTITIES_MAX, main
 from ktgw.cli import _check_printable as check_printable
 from ktgw.cli import _check_sweep_budget as check_sweep_budget
-from ktgw.geometry import CR_GRID
 from ktgw.gwcount import (GWResult, component_eval_class, gw_closed_form,
                           gw_enumerated, moduli_divisors)
 from ktgw.nilalg import H3_ZERO, H3Class, HomologyClass, Rational
-from oracles import (bent_label_terms, cr_residual_rows, fraction,
-                     hnf_matrices,
-                     label_component, lie, rational, replace,
+from oracles import (bent_label_terms, cr_residual_affine, fraction,
+                     hnf_matrices, label_component, lie, rational, replace,
                      solve_torus_fractions, walk_components)
 
 
@@ -296,14 +294,14 @@ def component_rows(comps, ev):
     """The moduli row of each component by the references of
     `tests/oracles.py`, with evaluation class ev: its Lie columns by `lie`,
     its torus solved through Fractions by `solve_torus_fractions`, and its
-    residual rounded row by row by `cr_residual_rows`."""
+    residual rounded from scratch by `cr_residual_affine`."""
     rows = []
     for comp in comps:
         sol = solve_torus_fractions(comp.hom)
         dp, dq = lie(comp.hom)
         rows.append((comp.d, comp.k, comp.ell, *dp, *dq, sol.tau1, sol.tau2,
                      sol.theta(), sol.c0_n2, comp.aut_size, *ev,
-                     cr_residual_rows(sol, CR_GRID)))
+                     cr_residual_affine(sol)))
     return rows
 
 

@@ -65,8 +65,8 @@ def golden_argvs():
     yield ["moduli", "-8", "-8", "--format", "csv"]
     # A refusal: dp h4 = -2 * 10^154 squares past the largest float.
     yield ["moduli", "1", str(2 * 10 ** 154)]
-    # JSON with the repr of a 1.26e-4 residual, with gcd(m, n) = 12 and
-    # with a negative m.
+    # JSON with the repr of a 1.220703125e-4 residual, with gcd(m, n) = 12
+    # and with a negative m.
     yield ["moduli", "1", str(10 ** 12), "--format", "json"]
     yield ["moduli", "12", "12", "--format", "json"]
     # The same two as CSV, whose floats are their repr: the residual takes
@@ -542,25 +542,25 @@ GOLDEN = {
     "gw 1848369127020774 1142354944254810 -10782153240954515 -6663737174819725 --method both --format csv":
         "dd0060f40e060231db3b7a58b7d13a6390a37502e19820abd69b587bf943c7d6",
     "moduli -2 -2 --format text":
-        "75fc947ecaee42d59f5a7c6288d639231f244739727e8704aab3ce2caf60d65c",
+        "7c7f84ce371f6792d460ade5b76eff96147d15f4f8b85187ba0ed2a82bc98e58",
     "moduli -2 -1 --format json":
-        "7187d8029820b0c8a80433baa4252db79baebaf2ce356dc4fd400d14921cb07a",
+        "1d762532db71cdfe60ad96be5fb4e3e6de3a9e52dee11a7c75a3f35f295ae5a5",
     "moduli -2 0 --format csv":
-        "3e1409d7fc0049b5c7eec1e30e3947c7e1b480f2e08862e5ac3b3f2f70d91647",
+        "d1c6439caa8f1359eac292f1f4d0a06e46b654368eb449db5c9ebdf1f6147203",
     "moduli -2 1 --format text":
-        "c39a89ccf5155b28543002fb627d7ca03db8983128935fbe89c6c1ea3f5ad086",
+        "fd1e8f64885f83c63e9edef2f8057b44e067fd812adac8e0fd851e869b8bade2",
     "moduli -2 2 --format json":
-        "48072246217d9e00ddd799cc2586cde4ac7c386ad61b3f29cc13f8554c28f625",
+        "57249abeb9d3462d159d56c68cd5322e61e0794c341c11baf272b5b1359f2ab6",
     "moduli -1 -2 --format csv":
-        "a5ada7a983f4584b1c20dec1dca3fb7e399c872b145b7dc37ebd85a7b4631a18",
+        "9ec9f90dc081cf0080cad88441daebe289733bfb5e78d8b6ff7529b7c1e323c5",
     "moduli -1 -1 --format text":
-        "fdf113ca25eaf8942a8bb4d0546a48743550fa0f7001dba44f8ba64b50f92769",
+        "9075d0e7b4d2b7ba09c017defbdbd93ff7f794cb2b741963c5865c812c1686f1",
     "moduli -1 0 --format json":
-        "a2aabf14c39f7fa1790eb7843e2a59aa33ce6165b60bf723e422850996ad741d",
+        "5241e0ecc9e8fa91b2af6c152172433368a05fddababf3aa52d98dfa3fee3a31",
     "moduli -1 1 --format csv":
-        "62e5dbea78f750c08454e7105e378490b4d01ab80f7dbae495782192e6d31d08",
+        "9358bc640bed0d256492ac4b1ea662fc6bc70cbc4dcdeb6a8124348b71f63a05",
     "moduli -1 2 --format text":
-        "3e22c68f19afcc1f6dd2ab5f1c2175eca7851e924a873b6f6701460b3f531594",
+        "ba8642f63483bdca084fc50e1d03f35c4267f0a3ffef2de3bd341f63ab49171c",
     "moduli 0 -2 --format json":
         "a87f6270f41e48178e3938875aa29a2687683912f2ef0a257497c0205e504ab6",
     "moduli 0 -1 --format csv":
@@ -572,25 +572,25 @@ GOLDEN = {
     "moduli 0 2 --format csv":
         "a87f6270f41e48178e3938875aa29a2687683912f2ef0a257497c0205e504ab6",
     "moduli 1 -2 --format text":
-        "c2868b02c194ef365bd066d875ea6277a98df7d7795c573eea13f03f0401ea6f",
+        "1a9908f4f787646f2609e769dbbd034f963f992e7b8135d9f325acebdafad744",
     "moduli 1 -1 --format json":
-        "55d6eb50bb8c92bcaa8d8a920fcc65f8d62c968d43be9833aa6d29171f5c8f15",
+        "a1283561f6e34d7311e15ba741ec721962b494f742a4e87718051d0cf4d4dc5a",
     "moduli 1 0 --format csv":
-        "82ac0ace556f3d7cfe680810dc58e206686b0efbba476cdfc421b123d2ef5974",
+        "c9f6c681dbd781b4fd443196f17a9cd3d2a6e1d02213321bc0ca90b52718c7c1",
     "moduli 1 1 --format text":
-        "e97339a2b7db33ebfb8b3951bf9cfd83096e6ab95f2b1e9d3bb23bbe4e203903",
+        "e677cc47a222848c4982aa5f213fbcdcf18c5eebcad55f6c57a053d9ebcdc7d4",
     "moduli 1 2 --format json":
-        "20afcab55c6417f02d5d5a8cffdfb12810a42425020b7ccf68d6208df6b1d394",
+        "fe5e67a04b2cb38962d428e1bbaec71ae9990dbbeb1bd972301a58373c4621c3",
     "moduli 2 -2 --format csv":
-        "74ad5ac96a349c4f27faa39e660ad7fc5fe37d95bed7d141faf0e6e8dc5bc8c6",
+        "f4014cf8c5a396afb172a6d56a485e0e98324042ea329ab28479707520982d90",
     "moduli 2 -1 --format text":
-        "c8d64acb8306988411313e459e0dac7462ea467dae5230f3695bed441f5c6e06",
+        "00a10ba0a8a62ef6eb9b952e6788637b9616806259d74673004b03e038b764b6",
     "moduli 2 0 --format json":
-        "5fb883b3e1d70e5f21d97f5f0fe32dd5e4429fc1609889067968d0ba9fac0954",
+        "0753a6bafb3a970905a5520f49452a9a52d975c0cca9089727fe31be6065b999",
     "moduli 2 1 --format csv":
-        "aed4e9241913c447978f3acf2125a55e11a14cf734a448099d6e4145e0e7d243",
+        "bd2dd7a2f06d53136c4800944ae1a3042b2a1852b9b48a75fb5eb7b404709e84",
     "moduli 2 2 --format text":
-        "18edf7f86bd866bd925cfae3f8bb8563c728df0f4cfbaceaac4c0763e64ca49c",
+        "8a4d7d2bccc85fe0e7ba3b62012fdf44c94947fa906db4c82647ad13908d2929",
     "verify identities --max 2":
         "d9a27b389e1a866e610754bdbe18faecfc15de88743402dc1e1e543b71932770",
     "verify oracle --max 2":
@@ -606,29 +606,29 @@ GOLDEN = {
     "verify oracle --max 8":
         "a2d8376542a75a55c1e34230ffc22537286a488050f05b2fcf6873e1f0ffc4f2",
     "moduli 120 0 --format json":
-        "641cd79670b6f9d3b5fa9c755d35bb204c26a8fd0f86f2a0df58f72e26a24d14",
+        "1b86c92633af0695f12e59e5cd85aca15205e929459a748a2cd76e1db6f015c2",
     "moduli -36 24 --format text":
-        "1855f12c3f020c37b8bb0ddcbf0fb91fe367ebdc0b4c22429de12a24ed280509",
+        "6d7d0bf82e1cab5eb1674651aec53a9329af998589723eaa4431b603dcba049f",
     "moduli -8 -8 --format csv":
-        "b6de099276050ccdd0922a25adf30defff6ca5605d09d1a3ad15794e47783fa4",
+        "555db41358066a254c5e5bf6bf956e43f829abb210c37d8439e9878db86b6f42",
     "moduli 1 20000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000":
         "cb8f703ef81fdf9461e01b0358ae4f08b5058d27db1e31b9d50958a547bb167c",
     "moduli 1 1000000000000 --format json":
-        "4a46042090e838ecff781bef73e02f4b5785bb3aec4916697dab540d7ac26ec1",
+        "bccfe1e99015fde9ab4eac2352931009f507aaa82e7234ebecc7f828a0bda6a5",
     "moduli 12 12 --format json":
-        "a90254088a2f893506c65e2328f56447bf65af5ec856ae28a3c3fdff66924f47",
+        "ade9e796ae5d7ca39e74d68bc846c2b90dfe58d71df9ba79a291af1ce73b8715",
     "moduli 1 1000000000000 --format csv":
-        "399a04c45b6e46b857c1bf2428cb4c123b54d78ffbd9bb0c035ba4b15101a31c",
+        "1d934335a48f053076b39c8b88e82f3788bf6d99d5894d573db64fe0f0e9f268",
     "moduli 12 12 --format csv":
-        "4bbd49619ccc9fa4b938748120a8f800cbb3353daab9a5472858e0aefdd8066c",
+        "0e61a9ca9b256ff4be5d7860114d8781790904185f62053012ba2dc13003e991",
     "moduli -7 3 --format json":
-        "31ec1d4b2232b7dc888d6954ef79e20924be4c3889325dfffa13126b2c64e578",
+        "3f731fc342b28e7eac47845706e3d0c3d8e04cd0ae0d85ac3e9e730e877de704",
     "moduli 60 -36 --format json":
-        "8d6b08b4748dc404c527715c9e82ccdc0742aff36edfeb8da0cb83d4a8f363c8",
+        "36b3676649219bd90142b8e63eb3c6ff5fef19c29e76129c7e0be0124687e73c",
     "moduli 60 -36 --format text":
-        "d1cdf64b6c73146147932de242d79f60a7ae92a9f9bad48f73581d374f3e715d",
+        "fce66ad0d28b618a3cae706adae09f4eb168634260c3ece3a3bbc27b4a3aabac",
     "moduli -9 6 --format json":
-        "9970ab905afc0344e77f1d3ada4261160de08876599ff698fc308dc64f140edb",
+        "b520ba53f065c249ba38cca89757b73cb755e7d2ca8f580e9ada08c1a339afdd",
     "gw 1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 1 1 --method closed --format text":
         "c3063a64bb7835451a73a1b8b73bd6af9357e84c44c29216d09f1779da80d304",
     "gw 1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 1000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000 1 1 --method closed --format json":
@@ -660,9 +660,9 @@ GOLDEN = {
     "gw +6 6 4 4":
         "642f21a17808e342097d752d921ae074307f42bd2f6e2d2ab201a155924cae39",
     "moduli 1_2 0":
-        "79156bbafa96fbef55dc489bb0d4ea214eb3e69846143d7ef4e33f8427ac5ca8",
+        "4ec104c4ea2cdd9a5b15f5cdc1a34327c33a9111b4d67f7ab69e667bdd1f065e",
     "moduli ٣ 0 --format csv":
-        "0ae2ffc5801bb42ce83be5ad180887eda572a12dbab311f6bb3e664ca3a8b1be",
+        "25eee36e69e0e7f038e12ec45e3f1ba82e7176d570b574b299c5b29b1be107e9",
     "gw --format json 6 6 4 4":
         "828ee859342bd28db7a5b954c6b105a85e71b718e970251a304caa2a2770dd48",
     "gw 6 6 --method closed 4 4":

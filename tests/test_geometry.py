@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ktgw import geometry
 from ktgw.arith import divisors
 from ktgw.geometry import (
-    CR_GRID,
     eval_class_integrate,
     label_solver,
     solve_columns,
@@ -25,8 +24,9 @@ from oracles import (
     TorusSolution,
     area_pullback,
     bent_label_terms,
-    cr_residual_grid,
-    cr_residual_rows,
+    cr_defect_exact,
+    cr_residual_affine,
+    cr_residual_commutator,
     eval_class_pullback,
     exp_oracle,
     fraction,
@@ -320,22 +320,41 @@ class TestCrResidual:
             bent = (s.tau2, math.cos(theta), math.sin(theta))
             assert command_residual(s.h, bent) > 1e-3
 
-    def test_matches_grid_reference(self):
-        # Float equality, no tolerance: one row per grid q rounds exactly as
-        # the full CR_GRID x CR_GRID evaluation does.
+    @pytest.mark.parametrize("plant", [
+        lambda s: s,
+        lambda s: replace(s, tau1=s.tau1 + 0.1),
+        lambda s: replace(s, tau2=s.tau2 * 1.5),
+        lambda s: replace(s, c0_n2=rational(fraction(s.c0_n2)
+                                             + Fraction(1, 10))),
+        lambda s: replace(s, cos_theta=math.cos(s.theta() + 0.1),
+                          sin_theta=math.sin(s.theta() + 0.1)),
+    ], ids=["solved", "tau1", "tau2", "c0_n2", "theta"])
+    def test_defect_same_at_every_point(self, plant):
+        # The reason one point gives the residual: in exact arithmetic the
+        # defect vector is the same at all 64 points of an 8 x 8 grid of
+        # the unit square, on every solved torus and on every bent one.
+        grid = [Fraction(i, 7) for i in range(8)]
+        for _, _, comp in small_sweep(4):
+            defect = cr_defect_exact(plant(solve_torus_fractions(comp.hom)))
+            origin = defect(0, 0)
+            assert all(defect(p, q) == origin for p in grid for q in grid)
+
+    def test_matches_commutator_reference(self):
+        # Float equality, no tolerance: the residual from the integers of h
+        # and c0_n2 rounds exactly as the one from matrix commutators does.
         homs = [comp.hom for _, _, comp in small_sweep(4)]
         homs += sampled_homs(random.Random(29), [
             (5000, 3000), (50000, 30000), (10 ** 7, 3 * 10 ** 6)], 12)
         for h in homs:
-            assert command_residual(h) == cr_residual_grid(
-                solve_torus_fractions(h), CR_GRID)
+            assert command_residual(h) == cr_residual_commutator(
+                solve_torus_fractions(h))
 
-    def test_matches_row_reference_bitwise(self, monkeypatch):
-        # The coefficients come from the integers of h and c0_n2, and one
-        # sqrt is taken of the largest row; the residual still equals the
-        # row-by-row reference to the last bit.  A bent torus gets its
-        # c0_n2 or tau1 planted in `_label_terms`, its tau2 passed to
-        # `label_solver`.
+    def test_matches_affine_reference_bitwise(self, monkeypatch):
+        # The coefficients come from the integers of h and c0_n2; the
+        # residual still equals the reference that rounds each coefficient
+        # of `log_coordinates` from scratch, to the last bit.  A bent torus
+        # gets its c0_n2 or tau1 planted in `_label_terms`, its tau2 passed
+        # to `label_solver`.
         homs = [comp.hom for _, _, comp in small_sweep(8)]
         homs += sampled_homs(random.Random(71), [
             (1, 10 ** 12), (1200, 23757), (10 ** 9, 10 ** 9), (9973, 1),
@@ -356,7 +375,7 @@ class TestCrResidual:
                                 bent_label_terms(real, dtau1, dc0))
             columns = (s.tau2, s.cos_theta, s.sin_theta)
             try:
-                expected = cr_residual_rows(s, CR_GRID).hex()
+                expected = cr_residual_affine(s).hex()
             except OverflowError:
                 # A bent (1, 10^154) torus squares past the largest float.
                 with pytest.raises(ValueError, match="the largest float"):
